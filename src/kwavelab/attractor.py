@@ -66,22 +66,41 @@ class AttractorCloud:
     def n_points(self) -> int:
         return int(self.us.shape[0])
 
-    @property
-    def points(self) -> list[ModalState]:
-        return [ModalState(self.us[i].copy(), self.vs[i].copy(), self.t_star)
-                for i in range(self.n_points)]
-
     def diameter(self, eps_profile) -> float:
         w = _metric_weights(self.basis, eps_profile, self.t_star)
         P = np.concatenate([self.us, self.vs], axis=1) * np.sqrt(w)
-        from scipy.spatial.distance import cdist
-        D = cdist(P, P)
-        return float(np.max(D))
+        return float(np.max(_pairwise_dist(P, P)))
 
 
 def _metric_weights(basis: Basis, eps_profile, t: float) -> np.ndarray:
     eps, _ = eval_epsilon(eps_profile, t)
     return np.concatenate([basis.eigenvalues, np.full(basis.n_modes, eps)])
+
+
+_BUF_FLOATS = 1 << 15  # size bound (256 KB) of _pairwise_dist's work buffer
+
+
+def _pairwise_dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of P and the rows of Q.
+
+    The squared differences are summed one coordinate after the other, the
+    order scipy's cdist uses, so the result equals cdist's bit for bit
+    (numpy reduces an axis other than the innermost in order). Not calling
+    cdist keeps scipy.spatial, whose import costs ~30 MB of resident memory,
+    out of the attractor commands. Coordinates go in blocks to keep the
+    Python loop short.
+    """
+    n_a, n_b, n_coords = P.shape[0], Q.shape[0], P.shape[1]
+    PT, QT = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
+    block = max(1, min(n_coords, _BUF_FLOATS // max(1, n_a * n_b)))
+    buf = np.zeros((block + 1, n_a, n_b))  # row 0: running sum
+    for j in range(0, n_coords, block):
+        k = min(block, n_coords - j)
+        sq = buf[1:k + 1]
+        np.subtract(PT[j:j + k, :, None], QT[j:j + k, None, :], out=sq)
+        sq *= sq
+        buf[0] = np.add.reduce(buf[:k + 1], axis=0)
+    return np.sqrt(buf[0])
 
 
 def _sample_arrays(spec: ModelSpec, params: EnergyParams, basis: Basis,
@@ -147,9 +166,7 @@ def hausdorff_semidist(A: AttractorCloud, B: AttractorCloud, eps_profile) -> flo
     w = np.sqrt(_metric_weights(A.basis, eps_profile, A.t_star))
     P = np.concatenate([A.us, A.vs], axis=1) * w
     Q = np.concatenate([B.us, B.vs], axis=1) * w
-    from scipy.spatial.distance import cdist
-    D = cdist(P, Q)
-    return float(np.max(np.min(D, axis=1)))
+    return float(np.max(np.min(_pairwise_dist(P, Q), axis=1)))
 
 
 @dataclass(frozen=True)
@@ -157,6 +174,7 @@ class AbsorbingRow:
     tau: float
     fraction_inside: float
     worst_ratio: float  # max |endpoint|_{X_t} / B(t)
+    cauchy_gap: float  # d_H(cloud at tau, cloud at the largest tau)
 
 
 @dataclass(frozen=True)
@@ -165,6 +183,7 @@ class AbsorbingReport:
     radius: float
     rows: tuple[AbsorbingRow, ...]
     empirical_T: Optional[float]  # smallest tau from which absorption holds onward
+    clouds: tuple[AttractorCloud, ...]  # endpoint cloud per row; not serialised
 
     @property
     def passed(self) -> bool:
@@ -174,33 +193,40 @@ class AbsorbingReport:
         return {"t": self.t, "radius": self.radius,
                 "empirical_T": self.empirical_T, "passed": self.passed,
                 "rows": [{"tau": r.tau, "fraction_inside": r.fraction_inside,
-                          "worst_ratio": r.worst_ratio} for r in self.rows]}
+                          "worst_ratio": r.worst_ratio, "cauchy_gap": r.cauchy_gap}
+                         for r in self.rows]}
 
 
 def verify_absorbing(spec: ModelSpec, params: EnergyParams, basis: Basis,
                      ens: EnsembleSpec, t: float, taus=None, dt: float = 1e-2,
                      threads: int = 1) -> AbsorbingReport:
     """Check that samples of the absorbing ball at t - tau land inside the
-    ball at t, for each pullback horizon tau."""
+    ball at t, for each pullback horizon tau.
+
+    Each row also carries the Cauchy-in-tau truncation gap: the Hausdorff
+    semi-distance from its endpoint cloud to that of the largest tau (0 on
+    the last row). The endpoint clouds are returned in ``clouds``.
+    """
     taus = ens.taus if taus is None else tuple(taus)
     radius = eval_B(t, spec, params, method="auto")
     eps_t, _ = eval_epsilon(spec.epsilon, t)
+    clouds = tuple(pullback_cloud(spec, params, basis, ens, t, tau, dt, threads)
+                   for tau in taus)
     rows = []
-    for tau in taus:
-        us, vs = _sample_arrays(spec, params, basis, t - tau, ens)
-        if tau > 0:
-            us, vs = _evolve_batch(us, vs, spec, basis, t - tau, t, dt, threads)
+    for cloud in clouds:
+        us, vs = cloud.us, cloud.vs
         xt = np.sum(basis.eigenvalues * us ** 2, axis=1) + eps_t * np.sum(vs ** 2, axis=1)
         ratios = np.sqrt(xt) / radius
         inside = ratios <= 1.0 + 1e-10
-        rows.append(AbsorbingRow(float(tau), float(np.mean(inside)),
-                                 float(np.max(ratios))))
+        rows.append(AbsorbingRow(float(cloud.tau), float(np.mean(inside)),
+                                 float(np.max(ratios)),
+                                 hausdorff_semidist(cloud, clouds[-1], spec.epsilon)))
     empirical_T = None
     for i in range(len(rows)):
         if all(r.fraction_inside == 1.0 for r in rows[i:]):
             empirical_T = rows[i].tau
             break
-    return AbsorbingReport(t, radius, tuple(rows), empirical_T)
+    return AbsorbingReport(t, radius, tuple(rows), empirical_T, clouds)
 
 
 @dataclass(frozen=True)

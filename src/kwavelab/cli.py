@@ -27,17 +27,13 @@ from .spectral import grad_norm_sq
 MONOTONE_NOISE_BAND = 0.10  # tolerated relative increase between sweep rows
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """One line per row, every cell as %.17g; a row whose length differs
+    from the header's raises TypeError."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -151,9 +147,7 @@ def cmd_pullback(cfg: ExperimentConfig) -> int:
         rep = att.verify_absorbing(model, params, cfg.basis, ens, t_star,
                                    dt=dt, threads=cfg.threads)
         reports[f"{d:g}"] = rep.to_dict()
-        cloud = att.pullback_cloud(model, params, cfg.basis, ens, t_star,
-                                   ens.taus[-1], dt, threads=cfg.threads)
-        clouds.append(cloud)
+        clouds.append(rep.clouds[-1])
         _stage(f"delta = {d:g}: fraction inside at tau = {rep.rows[-1].tau:g} "
                f"is {rep.rows[-1].fraction_inside:.3f}")
     labels = cfg.basis.mode_labels()

@@ -84,7 +84,6 @@ KEY_SPECS: dict[str, tuple[str, object]] = {
     "attractor.deltas": ("floatlist", (0.1, 0.05, 0.0)),
     "attractor.dt": ("optfloat", None),
     "output.dir": ("str", "out"),
-    "output.formats": ("str", "csv,json"),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 import kwavelab as kw
+import kwavelab.attractor as att
 from kwavelab.attractor import (AttractorCloud, EnsembleSpec, hausdorff_semidist,
                                 pullback_cloud, sample_absorbing_set,
                                 semicontinuity_sweep, verify_absorbing)
@@ -158,6 +159,15 @@ class TestHausdorff:
             dBC = hausdorff_semidist(B, C, spec.epsilon)
             assert dAC <= dAB + dBC + 1e-12
 
+    @pytest.mark.parametrize("n_a, n_b, dim", [(64, 64, 432), (64, 64, 512), (7, 3, 33),
+                                               (1, 5, 1), (1100, 1000, 3)])
+    def test_pairwise_distances_equal_cdist_bitwise(self, n_a, n_b, dim):
+        from scipy.spatial.distance import cdist
+        rng = np.random.default_rng(n_a + dim)
+        P = rng.standard_normal((n_a, dim)) * np.logspace(-3, 3, dim)
+        Q = P[rng.integers(0, n_a, n_b)] + 1e-4 * rng.standard_normal((n_b, dim))
+        assert np.array_equal(att._pairwise_dist(P, Q), cdist(P, Q))
+
     def test_empty_cloud_rejected(self, free_setup):
         spec, basis, _ = free_setup
         empty = AttractorCloud(0.0, 0.0, 0.0, basis, np.empty((0, 8)), np.empty((0, 8)))
@@ -180,6 +190,23 @@ class TestAbsorbing:
         rep = verify_absorbing(spec, params, basis, ens, t=0.0, taus=(1e-9,), dt=1e-9)
         assert rep.rows[0].fraction_inside == 1.0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_clouds_are_the_pullback_clouds(self, forced_setup, threads):
+        spec, basis, params = forced_setup
+        spec = spec.with_delta(0.1)
+        ens = EnsembleSpec(n_points=8, seed=4, taus=(1.0, 2.0, 3.0))
+        rep = verify_absorbing(spec, params, basis, ens, t=0.5, dt=1e-2, threads=threads)
+        refs = [pullback_cloud(spec, params, basis, ens, 0.5, tau, 1e-2, threads=threads)
+                for tau in ens.taus]
+        assert len(rep.clouds) == len(refs)
+        for cloud, ref, row in zip(rep.clouds, refs, rep.rows):
+            assert cloud.tau == ref.tau == row.tau
+            assert np.array_equal(cloud.us, ref.us) and np.array_equal(cloud.vs, ref.vs)
+            assert row.cauchy_gap == hausdorff_semidist(ref, refs[-1], spec.epsilon)
+        assert rep.rows[0].cauchy_gap > 0.0
+        assert rep.rows[-1].cauchy_gap == 0.0
+        assert "clouds" not in rep.to_dict()
+
     def test_smaller_c14_needs_longer_horizon(self, forced_setup):
         spec, basis, _ = forced_setup
         taus = tuple(float(t) for t in range(1, 11))
@@ -191,6 +218,41 @@ class TestAbsorbing:
             assert rep.passed
             Ts.append(rep.empirical_T)
         assert Ts[1] >= Ts[0]
+
+
+PULLBACK_CFG = """
+model.dim = 1
+model.delta = 0.1
+model.h.kind = separable
+model.h.amplitude = 0.5
+disc.n_modes = 8
+disc.dt = 0.01
+disc.t_end = 1.0
+energy.rho = 1.0
+energy.chi = 0.2
+energy.sigma1 = 0.1
+attractor.n_points = 4
+attractor.taus = 4, 8
+attractor.deltas = 0.1, 0.0
+attractor.dt = 0.01
+"""
+
+
+def test_pullback_command_evolves_each_leg_once(tmp_path, monkeypatch):
+    from kwavelab.cli import main
+    legs = []
+    evolve = att._evolve_batch
+
+    def counting(us, vs, spec, basis, t0, t1, dt, threads=1):
+        legs.append((spec.delta, t0, t1))
+        return evolve(us, vs, spec, basis, t0, t1, dt, threads)
+
+    monkeypatch.setattr(att, "_evolve_batch", counting)
+    path = tmp_path / "pullback.cfg"
+    path.write_text(PULLBACK_CFG)
+    assert main(["pullback", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(legs) == [(0.0, -8.0, 0.0), (0.0, -4.0, 0.0),
+                            (0.1, -8.0, 0.0), (0.1, -4.0, 0.0)]
 
 
 class TestSemicontinuity:

@@ -1,13 +1,18 @@
 import json
+import math
 import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from kwavelab.cli import main
+from kwavelab.cli import _write_csv, main
 from kwavelab.config import ConfigError, ExperimentConfig
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CONFIG_DIR = os.path.join(ROOT, "configs")
 
 SMALL_MODEL = """
 seed = 0
@@ -101,6 +106,11 @@ class TestExitCodes:
         path = write_cfg(tmp_path, "model.dim = 1\n")
         assert main(["validate", "--config", path]) == 2
 
+    def test_removed_output_formats_key_exit_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, SMALL_MODEL + "output.formats = csv,json\n")
+        assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
     def test_unreadable_config_exit_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -117,6 +127,23 @@ class TestExitCodes:
         text += "model.delta = 1.0\n"
         path = write_cfg(tmp_path, text)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
+
+
+class TestCsvWriter:
+    def test_exact_text_and_bitwise_round_trip(self, tmp_path):
+        row = (float("nan"), math.inf, -math.inf, -0.0, 5e-324, 1 / 3, np.float64(2.0) / 3)
+        path = tmp_path / "rows.csv"
+        _write_csv(str(path), list("abcdefg"), [row, row])
+        text = ("nan,inf,-inf,-0,4.9406564584124654e-324,"
+                "0.33333333333333331,0.66666666666666663\n")
+        assert path.read_text() == "a,b,c,d,e,f,g\n" + 2 * text
+        back = [float(cell) for cell in text.strip().split(",")]
+        assert [struct.pack("<d", x) for x in back] == [struct.pack("<d", x) for x in row]
+
+    @pytest.mark.parametrize("row", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_ragged_row_raises(self, tmp_path, row):
+        with pytest.raises(TypeError):
+            _write_csv(str(tmp_path / "rows.csv"), ["a", "b", "c"], [row])
 
 
 class TestSimulate:
@@ -196,6 +223,10 @@ class TestAttractorCommands:
         assert main(["pullback", "--config", path, "--out", str(out)]) == 0
         absorbing = json.loads((out / "absorbing.json").read_text())
         assert all(rep["passed"] for rep in absorbing["reports"].values())
+        for rep in absorbing["reports"].values():
+            gaps = [row["cauchy_gap"] for row in rep["rows"]]
+            assert all(math.isfinite(g) and g >= 0.0 for g in gaps)
+            assert gaps[-1] == 0.0
         lines = (out / "clouds.csv").read_text().splitlines()
         assert lines[0].startswith("t_star,delta,tau,u_1")
         assert len(lines) == 1 + 8 * 3  # n_points x len(deltas)
@@ -236,3 +267,26 @@ class TestDecomposeCommand:
         assert summary["rate2_ok"]
         assert summary["max_residual"] < 1e-3
         assert np.isfinite(summary["sup_lap_u2_sq"])
+
+
+class TestArtifactDigests:
+    def test_one_line_per_artifact_identical_across_runs(self, tmp_path):
+        path = write_cfg(tmp_path, SMALL_MODEL)
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        script = os.path.join(ROOT, "scripts", "artifact_digests.py")
+        outs = []
+        for run in ("a", "b"):
+            proc = subprocess.run([sys.executable, script, path, "--out", str(tmp_path / run)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        lines = [line.split(" ") for line in outs[0].splitlines()]
+        assert {(cmd, name) for _, cmd, name, _ in lines} == {
+            ("validate", "hypotheses.json"), ("simulate", "trajectory.csv"),
+            ("simulate", "ledger.csv"), ("simulate", "summary.json"),
+            ("feasibility", "feasibility.json"), ("pullback", "clouds.csv"),
+            ("pullback", "absorbing.json"), ("semicontinuity", "sweep.csv"),
+            ("semicontinuity", "semicontinuity.json"),
+            ("decompose", "decomposition.csv"), ("decompose", "decomposition.json")}
+        assert all(cfg == path and len(sha) == 64 for cfg, _, _, sha in lines)
