@@ -266,11 +266,11 @@ def semicontinuity_sweep(spec: ModelSpec, params: EnergyParams, basis: Basis,
                                t_star, tau, dt, threads)
     rows = []
     for d in deltas:
-        if d == 0.0:
-            cloud = ref_cloud
-        else:
-            cloud = pullback_cloud(spec.with_delta(d), params, basis, ens,
-                                   t_star, tau, dt, threads)
+        if d == 0.0:  # the reference itself: d_H(A, A) = 0
+            rows.append(SweepRow(d, 0.0))
+            continue
+        cloud = pullback_cloud(spec.with_delta(d), params, basis, ens,
+                               t_star, tau, dt, threads)
         rows.append(SweepRow(d, hausdorff_semidist(cloud, ref_cloud, spec.epsilon)))
     pos = [(r.delta, r.dist) for r in rows if r.delta > 0 and r.dist > 0]
     order = None

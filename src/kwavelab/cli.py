@@ -20,8 +20,8 @@ import numpy as np
 from . import attractor as att
 from . import energy as en
 from .config import ConfigError, ExperimentConfig, InfeasibleConfigError
-from .integrator import BlowUpError, run, run_decomposition
-from .model import validate_hypotheses
+from .integrator import BlowUpError, StepConfig, run, run_decomposition
+from .model import eval_epsilon, validate_hypotheses
 from .spectral import grad_norm_sq
 
 MONOTONE_NOISE_BAND = 0.10  # tolerated relative increase between sweep rows
@@ -108,15 +108,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def cmd_feasibility(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     v = cfg.values
-    probe = en.EnergyParams(rho=1.0, chi=0.1,
-                            sigma1=v["energy.sigma1"], xi=v["energy.xi"],
-                            c0=v["energy.c0"], c4=v["energy.c4"], c14=v["energy.c14"])
     _stage(f"scanning {v['energy.grid_n']}^2 grid over "
            f"(0, {v['energy.rho_max']:g}] x (0, {v['energy.chi_max']:g}]")
-    report = en.solve_feasibility(cfg.model, cfg.basis, probe,
-                                  grid_n=int(v["energy.grid_n"]),
-                                  rho_max=v["energy.rho_max"],
-                                  chi_max=v["energy.chi_max"])
+    report = cfg.scan_feasibility()
     _write_json(os.path.join(out, "feasibility.json"), report.to_dict())
     if report.is_empty:
         _stage(f"feasible set EMPTY; binding constraint: {report.binding_kill}")
@@ -132,11 +126,29 @@ def _cloud_rows(clouds):
             yield (cloud.t_star, cloud.delta, cloud.tau, *cloud.us[i], *cloud.vs[i])
 
 
+def _check_legs(cfg: ExperimentConfig, t_star: float, taus) -> None:
+    """ConfigError unless each pullback leg t_star - tau -> t_star is a whole
+    number of attractor.dt steps and starts where eps > 0 (the eps profiles
+    are monotone, so eps stays positive along the leg)."""
+    dt = cfg.attractor_dt
+    for tau in taus:
+        try:
+            StepConfig(dt=dt, t_start=t_star - tau, t_end=t_star).n_steps
+        except ValueError:
+            raise ConfigError(f"pullback horizon tau = {tau:g} is not a whole number "
+                              f"of attractor.dt = {dt:g} steps") from None
+        eps, _ = eval_epsilon(cfg.model.epsilon, t_star - tau)
+        if eps <= 0.0:
+            raise ConfigError(f"eps = {eps:.6g} <= 0 at t = {t_star - tau:g}, the start "
+                              f"of the pullback leg tau = {tau:g}")
+
+
 def cmd_pullback(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    params = cfg.energy_params(log=_stage)
     ens = cfg.ensemble()
     t_star = float(cfg.values["attractor.t_star"])
+    _check_legs(cfg, t_star, ens.taus)
+    params = cfg.energy_params(log=_stage)
     deltas = [float(d) for d in cfg.values["attractor.deltas"]]
     dt = cfg.attractor_dt
     clouds = []
@@ -161,11 +173,12 @@ def cmd_pullback(cfg: ExperimentConfig) -> int:
 
 def cmd_semicontinuity(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    params = cfg.energy_params(log=_stage)
     ens = cfg.ensemble()
     t_star = float(cfg.values["attractor.t_star"])
-    deltas = sorted({float(d) for d in cfg.values["attractor.deltas"]}, reverse=True)
     tau = ens.taus[-1]
+    _check_legs(cfg, t_star, [tau])
+    params = cfg.energy_params(log=_stage)
+    deltas = sorted({float(d) for d in cfg.values["attractor.deltas"]}, reverse=True)
     _stage(f"sweep over deltas {deltas} at tau = {tau:g}")
     sweep = att.semicontinuity_sweep(cfg.model, params, cfg.basis, ens, deltas,
                                      t_star, tau, cfg.attractor_dt,

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import EnergyParams, solve_feasibility
+from .energy import EnergyParams, FeasibilityReport, solve_feasibility
 from .integrator import StepConfig
 from .model import EpsilonProfile, ForcingSpec, ModelSpec, NonlinearitySpec
 from .spectral import Basis, ModalState
@@ -227,6 +227,25 @@ class ExperimentConfig:
             return ModalState(u, y[n:] / math.sqrt(eps0), t0)
         raise ConfigError(f"unknown ic.kind {kind!r}")
 
+    def scan_feasibility(self) -> FeasibilityReport:
+        """The (rho, chi) feasibility scan over the energy.* grid keys.
+
+        The scan reads only the structure constants c0 and c4 of its probe
+        (c14 is validated with them), so the probe's rho, chi and sigma1 are
+        placeholders: the config's sigma1 is left out, as it need not lie
+        below the placeholder chi.
+        """
+        v = self.values
+        try:
+            probe = EnergyParams(rho=1.0, chi=0.1, c0=v["energy.c0"], c4=v["energy.c4"],
+                                 c14=v["energy.c14"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return solve_feasibility(self.model, self.basis, probe,
+                                 grid_n=int(v["energy.grid_n"]),
+                                 rho_max=v["energy.rho_max"],
+                                 chi_max=v["energy.chi_max"])
+
     def energy_params(self, log=None) -> EnergyParams:
         """Resolve energy multipliers, running the feasibility scan when rho
         or chi is declared 'fit'."""
@@ -237,11 +256,7 @@ class ExperimentConfig:
                            c5=None if v["energy.c5"] == "fit" else v["energy.c5"],
                            c14=v["energy.c14"])
         if rho == "fit" or chi == "fit":
-            probe = EnergyParams(rho=1.0, chi=0.1, **base_kwargs)
-            report = solve_feasibility(self.model, self.basis, probe,
-                                       grid_n=int(v["energy.grid_n"]),
-                                       rho_max=v["energy.rho_max"],
-                                       chi_max=v["energy.chi_max"])
+            report = self.scan_feasibility()
             if report.is_empty:
                 raise InfeasibleConfigError(
                     f"feasibility scan is empty (binding: {report.binding_kill})")

@@ -109,7 +109,12 @@ def eval_E(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParam
                  - 2.0 * integral_of_G(spec.g, basis, u) + 2.0 * params.c0)
 
 
-def eval_I(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams) -> float:
+def eval_I(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams,
+           E: Optional[float] = None) -> float:
+    """Dissipation functional; ``E`` is eval_E of the same state when the
+    caller has it already."""
+    if E is None:
+        E = eval_E(state, spec, basis, params)
     eps, _ = eval_epsilon(spec.epsilon, state.t)
     u, v = state.u, state.v
     S = grad_norm_sq(basis, u)
@@ -117,7 +122,7 @@ def eval_I(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParam
     rho = params.rho
     return float(0.5 * rho * S + 2.0 * spec.delta * rho * S ** 2 - 2.0 * rho * gu
                  + rho * (2.0 * eps - rho) * norm_sq(v + rho * u)
-                 - params.chi * eval_E(state, spec, basis, params))
+                 - params.chi * E)
 
 
 def eval_K(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams) -> float:
@@ -245,7 +250,7 @@ def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis, params: Energy
     for i in range(n):
         st = ModalState(traj.us[i], traj.vs[i], float(traj.times[i]))
         E[i] = eval_E(st, spec, basis, params)
-        I[i] = eval_I(st, spec, basis, params)
+        I[i] = eval_I(st, spec, basis, params, E=E[i])
         K[i] = eval_K(st, spec, basis, params)
         xt[i] = grad_norm_sq(basis, st.u) + eps_series[i] * norm_sq(st.v)
         B[i] = eval_B(float(traj.times[i]), spec, params, method=b_method)

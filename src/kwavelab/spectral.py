@@ -11,16 +11,21 @@ normalised to unit L^2 norm, so for a coefficient vector a:
 
 Every differential operator is diagonal here, which makes the energy
 functionals exact coefficient sums. Grid transforms are type-I sine
-transforms evaluated as dense matrix products; at desk resolutions that is
-cheaper than being clever. All field operations accept a leading batch
-dimension, so ensembles evolve as one array.
+transforms applied one field axis at a time by cached dense matrices: every
+axis but the last is a broadcast matmul from the left on a (rows, N, rest)
+reshape, the last axis one GEMM from the right on the (-1, N) reshape, so no
+axis is ever moved or copied. At desk resolutions that is cheaper than an
+FFT. The nonlinearity is collocated on the nodes j/(2N+1), which makes it
+the exact Galerkin projection for cubic g. All field operations accept a
+leading batch dimension, so ensembles evolve as one array.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -133,14 +138,37 @@ def _dst_matrix(n_modes: int, grid_pts: int) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(np.pi * k * j / grid_pts)
 
 
-_DST_CACHE: dict[tuple[int, int], np.ndarray] = {}
+@lru_cache(maxsize=None)
+def _dst_pair(n_modes: int, grid_pts: int) -> tuple[tuple, tuple]:
+    """(forward, inverse) contraction matrices, each as (left, right).
+
+    The forward matrix T is modes x nodes; the inverse is T / M, since
+    T @ T.T = M I on the band. ``left`` acts on a field axis from the left,
+    ``right`` on the last axis from the right. All four are C-contiguous and
+    read-only, as every caller shares them.
+    """
+    fwd = _dst_matrix(n_modes, grid_pts)
+    inv = fwd / grid_pts
+    mats = (np.ascontiguousarray(fwd.T), fwd, inv, np.ascontiguousarray(inv.T))
+    for m in mats:
+        m.flags.writeable = False
+    return mats[:2], mats[2:]
 
 
-def _dst(n_modes: int, grid_pts: int) -> np.ndarray:
-    key = (n_modes, grid_pts)
-    if key not in _DST_CACHE:
-        _DST_CACHE[key] = _dst_matrix(n_modes, grid_pts)
-    return _DST_CACHE[key]
+def _contract(x: np.ndarray, batch: int, dim: int, left: np.ndarray,
+              right: np.ndarray) -> np.ndarray:
+    """Apply the one-axis map to each of the dim field axes of a contiguous
+    x holding batch fields of n_in^dim values.
+
+    Field axis a < dim-1 is a broadcast matmul with ``left`` on the view
+    (batch * n_out^a, n_in, n_in^(dim-1-a)); the last axis is one GEMM of the
+    (-1, n_in) view with ``right``. Every view is a reshape of a contiguous
+    array, so nothing is transposed or copied. Returns (-1, n_out).
+    """
+    n_out, n_in = left.shape
+    for a in range(dim - 1):
+        x = np.matmul(left, x.reshape(batch * n_out ** a, n_in, n_in ** (dim - 1 - a)))
+    return x.reshape(-1, n_in) @ right
 
 
 def to_grid(basis: Basis, f: np.ndarray, grid_pts: int) -> np.ndarray:
@@ -150,15 +178,11 @@ def to_grid(basis: Basis, f: np.ndarray, grid_pts: int) -> np.ndarray:
     """
     if grid_pts < basis.modes_per_dim + 1:
         raise AliasingError("need grid_pts >= modes_per_dim + 1")
-    f = np.asarray(f, dtype=float)
+    f = np.ascontiguousarray(f, dtype=float)
     lead = f.shape[:-1]
-    n = basis.modes_per_dim
-    vals = f.reshape(lead + (n,) * basis.dim)
-    T = _dst(n, grid_pts)
-    for axis in range(basis.dim):
-        vals = np.moveaxis(np.tensordot(vals, T, axes=([len(lead) + axis], [0])),
-                           -1, len(lead) + axis)
-    return vals
+    left, right = _dst_pair(basis.modes_per_dim, grid_pts)[0]
+    vals = _contract(f, math.prod(lead), basis.dim, left, right)
+    return vals.reshape(lead + (grid_pts - 1,) * basis.dim)
 
 
 def from_grid(basis: Basis, values: np.ndarray, grid_pts: int) -> np.ndarray:
@@ -166,14 +190,10 @@ def from_grid(basis: Basis, values: np.ndarray, grid_pts: int) -> np.ndarray:
     for band-limited fields)."""
     if grid_pts < basis.modes_per_dim + 1:
         raise AliasingError("need grid_pts >= modes_per_dim + 1")
-    values = np.asarray(values, dtype=float)
-    n = basis.modes_per_dim
+    values = np.ascontiguousarray(values, dtype=float)
     lead = values.shape[: values.ndim - basis.dim]
-    T = _dst(n, grid_pts) / grid_pts  # orthogonality: T @ T'^T = I on the band
-    out = values
-    for axis in range(basis.dim):
-        out = np.moveaxis(np.tensordot(out, T, axes=([len(lead) + axis], [1])),
-                          -1, len(lead) + axis)
+    left, right = _dst_pair(basis.modes_per_dim, grid_pts)[1]
+    out = _contract(values, math.prod(lead), basis.dim, left, right)
     return out.reshape(lead + (basis.n_modes,))
 
 
@@ -185,21 +205,34 @@ def integrate_grid(values: np.ndarray, grid_pts: int, dim: int) -> np.ndarray | 
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _quadrature_pts(basis: Basis) -> int:
+    """M = 2N + 1: the collocation nodes are j/M, j = 1..M-1, per dimension.
+
+    For u in the band, u^3 phi_m and u^4 are cosine sums of wavenumber at
+    most 4N per dimension, and the rule on the nodes j/M integrates cos(k pi x)
+    exactly for 0 < k < 2M. So the quadrature is exact for cubic g; with
+    M = 2N, wavenumber 4N would alias onto the mean.
+    """
+    return 2 * basis.modes_per_dim + 1
+
+
 def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.ndarray:
-    """Collocation evaluation of g(u) projected on the basis (M = 2N nodes)."""
+    """Galerkin projection (g(u), phi_m) by collocation on the nodes j/M,
+    M = 2N+1, per dimension: exact for polynomial g up to degree 3."""
     if spec.kind == "zero":
         return np.zeros_like(np.asarray(f, dtype=float))
-    M = 2 * basis.modes_per_dim
+    M = _quadrature_pts(basis)
     vals = to_grid(basis, f, M)
     return from_grid(basis, eval_g_value(spec, vals), M)
 
 
 def integral_of_G(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.ndarray | float:
-    """(G(u), 1) by collocation quadrature on the doubled grid."""
+    """(G(u), 1) by quadrature on the nodes j/M, M = 2N+1, per dimension:
+    exact for G up to degree 4 (cubic g)."""
     if spec.kind == "zero":
         out = np.zeros(np.asarray(f).shape[:-1])
         return float(out) if np.ndim(out) == 0 else out
-    M = 2 * basis.modes_per_dim
+    M = _quadrature_pts(basis)
     vals = to_grid(basis, f, M)
     _, _, G_vals = eval_g(spec, vals)
     return integrate_grid(G_vals, M, basis.dim)

@@ -263,6 +263,22 @@ class TestSemicontinuity:
         assert len(sweep.rows) == 1
         assert sweep.rows[0].dist == 0.0
 
+    def test_reference_row_skips_the_self_distance(self, forced_setup, monkeypatch):
+        spec, basis, params = forced_setup
+        ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0,))
+        pairs = []
+        semidist = att.hausdorff_semidist
+
+        def counting(A, B, eps_profile):
+            pairs.append((A.delta, B.delta))
+            return semidist(A, B, eps_profile)
+
+        monkeypatch.setattr(att, "hausdorff_semidist", counting)
+        sweep = semicontinuity_sweep(spec, params, basis, ens, [0.2, 0.1, 0.0],
+                                     0.0, 1.0, dt=1e-2)
+        assert pairs == [(0.2, 0.0), (0.1, 0.0)]
+        assert sweep.rows[-1].dist == 0.0
+
     def test_distances_track_delta(self, forced_setup):
         spec, basis, params = forced_setup
         ens = EnsembleSpec(n_points=12, seed=1, taus=(4.0,))

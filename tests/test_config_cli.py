@@ -121,6 +121,29 @@ class TestExitCodes:
         report = json.loads((tmp_path / "feasibility.json").read_text())
         assert report["empty"] and report["binding_kill"] == "rho_max_mass_ratio"
 
+    def test_feasibility_linear_fixture_exit_0(self, tmp_path):
+        # linear.cfg sets sigma1 = 0.1, which the scan's probe must not take
+        code = main(["feasibility", "--config", fixture_cfg("linear.cfg"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert not json.loads((tmp_path / "feasibility.json").read_text())["empty"]
+
+    def test_pullback_tau_off_the_step_grid_exit_2(self, tmp_path, capsys):
+        # 0.0625 / 0.005 = 12.5 steps; the sweep integrates only tau_max = 0.25
+        path = write_cfg(tmp_path, SMALL_MODEL.replace("attractor.taus = 4, 8",
+                                                       "attractor.taus = 0.0625, 0.25"))
+        assert main(["pullback", "--config", path, "--out", str(tmp_path / "p")]) == 2
+        assert "tau = 0.0625" in capsys.readouterr().err
+        assert main(["semicontinuity", "--config", path, "--out", str(tmp_path / "s")]) == 0
+
+    @pytest.mark.parametrize("command,t", [("pullback", -5), ("semicontinuity", -20)])
+    def test_nonpositive_epsilon_at_leg_start_exit_2(self, tmp_path, capsys, command, t):
+        # eps(t) = 1 - 0.5 exp(-t) < 0 at the start of the first leg integrated
+        code = main([command, "--config", fixture_cfg("eps_increasing.cfg"),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert f"<= 0 at t = {t}," in capsys.readouterr().err
+
     def test_blowup_exit_3(self, tmp_path):
         text = SMALL_MODEL.replace("disc.dt = 0.005", "disc.dt = 0.5")
         text = text.replace("ic.u_amp = 0.5", "ic.u_amp = 1e6")
@@ -197,6 +220,15 @@ class TestFeasibilityCommand:
         assert not report["empty"]
         assert report["chosen"]["rho"] > 0
         assert [report["chosen"]["rho"], report["chosen"]["chi"]] in report["feasible_points"]
+
+    def test_fit_keeps_the_configs_sigma1(self, tmp_path):
+        # sigma1 = 0.1 is not below the scan probe's placeholder chi = 0.1
+        text = SMALL_MODEL.replace("energy.rho = 1.0", "energy.rho = fit")
+        text = text.replace("energy.chi = 0.1", "energy.chi = fit")
+        cfg = ExperimentConfig.load(write_cfg(tmp_path, text + "energy.sigma1 = 0.1\n"))
+        params = cfg.energy_params()
+        rho, chi, _ = cfg.scan_feasibility().chosen
+        assert (params.rho, params.chi, params.sigma1) == (rho, chi, 0.1)
 
     def test_grid_refinement_consistent(self, tmp_path):
         base = SMALL_MODEL + "\nenergy.grid_n = 12\n"

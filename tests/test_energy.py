@@ -79,6 +79,27 @@ class TestPointFunctionals:
         c5 = max(0.0, -min(I_series)) + 1e-12
         assert all(I >= -c5 for I in I_series)
 
+    def test_ledger_evaluates_E_once_per_record(self, cubic3d_setup, monkeypatch):
+        import kwavelab.energy as en
+        spec, basis = cubic3d_setup
+        params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
+        rng = np.random.default_rng(4)
+        ic = ModalState(0.1 * rng.standard_normal(basis.n_modes),
+                        0.1 * rng.standard_normal(basis.n_modes), 0.0)
+        traj = run(ic, spec, basis, StepConfig(dt=1e-2, t_start=0.0, t_end=0.1))
+        calls = []
+        quadrature = en.integral_of_G
+
+        def counting(*args):
+            calls.append(1)
+            return quadrature(*args)
+
+        monkeypatch.setattr(en, "integral_of_G", counting)
+        ledger = build_ledger(traj, spec, basis, params, include_accel=False)
+        assert len(calls) == traj.n_records
+        for i in range(traj.n_records):  # the same bits as evaluating E afresh
+            assert ledger.I[i] == eval_I(traj.state(i), spec, basis, params)
+
 
 class TestSecondEnergy:
     def test_zero_trajectory(self, linear_setup):

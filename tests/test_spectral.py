@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import kwavelab as kw
-from kwavelab.spectral import (AliasingError, Basis, ModalState, dual_norm_sq,
-                               from_grid, integral_of_G, integrate_grid,
-                               to_grid)
+from kwavelab.spectral import (AliasingError, Basis, ModalState, _dst_matrix,
+                               dual_norm_sq, eval_nonlinearity_modal, from_grid,
+                               integral_of_G, integrate_grid, to_grid)
 
 
 def mode_field(basis, index, amp=1.0):
@@ -108,6 +108,28 @@ class TestLaplacianOps:
         assert dual_norm_sq(b, mode_field(b, 0)) == pytest.approx(1.0 / np.pi ** 2, rel=1e-14)
 
 
+def reference_to_grid(basis, f, m):
+    """One tensordot per field axis, each moved back into place."""
+    lead = f.shape[:-1]
+    n = basis.modes_per_dim
+    vals = f.reshape(lead + (n,) * basis.dim)
+    T = _dst_matrix(n, m)
+    for axis in range(basis.dim):
+        vals = np.moveaxis(np.tensordot(vals, T, axes=([len(lead) + axis], [0])),
+                           -1, len(lead) + axis)
+    return vals
+
+
+def reference_from_grid(basis, values, m):
+    lead = values.shape[: values.ndim - basis.dim]
+    T = _dst_matrix(basis.modes_per_dim, m) / m
+    out = values
+    for axis in range(basis.dim):
+        out = np.moveaxis(np.tensordot(out, T, axes=([len(lead) + axis], [1])),
+                          -1, len(lead) + axis)
+    return out.reshape(lead + (basis.n_modes,))
+
+
 class TestTransforms:
     @pytest.mark.parametrize("dim,n,m", [(1, 8, 16), (2, 5, 10), (3, 4, 8)])
     def test_roundtrip_identity(self, dim, n, m):
@@ -140,6 +162,23 @@ class TestTransforms:
         assert vals.shape == (7, 7, 7)
         back = from_grid(b, vals, 8)
         assert np.max(np.abs(back - f)) < 1e-10
+
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (2, 3)])
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
+    def test_matches_tensordot_reference(self, dim, n, lead):
+        rng = np.random.default_rng([dim, n, len(lead)])
+        b = Basis(dim, n)
+        for m in (2 * n, 2 * n + 1):
+            f = rng.standard_normal(lead + (b.n_modes,))
+            vals = to_grid(b, f, m)
+            ref = reference_to_grid(b, f, m)
+            assert vals.shape == ref.shape == lead + (m - 1,) * dim
+            assert np.max(np.abs(vals - ref)) <= 1e-14 * np.max(np.abs(ref))
+            nodal = rng.standard_normal(ref.shape)
+            back = from_grid(b, nodal, m)
+            ref = reference_from_grid(b, nodal, m)
+            assert back.shape == ref.shape == lead + (b.n_modes,)
+            assert np.max(np.abs(back - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -183,3 +222,37 @@ class TestNonlinearityModal:
         f = mode_field(b, 0, amp=1.3)
         oracle, _ = quad(lambda x: -0.25 * (1.3 * math.sqrt(2) * np.sin(np.pi * x)) ** 4, 0, 1)
         assert integral_of_G(kw.NonlinearitySpec.cubic_soft(), b, f) == pytest.approx(oracle, rel=1e-10)
+
+
+def midpoint_projection(basis, f, cells):
+    """Galerkin projection of the soft cubic g(u) = -u^3 and (G(u), 1) by the
+    midpoint rule on `cells` cells per dimension. Each integrand is a cosine
+    polynomial of wavenumber <= 4N per dimension, which the rule integrates
+    exactly once cells > 2N."""
+    x = (np.arange(cells) + 0.5) / cells
+    k = np.arange(1, basis.modes_per_dim + 1)
+    S = math.sqrt(2.0) * np.sin(np.pi * np.outer(k, x))  # modes x nodes
+    phi = S
+    for _ in range(basis.dim - 1):
+        phi = np.einsum("ai,bj->abij", phi, S).reshape(phi.shape[0] * S.shape[0], -1)
+    u = f @ phi
+    weight = 1.0 / cells ** basis.dim
+    return weight * (phi @ -u ** 3), weight * np.sum(-0.25 * u ** 4)
+
+
+class TestGalerkinExactness:
+    """The nonlinearity is the exact Galerkin projection for cubic g."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("data", ["top_mode", "random"])
+    def test_cubic_matches_midpoint_oracle(self, dim, n, data):
+        b = Basis(dim, n)
+        if data == "top_mode":
+            f = mode_field(b, b.n_modes - 1)
+        else:
+            f = np.random.default_rng([dim, n]).standard_normal(b.n_modes)
+        proj, G_int = midpoint_projection(b, f, 4 * n)
+        spec = kw.NonlinearitySpec.cubic_soft()
+        out = eval_nonlinearity_modal(spec, b, f)
+        assert np.max(np.abs(out - proj)) <= 1e-13 * np.max(np.abs(proj))
+        assert integral_of_G(spec, b, f) == pytest.approx(G_int, rel=1e-13, abs=0.0)
