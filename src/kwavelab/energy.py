@@ -160,16 +160,12 @@ def weighted_tail_integral(h: ForcingSpec, sigma1: float, t: float,
     """int_{-inf}^t e^{sigma1 s} |h(s)|^2 ds.
 
     "quad" truncates where the integrand drops below 1e-12 of its running
-    peak and integrates adaptively; "closed" uses the exact antiderivative
-    (presets only); "auto" prefers the closed form when available.
+    peak and integrates adaptively; "closed" (or its alias "auto") uses the
+    exact antiderivative of the separable forcing.
     """
     if h.kind == "zero":
         return 0.0
-    if method == "auto":
-        method = "closed" if h.kind in ("zero", "separable") else "quad"
-    if method == "closed":
-        if h.kind != "separable":
-            raise ValueError("closed form available only for preset forcings")
+    if method in ("auto", "closed"):
         A2, beta = h.amplitude ** 2, h.rate
         up = sigma1 + 2.0 * beta
         if t <= 0:
@@ -236,14 +232,13 @@ class EnergyLedger:
 
 
 def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis, params: EnergyParams,
-                 include_accel: bool = True, z: Optional[Trajectory] = None,
-                 b_method: str = "auto") -> EnergyLedger:
+                 include_accel: bool = True) -> EnergyLedger:
+    """Functionals at every record; Etilde needs a difference run and stays NaN."""
     n = traj.n_records
     E = np.empty(n)
     I = np.empty(n)
     K = np.empty(n)
     Lser = np.full(n, np.nan)
-    Et = np.full(n, np.nan)
     xt = np.empty(n)
     B = np.empty(n)
     eps_series = np.array([eval_epsilon(spec.epsilon, float(t))[0] for t in traj.times])
@@ -253,13 +248,11 @@ def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis, params: Energy
         I[i] = eval_I(st, spec, basis, params, E=E[i])
         K[i] = eval_K(st, spec, basis, params)
         xt[i] = grad_norm_sq(basis, st.u) + eps_series[i] * norm_sq(st.v)
-        B[i] = eval_B(float(traj.times[i]), spec, params, method=b_method)
+        B[i] = eval_B(float(traj.times[i]), spec, params, method="auto")
         if include_accel and traj.accel_available:
             Lser[i] = eval_L(traj, spec, basis, params, float(traj.times[i]))
-        if z is not None:
-            zst = ModalState(z.us[i], z.vs[i], float(z.times[i]))
-            Et[i] = eval_Etilde(zst, spec, basis, params)
-    return EnergyLedger(traj.times.copy(), E, I, K, Lser, Et, xt, B, np.full(n, np.nan))
+    return EnergyLedger(traj.times.copy(), E, I, K, Lser, np.full(n, np.nan), xt, B,
+                        np.full(n, np.nan))
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,8 @@ from typing import Optional
 import numpy as np
 
 EPSILON_KINDS = ("constant", "exp_decay_to_limit")
-NONLINEARITY_KINDS = ("zero", "cubic_soft", "lipschitz_sine", "user_table")
-FORCING_KINDS = ("zero", "separable", "modal_table")
-
-
-class OutOfRangeError(ValueError):
-    """Tabulated profile queried outside its tabulated range."""
+NONLINEARITY_KINDS = ("zero", "cubic_soft", "lipschitz_sine")
+FORCING_KINDS = ("zero", "separable")
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,6 @@ class NonlinearitySpec:
       zero            g = 0
       cubic_soft      g(u) = -coeff * u^3        (defocusing)
       lipschitz_sine  g(u) = coeff * sin(u)
-      user_table      piecewise-linear interpolant of (table_u, table_g)
 
     ``k`` bounds g' from above, ``gamma`` and ``growth_c`` enter the
     dissipativity and growth conditions, and ``c1..c4`` are the declared
@@ -100,8 +95,6 @@ class NonlinearitySpec:
     c2: float = 0.0
     c3: float = 0.0
     c4: float = 0.0
-    table_u: Optional[tuple[float, ...]] = None
-    table_g: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         if self.kind not in NONLINEARITY_KINDS:
@@ -112,12 +105,6 @@ class NonlinearitySpec:
             raise ValueError("growth constant must be positive")
         if min(self.c1, self.c2, self.c3, self.c4) < 0:
             raise ValueError("structure constants c1..c4 must be nonnegative")
-        if self.kind == "user_table":
-            if self.table_u is None or self.table_g is None:
-                raise ValueError("user_table requires table_u and table_g")
-            u = np.asarray(self.table_u, dtype=float)
-            if u.size < 3 or np.any(np.diff(u) <= 0) or u[0] > 0 or u[-1] < 0:
-                raise ValueError("table_u must be increasing and bracket 0")
 
     @classmethod
     def zero(cls) -> "NonlinearitySpec":
@@ -138,11 +125,6 @@ class NonlinearitySpec:
         return cls(kind="lipschitz_sine", coeff=a, k=a, gamma=gamma, growth_c=max(a, 1.0),
                    c1=a / 2.0, c2=a / 2.0 + 2.0 * gamma * a, c3=0.0, c4=2.0 * a)
 
-    @classmethod
-    def from_table(cls, u: np.ndarray, g: np.ndarray, **kwargs) -> "NonlinearitySpec":
-        return cls(kind="user_table", table_u=tuple(float(x) for x in u),
-                   table_g=tuple(float(x) for x in g), **kwargs)
-
 
 def eval_g_value(spec: NonlinearitySpec, u) -> np.ndarray:
     """g(u) alone; cheaper than eval_g inside integrator loops."""
@@ -151,14 +133,12 @@ def eval_g_value(spec: NonlinearitySpec, u) -> np.ndarray:
         return np.zeros_like(u)
     if spec.kind == "cubic_soft":
         return -spec.coeff * (u * u * u)
-    if spec.kind == "lipschitz_sine":
-        return spec.coeff * np.sin(u)
-    return eval_g(spec, u)[0]
+    return spec.coeff * np.sin(u)
 
 
 def eval_g(spec: NonlinearitySpec, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (g(u), g'(u), G(u)) elementwise; G is the exact antiderivative
-    with G(0) = 0 for the closed-form presets."""
+    with G(0) = 0."""
     u = np.asarray(u, dtype=float)
     if spec.kind == "zero":
         z = np.zeros_like(u)
@@ -167,25 +147,9 @@ def eval_g(spec: NonlinearitySpec, u) -> tuple[np.ndarray, np.ndarray, np.ndarra
         c = spec.coeff
         u2 = u * u
         return -c * u2 * u, -3.0 * c * u2, -0.25 * c * u2 * u2
-    if spec.kind == "lipschitz_sine":
-        a = spec.coeff
-        cos_u = np.cos(u)
-        return a * np.sin(u), a * cos_u, a * (1.0 - cos_u)
-    # user_table: piecewise-linear g, midpoint-rule G, finite-difference g'
-    knots = np.asarray(spec.table_u, dtype=float)
-    gvals = np.asarray(spec.table_g, dtype=float)
-    if np.any(u < knots[0]) or np.any(u > knots[-1]):
-        raise OutOfRangeError("u outside tabulated range")
-    gp_knots = np.gradient(gvals, knots)
-    seg = np.concatenate([[0.0], np.cumsum(np.diff(knots) * (gvals[:-1] + gvals[1:]) / 2.0)])
-    seg = seg - np.interp(0.0, knots, seg)  # pin G(0) = 0
-    g = np.interp(u, knots, gvals)
-    gp = np.interp(u, knots, gp_knots)
-    # exact integral of the interpolant within the bracketing segment
-    idx = np.clip(np.searchsorted(knots, u, side="right") - 1, 0, knots.size - 2)
-    du = u - knots[idx]
-    G = seg[idx] + gvals[idx] * du + 0.5 * (gvals[idx + 1] - gvals[idx]) / (knots[idx + 1] - knots[idx]) * du ** 2
-    return g, gp, G
+    a = spec.coeff
+    cos_u = np.cos(u)
+    return a * np.sin(u), a * cos_u, a * (1.0 - cos_u)
 
 
 @dataclass(frozen=True)
@@ -205,8 +169,6 @@ class ForcingSpec:
     rate: float = 1.0
     mode: int = 1
     sigma: float = 1.0
-    table_t: Optional[tuple[float, ...]] = None
-    table_coeffs: Optional[tuple[tuple[float, ...], ...]] = None
 
     def __post_init__(self):
         if self.kind not in FORCING_KINDS:
@@ -217,33 +179,13 @@ class ForcingSpec:
             raise ValueError("sigma must be positive")
         if self.mode < 1:
             raise ValueError("mode index is 1-based")
-        if self.kind == "modal_table":
-            if self.table_t is None or self.table_coeffs is None:
-                raise ValueError("modal_table requires table_t and table_coeffs")
-            t = np.asarray(self.table_t, dtype=float)
-            if t.size < 2 or np.any(np.diff(t) <= 0):
-                raise ValueError("table_t must be strictly increasing")
 
 
 def forcing_norm_sq(spec: ForcingSpec, t: float) -> float:
-    """Squared L^2 norm of h(., t); closed form for the presets."""
+    """Squared L^2 norm of h(., t), in closed form."""
     if spec.kind == "zero":
         return 0.0
-    if spec.kind == "separable":
-        return float(spec.amplitude ** 2 * math.exp(-2.0 * spec.rate * abs(t)))
-    coeffs = _modal_table_at(spec, t)
-    return float(np.sum(coeffs ** 2))
-
-
-def _modal_table_at(spec: ForcingSpec, t: float) -> np.ndarray:
-    times = np.asarray(spec.table_t, dtype=float)
-    if t < times[0] or t > times[-1]:
-        raise OutOfRangeError("t outside tabulated forcing range")
-    table = np.asarray(spec.table_coeffs, dtype=float)
-    out = np.empty(table.shape[1])
-    for j in range(table.shape[1]):
-        out[j] = np.interp(t, times, table[:, j])
-    return out
+    return float(spec.amplitude ** 2 * math.exp(-2.0 * spec.rate * abs(t)))
 
 
 def eval_h(spec: ForcingSpec, n_modes: int, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -252,23 +194,12 @@ def eval_h(spec: ForcingSpec, n_modes: int, t: float) -> tuple[np.ndarray, np.nd
     ht = np.zeros(n_modes)
     if spec.kind == "zero":
         return h, ht
-    if spec.kind == "separable":
-        if spec.mode > n_modes:
-            raise ValueError(f"forcing mode {spec.mode} outside basis of {n_modes} modes")
-        decay = math.exp(-spec.rate * abs(t))
-        sign = 1.0 if t >= 0 else -1.0  # right derivative at the kink
-        h[spec.mode - 1] = spec.amplitude * decay
-        ht[spec.mode - 1] = -spec.rate * sign * spec.amplitude * decay
-        return h, ht
-    table = np.asarray(spec.table_coeffs, dtype=float)
-    if table.shape[1] != n_modes:
-        raise ValueError("modal_table width does not match basis")
-    times = np.asarray(spec.table_t, dtype=float)
-    coeffs = _modal_table_at(spec, t)
-    deriv = np.gradient(table, times, axis=0)
-    for j in range(n_modes):
-        ht[j] = np.interp(t, times, deriv[:, j])
-    h[:] = coeffs
+    if spec.mode > n_modes:
+        raise ValueError(f"forcing mode {spec.mode} outside basis of {n_modes} modes")
+    decay = math.exp(-spec.rate * abs(t))
+    sign = 1.0 if t >= 0 else -1.0  # right derivative at the kink
+    h[spec.mode - 1] = spec.amplitude * decay
+    ht[spec.mode - 1] = -spec.rate * sign * spec.amplitude * decay
     return h, ht
 
 
@@ -405,10 +336,6 @@ def _forcing_tail_check(h: ForcingSpec, t_end: float) -> HypothesisCheck:
     """Stabilization of int_{-T0}^{t} e^{sigma s} |h|^2 ds as T0 grows."""
     if h.kind == "zero":
         return HypothesisCheck("forcing_tail", True, math.inf, "h = 0")
-    if h.kind == "modal_table":
-        # finite table: the tail integral is trivially finite
-        return HypothesisCheck("forcing_tail", True, math.inf,
-                               "tabulated forcing has compact support in the table range")
     from scipy.integrate import quad
 
     def integrand(s):

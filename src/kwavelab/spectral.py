@@ -14,10 +14,12 @@ functionals exact coefficient sums. Grid transforms are type-I sine
 transforms applied one field axis at a time by cached dense matrices: every
 axis but the last is a broadcast matmul from the left on a (rows, N, rest)
 reshape, the last axis one GEMM from the right on the (-1, N) reshape, so no
-axis is ever moved or copied. At desk resolutions that is cheaper than an
-FFT. The nonlinearity is collocated on the nodes j/(2N+1), which makes it
-the exact Galerkin projection for cubic g. All field operations accept a
-leading batch dimension, so ensembles evolve as one array.
+axis is ever moved or copied (at d = 1, one vector-matrix product per field,
+so a field in a batch gets the bits it gets alone). At desk resolutions that
+is cheaper than an FFT. The nonlinearity is collocated on the nodes
+j/(2N+1), which makes it the exact Galerkin projection for cubic g. All
+field operations accept a leading batch dimension, so ensembles evolve as
+one array.
 """
 
 from __future__ import annotations
@@ -162,10 +164,13 @@ def _contract(x: np.ndarray, batch: int, dim: int, left: np.ndarray,
 
     Field axis a < dim-1 is a broadcast matmul with ``left`` on the view
     (batch * n_out^a, n_in, n_in^(dim-1-a)); the last axis is one GEMM of the
-    (-1, n_in) view with ``right``. Every view is a reshape of a contiguous
-    array, so nothing is transposed or copied. Returns (-1, n_out).
+    (-1, n_in) view with ``right`` (at dim = 1 one row at a time: BLAS rounds
+    a lone row differently from a GEMM row). Every view is a reshape of a
+    contiguous array, so nothing is transposed or copied. Returns (-1, n_out).
     """
     n_out, n_in = left.shape
+    if dim == 1:
+        return np.matmul(x.reshape(batch, 1, n_in), right).reshape(batch, n_out)
     for a in range(dim - 1):
         x = np.matmul(left, x.reshape(batch * n_out ** a, n_in, n_in ** (dim - 1 - a)))
     return x.reshape(-1, n_in) @ right

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -111,6 +112,13 @@ class TestExitCodes:
         assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new", [("model.g.kind = cubic_soft", "model.g.kind = user_table"),
+                                         ("model.h.kind = separable", "model.h.kind = modal_table")])
+    def test_tabulated_kinds_exit_2(self, tmp_path, capsys, old, new):
+        path = write_cfg(tmp_path, SMALL_MODEL.replace(old, new))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_unreadable_config_exit_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -144,12 +152,14 @@ class TestExitCodes:
         assert code == 2
         assert f"<= 0 at t = {t}," in capsys.readouterr().err
 
-    def test_blowup_exit_3(self, tmp_path):
+    def test_blowup_exit_3(self, tmp_path, capsys):
         text = SMALL_MODEL.replace("disc.dt = 0.005", "disc.dt = 0.5")
         text = text.replace("ic.u_amp = 0.5", "ic.u_amp = 1e6")
         text += "model.delta = 1.0\n"
         path = write_cfg(tmp_path, text)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
+        assert re.fullmatch(r"numerical failure: non-finite state at t = \S+ \(mode \d+\)\n",
+                            capsys.readouterr().err)
 
 
 class TestCsvWriter:

@@ -206,11 +206,9 @@ class TestAbsorbingRadius:
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
 
     def test_divergent_tail_raises(self):
-        # constant tabulated forcing with a vanishing weight never decays
-        # backwards within the truncation search
-        table_t = (-2.0e5, 0.0)
-        spec = kw.ForcingSpec(kind="modal_table", sigma=1.0,
-                              table_t=table_t, table_coeffs=((1.0,), (1.0,)))
+        # a forcing that barely decays against a vanishing weight never drops
+        # below the cutoff backwards within the truncation search
+        spec = kw.ForcingSpec(kind="separable", rate=1e-12)
         with pytest.raises(IntegrabilityError):
             weighted_tail_integral(spec, 1e-9, 0.0, method="quad")
 

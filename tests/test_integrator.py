@@ -100,6 +100,52 @@ class TestStep:
             run(ic, spec, basis, StepConfig(dt=0.1, t_start=0.0, t_end=50.0))
         assert math.isfinite(exc.value.t)
 
+    @pytest.mark.parametrize("field", ["u", "v"])
+    def test_blow_up_reports_exact_step_and_mode(self, field):
+        # g = 0 and delta = 0 keep the modes apart, so only mode 3 turns NaN;
+        # a single record at the end must not delay the report to t_end
+        spec, basis = kw.ModelSpec(dim=1), kw.Basis(1, 8)
+        data = {"u": np.full(8, 0.1), "v": np.zeros(8)}
+        data[field][3] = np.nan
+        ic = kw.ModalState(data["u"], data["v"], 0.5)
+        cfg = StepConfig(dt=0.1, t_start=0.5, t_end=1.5, record_every=10)
+        for call in (lambda: run(ic, spec, basis, cfg),
+                     lambda: kw.step(ic, spec, basis, cfg)):
+            with pytest.raises(BlowUpError) as exc:
+                call()
+            assert exc.value.t == 0.5 + 0.1
+            assert exc.value.member is None and exc.value.mode == 3
+            assert str(exc.value) == "non-finite state at t = 0.6 (mode 3)"
+
+    def test_ensemble_blow_up_names_member_and_mode(self):
+        spec, basis = kw.ModelSpec(dim=1), kw.Basis(1, 8)
+        us, vs = np.full((3, 8), 0.1), np.zeros((3, 8))
+        us[1, 5] = np.inf  # member 2 fails in the same step; the lower row is named
+        vs[2, 2] = np.nan
+        with pytest.raises(BlowUpError) as exc:
+            kw.evolve_ensemble(us, vs, spec, basis, 0.5, 1.5, 0.1)
+        assert exc.value.t == 0.5 + 0.1
+        assert (exc.value.member, exc.value.mode) == (1, 5)
+        assert "(ensemble member 1, mode 5)" in str(exc.value)
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
+    def test_ensemble_rows_equal_single_runs_bitwise(self, dim, n):
+        spec = kw.ModelSpec(
+            dim=dim, delta=0.3, lam=0.1,
+            epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
+            g=kw.NonlinearitySpec.cubic_soft(),
+            h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=1, sigma=1.0))
+        basis = kw.Basis(dim, n)
+        rng = np.random.default_rng(dim)
+        us = rng.standard_normal((5, basis.n_modes)) / basis.eigenvalues
+        vs = rng.standard_normal((5, basis.n_modes)) / np.sqrt(basis.eigenvalues)
+        cfg = StepConfig(dt=1e-2, t_start=-0.3, t_end=0.2, record_every=50)
+        u_end, v_end = kw.evolve_ensemble(us, vs, spec, basis, cfg.t_start, cfg.t_end, cfg.dt)
+        for k in range(us.shape[0]):
+            traj = run(kw.ModalState(us[k], vs[k], cfg.t_start), spec, basis, cfg)
+            assert np.array_equal(u_end[k], traj.us[-1])
+            assert np.array_equal(v_end[k], traj.vs[-1])
+
 
 class TestRun:
     def test_identity_process(self, linear_setup):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import kwavelab as kw
 from kwavelab.model import (EpsilonProfile, ForcingSpec, NonlinearitySpec,
-                            OutOfRangeError, eval_epsilon, eval_g, eval_h,
+                            eval_epsilon, eval_g, eval_h,
                             forcing_norm_sq, validate_hypotheses)
 
 
@@ -73,20 +73,6 @@ class TestNonlinearity:
         g, _, _ = eval_g(spec, u)
         scale = np.maximum(np.abs(g), 1.0)
         assert np.max(np.abs(fd - g) / scale) < 1e-6
-
-    def test_user_table_matches_tabulated(self):
-        knots = np.linspace(-2, 2, 401)
-        spec = NonlinearitySpec.from_table(knots, np.sin(knots), k=1.0)
-        g, gp, G = eval_g(spec, np.array([0.0, 1.0]))
-        assert g[0] == 0.0 and G[0] == 0.0
-        assert g[1] == pytest.approx(math.sin(1.0), abs=1e-4)
-        assert G[1] == pytest.approx(1.0 - math.cos(1.0), abs=1e-4)
-
-    def test_user_table_out_of_range(self):
-        knots = np.linspace(-1, 1, 11)
-        spec = NonlinearitySpec.from_table(knots, -knots ** 3)
-        with pytest.raises(OutOfRangeError):
-            eval_g(spec, 2.0)
 
 
 class TestForcing:

@@ -197,16 +197,6 @@ class TestNonlinearityModal:
         out = kw.eval_nonlinearity_modal(kw.NonlinearitySpec.zero(), b, np.ones(8))
         assert not out.any()
 
-    def test_linear_g_exact(self):
-        # g(u) = a*u commutes with the transforms
-        knots = np.linspace(-50, 50, 3)
-        spec = kw.NonlinearitySpec.from_table(knots, 0.5 * knots, k=0.5)
-        b = Basis(1, 8)
-        rng = np.random.default_rng(9)
-        f = rng.standard_normal(8)
-        out = kw.eval_nonlinearity_modal(spec, b, f)
-        assert np.max(np.abs(out - 0.5 * f)) < 1e-10
-
     def test_cubic_single_mode_quadrature_oracle(self):
         # project -(sqrt(2) sin(2 pi x))^3 on each retained mode by quadrature
         b = Basis(1, 8)
