@@ -12,10 +12,8 @@ clouds together with their limit as delta -> 0+.
 from .model import (EpsilonProfile, ForcingSpec, HypothesisReport, ModelSpec,
                     NonlinearitySpec, eval_epsilon, eval_g, eval_h,
                     validate_hypotheses)
-from .spectral import (Basis, ModalState, apply_inv_neg_laplacian,
-                       apply_inv_sqrt_neg_laplacian, apply_neg_laplacian,
-                       eval_nonlinearity_modal, from_grid, grad_norm_sq,
-                       norm_sq, to_grid, xt_norm_sq, zero_state)
+from .spectral import (Basis, ModalState, eval_nonlinearity_modal, from_grid,
+                       grad_norm_sq, norm_sq, to_grid, xt_norm_sq, zero_state)
 from .integrator import (BlowUpError, DecompositionPair, DifferenceRun,
                          StepConfig, Trajectory, evolve_ensemble,
                          reconstruct_accel, run, run_decomposition,

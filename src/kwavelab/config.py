@@ -59,7 +59,6 @@ KEY_SPECS: dict[str, tuple[str, object]] = {
     "disc.t_start": ("float", 0.0),
     "disc.t_end": ("float", REQUIRED),
     "disc.record_every": ("int", 1),
-    "disc.scheme": ("str", "imex2"),
     "ic.kind": ("str", "zero"),
     "ic.mode": ("int", 1),
     "ic.u_amp": ("float", 1.0),
@@ -180,7 +179,6 @@ class ExperimentConfig:
             basis = Basis(dim=values["model.dim"], modes_per_dim=values["disc.n_modes"])
             step = StepConfig(dt=values["disc.dt"], t_start=values["disc.t_start"],
                               t_end=values["disc.t_end"],
-                              scheme=values["disc.scheme"],
                               record_every=values["disc.record_every"])
             step.n_steps  # validates divisibility
             if step.n_steps % values["disc.record_every"] != 0:

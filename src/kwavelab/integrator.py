@@ -6,12 +6,11 @@ In modal coordinates the problem is, per mode m with eigenvalue mu_m,
     S = |grad u|^2 = sum_j mu_j a_j^2.
 
 The strong damping term mu_m a' is stiff (rates scale with mu_max), so the
-default scheme is a diagonal IMEX method of order two: trapezoidal rule on
+one scheme is a diagonal IMEX method of order two: trapezoidal rule on
 the linear terms (mu a', mu a, lam a), two-step Adams-Bashforth on g and on
 the whole Kirchhoff product delta S mu_m a_m (one explicit Euler bootstrap
 step), eps frozen at the half step, forcing averaged over the step
-endpoints. Each step is a closed-form diagonal solve, O(N^d) work. A
-first-order backward-Euler variant is kept for robustness studies.
+endpoints. Each step is a closed-form diagonal solve, O(N^d) work.
 
 The explicit Kirchhoff product scales with mu_max like the linear part, so
 a large delta |grad u|^2 limits the stable dt; folding (1 + delta S*) mu_m,
@@ -22,6 +21,13 @@ takes a leading batch axis. Step i runs from origin + (origin_step + i)*dt;
 a resumed run reuses the parent origin, so split runs are bitwise identical
 to unsplit ones. u is checked after every step (a non-finite v makes u
 non-finite in the same step), so a blow-up is reported at its exact step.
+
+``_march`` allocates its work arrays once per call: ping-pong pairs for u, v
+and the explicit term (so the AB2 history needs no copy), the step scratch,
+and the grid-transform workspace of ``nonlinearity_work``. The steps then
+run in place with ``out=`` ufuncs that pair the operands exactly as the
+plain expressions would, so they allocate no field-sized array and give the
+same bits. The dt-dependent diagonals are formed once per call.
 """
 
 from __future__ import annotations
@@ -35,9 +41,7 @@ import numpy as np
 
 from .model import ModelSpec, eval_epsilon, eval_h
 from .spectral import (Basis, ModalState, eval_nonlinearity_modal,
-                       grad_norm_sq)
-
-SCHEMES = ("imex2", "backward_euler_imex1")
+                       grad_norm_sq, nonlinearity_work)
 
 
 class BlowUpError(RuntimeError):
@@ -62,7 +66,6 @@ class StepConfig:
     dt: float
     t_start: float
     t_end: float
-    scheme: str = "imex2"
     record_every: int = 1
 
     def __post_init__(self):
@@ -70,8 +73,6 @@ class StepConfig:
             raise ValueError("dt must be positive")
         if self.t_end < self.t_start:
             raise ValueError("t_end must be >= t_start")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -128,41 +129,27 @@ class Trajectory:
         return i
 
 
-def _explicit_term(spec: ModelSpec, basis: Basis, u: np.ndarray) -> np.ndarray:
-    """Explicit (AB2) part of eps*b', g_m(u) - delta * S * mu_m * a_m; the
-    Kirchhoff product is as stiff as the linear part (see module docstring)."""
-    out = eval_nonlinearity_modal(spec.g, basis, u)
-    if spec.delta != 0.0:
-        S = np.sum(basis.eigenvalues * u ** 2, axis=-1)
-        out = out - spec.delta * np.expand_dims(S, -1) * (basis.eigenvalues * u)
-    return out
-
-
-def _step_imex2(spec, basis, dt, t, u, v, nl_cur, nl_prev, h_lo, h_hi):
+def _explicit_term(spec: ModelSpec, basis: Basis, u, work, kp, S, out):
+    """Explicit (AB2) part of eps*b', g_m(u) - delta * S * mu_m * a_m, written
+    into ``out``; the Kirchhoff product is as stiff as the linear part (see
+    module docstring). kp (u's shape) and S (u's shape less the last axis)
+    are scratch; the products pair their operands as in the plain expression
+    delta * S * (mu * u), S = sum(mu * u**2)."""
+    g = eval_nonlinearity_modal(spec.g, basis, u, work)
+    if spec.delta == 0.0:  # no Kirchhoff product
+        np.copyto(out, g)
+        return out
     mu = basis.eigenvalues
-    eps_h, _ = eval_epsilon(spec.epsilon, t + dt / 2.0)
-    nl_eff = nl_cur if nl_prev is None else 1.5 * nl_cur - 0.5 * nl_prev
-    rhs_force = nl_eff + 0.5 * (h_lo + h_hi)
-    stiff = mu + spec.lam
-    alpha = u + (dt / 2.0) * v
-    denom = eps_h + (dt * dt / 4.0) * stiff + (dt / 2.0) * mu
-    v_new = (eps_h * v - (dt / 2.0) * stiff * (u + alpha)
-             - (dt / 2.0) * mu * v + dt * rhs_force) / denom
-    u_new = alpha + (dt / 2.0) * v_new
-    return u_new, v_new
+    np.multiply(u, u, out=kp)
+    np.multiply(kp, mu, out=kp)
+    np.sum(kp, axis=-1, out=S)
+    np.multiply(S, spec.delta, out=S)
+    np.multiply(u, mu, out=kp)
+    np.multiply(kp, S[..., None], out=kp)
+    return np.subtract(g, kp, out=out)
 
 
-def _step_be(spec, basis, dt, t, u, v, nl_cur, h_hi):
-    mu = basis.eigenvalues
-    eps_e, _ = eval_epsilon(spec.epsilon, t + dt)
-    stiff = mu + spec.lam
-    denom = eps_e + dt * mu + dt * dt * stiff
-    v_new = (eps_e * v - dt * stiff * u + dt * (nl_cur + h_hi)) / denom
-    u_new = u + dt * v_new
-    return u_new, v_new
-
-
-def _march(u, v, spec: ModelSpec, basis: Basis, dt: float, scheme: str,
+def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
            origin_t: float, origin_step: int, n: int, nl_prev,
            record_every: int = 1, times=None, us=None, vs=None):
     """Advance the batch (u, v) by n steps of dt; the one stepping loop.
@@ -171,19 +158,57 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float, scheme: str,
     are given, the state after every record_every-th step goes to the next
     row (row 0 is left to the caller). Returns the final (u, v) and the
     explicit term of the last step, the multistep history of a resumed run.
+
+    Every work array is allocated here, once per call. u, v and the explicit
+    term live in ping-pong pairs: step i writes entry i % 2 and reads the
+    other (at i = 0 the caller's arrays, which are never written), so the
+    returned arrays belong to this call and nothing writes them afterwards.
     """
+    mu = basis.eigenvalues
+    stiff = mu + spec.lam
+    half_stiff, half_mu = (dt / 2.0) * stiff, (dt / 2.0) * mu
+    quarter_dt2_stiff = (dt * dt / 4.0) * stiff
+    shape = u.shape
+    u_pair, v_pair, nl_pair = ((np.empty(shape), np.empty(shape)) for _ in range(3))
+    alpha, force, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
+    S, denom = np.empty(shape[:-1]), np.empty(shape[-1])
+    work = nonlinearity_work(spec.g, basis, shape[:-1])
+
     h_lo, _ = eval_h(spec.h, basis.n_modes, origin_t + origin_step * dt)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
         for i in range(n):
             t = origin_t + (origin_step + i) * dt
             t_next = origin_t + (origin_step + i + 1) * dt
-            nl_cur = _explicit_term(spec, basis, u)
+            u_new, v_new = u_pair[i % 2], v_pair[i % 2]
+            nl_cur = _explicit_term(spec, basis, u, work, scratch, S, nl_pair[i % 2])
             h_hi, _ = eval_h(spec.h, basis.n_modes, t_next)
-            if scheme == "imex2":
-                u, v = _step_imex2(spec, basis, dt, t, u, v, nl_cur, nl_prev, h_lo, h_hi)
+            # force = AB2 extrapolation of nl (Euler at the bootstrap) + mean h
+            if nl_prev is None:
+                np.copyto(force, nl_cur)
             else:
-                u, v = _step_be(spec, basis, dt, t, u, v, nl_cur, h_hi)
-            nl_prev, h_lo = nl_cur, h_hi
+                np.multiply(nl_cur, 1.5, out=force)
+                np.multiply(nl_prev, 0.5, out=scratch)
+                np.subtract(force, scratch, out=force)
+            np.add(force, 0.5 * (h_lo + h_hi), out=force)
+            eps_h, _ = eval_epsilon(spec.epsilon, t + dt / 2.0)
+            np.add(eps_h, quarter_dt2_stiff, out=denom)
+            np.add(denom, half_mu, out=denom)
+            np.multiply(v, dt / 2.0, out=alpha)
+            np.add(u, alpha, out=alpha)
+            # v_new = (eps_h v - half_stiff (u + alpha) - half_mu v + dt force) / denom
+            np.multiply(v, eps_h, out=v_new)
+            np.add(u, alpha, out=scratch)
+            np.multiply(scratch, half_stiff, out=scratch)
+            np.subtract(v_new, scratch, out=v_new)
+            np.multiply(v, half_mu, out=scratch)
+            np.subtract(v_new, scratch, out=v_new)
+            np.multiply(force, dt, out=force)
+            np.add(v_new, force, out=v_new)
+            np.divide(v_new, denom, out=v_new)
+            # u_new = alpha + (dt/2) v_new
+            np.multiply(v_new, dt / 2.0, out=u_new)
+            np.add(alpha, u_new, out=u_new)
+            u, v, nl_prev, h_lo = u_new, v_new, nl_cur, h_hi
             # a finite sum means every entry is finite: one pass and no temporary
             # (an isfinite(u) temporary made 1.8x the page faults at (64, 256))
             if not math.isfinite(u.sum()) and not np.isfinite(u).all():
@@ -199,8 +224,7 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float, scheme: str,
 def step(state: ModalState, spec: ModelSpec, basis: Basis, cfg: StepConfig,
          nl_prev: Optional[np.ndarray] = None) -> ModalState:
     """Advance one step of cfg.dt from the state's own time."""
-    u, v, _ = _march(state.u, state.v, spec, basis, cfg.dt, cfg.scheme,
-                     state.t, 0, 1, nl_prev)
+    u, v, _ = _march(state.u, state.v, spec, basis, cfg.dt, state.t, 0, 1, nl_prev)
     return ModalState(u, v, state.t + cfg.dt)
 
 
@@ -225,7 +249,7 @@ def run(initial: ModalState, spec: ModelSpec, basis: Basis, cfg: StepConfig,
     us = np.empty((n_rec, basis.n_modes))
     vs = np.empty((n_rec, basis.n_modes))
     times[0], us[0], vs[0] = cfg.t_start, initial.u, initial.v
-    _, _, nl_prev = _march(initial.u, initial.v, spec, basis, cfg.dt, cfg.scheme,
+    _, _, nl_prev = _march(initial.u, initial.v, spec, basis, cfg.dt,
                            origin_t, origin_step, n, nl_prev,
                            cfg.record_every, times, us, vs)
     return Trajectory(basis, times, us, vs,
@@ -234,10 +258,10 @@ def run(initial: ModalState, spec: ModelSpec, basis: Basis, cfg: StepConfig,
 
 def evolve_ensemble(us: np.ndarray, vs: np.ndarray, spec: ModelSpec, basis: Basis,
                     t_start: float, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint-only imex2 integration of many initial states (rows)."""
+    """Endpoint-only integration of many initial states (rows)."""
     n = StepConfig(dt=dt, t_start=t_start, t_end=t_end).n_steps
-    u, v, _ = _march(np.array(us, dtype=float), np.array(vs, dtype=float), spec, basis,
-                     dt, "imex2", t_start, 0, n, None)
+    u, v, _ = _march(np.asarray(us, dtype=float), np.asarray(vs, dtype=float), spec, basis,
+                     dt, t_start, 0, n, None)
     return u, v
 
 

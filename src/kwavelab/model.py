@@ -126,14 +126,20 @@ class NonlinearitySpec:
                    c1=a / 2.0, c2=a / 2.0 + 2.0 * gamma * a, c3=0.0, c4=2.0 * a)
 
 
-def eval_g_value(spec: NonlinearitySpec, u) -> np.ndarray:
-    """g(u) alone; cheaper than eval_g inside integrator loops."""
+def eval_g_value(spec: NonlinearitySpec, u, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """g(u) alone; cheaper than eval_g inside integrator loops. A given
+    ``out`` (of u's shape, not u itself) is filled in place and returned."""
     u = np.asarray(u, dtype=float)
     if spec.kind == "zero":
-        return np.zeros_like(u)
+        if out is None:
+            return np.zeros_like(u)
+        out.fill(0.0)
+        return out
     if spec.kind == "cubic_soft":
-        return -spec.coeff * (u * u * u)
-    return spec.coeff * np.sin(u)
+        out = np.multiply(u, u, out=out)
+        np.multiply(out, u, out=out)
+        return np.multiply(out, -spec.coeff, out=out)
+    return np.multiply(np.sin(u, out=out), spec.coeff, out=out)
 
 
 def eval_g(spec: NonlinearitySpec, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

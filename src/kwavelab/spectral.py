@@ -16,10 +16,12 @@ axis but the last is a broadcast matmul from the left on a (rows, N, rest)
 reshape, the last axis one GEMM from the right on the (-1, N) reshape, so no
 axis is ever moved or copied (at d = 1, one vector-matrix product per field,
 so a field in a batch gets the bits it gets alone). At desk resolutions that
-is cheaper than an FFT. The nonlinearity is collocated on the nodes
-j/(2N+1), which makes it the exact Galerkin projection for cubic g. All
-field operations accept a leading batch dimension, so ensembles evolve as
-one array.
+is cheaper than an FFT. Each stage can write into a given buffer
+(``np.matmul(..., out=)``), and g into a given grid array, so a stepping
+loop that holds a ``nonlinearity_work`` workspace transforms without
+allocating. The nonlinearity is collocated on the nodes j/(2N+1), which
+makes it the exact Galerkin projection for cubic g. All field operations
+accept a leading batch dimension, so ensembles evolve as one array.
 """
 
 from __future__ import annotations
@@ -111,18 +113,6 @@ def xt_norm_sq(basis: Basis, state: ModalState, eps: EpsilonProfile) -> float:
     return float(grad_norm_sq(basis, state.u) + e * norm_sq(state.v))
 
 
-def apply_neg_laplacian(basis: Basis, f: np.ndarray) -> np.ndarray:
-    return basis.eigenvalues * np.asarray(f, dtype=float)
-
-
-def apply_inv_neg_laplacian(basis: Basis, f: np.ndarray) -> np.ndarray:
-    return np.asarray(f, dtype=float) / basis.eigenvalues
-
-
-def apply_inv_sqrt_neg_laplacian(basis: Basis, f: np.ndarray) -> np.ndarray:
-    return np.asarray(f, dtype=float) / np.sqrt(basis.eigenvalues)
-
-
 def dual_norm_sq(basis: Basis, f: np.ndarray) -> np.ndarray | float:
     """Squared H^{-1} norm: |(-Lap)^{-1/2} f|^2."""
     out = np.sum(np.asarray(f, dtype=float) ** 2 / basis.eigenvalues, axis=-1)
@@ -158,7 +148,7 @@ def _dst_pair(n_modes: int, grid_pts: int) -> tuple[tuple, tuple]:
 
 
 def _contract(x: np.ndarray, batch: int, dim: int, left: np.ndarray,
-              right: np.ndarray) -> np.ndarray:
+              right: np.ndarray, out=None) -> np.ndarray:
     """Apply the one-axis map to each of the dim field axes of a contiguous
     x holding batch fields of n_in^dim values.
 
@@ -166,40 +156,53 @@ def _contract(x: np.ndarray, batch: int, dim: int, left: np.ndarray,
     (batch * n_out^a, n_in, n_in^(dim-1-a)); the last axis is one GEMM of the
     (-1, n_in) view with ``right`` (at dim = 1 one row at a time: BLAS rounds
     a lone row differently from a GEMM row). Every view is a reshape of a
-    contiguous array, so nothing is transposed or copied. Returns (-1, n_out).
+    contiguous array, so nothing is transposed or copied. Stage a writes into
+    out[a] when ``out`` (from _stage_buffers) is given. Returns (-1, n_out).
     """
     n_out, n_in = left.shape
+    if out is None:
+        out = (None,) * dim
     if dim == 1:
-        return np.matmul(x.reshape(batch, 1, n_in), right).reshape(batch, n_out)
+        return np.matmul(x.reshape(batch, 1, n_in), right, out=out[0]).reshape(batch, n_out)
     for a in range(dim - 1):
-        x = np.matmul(left, x.reshape(batch * n_out ** a, n_in, n_in ** (dim - 1 - a)))
-    return x.reshape(-1, n_in) @ right
+        x = np.matmul(left, x.reshape(batch * n_out ** a, n_in, n_in ** (dim - 1 - a)),
+                      out=out[a])
+    return np.matmul(x.reshape(-1, n_in), right, out=out[-1])
 
 
-def to_grid(basis: Basis, f: np.ndarray, grid_pts: int) -> np.ndarray:
+def _stage_buffers(batch: int, dim: int, n_in: int, n_out: int) -> list[np.ndarray]:
+    """Output arrays for the dim stages of _contract, in its shapes."""
+    if dim == 1:
+        return [np.empty((batch, 1, n_out))]
+    return ([np.empty((batch * n_out ** a, n_out, n_in ** (dim - 1 - a))) for a in range(dim - 1)]
+            + [np.empty((batch * n_out ** (dim - 1), n_out))])
+
+
+def to_grid(basis: Basis, f: np.ndarray, grid_pts: int, out=None) -> np.ndarray:
     """Nodal values at the interior collocation nodes j/M, j = 1..M-1, per dim.
 
-    Output shape is f.shape[:-1] + (M-1,)*dim.
+    Output shape is f.shape[:-1] + (M-1,)*dim; with ``out`` (stage buffers)
+    it is a view of the last one.
     """
     if grid_pts < basis.modes_per_dim + 1:
         raise AliasingError("need grid_pts >= modes_per_dim + 1")
     f = np.ascontiguousarray(f, dtype=float)
     lead = f.shape[:-1]
     left, right = _dst_pair(basis.modes_per_dim, grid_pts)[0]
-    vals = _contract(f, math.prod(lead), basis.dim, left, right)
+    vals = _contract(f, math.prod(lead), basis.dim, left, right, out)
     return vals.reshape(lead + (grid_pts - 1,) * basis.dim)
 
 
-def from_grid(basis: Basis, values: np.ndarray, grid_pts: int) -> np.ndarray:
+def from_grid(basis: Basis, values: np.ndarray, grid_pts: int, out=None) -> np.ndarray:
     """Project nodal values back onto the retained band (inverse of to_grid
-    for band-limited fields)."""
+    for band-limited fields); ``out`` as for to_grid."""
     if grid_pts < basis.modes_per_dim + 1:
         raise AliasingError("need grid_pts >= modes_per_dim + 1")
     values = np.ascontiguousarray(values, dtype=float)
     lead = values.shape[: values.ndim - basis.dim]
     left, right = _dst_pair(basis.modes_per_dim, grid_pts)[1]
-    out = _contract(values, math.prod(lead), basis.dim, left, right)
-    return out.reshape(lead + (basis.n_modes,))
+    modal = _contract(values, math.prod(lead), basis.dim, left, right, out)
+    return modal.reshape(lead + (basis.n_modes,))
 
 
 def integrate_grid(values: np.ndarray, grid_pts: int, dim: int) -> np.ndarray | float:
@@ -221,14 +224,35 @@ def _quadrature_pts(basis: Basis) -> int:
     return 2 * basis.modes_per_dim + 1
 
 
-def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.ndarray:
-    """Galerkin projection (g(u), phi_m) by collocation on the nodes j/M,
-    M = 2N+1, per dimension: exact for polynomial g up to degree 3."""
+def nonlinearity_work(spec: NonlinearitySpec, basis: Basis, lead: tuple) -> tuple:
+    """Workspace of eval_nonlinearity_modal for fields of shape
+    lead + (n_modes,): the to_grid stages, g on the grid, the from_grid
+    stages (for g = 0, only an array for the result). The result is a view
+    of the last array, so it holds only until the next call with the same
+    workspace."""
     if spec.kind == "zero":
-        return np.zeros_like(np.asarray(f, dtype=float))
+        return (), None, [np.empty(lead + (basis.n_modes,))]
+    n, side, dim = basis.modes_per_dim, _quadrature_pts(basis) - 1, basis.dim
+    batch = math.prod(lead)
+    return (_stage_buffers(batch, dim, n, side), np.empty(lead + (side,) * dim),
+            _stage_buffers(batch, dim, side, n))
+
+
+def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
+                            work=None) -> np.ndarray:
+    """Galerkin projection (g(u), phi_m) by collocation on the nodes j/M,
+    M = 2N+1, per dimension: exact for polynomial g up to degree 3.
+
+    Without ``work`` (from nonlinearity_work) every stage allocates."""
+    to, g, back = (None, None, None) if work is None else work
+    if spec.kind == "zero":  # no transform
+        if back is None:
+            return np.zeros_like(np.asarray(f, dtype=float))
+        back[-1].fill(0.0)
+        return back[-1]
     M = _quadrature_pts(basis)
-    vals = to_grid(basis, f, M)
-    return from_grid(basis, eval_g_value(spec, vals), M)
+    vals = to_grid(basis, f, M, to)
+    return from_grid(basis, eval_g_value(spec, vals, g), M, back)
 
 
 def integral_of_G(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.ndarray | float:

@@ -108,9 +108,11 @@ class TestExitCodes:
         assert main(["validate", "--config", path]) == 2
 
     def test_removed_output_formats_key_exit_2(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, SMALL_MODEL + "output.formats = csv,json\n")
-        assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
-        assert "unknown key" in capsys.readouterr().err
+        # every removed key: output.formats, and disc.scheme (one scheme left)
+        for line in ("output.formats = csv,json", "disc.scheme = imex2"):
+            path = write_cfg(tmp_path, SMALL_MODEL + line + "\n")
+            assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
+            assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old,new", [("model.g.kind = cubic_soft", "model.g.kind = user_table"),
                                          ("model.h.kind = separable", "model.h.kind = modal_table")])
