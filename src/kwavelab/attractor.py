@@ -26,7 +26,7 @@ import numpy as np
 from .energy import EnergyParams, eval_B
 from .integrator import evolve_ensemble
 from .model import ModelSpec, eval_epsilon
-from .spectral import Basis, ModalState
+from .spectral import Basis, ModalState, xt_norm_sq
 
 SAMPLINGS = ("sphere_surface", "ball_uniform")
 
@@ -66,11 +66,6 @@ class AttractorCloud:
     def n_points(self) -> int:
         return int(self.us.shape[0])
 
-    def diameter(self, eps_profile) -> float:
-        w = _metric_weights(self.basis, eps_profile, self.t_star)
-        P = np.concatenate([self.us, self.vs], axis=1) * np.sqrt(w)
-        return float(np.max(_pairwise_dist(P, P)))
-
 
 def _metric_weights(basis: Basis, eps_profile, t: float) -> np.ndarray:
     eps, _ = eval_epsilon(eps_profile, t)
@@ -105,7 +100,7 @@ def _pairwise_dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def _sample_arrays(spec: ModelSpec, params: EnergyParams, basis: Basis,
                    t: float, ens: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    radius = eval_B(t, spec, params, method="auto")
+    radius = eval_B(t, spec, params)
     eps, _ = eval_epsilon(spec.epsilon, t)
     rng = np.random.default_rng(ens.seed)
     n, m = ens.n_points, basis.n_modes
@@ -120,14 +115,6 @@ def _sample_arrays(spec: ModelSpec, params: EnergyParams, basis: Basis,
     us = y[:, :m] / np.sqrt(basis.eigenvalues)
     vs = y[:, m:] / math.sqrt(eps)
     return us, vs
-
-
-def sample_absorbing_set(spec: ModelSpec, params: EnergyParams, basis: Basis,
-                         t: float, ens: EnsembleSpec) -> list[ModalState]:
-    """Deterministic draw of n states with |.|_{X_t} <= B(t) (equality on the
-    sphere), spread across frequencies."""
-    us, vs = _sample_arrays(spec, params, basis, t, ens)
-    return [ModalState(us[i], vs[i], t) for i in range(ens.n_points)]
 
 
 def _evolve_batch(us, vs, spec, basis, t0, t1, dt, threads: int = 1):
@@ -198,24 +185,21 @@ class AbsorbingReport:
 
 
 def verify_absorbing(spec: ModelSpec, params: EnergyParams, basis: Basis,
-                     ens: EnsembleSpec, t: float, taus=None, dt: float = 1e-2,
+                     ens: EnsembleSpec, t: float, dt: float = 1e-2,
                      threads: int = 1) -> AbsorbingReport:
     """Check that samples of the absorbing ball at t - tau land inside the
-    ball at t, for each pullback horizon tau.
+    ball at t, for each pullback horizon tau of ``ens.taus``.
 
     Each row also carries the Cauchy-in-tau truncation gap: the Hausdorff
     semi-distance from its endpoint cloud to that of the largest tau (0 on
     the last row). The endpoint clouds are returned in ``clouds``.
     """
-    taus = ens.taus if taus is None else tuple(taus)
-    radius = eval_B(t, spec, params, method="auto")
-    eps_t, _ = eval_epsilon(spec.epsilon, t)
+    radius = eval_B(t, spec, params)
     clouds = tuple(pullback_cloud(spec, params, basis, ens, t, tau, dt, threads)
-                   for tau in taus)
+                   for tau in ens.taus)
     rows = []
     for cloud in clouds:
-        us, vs = cloud.us, cloud.vs
-        xt = np.sum(basis.eigenvalues * us ** 2, axis=1) + eps_t * np.sum(vs ** 2, axis=1)
+        xt = xt_norm_sq(basis, ModalState(cloud.us, cloud.vs, t), spec.epsilon)
         ratios = np.sqrt(xt) / radius
         inside = ratios <= 1.0 + 1e-10
         rows.append(AbsorbingRow(float(cloud.tau), float(np.mean(inside)),

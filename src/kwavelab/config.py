@@ -17,7 +17,8 @@ import numpy as np
 
 from .energy import EnergyParams, FeasibilityReport, solve_feasibility
 from .integrator import StepConfig
-from .model import EpsilonProfile, ForcingSpec, ModelSpec, NonlinearitySpec
+from .model import (EpsilonProfile, ForcingSpec, ModelSpec, NonlinearitySpec,
+                    eval_epsilon)
 from .spectral import Basis, ModalState
 
 
@@ -67,7 +68,6 @@ KEY_SPECS: dict[str, tuple[str, object]] = {
     "energy.rho": ("fitfloat", "fit"),
     "energy.chi": ("fitfloat", "fit"),
     "energy.sigma1": ("optfloat", None),
-    "energy.xi": ("optfloat", None),
     "energy.c0": ("float", 0.0),
     "energy.c4": ("float", 1.0),
     "energy.c5": ("fitfloat", "fit"),
@@ -183,6 +183,11 @@ class ExperimentConfig:
             step.n_steps  # validates divisibility
             if step.n_steps % values["disc.record_every"] != 0:
                 raise ValueError("record_every must divide the step count")
+            if model.h.kind != "zero" and model.h.mode > basis.n_modes:
+                raise ValueError(f"model.h.mode {model.h.mode} outside basis of "
+                                 f"{basis.n_modes} modes")
+            if any(d < 0 for d in values["attractor.deltas"]):
+                raise ValueError("attractor.deltas must be nonnegative")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return cls(model, basis, step, values)
@@ -200,10 +205,16 @@ class ExperimentConfig:
         return str(self.values["output.dir"])
 
     def initial_state(self) -> ModalState:
+        """The state at disc.t_start; ConfigError unless eps > 0 there (the
+        eps profiles are monotone, so eps stays positive along the run)."""
         v = self.values
         kind = v["ic.kind"]
         n = self.basis.n_modes
         t0 = self.step.t_start
+        eps0, _ = eval_epsilon(self.model.epsilon, t0)
+        if eps0 <= 0.0:
+            raise ConfigError(f"eps = {eps0:.6g} <= 0 at t = {t0:g}, the start of the run "
+                              f"(disc.t_start)")
         if kind == "zero":
             return ModalState(np.zeros(n), np.zeros(n), t0)
         if kind == "mode":
@@ -220,8 +231,6 @@ class ExperimentConfig:
             y = rng.standard_normal(2 * n)
             y *= v["ic.radius"] / math.sqrt(np.sum(y ** 2))
             u = y[:n] / np.sqrt(self.basis.eigenvalues)
-            from .model import eval_epsilon
-            eps0, _ = eval_epsilon(self.model.epsilon, t0)
             return ModalState(u, y[n:] / math.sqrt(eps0), t0)
         raise ConfigError(f"unknown ic.kind {kind!r}")
 
@@ -249,8 +258,7 @@ class ExperimentConfig:
         or chi is declared 'fit'."""
         v = self.values
         rho, chi = v["energy.rho"], v["energy.chi"]
-        base_kwargs = dict(sigma1=v["energy.sigma1"], xi=v["energy.xi"],
-                           c0=v["energy.c0"], c4=v["energy.c4"],
+        base_kwargs = dict(sigma1=v["energy.sigma1"], c0=v["energy.c0"], c4=v["energy.c4"],
                            c5=None if v["energy.c5"] == "fit" else v["energy.c5"],
                            c14=v["energy.c14"])
         if rho == "fit" or chi == "fit":

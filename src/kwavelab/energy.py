@@ -37,11 +37,7 @@ import numpy as np
 from .integrator import Trajectory, reconstruct_accel
 from .model import ForcingSpec, ModelSpec, eval_epsilon, forcing_norm_sq
 from .spectral import (Basis, ModalState, dual_norm_sq, eval_nonlinearity_modal,
-                       grad_norm_sq, inner, integral_of_G, norm_sq)
-
-
-class IntegrabilityError(RuntimeError):
-    """Weighted forcing tail does not decay; sigma is misdeclared."""
+                       grad_norm_sq, inner, integral_of_G, norm_sq, xt_norm_sq)
 
 
 class InfeasibleParamsError(ValueError):
@@ -52,9 +48,11 @@ class InfeasibleParamsError(ValueError):
 class EnergyParams:
     """Multipliers and constants of the energy machinery.
 
-    c1..c3 default to the values declared on the nonlinearity; c4 can be any
-    upper-bound constant at least as large as the declared one and must
-    strictly dominate c0. c5 = None means "fit along the run".
+    sigma1 = None means chi / 2. xi is the multiplier of the difference
+    functional Et (None: ``xi_value``'s default); no command evaluates Et.
+    c4 must strictly dominate c0, and the scan uses max(c4, g.c4); c1..c3
+    are the structure constants declared on the nonlinearity. c5 = None
+    means "fit along the run".
     """
 
     rho: float
@@ -62,9 +60,6 @@ class EnergyParams:
     sigma1: Optional[float] = None
     xi: Optional[float] = None
     c0: float = 0.0
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    c3: Optional[float] = None
     c4: float = 1.0
     c5: Optional[float] = None
     c14: float = 1.0
@@ -89,14 +84,6 @@ def xi_value(params: EnergyParams, basis: Basis) -> float:
     if params.xi is not None:
         return params.xi
     return min(0.1, math.sqrt(basis.lambda1) / 4.0)
-
-
-def structure_constants(params: EnergyParams, spec: ModelSpec) -> tuple[float, float, float, float]:
-    c1 = spec.g.c1 if params.c1 is None else params.c1
-    c2 = spec.g.c2 if params.c2 is None else params.c2
-    c3 = spec.g.c3 if params.c3 is None else params.c3
-    c4 = max(params.c4, spec.g.c4)
-    return c1, c2, c3, c4
 
 
 def eval_E(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams) -> float:
@@ -155,51 +142,27 @@ def eval_Etilde(z_state: ModalState, spec: ModelSpec, basis: Basis,
                  + (1.0 + xi) * grad_norm_sq(basis, z) + spec.lam * norm_sq(z))
 
 
-def weighted_tail_integral(h: ForcingSpec, sigma1: float, t: float,
-                           method: str = "quad") -> float:
-    """int_{-inf}^t e^{sigma1 s} |h(s)|^2 ds.
-
-    "quad" truncates where the integrand drops below 1e-12 of its running
-    peak and integrates adaptively; "closed" (or its alias "auto") uses the
-    exact antiderivative of the separable forcing.
-    """
+def weighted_tail_integral(h: ForcingSpec, sigma1: float, t: float) -> float:
+    """int_{-inf}^t e^{sigma1 s} |h(s)|^2 ds, from the exact antiderivative of
+    the separable forcing A^2 e^{-2 beta |s|}; finite for sigma1 > 0."""
     if h.kind == "zero":
         return 0.0
-    if method in ("auto", "closed"):
-        A2, beta = h.amplitude ** 2, h.rate
-        up = sigma1 + 2.0 * beta
-        if t <= 0:
-            return float(A2 * math.exp(up * t) / up)
-        head = A2 / up
-        dn = sigma1 - 2.0 * beta
-        if abs(dn) < 1e-14:
-            tail = A2 * t
-        else:
-            tail = A2 * (math.exp(dn * t) - 1.0) / dn
-        return float(head + tail)
-
-    from scipy.integrate import quad
-
-    def integrand(s):
-        return math.exp(sigma1 * s) * forcing_norm_sq(h, s)
-
-    peak = integrand(t)
-    s_lo = t
-    for _ in range(100_000):
-        s_lo -= 1.0
-        val = integrand(s_lo)
-        peak = max(peak, val)
-        if val <= 1e-12 * peak:
-            break
+    A2, beta = h.amplitude ** 2, h.rate
+    up = sigma1 + 2.0 * beta
+    if t <= 0:
+        return float(A2 * math.exp(up * t) / up)
+    head = A2 / up
+    dn = sigma1 - 2.0 * beta
+    if abs(dn) < 1e-14:
+        tail = A2 * t
     else:
-        raise IntegrabilityError("weighted forcing tail does not decay backwards in time")
-    total, _ = quad(integrand, s_lo, t, limit=400)
-    return float(total)
+        tail = A2 * (math.exp(dn * t) - 1.0) / dn
+    return float(head + tail)
 
 
-def eval_B(t: float, spec: ModelSpec, params: EnergyParams, method: str = "quad") -> float:
+def eval_B(t: float, spec: ModelSpec, params: EnergyParams) -> float:
     """Absorbing radius at time t."""
-    tail = weighted_tail_integral(spec.h, params.sigma1, t, method=method)
+    tail = weighted_tail_integral(spec.h, params.sigma1, t)
     return math.sqrt(params.c14 * math.exp(-params.sigma1 * t) * tail + params.c14)
 
 
@@ -241,14 +204,13 @@ def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis, params: Energy
     Lser = np.full(n, np.nan)
     xt = np.empty(n)
     B = np.empty(n)
-    eps_series = np.array([eval_epsilon(spec.epsilon, float(t))[0] for t in traj.times])
     for i in range(n):
         st = ModalState(traj.us[i], traj.vs[i], float(traj.times[i]))
         E[i] = eval_E(st, spec, basis, params)
         I[i] = eval_I(st, spec, basis, params, E=E[i])
         K[i] = eval_K(st, spec, basis, params)
-        xt[i] = grad_norm_sq(basis, st.u) + eps_series[i] * norm_sq(st.v)
-        B[i] = eval_B(float(traj.times[i]), spec, params, method="auto")
+        xt[i] = xt_norm_sq(basis, st, spec.epsilon)
+        B[i] = eval_B(float(traj.times[i]), spec, params)
         if include_accel and traj.accel_available:
             Lser[i] = eval_L(traj, spec, basis, params, float(traj.times[i]))
     return EnergyLedger(traj.times.copy(), E, I, K, Lser, np.full(n, np.nan), xt, B,
@@ -400,10 +362,9 @@ def _advisory_margins(rho, chi, *, lam1, L, lam, gamma, c0, c1, c2, c3, c4):
 
 
 def _constants_for_scan(spec: ModelSpec, basis: Basis, params: EnergyParams) -> dict:
-    c1, c2, c3, c4 = structure_constants(params, spec)
     return dict(lam1=basis.lambda1, L=spec.epsilon.bound, alpha=spec.epsilon.alpha,
-                lam=spec.lam, delta=spec.delta, gamma=spec.g.gamma,
-                c0=params.c0, c1=c1, c2=c2, c3=c3, c4=c4)
+                lam=spec.lam, delta=spec.delta, gamma=spec.g.gamma, c0=params.c0,
+                c1=spec.g.c1, c2=spec.g.c2, c3=spec.g.c3, c4=max(params.c4, spec.g.c4))
 
 
 def check_point_margins(spec: ModelSpec, basis: Basis, params: EnergyParams) -> dict[str, float]:

@@ -174,14 +174,14 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     S, denom = np.empty(shape[:-1]), np.empty(shape[-1])
     work = nonlinearity_work(spec.g, basis, shape[:-1])
 
-    h_lo, _ = eval_h(spec.h, basis.n_modes, origin_t + origin_step * dt)
+    h_lo = eval_h(spec.h, basis.n_modes, origin_t + origin_step * dt)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
         for i in range(n):
             t = origin_t + (origin_step + i) * dt
             t_next = origin_t + (origin_step + i + 1) * dt
             u_new, v_new = u_pair[i % 2], v_pair[i % 2]
             nl_cur = _explicit_term(spec, basis, u, work, scratch, S, nl_pair[i % 2])
-            h_hi, _ = eval_h(spec.h, basis.n_modes, t_next)
+            h_hi = eval_h(spec.h, basis.n_modes, t_next)
             # force = AB2 extrapolation of nl (Euler at the bootstrap) + mean h
             if nl_prev is None:
                 np.copyto(force, nl_cur)
@@ -275,7 +275,7 @@ def reconstruct_accel(traj: Trajectory, spec: ModelSpec, t: float) -> np.ndarray
     mu = traj.basis.eigenvalues
     S = grad_norm_sq(traj.basis, u)
     gmod = eval_nonlinearity_modal(spec.g, traj.basis, u)
-    hmod, _ = eval_h(spec.h, traj.basis.n_modes, t)
+    hmod = eval_h(spec.h, traj.basis.n_modes, t)
     eps, _ = eval_epsilon(spec.epsilon, t)
     return (gmod + hmod - (1.0 + spec.delta * S) * mu * u - mu * v - spec.lam * u) / eps
 
@@ -311,8 +311,10 @@ def _phi_modal(spec: ModelSpec, basis: Basis, u: np.ndarray, k_eff: float) -> np
     return eval_nonlinearity_modal(spec.g, basis, u) - k_eff * u
 
 
-def run_decomposition(parent: Trajectory, spec: ModelSpec,
-                      residual_tol: float = 1e-3) -> DecompositionPair:
+RESIDUAL_TOL = 1e-3  # decomposition residual above which a RuntimeWarning is issued
+
+
+def run_decomposition(parent: Trajectory, spec: ModelSpec) -> DecompositionPair:
     """Integrate the u1 system on the parent's recorded grid (Heun steps) and
     evaluate the u2 residual diagnostic."""
     basis = parent.basis
@@ -354,36 +356,29 @@ def run_decomposition(parent: Trajectory, spec: ModelSpec,
             S = grad_norm_sq(basis, us[i])
             eps, _ = eval_epsilon(spec.epsilon, t)
             accel = reconstruct_accel(parent, spec, t)
-            hmod, _ = eval_h(spec.h, basis.n_modes, t)
+            hmod = eval_h(spec.h, basis.n_modes, t)
             psi = -eps * accel + k_eff * us[i] + hmod
             res = ((1.0 + spec.delta * S) * mu * a2[i] + mu * d_a2[j]
                    + spec.lam * a2[i] - _phi_modal(spec, basis, a2[i], k_eff) - psi)
             residuals[i] = math.sqrt(float(np.sum(res ** 2)))
         worst = np.nanmax(residuals)
-        if worst > residual_tol:
+        if worst > RESIDUAL_TOL:
             i_bad = int(np.nanargmax(residuals))
-            warnings.warn(f"decomposition residual {worst:.3e} exceeds {residual_tol:g} "
+            warnings.warn(f"decomposition residual {worst:.3e} exceeds {RESIDUAL_TOL:g} "
                           f"at t = {float(ts[i_bad]):.6g}", RuntimeWarning, stacklevel=2)
     return DecompositionPair(u1_traj, u2_traj, parent, k_eff, residuals)
 
 
-@dataclass(frozen=True)
-class DifferenceRun:
-    traj_a: Trajectory
-    traj_b: Trajectory
-    z: Trajectory  # u_a - u_b with time derivative v_a - v_b
-
-
 def run_difference(spec_a: ModelSpec, spec_b: ModelSpec,
                    x_a: ModalState, x_b: ModalState,
-                   basis: Basis, cfg: StepConfig) -> DifferenceRun:
-    """Run two problems that differ only in delta and emit z = u_a - u_b."""
+                   basis: Basis, cfg: StepConfig) -> Trajectory:
+    """Run two problems that differ only in delta; the trajectory of
+    z = u_a - u_b, with time derivative v_a - v_b."""
     if replace(spec_a, delta=0.0) != replace(spec_b, delta=0.0):
         raise ValueError("specs must agree except for delta")
     if x_a.u.shape != x_b.u.shape or x_a.u.shape[-1] != basis.n_modes:
         raise ValueError("initial states must live on the shared basis")
     ta = run(x_a, spec_a, basis, cfg)
     tb = run(x_b, spec_b, basis, cfg)
-    z = Trajectory(basis, ta.times.copy(), ta.us - tb.us, ta.vs - tb.vs,
-                   accel_available=False)
-    return DifferenceRun(ta, tb, z)
+    return Trajectory(basis, ta.times.copy(), ta.us - tb.us, ta.vs - tb.vs,
+                      accel_available=False)

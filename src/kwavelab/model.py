@@ -165,9 +165,7 @@ class ForcingSpec:
     ``separable`` is h = amplitude * exp(-rate*|t|) * phi_mode with phi_mode
     the unit-norm eigenfunction at 1-based position ``mode`` in the basis
     enumeration. ``sigma`` is the declared weight of the tail integrability
-    condition. The time profile has a kink at t = 0; its derivative there is
-    defined as the right derivative, which is the relevant one for forward
-    runs and immaterial under the time integrals that consume it.
+    condition.
     """
 
     kind: str = "zero"
@@ -194,19 +192,15 @@ def forcing_norm_sq(spec: ForcingSpec, t: float) -> float:
     return float(spec.amplitude ** 2 * math.exp(-2.0 * spec.rate * abs(t)))
 
 
-def eval_h(spec: ForcingSpec, n_modes: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Modal coefficients of (h(., t), dh/dt(., t)) on a basis of n_modes."""
+def eval_h(spec: ForcingSpec, n_modes: int, t: float) -> np.ndarray:
+    """Modal coefficients of h(., t) on a basis of n_modes."""
     h = np.zeros(n_modes)
-    ht = np.zeros(n_modes)
     if spec.kind == "zero":
-        return h, ht
+        return h
     if spec.mode > n_modes:
         raise ValueError(f"forcing mode {spec.mode} outside basis of {n_modes} modes")
-    decay = math.exp(-spec.rate * abs(t))
-    sign = 1.0 if t >= 0 else -1.0  # right derivative at the kink
-    h[spec.mode - 1] = spec.amplitude * decay
-    ht[spec.mode - 1] = -spec.rate * sign * spec.amplitude * decay
-    return h, ht
+    h[spec.mode - 1] = spec.amplitude * math.exp(-spec.rate * abs(t))
+    return h
 
 
 @dataclass(frozen=True)

@@ -107,10 +107,11 @@ def inner(f: np.ndarray, g: np.ndarray) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def xt_norm_sq(basis: Basis, state: ModalState, eps: EpsilonProfile) -> float:
-    """Squared phase-space norm |grad u|^2 + eps(t) |v|^2 at the state's time."""
+def xt_norm_sq(basis: Basis, state: ModalState, eps: EpsilonProfile) -> np.ndarray | float:
+    """Squared phase-space norm |grad u|^2 + eps(t) |v|^2 at the state's time;
+    one value per row of a batched state."""
     e, _ = eval_epsilon(eps, state.t)
-    return float(grad_norm_sq(basis, state.u) + e * norm_sq(state.v))
+    return grad_norm_sq(basis, state.u) + e * norm_sq(state.v)
 
 
 def dual_norm_sq(basis: Basis, f: np.ndarray) -> np.ndarray | float:

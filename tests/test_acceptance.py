@@ -146,8 +146,8 @@ def test_criterion_6_delta_continuity():
     deltas = (1e-2, 1e-3, 1e-4)
     sq_norms = []
     for d in deltas:
-        diff = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
-        sq_norms.append(kw.xt_norm_sq(basis, diff.z.final_state, spec.epsilon))
+        z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
+        sq_norms.append(kw.xt_norm_sq(basis, z.final_state, spec.epsilon))
     slope_sq = float(np.polyfit(np.log(deltas), np.log(sq_norms), 1)[0])
     slope_norm = slope_sq / 2.0
     C = sq_norms[0] / deltas[0]

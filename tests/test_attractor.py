@@ -7,8 +7,7 @@ from scipy.stats import kstest
 import kwavelab as kw
 import kwavelab.attractor as att
 from kwavelab.attractor import (AttractorCloud, EnsembleSpec, hausdorff_semidist,
-                                pullback_cloud, sample_absorbing_set,
-                                semicontinuity_sweep, verify_absorbing)
+                                pullback_cloud, semicontinuity_sweep, verify_absorbing)
 from kwavelab.energy import EnergyParams, eval_B
 
 
@@ -39,17 +38,20 @@ class TestSampling:
     def test_single_sphere_point_on_boundary(self, free_setup):
         spec, basis, params = free_setup
         ens = EnsembleSpec(n_points=1, sampling="sphere_surface", seed=5, taus=(1.0,))
-        [state] = sample_absorbing_set(spec, params, basis, 0.0, ens)
+        us, vs = att._sample_arrays(spec, params, basis, 0.0, ens)
+        assert us.shape == vs.shape == (1, basis.n_modes)
         radius = eval_B(0.0, spec, params)
+        state = kw.ModalState(us[0], vs[0], 0.0)
         assert math.sqrt(kw.xt_norm_sq(basis, state, spec.epsilon)) == pytest.approx(
             radius, abs=1e-10)
 
     def test_ball_samples_inside_with_radial_law(self, forced_setup):
         spec, basis, params = forced_setup
         ens = EnsembleSpec(n_points=10_000, sampling="ball_uniform", seed=1, taus=(1.0,))
-        states = sample_absorbing_set(spec, params, basis, 0.0, ens)
-        radius = eval_B(0.0, spec, params, method="auto")
-        norms = np.array([math.sqrt(kw.xt_norm_sq(basis, s, spec.epsilon)) for s in states])
+        us, vs = att._sample_arrays(spec, params, basis, 0.0, ens)
+        radius = eval_B(0.0, spec, params)
+        norms = np.sqrt(kw.xt_norm_sq(basis, kw.ModalState(us, vs, 0.0), spec.epsilon))
+        assert norms.shape == (ens.n_points,)
         assert np.all(norms <= radius * (1 + 1e-10))
         D = 2 * basis.n_modes
         stat = kstest(norms / radius, lambda r: np.clip(r, 0, 1) ** D)
@@ -58,10 +60,9 @@ class TestSampling:
     def test_seed_reproducibility(self, free_setup):
         spec, basis, params = free_setup
         ens = EnsembleSpec(n_points=16, seed=42, taus=(1.0,))
-        a = sample_absorbing_set(spec, params, basis, 0.0, ens)
-        b = sample_absorbing_set(spec, params, basis, 0.0, ens)
-        assert all(np.array_equal(x.u, y.u) and np.array_equal(x.v, y.v)
-                   for x, y in zip(a, b))
+        ua, va = att._sample_arrays(spec, params, basis, 0.0, ens)
+        ub, vb = att._sample_arrays(spec, params, basis, 0.0, ens)
+        assert np.array_equal(ua, ub) and np.array_equal(va, vb)
 
 
 class TestPullbackCloud:
@@ -69,8 +70,8 @@ class TestPullbackCloud:
         spec, basis, params = free_setup
         ens = EnsembleSpec(n_points=8, seed=3, taus=(1.0,))
         cloud = pullback_cloud(spec, params, basis, ens, t_star=0.0, tau=0.0, dt=1e-2)
-        states = sample_absorbing_set(spec, params, basis, 0.0, ens)
-        assert np.array_equal(cloud.us, np.stack([s.u for s in states]))
+        us, vs = att._sample_arrays(spec, params, basis, 0.0, ens)
+        assert np.array_equal(cloud.us, us) and np.array_equal(cloud.vs, vs)
 
     def test_unforced_linear_cloud_collapses(self, free_setup):
         spec, basis, params = free_setup
@@ -79,7 +80,9 @@ class TestPullbackCloud:
         max_norm = []
         for tau in ens.taus:
             cloud = pullback_cloud(spec, params, basis, ens, 0.0, tau, dt=5e-3)
-            diam.append(cloud.diameter(spec.epsilon))
+            P = (np.concatenate([cloud.us, cloud.vs], axis=1)
+                 * np.sqrt(att._metric_weights(basis, spec.epsilon, cloud.t_star)))
+            diam.append(float(np.max(att._pairwise_dist(P, P))))
             norms = (np.sum(basis.eigenvalues * cloud.us ** 2, axis=1)
                      + np.sum(cloud.vs ** 2, axis=1))
             max_norm.append(float(np.sqrt(np.max(norms))))
@@ -186,8 +189,8 @@ class TestAbsorbing:
 
     def test_tau_zero_boundary_case(self, free_setup):
         spec, basis, params = free_setup
-        ens = EnsembleSpec(n_points=8, sampling="sphere_surface", seed=2, taus=(1.0,))
-        rep = verify_absorbing(spec, params, basis, ens, t=0.0, taus=(1e-9,), dt=1e-9)
+        ens = EnsembleSpec(n_points=8, sampling="sphere_surface", seed=2, taus=(1e-9,))
+        rep = verify_absorbing(spec, params, basis, ens, t=0.0, dt=1e-9)
         assert rep.rows[0].fraction_inside == 1.0
 
     @pytest.mark.parametrize("threads", [1, 2])

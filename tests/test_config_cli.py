@@ -108,8 +108,9 @@ class TestExitCodes:
         assert main(["validate", "--config", path]) == 2
 
     def test_removed_output_formats_key_exit_2(self, tmp_path, capsys):
-        # every removed key: output.formats, and disc.scheme (one scheme left)
-        for line in ("output.formats = csv,json", "disc.scheme = imex2"):
+        # every removed key: output.formats, disc.scheme (one scheme left) and
+        # energy.xi (no command evaluates the difference functional it sets)
+        for line in ("output.formats = csv,json", "disc.scheme = imex2", "energy.xi = 0.1"):
             path = write_cfg(tmp_path, SMALL_MODEL + line + "\n")
             assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
             assert "unknown key" in capsys.readouterr().err
@@ -153,6 +154,33 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == 2
         assert f"<= 0 at t = {t}," in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,case", [
+        ("simulate", "eps_sample"), ("simulate", "eps_mode"),
+        ("decompose", "eps_sample"), ("decompose", "eps_mode"),
+        ("pullback", "negative_delta"), ("semicontinuity", "negative_delta"),
+        ("validate", "h_mode"), ("simulate", "h_mode"), ("decompose", "h_mode"),
+        ("pullback", "h_mode"), ("semicontinuity", "h_mode")])
+    def test_unrunnable_config_exit_2(self, tmp_path, capsys, command, case):
+        # eps(t) = 1 - 0.5 exp(-t) < 0 at disc.t_start = -1; a negative delta
+        # in the sweep list; a forcing mode outside the 8-mode basis
+        if case.startswith("eps"):
+            with open(fixture_cfg("eps_increasing.cfg")) as fh:
+                text = fh.read().replace("disc.t_start = 0.0", "disc.t_start = -1.0")
+            text += ("ic.kind = sample\n" if case == "eps_sample"
+                     else "ic.kind = mode\nic.u_amp = 0.5\n")
+            message = "<= 0 at t = -1,"
+        elif case == "negative_delta":
+            text = SMALL_MODEL.replace("attractor.deltas = 0.2, 0.1, 0.0",
+                                       "attractor.deltas = 0.2, -0.1, 0.0")
+            message = "attractor.deltas must be nonnegative"
+        else:
+            text = SMALL_MODEL + "model.h.mode = 9\n"
+            message = "model.h.mode 9 outside basis of 8 modes"
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
 
     def test_blowup_exit_3(self, tmp_path, capsys):
         text = SMALL_MODEL.replace("disc.dt = 0.005", "disc.dt = 0.5")

@@ -341,8 +341,8 @@ class TestDifference:
         spec, basis = linear_setup
         ic = single_mode_ic(basis)
         cfg = StepConfig(dt=1e-3, t_start=0.0, t_end=1.0, record_every=100)
-        diff = kw.run_difference(spec, spec, ic, ic, basis, cfg)
-        assert not diff.z.us.any() and not diff.z.vs.any()
+        z = kw.run_difference(spec, spec, ic, ic, basis, cfg)
+        assert not z.us.any() and not z.vs.any()
 
     def test_specs_must_match_except_delta(self, linear_setup):
         spec, basis = linear_setup
@@ -359,8 +359,8 @@ class TestDifference:
         norms = []
         for gap in (1e-4, 5e-5):
             shifted = kw.ModalState(ic.u + gap, ic.v, 0.0)
-            diff = kw.run_difference(spec, spec, shifted, ic, basis, cfg)
-            norms.append(math.sqrt(kw.xt_norm_sq(basis, diff.z.final_state, spec.epsilon)))
+            z = kw.run_difference(spec, spec, shifted, ic, basis, cfg)
+            norms.append(math.sqrt(kw.xt_norm_sq(basis, z.final_state, spec.epsilon)))
         assert norms[0] / norms[1] == pytest.approx(2.0, rel=0.05)
 
     def test_delta_perturbation_bound(self, hand_instance):
@@ -372,8 +372,8 @@ class TestDifference:
         deltas = (1e-3, 1e-4)
         sq_norms = []
         for d in deltas:
-            diff = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
-            sq_norms.append(kw.xt_norm_sq(basis, diff.z.final_state, spec.epsilon))
+            z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
+            sq_norms.append(kw.xt_norm_sq(basis, z.final_state, spec.epsilon))
         V3 = sq_norms[0] / deltas[0]
         assert sq_norms[1] <= V3 * deltas[1]
 
@@ -409,7 +409,7 @@ class TestDifference:
         y0_end = ref_end(0.0)
         for d in (1e-2, 1e-3):
             z_ref = ref_end(d) - y0_end
-            z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg).z.final_state
+            z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg).final_state
             want = kw.xt_norm_sq(basis, kw.ModalState(z_ref[:n], z_ref[n:], 2.0), spec.epsilon)
             gap = kw.xt_norm_sq(basis, kw.ModalState(z.u - z_ref[:n], z.v - z_ref[n:], 2.0),
                                 spec.epsilon)

@@ -69,6 +69,25 @@ class TestNorms:
         state = ModalState(mode_field(b, 0), np.zeros(8), 0.0)
         assert kw.xt_norm_sq(b, state, kw.EpsilonProfile()) == pytest.approx(np.pi ** 2, rel=1e-14)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_xt_norm_batched_equals_rows_bitwise(self, d):
+        # one value per row, each the bits of the single-state call and of
+        # the spelled-out sums the ledger and the absorbing check used
+        b = Basis(d, 5)
+        eps = kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.5, amplitude=0.7)
+        e, _ = kw.eval_epsilon(eps, 0.3)
+        rng = np.random.default_rng(d)
+        for rows in (1, 7, 257):
+            us, vs = rng.standard_normal((2, rows, b.n_modes))
+            batched = kw.xt_norm_sq(b, ModalState(us, vs, 0.3), eps)
+            assert isinstance(batched, np.ndarray) and batched.shape == (rows,)
+            summed = np.sum(b.eigenvalues * us ** 2, axis=1) + e * np.sum(vs ** 2, axis=1)
+            assert np.array_equal(batched, summed)
+            for i in range(rows):
+                single = kw.xt_norm_sq(b, ModalState(us[i], vs[i], 0.3), eps)
+                assert isinstance(single, float) and single == batched[i]
+                assert single == kw.grad_norm_sq(b, us[i]) + e * kw.norm_sq(vs[i])
+
     def test_poincare_inequality(self):
         rng = np.random.default_rng(3)
         for d in (1, 2, 3):
