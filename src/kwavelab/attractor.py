@@ -12,6 +12,10 @@ draw isotropic in the phase-space metric, then rescaled onto the sphere or
 into the ball of the target radius. Distances between clouds are Hausdorff
 semi-distances in the metric of the common evaluation time, computed by
 brute-force pairwise comparison.
+
+Every (delta, tau) pair is one independent pullback leg. The absorbing check
+and the delta sweep each hand all their legs to one scheduler,
+_evolve_legs, which parallelises across whole legs rather than within one.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import EnergyParams, eval_B
-from .integrator import evolve_ensemble
+from .integrator import BlowUpError, evolve_ensemble
 from .model import ModelSpec, eval_epsilon
 from .spectral import Basis, ModalState, xt_norm_sq
 
@@ -117,20 +121,63 @@ def _sample_arrays(spec: ModelSpec, params: EnergyParams, basis: Basis,
     return us, vs
 
 
-def _evolve_batch(us, vs, spec, basis, t0, t1, dt, threads: int = 1):
-    if threads <= 1 or us.shape[0] == 1:
-        return evolve_ensemble(us, vs, spec, basis, t0, t1, dt)
-    chunks = np.array_split(np.arange(us.shape[0]), threads)
-    chunks = [c for c in chunks if c.size]
-    out_u = np.empty_like(us)
-    out_v = np.empty_like(vs)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        futs = [pool.submit(evolve_ensemble, us[c], vs[c], spec, basis, t0, t1, dt)
-                for c in chunks]
-        for c, fut in zip(chunks, futs):
-            u, v = fut.result()
-            out_u[c], out_v[c] = u, v
-    return out_u, out_v
+def _plan_tasks(sizes, threads: int) -> list[tuple[int, int, int]]:
+    """Pool tasks for legs of sizes[i] = (members, length): (leg, lo, hi)
+    member ranges, longest (members x length) first.
+
+    With at least as many legs as threads every leg is one task. Otherwise the
+    threads are shared out over the legs, the longer legs taking the extra
+    ones, and each leg is split into as many member chunks as it has threads,
+    but never into more chunks than it has members.
+    """
+    n = len(sizes)
+    order = sorted(range(n), key=lambda i: sizes[i][0] * sizes[i][1], reverse=True)
+    tasks = []
+    for rank, i in enumerate(order):
+        members = sizes[i][0]
+        pieces = min(members, max(1, threads // n + (rank < threads % n)))
+        bounds = [members * k // pieces for k in range(pieces + 1)]
+        tasks.extend((i, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    tasks.sort(key=lambda task: (task[2] - task[1]) * sizes[task[0]][1], reverse=True)
+    return tasks
+
+
+def _evolve_rows(leg, lo: int, hi: int, basis: Basis, dt: float):
+    spec, us, vs, t0, t1 = leg
+    try:
+        return evolve_ensemble(us[lo:hi], vs[lo:hi], spec, basis, t0, t1, dt)
+    except BlowUpError as exc:  # name the member by its row in the whole leg
+        raise BlowUpError(exc.t, exc.member + lo, exc.mode) from None
+
+
+def _evolve_legs(legs, basis: Basis, dt: float, threads: int):
+    """Endpoints (us, vs) of each leg (spec, us, vs, t0, t1), in the order given.
+
+    The legs are independent pullback evolutions. With one thread they are
+    evolved one at a time, as the returned iterator is consumed. Otherwise a
+    pool of at most ``threads`` workers runs the tasks of _plan_tasks: whole
+    legs, longest first, split into member chunks only when there are fewer
+    legs than threads. Every row is bitwise independent of the batch it is
+    evolved in, so the endpoints do not depend on ``threads``.
+    """
+    if threads == 1 or not legs:
+        return (evolve_ensemble(us, vs, spec, basis, t0, t1, dt)
+                for spec, us, vs, t0, t1 in legs)
+    tasks = _plan_tasks([(leg[1].shape[0], leg[4] - leg[3]) for leg in legs], threads)
+    chunks = [[] for _ in legs]
+    with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        for i, lo, hi in tasks:
+            chunks[i].append((lo, pool.submit(_evolve_rows, legs[i], lo, hi, basis, dt)))
+    ends = []
+    for leg_chunks in chunks:
+        leg_chunks.sort(key=lambda chunk: chunk[0])
+        blowups = [exc for exc in (fut.exception() for _, fut in leg_chunks)
+                   if isinstance(exc, BlowUpError)]
+        if blowups:  # the unsplit leg stops at the earliest step, on its lowest row
+            raise min(blowups, key=lambda exc: (exc.t, exc.member))
+        parts = [fut.result() for _, fut in leg_chunks]
+        ends.append(tuple(np.concatenate(block) for block in zip(*parts)))
+    return iter(ends)
 
 
 def pullback_cloud(spec: ModelSpec, params: EnergyParams, basis: Basis,
@@ -138,8 +185,8 @@ def pullback_cloud(spec: ModelSpec, params: EnergyParams, basis: Basis,
                    threads: int = 1) -> AttractorCloud:
     """Evolve an absorbing-set sample from t_star - tau to t_star."""
     us, vs = _sample_arrays(spec, params, basis, t_star - tau, ens)
-    if tau > 0:
-        us, vs = _evolve_batch(us, vs, spec, basis, t_star - tau, t_star, dt, threads)
+    leg = (spec, us, vs, t_star - tau, t_star)
+    us, vs = next(_evolve_legs([leg], basis, dt, threads))
     return AttractorCloud(t_star, tau, spec.delta, basis, us, vs)
 
 
@@ -185,32 +232,44 @@ class AbsorbingReport:
 
 
 def verify_absorbing(spec: ModelSpec, params: EnergyParams, basis: Basis,
-                     ens: EnsembleSpec, t: float, dt: float = 1e-2,
-                     threads: int = 1) -> AbsorbingReport:
-    """Check that samples of the absorbing ball at t - tau land inside the
-    ball at t, for each pullback horizon tau of ``ens.taus``.
+                     ens: EnsembleSpec, deltas, t: float, dt: float = 1e-2,
+                     threads: int = 1) -> list[AbsorbingReport]:
+    """Check, for each delta of ``deltas``, that samples of the absorbing ball
+    at t - tau land inside the ball at t, for each pullback horizon tau of
+    ``ens.taus``; one report per delta, in order.
 
     Each row also carries the Cauchy-in-tau truncation gap: the Hausdorff
     semi-distance from its endpoint cloud to that of the largest tau (0 on
-    the last row). The endpoint clouds are returned in ``clouds``.
+    the last row). The endpoint clouds are returned in ``clouds``. Neither
+    the samples nor the radius depend on delta, so each is computed once, and
+    all (delta, tau) legs are evolved in one call of _evolve_legs.
     """
     radius = eval_B(t, spec, params)
-    clouds = tuple(pullback_cloud(spec, params, basis, ens, t, tau, dt, threads)
-                   for tau in ens.taus)
-    rows = []
-    for cloud in clouds:
-        xt = xt_norm_sq(basis, ModalState(cloud.us, cloud.vs, t), spec.epsilon)
-        ratios = np.sqrt(xt) / radius
-        inside = ratios <= 1.0 + 1e-10
-        rows.append(AbsorbingRow(float(cloud.tau), float(np.mean(inside)),
-                                 float(np.max(ratios)),
-                                 hausdorff_semidist(cloud, clouds[-1], spec.epsilon)))
-    empirical_T = None
-    for i in range(len(rows)):
-        if all(r.fraction_inside == 1.0 for r in rows[i:]):
-            empirical_T = rows[i].tau
-            break
-    return AbsorbingReport(t, radius, tuple(rows), empirical_T, clouds)
+    samples = [_sample_arrays(spec, params, basis, t - tau, ens) for tau in ens.taus]
+    specs = [spec.with_delta(float(d)) for d in deltas]
+    legs = [(s, us, vs, t - tau, t) for s in specs
+            for tau, (us, vs) in zip(ens.taus, samples)]
+    ends = _evolve_legs(legs, basis, dt, threads)
+    reports = []
+    for s in specs:
+        clouds = tuple(AttractorCloud(t, tau, s.delta, basis, *next(ends))
+                       for tau in ens.taus)
+        rows = []
+        for cloud in clouds:
+            xt = xt_norm_sq(basis, ModalState(cloud.us, cloud.vs, t), spec.epsilon)
+            ratios = np.sqrt(xt) / radius
+            inside = ratios <= 1.0 + 1e-10
+            gap = (0.0 if cloud is clouds[-1]  # d_H(A, A) = 0
+                   else hausdorff_semidist(cloud, clouds[-1], spec.epsilon))
+            rows.append(AbsorbingRow(float(cloud.tau), float(np.mean(inside)),
+                                     float(np.max(ratios)), gap))
+        empirical_T = None
+        for i in range(len(rows)):
+            if all(r.fraction_inside == 1.0 for r in rows[i:]):
+                empirical_T = rows[i].tau
+                break
+        reports.append(AbsorbingReport(t, radius, tuple(rows), empirical_T, clouds))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -246,15 +305,17 @@ def semicontinuity_sweep(spec: ModelSpec, params: EnergyParams, basis: Basis,
         raise ValueError("delta list must be sorted descending")
     if deltas and deltas[-1] != 0.0:
         deltas = deltas + [0.0]
-    ref_cloud = pullback_cloud(spec.with_delta(0.0), params, basis, ens,
-                               t_star, tau, dt, threads)
+    us, vs = _sample_arrays(spec, params, basis, t_star - tau, ens)
+    legs = [(spec.with_delta(d), us, vs, t_star - tau, t_star)
+            for d in [0.0] + [d for d in deltas if d != 0.0]]
+    ends = _evolve_legs(legs, basis, dt, threads)
+    ref_cloud = AttractorCloud(t_star, tau, 0.0, basis, *next(ends))
     rows = []
     for d in deltas:
         if d == 0.0:  # the reference itself: d_H(A, A) = 0
             rows.append(SweepRow(d, 0.0))
             continue
-        cloud = pullback_cloud(spec.with_delta(d), params, basis, ens,
-                               t_star, tau, dt, threads)
+        cloud = AttractorCloud(t_star, tau, d, basis, *next(ends))
         rows.append(SweepRow(d, hausdorff_semidist(cloud, ref_cloud, spec.epsilon)))
     pos = [(r.delta, r.dist) for r in rows if r.delta > 0 and r.dist > 0]
     order = None

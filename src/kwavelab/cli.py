@@ -151,17 +151,15 @@ def cmd_pullback(cfg: ExperimentConfig) -> int:
     params = cfg.energy_params(log=_stage)
     deltas = [float(d) for d in cfg.values["attractor.deltas"]]
     dt = cfg.attractor_dt
-    clouds = []
+    _stage(f"absorbing check over deltas {deltas} and taus {list(ens.taus)}")
+    reps = att.verify_absorbing(cfg.model, params, cfg.basis, ens, deltas, t_star,
+                                dt=dt, threads=cfg.threads)
     reports = {}
-    for d in deltas:
-        model = cfg.model.with_delta(d)
-        _stage(f"delta = {d:g}: absorbing check over taus {list(ens.taus)}")
-        rep = att.verify_absorbing(model, params, cfg.basis, ens, t_star,
-                                   dt=dt, threads=cfg.threads)
+    for d, rep in zip(deltas, reps):
         reports[f"{d:g}"] = rep.to_dict()
-        clouds.append(rep.clouds[-1])
         _stage(f"delta = {d:g}: fraction inside at tau = {rep.rows[-1].tau:g} "
                f"is {rep.rows[-1].fraction_inside:.3f}")
+    clouds = [rep.clouds[-1] for rep in reps]
     labels = cfg.basis.mode_labels()
     header = ["t_star", "delta", "tau"] + [f"u_{m}" for m in labels] + [f"v_{m}" for m in labels]
     _write_csv(os.path.join(out, "clouds.csv"), header, _cloud_rows(clouds))

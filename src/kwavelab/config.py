@@ -188,6 +188,8 @@ class ExperimentConfig:
                                  f"{basis.n_modes} modes")
             if any(d < 0 for d in values["attractor.deltas"]):
                 raise ValueError("attractor.deltas must be nonnegative")
+            if values["threads"] < 1:
+                raise ValueError(f"threads = {values['threads']} must be at least 1")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return cls(model, basis, step, values)

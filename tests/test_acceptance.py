@@ -84,9 +84,8 @@ def test_criterion_3_absorbing_family():
     ens = EnsembleSpec(n_points=64, sampling="sphere_surface", seed=cfg.seed,
                        taus=(10.0, 20.0))
     fractions = []
-    for delta in (0.0, 0.1):
-        rep = verify_absorbing(cfg.model.with_delta(delta), params, cfg.basis, ens,
-                               t=0.0, dt=5e-3)
+    for rep in verify_absorbing(cfg.model, params, cfg.basis, ens, [0.0, 0.1],
+                                t=0.0, dt=5e-3):
         fractions.extend(r.fraction_inside for r in rep.rows)
     elapsed = time.time() - t0
     ok = all(f == 1.0 for f in fractions) and elapsed < 300.0

@@ -183,32 +183,52 @@ class TestAbsorbing:
     def test_unforced_linear_absorbed_quickly(self, free_setup):
         spec, basis, params = free_setup
         ens = EnsembleSpec(n_points=16, seed=2, taus=(2.0, 5.0, 10.0))
-        rep = verify_absorbing(spec, params, basis, ens, t=0.0, dt=5e-3)
+        rep, = verify_absorbing(spec, params, basis, ens, [spec.delta], t=0.0, dt=5e-3)
         assert rep.passed
         assert all(r.fraction_inside == 1.0 for r in rep.rows)
 
     def test_tau_zero_boundary_case(self, free_setup):
         spec, basis, params = free_setup
         ens = EnsembleSpec(n_points=8, sampling="sphere_surface", seed=2, taus=(1e-9,))
-        rep = verify_absorbing(spec, params, basis, ens, t=0.0, dt=1e-9)
+        rep, = verify_absorbing(spec, params, basis, ens, [spec.delta], t=0.0, dt=1e-9)
         assert rep.rows[0].fraction_inside == 1.0
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_clouds_are_the_pullback_clouds(self, forced_setup, threads):
         spec, basis, params = forced_setup
-        spec = spec.with_delta(0.1)
         ens = EnsembleSpec(n_points=8, seed=4, taus=(1.0, 2.0, 3.0))
-        rep = verify_absorbing(spec, params, basis, ens, t=0.5, dt=1e-2, threads=threads)
-        refs = [pullback_cloud(spec, params, basis, ens, 0.5, tau, 1e-2, threads=threads)
-                for tau in ens.taus]
-        assert len(rep.clouds) == len(refs)
-        for cloud, ref, row in zip(rep.clouds, refs, rep.rows):
-            assert cloud.tau == ref.tau == row.tau
-            assert np.array_equal(cloud.us, ref.us) and np.array_equal(cloud.vs, ref.vs)
-            assert row.cauchy_gap == hausdorff_semidist(ref, refs[-1], spec.epsilon)
-        assert rep.rows[0].cauchy_gap > 0.0
-        assert rep.rows[-1].cauchy_gap == 0.0
-        assert "clouds" not in rep.to_dict()
+        deltas = [0.1, 0.0]
+        reps = verify_absorbing(spec, params, basis, ens, deltas, t=0.5, dt=1e-2,
+                                threads=threads)
+        assert len(reps) == len(deltas)
+        for delta, rep in zip(deltas, reps):
+            refs = [pullback_cloud(spec.with_delta(delta), params, basis, ens, 0.5, tau,
+                                   1e-2, threads=threads)
+                    for tau in ens.taus]
+            assert len(rep.clouds) == len(refs)
+            for cloud, ref, row in zip(rep.clouds, refs, rep.rows):
+                assert cloud.tau == ref.tau == row.tau
+                assert cloud.delta == ref.delta == delta
+                assert np.array_equal(cloud.us, ref.us) and np.array_equal(cloud.vs, ref.vs)
+                assert row.cauchy_gap == hausdorff_semidist(ref, refs[-1], spec.epsilon)
+            assert rep.rows[0].cauchy_gap > 0.0
+            assert rep.rows[-1].cauchy_gap == 0.0
+            assert "clouds" not in rep.to_dict()
+
+    def test_last_row_skips_the_self_distance(self, forced_setup, monkeypatch):
+        spec, basis, params = forced_setup
+        ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0, 2.0, 3.0))
+        pairs = []
+        semidist = att.hausdorff_semidist
+
+        def counting(A, B, eps_profile):
+            pairs.append((A.delta, A.tau, B.tau))
+            return semidist(A, B, eps_profile)
+
+        monkeypatch.setattr(att, "hausdorff_semidist", counting)
+        reps = verify_absorbing(spec, params, basis, ens, [0.2, 0.0], t=0.0, dt=1e-2)
+        assert pairs == [(0.2, 1.0, 3.0), (0.2, 2.0, 3.0), (0.0, 1.0, 3.0), (0.0, 2.0, 3.0)]
+        assert all(rep.rows[-1].cauchy_gap == 0.0 for rep in reps)
 
     def test_smaller_c14_needs_longer_horizon(self, forced_setup):
         spec, basis, _ = forced_setup
@@ -217,7 +237,7 @@ class TestAbsorbing:
         for c14 in (4.0, 0.25):
             params = EnergyParams(rho=1.0, chi=0.2, sigma1=0.1, c0=0.0, c4=1.0, c14=c14)
             ens = EnsembleSpec(n_points=16, seed=2, taus=taus)
-            rep = verify_absorbing(spec, params, basis, ens, t=0.0, dt=5e-3)
+            rep, = verify_absorbing(spec, params, basis, ens, [spec.delta], t=0.0, dt=5e-3)
             assert rep.passed
             Ts.append(rep.empirical_T)
         assert Ts[1] >= Ts[0]
@@ -244,18 +264,95 @@ attractor.dt = 0.01
 def test_pullback_command_evolves_each_leg_once(tmp_path, monkeypatch):
     from kwavelab.cli import main
     legs = []
-    evolve = att._evolve_batch
+    evolve = att._evolve_legs
 
-    def counting(us, vs, spec, basis, t0, t1, dt, threads=1):
-        legs.append((spec.delta, t0, t1))
-        return evolve(us, vs, spec, basis, t0, t1, dt, threads)
+    def counting(legs_in, basis, dt, threads):
+        legs.extend((spec.delta, t0, t1) for spec, _, _, t0, t1 in legs_in)
+        return evolve(legs_in, basis, dt, threads)
 
-    monkeypatch.setattr(att, "_evolve_batch", counting)
+    monkeypatch.setattr(att, "_evolve_legs", counting)
     path = tmp_path / "pullback.cfg"
     path.write_text(PULLBACK_CFG)
     assert main(["pullback", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert sorted(legs) == [(0.0, -8.0, 0.0), (0.0, -4.0, 0.0),
                             (0.1, -8.0, 0.0), (0.1, -4.0, 0.0)]
+
+
+class TestLegScheduler:
+    def test_whole_legs_longest_first(self):
+        sizes = [(64, 1.0), (64, 2.0), (32, 2.0), (64, 0.5)]
+        for threads in (2, 3, 4):
+            assert att._plan_tasks(sizes, threads) == [(1, 0, 64), (0, 0, 64),
+                                                       (2, 0, 32), (3, 0, 64)]
+
+    @pytest.mark.parametrize("sizes", [[(64, 2.0)], [(64, 2.0), (64, 1.0)],
+                                       [(3, 1.0), (64, 0.25), (2, 4.0)], [(1, 1.0)]])
+    @pytest.mark.parametrize("threads", [2, 3, 5, 8, 10 ** 6])
+    def test_fewer_legs_than_threads_split_into_member_chunks(self, sizes, threads):
+        tasks = att._plan_tasks(sizes, threads)  # planning only: no thread starts
+        costs = [(hi - lo) * sizes[i][1] for i, lo, hi in tasks]
+        assert costs == sorted(costs, reverse=True)
+        for i, (members, _) in enumerate(sizes):
+            ranges = sorted((lo, hi) for j, lo, hi in tasks if j == i)
+            assert 1 <= len(ranges) <= members
+            assert ranges[0][0] == 0 and ranges[-1][1] == members
+            assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(ranges, ranges[1:]))
+        members = [m for m, _ in sizes]
+        if len(sizes) >= threads:
+            assert len(tasks) == len(sizes)
+        else:  # the threads are shared out, as far as the members allow
+            assert len(tasks) <= threads
+            if min(members) >= threads:
+                assert len(tasks) == threads
+            if threads // len(sizes) >= max(members):
+                assert len(tasks) == sum(members)
+
+    @pytest.mark.parametrize("n_legs, members, threads", [(1, 2, 4), (3, 4, 2), (2, 5, 3)])
+    def test_pool_has_no_more_workers_than_tasks(self, free_setup, monkeypatch,
+                                                 n_legs, members, threads):
+        spec, basis, _ = free_setup
+        workers, submitted = [], []
+
+        class Recording(att.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+            def submit(self, *args):
+                submitted.append(args)
+                return super().submit(*args)
+
+        rng = np.random.default_rng(3)
+        us, vs = 0.1 * rng.standard_normal((2, members, basis.n_modes))
+        legs = [(spec.with_delta(0.1 * k), us, vs, -0.1 * (k + 1), 0.0) for k in range(n_legs)]
+        solo = list(att._evolve_legs(legs, basis, 1e-2, 1))
+        monkeypatch.setattr(att, "ThreadPoolExecutor", Recording)
+        multi = list(att._evolve_legs(legs, basis, 1e-2, threads))
+        assert workers == [min(threads, len(submitted))]
+        assert len(submitted) == len(att._plan_tasks([(members, 1.0)] * n_legs, threads))
+        for (ua, va), (ub, vb) in zip(solo, multi):
+            assert np.array_equal(ua, ub) and np.array_equal(va, vb)
+
+    def test_no_legs_start_no_pool(self, free_setup, monkeypatch):
+        _, basis, _ = free_setup
+        monkeypatch.setattr(att, "ThreadPoolExecutor", None)
+        assert list(att._evolve_legs([], basis, 1e-2, 2)) == []
+
+    @pytest.mark.parametrize("amp", [3.0, 30.0])
+    def test_blowup_names_the_same_member_at_any_thread_count(self, free_setup, amp):
+        # row 3 fails first at 0.5; row 1 fails at 0.7 (amp 3) or also at 0.5 (amp 30)
+        _, basis, _ = free_setup
+        spec = kw.ModelSpec(dim=1, delta=1.0)
+        us = np.zeros((4, basis.n_modes))
+        us[:, 0] = [0.01, amp, 0.02, 1e3]
+        leg = (spec, us, np.zeros_like(us), 0.0, 5.0)
+        from kwavelab.integrator import BlowUpError
+        seen = set()
+        for threads in (1, 2, 3, 4):
+            with pytest.raises(BlowUpError) as exc:
+                list(att._evolve_legs([leg], basis, 0.1, threads))
+            seen.add((exc.value.t, exc.value.member, exc.value.mode))
+        assert len(seen) == 1 and seen.pop()[1] == (3 if amp == 3.0 else 1)
 
 
 class TestSemicontinuity:
@@ -303,5 +400,4 @@ class TestSemicontinuity:
         ens = EnsembleSpec(n_points=8, seed=5, taus=(2.0,))
         solo = pullback_cloud(spec, params, basis, ens, 0.0, 2.0, dt=1e-2, threads=1)
         multi = pullback_cloud(spec, params, basis, ens, 0.0, 2.0, dt=1e-2, threads=4)
-        assert np.allclose(solo.us, multi.us, rtol=0, atol=1e-12)
-        assert np.allclose(solo.vs, multi.vs, rtol=0, atol=1e-12)
+        assert np.array_equal(solo.us, multi.us) and np.array_equal(solo.vs, multi.vs)

@@ -182,6 +182,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_nonpositive_threads_key_exit_2(self, tmp_path, capsys, threads):
+        path = write_cfg(tmp_path, SMALL_MODEL + f"threads = {threads}\n")
+        assert main(["pullback", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"threads = {threads} must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_nonpositive_threads_flag_exit_2(self, tmp_path, capsys, threads):
+        path = write_cfg(tmp_path, SMALL_MODEL)
+        assert main(["semicontinuity", "--config", path, "--out", str(tmp_path / "o"),
+                     "--threads", str(threads)]) == 2
+        assert f"threads = {threads} must be at least 1" in capsys.readouterr().err
+
     def test_blowup_exit_3(self, tmp_path, capsys):
         text = SMALL_MODEL.replace("disc.dt = 0.005", "disc.dt = 0.5")
         text = text.replace("ic.u_amp = 0.5", "ic.u_amp = 1e6")
@@ -328,6 +341,27 @@ class TestAttractorCommands:
         assert main(["semicontinuity", "--config", path, "--out", str(out)]) == 0
         rows = json.loads((out / "semicontinuity.json").read_text())["sweep"]["rows"]
         assert len(rows) == 1 and rows[0]["dist"] == 0.0
+
+
+    def test_artifacts_do_not_depend_on_threads(self, tmp_path):
+        # d = 2 runs the batched grid transform; with one delta each command
+        # has 2 legs, which 3 threads split into unevenly sized member chunks
+        text = (SMALL_MODEL.replace("model.dim = 1", "model.dim = 2")
+                .replace("disc.n_modes = 8", "disc.n_modes = 4")
+                .replace("attractor.n_points = 8", "attractor.n_points = 5")
+                .replace("attractor.taus = 4, 8", "attractor.taus = 0.1, 0.2")
+                .replace("attractor.deltas = 0.2, 0.1, 0.0", "attractor.deltas = 0.1"))
+        path = write_cfg(tmp_path, text)
+        results = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"t{threads}"
+            codes = [main([command, "--config", path, "--out", str(out),
+                           "--threads", str(threads)])
+                     for command in ("pullback", "semicontinuity")]
+            files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+            results.append((codes, files))
+        assert len(results[0][1]) == 4
+        assert results[1] == results[0] and results[2] == results[0]
 
 
 class TestDecomposeCommand:
