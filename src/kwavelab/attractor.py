@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import EnergyParams, eval_B
-from .integrator import BlowUpError, evolve_ensemble
+from .integrator import evolve_ensemble
 from .model import ModelSpec, eval_epsilon
 from .spectral import Basis, ModalState, xt_norm_sq
 
@@ -121,72 +121,43 @@ def _sample_arrays(spec: ModelSpec, params: EnergyParams, basis: Basis,
     return us, vs
 
 
-def _plan_tasks(sizes, threads: int) -> list[tuple[int, int, int]]:
-    """Pool tasks for legs of sizes[i] = (members, length): (leg, lo, hi)
-    member ranges, longest (members x length) first.
-
-    With at least as many legs as threads every leg is one task. Otherwise the
-    threads are shared out over the legs, the longer legs taking the extra
-    ones, and each leg is split into as many member chunks as it has threads,
-    but never into more chunks than it has members.
-    """
-    n = len(sizes)
-    order = sorted(range(n), key=lambda i: sizes[i][0] * sizes[i][1], reverse=True)
-    tasks = []
-    for rank, i in enumerate(order):
-        members = sizes[i][0]
-        pieces = min(members, max(1, threads // n + (rank < threads % n)))
-        bounds = [members * k // pieces for k in range(pieces + 1)]
-        tasks.extend((i, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
-    tasks.sort(key=lambda task: (task[2] - task[1]) * sizes[task[0]][1], reverse=True)
-    return tasks
-
-
-def _evolve_rows(leg, lo: int, hi: int, basis: Basis, dt: float):
-    spec, us, vs, t0, t1 = leg
-    try:
-        return evolve_ensemble(us[lo:hi], vs[lo:hi], spec, basis, t0, t1, dt)
-    except BlowUpError as exc:  # name the member by its row in the whole leg
-        raise BlowUpError(exc.t, exc.member + lo, exc.mode) from None
+def _plan_pool(sizes, threads: int) -> tuple[list[int], int]:
+    """Submission order of legs of sizes[i] = (members, length), longest
+    (members x length) first, and the pool's worker count, which never
+    exceeds the number of legs."""
+    order = sorted(range(len(sizes)), key=lambda i: sizes[i][0] * sizes[i][1], reverse=True)
+    return order, min(threads, len(sizes))
 
 
 def _evolve_legs(legs, basis: Basis, dt: float, threads: int):
     """Endpoints (us, vs) of each leg (spec, us, vs, t0, t1), in the order given.
 
-    The legs are independent pullback evolutions. With one thread they are
-    evolved one at a time, as the returned iterator is consumed. Otherwise a
-    pool of at most ``threads`` workers runs the tasks of _plan_tasks: whole
-    legs, longest first, split into member chunks only when there are fewer
-    legs than threads. Every row is bitwise independent of the batch it is
-    evolved in, so the endpoints do not depend on ``threads``.
+    The legs are independent pullback evolutions. With one thread, or fewer
+    than two legs, they are evolved one at a time, as the returned iterator is
+    consumed. Otherwise a pool runs whole legs, longest first, as _plan_pool
+    says. Every row is bitwise independent of the batch it is evolved in, so
+    the endpoints do not depend on ``threads``; a blow-up is raised for the
+    first failing leg in the order given, as on one thread.
     """
-    if threads == 1 or not legs:
+    if threads == 1 or len(legs) < 2:
         return (evolve_ensemble(us, vs, spec, basis, t0, t1, dt)
                 for spec, us, vs, t0, t1 in legs)
-    tasks = _plan_tasks([(leg[1].shape[0], leg[4] - leg[3]) for leg in legs], threads)
-    chunks = [[] for _ in legs]
-    with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-        for i, lo, hi in tasks:
-            chunks[i].append((lo, pool.submit(_evolve_rows, legs[i], lo, hi, basis, dt)))
-    ends = []
-    for leg_chunks in chunks:
-        leg_chunks.sort(key=lambda chunk: chunk[0])
-        blowups = [exc for exc in (fut.exception() for _, fut in leg_chunks)
-                   if isinstance(exc, BlowUpError)]
-        if blowups:  # the unsplit leg stops at the earliest step, on its lowest row
-            raise min(blowups, key=lambda exc: (exc.t, exc.member))
-        parts = [fut.result() for _, fut in leg_chunks]
-        ends.append(tuple(np.concatenate(block) for block in zip(*parts)))
-    return iter(ends)
+    order, workers = _plan_pool([(us.shape[0], t1 - t0) for _, us, _, t0, t1 in legs],
+                                threads)
+    futures = [None] * len(legs)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i in order:
+            spec, us, vs, t0, t1 = legs[i]
+            futures[i] = pool.submit(evolve_ensemble, us, vs, spec, basis, t0, t1, dt)
+    return (fut.result() for fut in futures)
 
 
 def pullback_cloud(spec: ModelSpec, params: EnergyParams, basis: Basis,
-                   ens: EnsembleSpec, t_star: float, tau: float, dt: float,
-                   threads: int = 1) -> AttractorCloud:
+                   ens: EnsembleSpec, t_star: float, tau: float,
+                   dt: float) -> AttractorCloud:
     """Evolve an absorbing-set sample from t_star - tau to t_star."""
     us, vs = _sample_arrays(spec, params, basis, t_star - tau, ens)
-    leg = (spec, us, vs, t_star - tau, t_star)
-    us, vs = next(_evolve_legs([leg], basis, dt, threads))
+    us, vs = evolve_ensemble(us, vs, spec, basis, t_star - tau, t_star, dt)
     return AttractorCloud(t_star, tau, spec.delta, basis, us, vs)
 
 

@@ -202,8 +202,7 @@ class TestAbsorbing:
                                 threads=threads)
         assert len(reps) == len(deltas)
         for delta, rep in zip(deltas, reps):
-            refs = [pullback_cloud(spec.with_delta(delta), params, basis, ens, 0.5, tau,
-                                   1e-2, threads=threads)
+            refs = [pullback_cloud(spec.with_delta(delta), params, basis, ens, 0.5, tau, 1e-2)
                     for tau in ens.taus]
             assert len(rep.clouds) == len(refs)
             for cloud, ref, row in zip(rep.clouds, refs, rep.rows):
@@ -279,37 +278,16 @@ def test_pullback_command_evolves_each_leg_once(tmp_path, monkeypatch):
 
 
 class TestLegScheduler:
-    def test_whole_legs_longest_first(self):
+    @pytest.mark.parametrize("threads", [2, 3, 4, 8, 10 ** 6])
+    def test_whole_legs_longest_first(self, threads):
         sizes = [(64, 1.0), (64, 2.0), (32, 2.0), (64, 0.5)]
-        for threads in (2, 3, 4):
-            assert att._plan_tasks(sizes, threads) == [(1, 0, 64), (0, 0, 64),
-                                                       (2, 0, 32), (3, 0, 64)]
+        order, workers = att._plan_pool(sizes, threads)  # planning only: no thread starts
+        assert order == [1, 0, 2, 3]
+        assert workers == min(threads, len(sizes))
 
-    @pytest.mark.parametrize("sizes", [[(64, 2.0)], [(64, 2.0), (64, 1.0)],
-                                       [(3, 1.0), (64, 0.25), (2, 4.0)], [(1, 1.0)]])
-    @pytest.mark.parametrize("threads", [2, 3, 5, 8, 10 ** 6])
-    def test_fewer_legs_than_threads_split_into_member_chunks(self, sizes, threads):
-        tasks = att._plan_tasks(sizes, threads)  # planning only: no thread starts
-        costs = [(hi - lo) * sizes[i][1] for i, lo, hi in tasks]
-        assert costs == sorted(costs, reverse=True)
-        for i, (members, _) in enumerate(sizes):
-            ranges = sorted((lo, hi) for j, lo, hi in tasks if j == i)
-            assert 1 <= len(ranges) <= members
-            assert ranges[0][0] == 0 and ranges[-1][1] == members
-            assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(ranges, ranges[1:]))
-        members = [m for m, _ in sizes]
-        if len(sizes) >= threads:
-            assert len(tasks) == len(sizes)
-        else:  # the threads are shared out, as far as the members allow
-            assert len(tasks) <= threads
-            if min(members) >= threads:
-                assert len(tasks) == threads
-            if threads // len(sizes) >= max(members):
-                assert len(tasks) == sum(members)
-
-    @pytest.mark.parametrize("n_legs, members, threads", [(1, 2, 4), (3, 4, 2), (2, 5, 3)])
-    def test_pool_has_no_more_workers_than_tasks(self, free_setup, monkeypatch,
-                                                 n_legs, members, threads):
+    @pytest.mark.parametrize("n_legs, threads", [(2, 3), (3, 2), (4, 4)])
+    def test_pool_runs_whole_legs_longest_first(self, free_setup, monkeypatch,
+                                                n_legs, threads):
         spec, basis, _ = free_setup
         workers, submitted = [], []
 
@@ -318,41 +296,46 @@ class TestLegScheduler:
                 workers.append(max_workers)
                 super().__init__(max_workers)
 
-            def submit(self, *args):
-                submitted.append(args)
-                return super().submit(*args)
+            def submit(self, fn, us, vs, spec, basis, t0, t1, dt):
+                submitted.append((us.shape[0], t0))
+                return super().submit(fn, us, vs, spec, basis, t0, t1, dt)
 
         rng = np.random.default_rng(3)
-        us, vs = 0.1 * rng.standard_normal((2, members, basis.n_modes))
+        us, vs = 0.1 * rng.standard_normal((2, 4, basis.n_modes))
         legs = [(spec.with_delta(0.1 * k), us, vs, -0.1 * (k + 1), 0.0) for k in range(n_legs)]
         solo = list(att._evolve_legs(legs, basis, 1e-2, 1))
         monkeypatch.setattr(att, "ThreadPoolExecutor", Recording)
         multi = list(att._evolve_legs(legs, basis, 1e-2, threads))
-        assert workers == [min(threads, len(submitted))]
-        assert len(submitted) == len(att._plan_tasks([(members, 1.0)] * n_legs, threads))
+        assert workers == [min(threads, n_legs)]
+        assert submitted == [(4, -0.1 * (k + 1)) for k in reversed(range(n_legs))]
+        assert len(multi) == n_legs
         for (ua, va), (ub, vb) in zip(solo, multi):
             assert np.array_equal(ua, ub) and np.array_equal(va, vb)
 
-    def test_no_legs_start_no_pool(self, free_setup, monkeypatch):
-        _, basis, _ = free_setup
+    def test_fewer_than_two_legs_start_no_pool(self, free_setup, monkeypatch):
+        spec, basis, _ = free_setup
         monkeypatch.setattr(att, "ThreadPoolExecutor", None)
         assert list(att._evolve_legs([], basis, 1e-2, 2)) == []
+        us = np.zeros((2, basis.n_modes))
+        (ue, ve), = att._evolve_legs([(spec, us, us, -0.1, 0.0)], basis, 1e-2, 2)
+        assert ue.shape == ve.shape == us.shape
 
-    @pytest.mark.parametrize("amp", [3.0, 30.0])
-    def test_blowup_names_the_same_member_at_any_thread_count(self, free_setup, amp):
-        # row 3 fails first at 0.5; row 1 fails at 0.7 (amp 3) or also at 0.5 (amp 30)
+    def test_blowup_is_that_of_the_first_failing_leg(self, free_setup):
+        # leg 1 fails on row 3; leg 2 fails earlier in t, on row 0; leg 0 is stable
         _, basis, _ = free_setup
         spec = kw.ModelSpec(dim=1, delta=1.0)
-        us = np.zeros((4, basis.n_modes))
-        us[:, 0] = [0.01, amp, 0.02, 1e3]
-        leg = (spec, us, np.zeros_like(us), 0.0, 5.0)
+        legs = []
+        for col in ([0.01, 0.02, 0.03, 0.04], [0.01, 3.0, 0.02, 1e3], [1e4, 0.01, 0.02, 0.03]):
+            us = np.zeros((4, basis.n_modes))
+            us[:, 0] = col
+            legs.append((spec, us, np.zeros_like(us), 0.0, 5.0))
         from kwavelab.integrator import BlowUpError
         seen = set()
         for threads in (1, 2, 3, 4):
             with pytest.raises(BlowUpError) as exc:
-                list(att._evolve_legs([leg], basis, 0.1, threads))
+                list(att._evolve_legs(legs, basis, 0.1, threads))
             seen.add((exc.value.t, exc.value.member, exc.value.mode))
-        assert len(seen) == 1 and seen.pop()[1] == (3 if amp == 3.0 else 1)
+        assert len(seen) == 1 and seen.pop()[1] == 3
 
 
 class TestSemicontinuity:
@@ -397,7 +380,16 @@ class TestSemicontinuity:
 
     def test_threads_do_not_change_membership(self, forced_setup):
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=8, seed=5, taus=(2.0,))
-        solo = pullback_cloud(spec, params, basis, ens, 0.0, 2.0, dt=1e-2, threads=1)
-        multi = pullback_cloud(spec, params, basis, ens, 0.0, 2.0, dt=1e-2, threads=4)
-        assert np.array_equal(solo.us, multi.us) and np.array_equal(solo.vs, multi.vs)
+        ens = EnsembleSpec(n_points=8, seed=5, taus=(1.0, 2.0))
+        solo = semicontinuity_sweep(spec, params, basis, ens, [0.2, 0.1, 0.0],
+                                    0.0, 2.0, dt=1e-2, threads=1)
+        for threads in (2, 4):
+            multi = semicontinuity_sweep(spec, params, basis, ens, [0.2, 0.1, 0.0],
+                                         0.0, 2.0, dt=1e-2, threads=threads)
+            assert multi == solo
+        reps = [verify_absorbing(spec, params, basis, ens, [0.1, 0.0], 0.0, 1e-2, threads)
+                for threads in (1, 4)]
+        for solo_rep, multi_rep in zip(*reps):
+            assert multi_rep.rows == solo_rep.rows
+            for a, b in zip(solo_rep.clouds, multi_rep.clouds):
+                assert np.array_equal(a.us, b.us) and np.array_equal(a.vs, b.vs)

@@ -345,7 +345,7 @@ class TestAttractorCommands:
 
     def test_artifacts_do_not_depend_on_threads(self, tmp_path):
         # d = 2 runs the batched grid transform; with one delta each command
-        # has 2 legs, which 3 threads split into unevenly sized member chunks
+        # has 2 legs, so 2 and 3 threads both run them side by side
         text = (SMALL_MODEL.replace("model.dim = 1", "model.dim = 2")
                 .replace("disc.n_modes = 8", "disc.n_modes = 4")
                 .replace("attractor.n_points = 8", "attractor.n_points = 5")
