@@ -10,8 +10,10 @@ DIR/<config stem>/<command>, and prints one line per artifact written:
 A command that stops before writing anything (an infeasible 'fit', say)
 prints no line. The CLI's own messages go to stderr, followed by one
 ``[digests] <config> <command>: exit N`` line (or ``raised <Error>`` with the
-traceback when the command crashes). The stdout of two checkouts, and their
-``[digests]`` lines, can be compared with diff.
+traceback when the command crashes). A warning prints as one
+``<Category>: <message>`` line, without the path of the checkout that raised
+it. The stdout of two checkouts, and their ``[digests]`` and warning lines,
+can be compared with diff.
 """
 
 import argparse
@@ -20,6 +22,7 @@ import hashlib
 import os
 import sys
 import traceback
+import warnings
 
 from kwavelab.cli import COMMANDS, main as kwavelab_main
 
@@ -35,6 +38,7 @@ if __name__ == "__main__":
     parser.add_argument("--out", required=True)
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     stems = [os.path.splitext(os.path.basename(c))[0] for c in args.configs]
     if len(set(stems)) != len(stems):
         parser.error("config file names must differ")

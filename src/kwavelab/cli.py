@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -21,7 +20,7 @@ from . import attractor as att
 from . import energy as en
 from .config import ConfigError, ExperimentConfig, InfeasibleConfigError
 from .integrator import BlowUpError, StepConfig, run, run_decomposition
-from .model import eval_epsilon, validate_hypotheses
+from .model import eval_epsilon, exp_each, validate_hypotheses
 from .spectral import grad_norm_sq
 
 MONOTONE_NOISE_BAND = 0.10  # tolerated relative increase between sweep rows
@@ -65,14 +64,9 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     return 0 if report.all_passed else 1
 
 
-def _trajectory_rows(traj):
-    for i in range(traj.n_records):
-        yield (traj.times[i], *traj.us[i], *traj.vs[i])
-
-
-def _trajectory_header(basis) -> list[str]:
+def _state_columns(basis) -> list[str]:
     labels = basis.mode_labels()
-    return ["t"] + [f"u_{m}" for m in labels] + [f"v_{m}" for m in labels]
+    return [f"u_{m}" for m in labels] + [f"v_{m}" for m in labels]
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -80,8 +74,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     params = cfg.energy_params(log=_stage)
     _stage(f"integrating {cfg.step.n_steps} steps of dt = {cfg.step.dt:g}")
     traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
-    _write_csv(os.path.join(out, "trajectory.csv"), _trajectory_header(cfg.basis),
-               _trajectory_rows(traj))
+    _write_csv(os.path.join(out, "trajectory.csv"), ["t"] + _state_columns(cfg.basis),
+               np.column_stack([traj.times, traj.us, traj.vs]))
     _stage("building energy ledger")
     ledger = en.build_ledger(traj, cfg.model, cfg.basis, params)
     decay = en.verify_decay_inequality(ledger, traj, cfg.model, cfg.basis, params,
@@ -160,9 +154,8 @@ def cmd_pullback(cfg: ExperimentConfig) -> int:
         _stage(f"delta = {d:g}: fraction inside at tau = {rep.rows[-1].tau:g} "
                f"is {rep.rows[-1].fraction_inside:.3f}")
     clouds = [rep.clouds[-1] for rep in reps]
-    labels = cfg.basis.mode_labels()
-    header = ["t_star", "delta", "tau"] + [f"u_{m}" for m in labels] + [f"v_{m}" for m in labels]
-    _write_csv(os.path.join(out, "clouds.csv"), header, _cloud_rows(clouds))
+    _write_csv(os.path.join(out, "clouds.csv"),
+               ["t_star", "delta", "tau"] + _state_columns(cfg.basis), _cloud_rows(clouds))
     _write_json(os.path.join(out, "absorbing.json"),
                 {"t_star": t_star, "reports": reports})
     all_ok = all(rep["passed"] for rep in reports.values())
@@ -176,7 +169,7 @@ def cmd_semicontinuity(cfg: ExperimentConfig) -> int:
     tau = ens.taus[-1]
     _check_legs(cfg, t_star, [tau])
     params = cfg.energy_params(log=_stage)
-    deltas = sorted({float(d) for d in cfg.values["attractor.deltas"]}, reverse=True)
+    deltas = sorted(map(float, cfg.values["attractor.deltas"]), reverse=True)
     _stage(f"sweep over deltas {deltas} at tau = {tau:g}")
     sweep = att.semicontinuity_sweep(cfg.model, params, cfg.basis, ens, deltas,
                                      t_star, tau, cfg.attractor_dt,
@@ -203,24 +196,16 @@ def cmd_decompose(cfg: ExperimentConfig) -> int:
     traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
     _stage("integrating decomposition")
     pair = run_decomposition(traj, cfg.model)
-    mu = cfg.basis.eigenvalues
-    t0 = float(traj.times[0])
-    g0 = grad_norm_sq(cfg.basis, pair.u1.us[0])
-    rows = []
-    rate2_ok = True
-    lap_sq = np.sum(mu ** 2 * pair.u2.us ** 2, axis=1)
-    for i in range(traj.n_records):
-        t = float(traj.times[i])
-        g1 = grad_norm_sq(cfg.basis, pair.u1.us[i])
-        bound = math.exp(-2.0 * (t - t0)) * g0 * (1.0 + 1e-3)
-        if g1 > bound + 1e-300:
-            rate2_ok = False
-        rows.append((t, g1, bound, pair.residual_norms[i], lap_sq[i]))
+    g1 = grad_norm_sq(cfg.basis, pair.u1.us)
+    bound = exp_each(-2.0 * (traj.times - traj.times[0])) * g1[0] * (1.0 + 1e-3)
+    rate2_ok = not np.any(g1 > bound + 1e-300)
+    lap_sq = np.sum(cfg.basis.eigenvalues ** 2 * pair.u2.us ** 2, axis=1)
     _write_csv(os.path.join(out, "decomposition.csv"),
-               ["t", "grad_u1_sq", "decay_bound", "residual_norm", "lap_u2_sq"], rows)
-    summary = {"max_residual": pair.max_residual, "rate2_ok": rate2_ok,
-               "sup_lap_u2_sq": float(np.max(lap_sq)), "k_eff": pair.k_eff}
-    _write_json(os.path.join(out, "decomposition.json"), summary)
+               ["t", "grad_u1_sq", "decay_bound", "residual_norm", "lap_u2_sq"],
+               zip(traj.times, g1, bound, pair.residual_norms, lap_sq))
+    _write_json(os.path.join(out, "decomposition.json"),
+                {"max_residual": pair.max_residual, "rate2_ok": rate2_ok,
+                 "sup_lap_u2_sq": float(np.max(lap_sq)), "k_eff": pair.k_eff})
     _stage(f"max residual {pair.max_residual:.3e}, rate-2 bound "
            f"{'holds' if rate2_ok else 'FAILS'}")
     return 0 if rate2_ok else 1

@@ -186,8 +186,10 @@ class ExperimentConfig:
             if model.h.kind != "zero" and model.h.mode > basis.n_modes:
                 raise ValueError(f"model.h.mode {model.h.mode} outside basis of "
                                  f"{basis.n_modes} modes")
-            if any(d < 0 for d in values["attractor.deltas"]):
-                raise ValueError("attractor.deltas must be nonnegative")
+            deltas = values["attractor.deltas"]
+            if not deltas or min(deltas) < 0 or len(set(deltas)) < len(deltas):
+                raise ValueError(f"attractor.deltas must be nonnegative, distinct and "
+                                 f"nonempty, not {list(deltas)}")
             if values["threads"] < 1:
                 raise ValueError(f"threads = {values['threads']} must be at least 1")
         except ValueError as exc:

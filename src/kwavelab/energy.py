@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .integrator import Trajectory, reconstruct_accel
-from .model import ForcingSpec, ModelSpec, eval_epsilon, forcing_norm_sq
+from .model import ForcingSpec, ModelSpec, eval_epsilon, exp_each, forcing_norm_sq
 from .spectral import (Basis, ModalState, dual_norm_sq, eval_nonlinearity_modal,
                        grad_norm_sq, inner, integral_of_G, norm_sq, xt_norm_sq)
 
@@ -86,18 +86,18 @@ def xi_value(params: EnergyParams, basis: Basis) -> float:
     return min(0.1, math.sqrt(basis.lambda1) / 4.0)
 
 
-def eval_E(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams) -> float:
+def eval_E(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams):
     eps, _ = eval_epsilon(spec.epsilon, state.t)
     u, v = state.u, state.v
     S = grad_norm_sq(basis, u)
-    return float(eps * norm_sq(v + params.rho * u) - params.rho ** 2 * eps * norm_sq(u)
-                 + S + 0.5 * spec.delta * S ** 2 + params.rho * S
-                 + spec.lam * norm_sq(u)
-                 - 2.0 * integral_of_G(spec.g, basis, u) + 2.0 * params.c0)
+    return (eps * norm_sq(v + params.rho * u) - params.rho ** 2 * eps * norm_sq(u)
+            + S + 0.5 * spec.delta * (S * S) + params.rho * S
+            + spec.lam * norm_sq(u)
+            - 2.0 * integral_of_G(spec.g, basis, u) + 2.0 * params.c0)
 
 
 def eval_I(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams,
-           E: Optional[float] = None) -> float:
+           E=None):
     """Dissipation functional; ``E`` is eval_E of the same state when the
     caller has it already."""
     if E is None:
@@ -107,39 +107,39 @@ def eval_I(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParam
     S = grad_norm_sq(basis, u)
     gu = inner(eval_nonlinearity_modal(spec.g, basis, u), u)
     rho = params.rho
-    return float(0.5 * rho * S + 2.0 * spec.delta * rho * S ** 2 - 2.0 * rho * gu
-                 + rho * (2.0 * eps - rho) * norm_sq(v + rho * u)
-                 - params.chi * E)
+    return (0.5 * rho * S + 2.0 * spec.delta * rho * (S * S) - 2.0 * rho * gu
+            + rho * (2.0 * eps - rho) * norm_sq(v + rho * u)
+            - params.chi * E)
 
 
-def eval_K(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams) -> float:
+def eval_K(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams):
     eps, _ = eval_epsilon(spec.epsilon, state.t)
     u, v = state.u, state.v
     rho = params.rho
-    return float(0.5 * grad_norm_sq(basis, v) + rho * grad_norm_sq(basis, u)
-                 - (8.0 * rho ** 2 * eps / basis.lambda1) * norm_sq(v)
-                 - 0.5 * rho ** 2 * basis.lambda1 * eps * norm_sq(u))
+    return (0.5 * grad_norm_sq(basis, v) + rho * grad_norm_sq(basis, u)
+            - (8.0 * rho ** 2 * eps / basis.lambda1) * norm_sq(v)
+            - 0.5 * rho ** 2 * basis.lambda1 * eps * norm_sq(u))
 
 
-def eval_L(traj: Trajectory, spec: ModelSpec, basis: Basis, params: EnergyParams,
-           t: float) -> float:
-    i = traj.index_of(t)
-    w = traj.vs[i]
-    wt = reconstruct_accel(traj, spec, t)
-    eps, _ = eval_epsilon(spec.epsilon, t)
+def eval_L(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams):
+    """Second energy with w = u_t, for a state that solves the second-order
+    problem (its w_t is reconstructed from the equation)."""
+    w = state.v
+    wt = reconstruct_accel(state, spec, basis)
+    eps, _ = eval_epsilon(spec.epsilon, state.t)
     rho = params.rho
-    return float(eps * dual_norm_sq(basis, wt) + 2.0 * rho * eps * inner(wt, w)
-                 + norm_sq(w) + rho * grad_norm_sq(basis, w)
-                 + spec.lam * dual_norm_sq(basis, w))
+    return (eps * dual_norm_sq(basis, wt) + 2.0 * rho * eps * inner(wt, w)
+            + norm_sq(w) + rho * grad_norm_sq(basis, w)
+            + spec.lam * dual_norm_sq(basis, w))
 
 
 def eval_Etilde(z_state: ModalState, spec: ModelSpec, basis: Basis,
-                params: EnergyParams) -> float:
+                params: EnergyParams):
     eps, _ = eval_epsilon(spec.epsilon, z_state.t)
     xi = xi_value(params, basis)
     z, zt = z_state.u, z_state.v
-    return float(eps * norm_sq(zt) + 2.0 * xi * eps * inner(zt, z)
-                 + (1.0 + xi) * grad_norm_sq(basis, z) + spec.lam * norm_sq(z))
+    return (eps * norm_sq(zt) + 2.0 * xi * eps * inner(zt, z)
+            + (1.0 + xi) * grad_norm_sq(basis, z) + spec.lam * norm_sq(z))
 
 
 def weighted_tail_integral(h: ForcingSpec, sigma1: float, t: float) -> float:
@@ -180,41 +180,27 @@ class EnergyLedger:
     B: np.ndarray
     residuals: np.ndarray
 
-    def __post_init__(self):
-        n = self.times.size
-        for name in ("E", "I", "K", "L", "Etilde", "xt_norm_sq", "B", "residuals"):
-            if getattr(self, name).size != n:
-                raise ValueError(f"ledger series {name} has wrong length")
-
     COLUMNS = ("t", "E", "I", "K", "L", "Etilde", "xt_norm_sq", "B", "residual")
 
     def rows(self):
-        for i in range(self.times.size):
-            yield (self.times[i], self.E[i], self.I[i], self.K[i], self.L[i],
-                   self.Etilde[i], self.xt_norm_sq[i], self.B[i], self.residuals[i])
+        return zip(self.times, self.E, self.I, self.K, self.L, self.Etilde,
+                   self.xt_norm_sq, self.B, self.residuals)
 
 
-def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis, params: EnergyParams,
-                 include_accel: bool = True) -> EnergyLedger:
-    """Functionals at every record; Etilde needs a difference run and stays NaN."""
-    n = traj.n_records
-    E = np.empty(n)
-    I = np.empty(n)
-    K = np.empty(n)
-    Lser = np.full(n, np.nan)
-    xt = np.empty(n)
-    B = np.empty(n)
-    for i in range(n):
-        st = ModalState(traj.us[i], traj.vs[i], float(traj.times[i]))
-        E[i] = eval_E(st, spec, basis, params)
-        I[i] = eval_I(st, spec, basis, params, E=E[i])
-        K[i] = eval_K(st, spec, basis, params)
-        xt[i] = xt_norm_sq(basis, st, spec.epsilon)
-        B[i] = eval_B(float(traj.times[i]), spec, params)
-        if include_accel and traj.accel_available:
-            Lser[i] = eval_L(traj, spec, basis, params, float(traj.times[i]))
-    return EnergyLedger(traj.times.copy(), E, I, K, Lser, np.full(n, np.nan), xt, B,
-                        np.full(n, np.nan))
+def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis,
+                 params: EnergyParams) -> EnergyLedger:
+    """Functionals at every record, all records as one batched state. L is
+    NaN for a trajectory that does not solve the second-order problem;
+    Etilde needs a difference run and stays NaN."""
+    records = ModalState(traj.us, traj.vs, traj.times)
+    E = eval_E(records, spec, basis, params)
+    nan = np.full(traj.n_records, np.nan)
+    return EnergyLedger(
+        traj.times.copy(), E, eval_I(records, spec, basis, params, E=E),
+        eval_K(records, spec, basis, params),
+        eval_L(records, spec, basis, params) if traj.accel_available else nan.copy(),
+        nan.copy(), xt_norm_sq(basis, records, spec.epsilon),
+        np.array([eval_B(float(t), spec, params) for t in traj.times]), nan)
 
 
 @dataclass(frozen=True)
@@ -263,7 +249,7 @@ def verify_decay_inequality(ledger: EnergyLedger, traj: Trajectory, spec: ModelS
     if t.size < 2:
         raise ValueError("need at least two recorded states")
     D = float(t[1] - t[0])
-    h_sq = np.array([forcing_norm_sq(spec.h, float(s)) for s in t[:-1]])
+    h_sq = forcing_norm_sq(spec.h, t[:-1])
     r = (ledger.E[1:] - ledger.E[:-1]) / D + params.chi * ledger.E[:-1] - h_sq / params.rho
     fitted = params.c5 is None
     c5 = max(0.0, float(np.max(r))) if fitted else params.c5
@@ -278,8 +264,7 @@ def verify_decay_inequality(ledger: EnergyLedger, traj: Trajectory, spec: ModelS
     S0 = grad_norm_sq(basis, traj.us[0])
     data0 = ledger.xt_norm_sq[0] + S0 ** ((p + 2.0) / 2.0) + spec.delta * S0 ** 2
     tau = float(t[0])
-    hw = np.array([math.exp(params.sigma1 * float(s)) * forcing_norm_sq(spec.h, float(s))
-                   for s in t])
+    hw = exp_each(params.sigma1 * t) * forcing_norm_sq(spec.h, t)
     W = np.concatenate([[0.0], np.cumsum(0.5 * (hw[1:] + hw[:-1]) * np.diff(t))])
     denom = (np.exp(-params.sigma1 * (t - tau)) * data0
              + np.exp(-params.sigma1 * t) * W + 1.0)
@@ -303,7 +288,7 @@ def fit_norm_sandwich(ledger: EnergyLedger, traj: Trajectory, spec: ModelSpec,
     """Fit c6, c9, c10 once and verify the two-sided norm comparison
     c6^{-1} xt <= E <= c9 (xt + |grad u|^{p+2} + delta |grad u|^4) + 2 c10."""
     p = spec.sobolev_p
-    S = np.array([grad_norm_sq(basis, traj.us[i]) for i in range(traj.n_records)])
+    S = grad_norm_sq(basis, traj.us)
     upper_arg = ledger.xt_norm_sq + S ** ((p + 2.0) / 2.0) + spec.delta * S ** 2
     pos = ledger.E > 1e-300
     ratios = np.where(pos, ledger.xt_norm_sq / np.where(pos, ledger.E, 1.0), 0.0)

@@ -63,12 +63,23 @@ class EpsilonProfile:
             raise ValueError("declared bound L must be >= alpha")
 
 
-def eval_epsilon(profile: EpsilonProfile, t: float) -> tuple[float, float]:
-    """Return (eps(t), eps'(t)) in closed form."""
+def exp_each(x):
+    """math.exp of a float, or of each entry of an array. np.exp rounds some
+    inputs differently, and every closed form in t keeps math.exp's bits."""
+    if getattr(x, "ndim", 0):
+        return np.array([math.exp(s) for s in x.ravel()]).reshape(x.shape)
+    return math.exp(x)
+
+
+def eval_epsilon(profile: EpsilonProfile, t):
+    """Return (eps(t), eps'(t)) in closed form: floats for a float t, arrays
+    of its shape for an array of times."""
     if profile.kind == "constant":
+        if getattr(t, "ndim", 0):
+            return np.full(t.shape, float(profile.alpha)), np.zeros(t.shape)
         return float(profile.alpha), 0.0
-    decay = math.exp(-t)
-    return float(profile.alpha + profile.amplitude * decay), float(-profile.amplitude * decay)
+    decay = exp_each(-t)
+    return profile.alpha + profile.amplitude * decay, -profile.amplitude * decay
 
 
 @dataclass(frozen=True)
@@ -185,21 +196,23 @@ class ForcingSpec:
             raise ValueError("mode index is 1-based")
 
 
-def forcing_norm_sq(spec: ForcingSpec, t: float) -> float:
-    """Squared L^2 norm of h(., t), in closed form."""
+def forcing_norm_sq(spec: ForcingSpec, t):
+    """Squared L^2 norm of h(., t), in closed form; one value per time of an
+    array of times."""
     if spec.kind == "zero":
-        return 0.0
-    return float(spec.amplitude ** 2 * math.exp(-2.0 * spec.rate * abs(t)))
+        return np.zeros(t.shape) if getattr(t, "ndim", 0) else 0.0
+    return spec.amplitude ** 2 * exp_each(-2.0 * spec.rate * abs(t))
 
 
-def eval_h(spec: ForcingSpec, n_modes: int, t: float) -> np.ndarray:
-    """Modal coefficients of h(., t) on a basis of n_modes."""
-    h = np.zeros(n_modes)
+def eval_h(spec: ForcingSpec, n_modes: int, t) -> np.ndarray:
+    """Modal coefficients of h(., t) on a basis of n_modes; one row per time
+    of an array of times."""
+    h = np.zeros(getattr(t, "shape", ()) + (n_modes,))
     if spec.kind == "zero":
         return h
     if spec.mode > n_modes:
         raise ValueError(f"forcing mode {spec.mode} outside basis of {n_modes} modes")
-    h[spec.mode - 1] = spec.amplitude * math.exp(-spec.rate * abs(t))
+    h[..., spec.mode - 1] = spec.amplitude * exp_each(-spec.rate * abs(t))
     return h
 
 
@@ -277,8 +290,7 @@ def validate_hypotheses(spec: ModelSpec,
         raise ValueError("empty sampling range")
     checks: list[HypothesisCheck] = []
     tgrid = np.linspace(t_range[0], t_range[1], samples)
-    evals = np.array([eval_epsilon(spec.epsilon, t) for t in tgrid])
-    eps_vals, eps_der = evals[:, 0], evals[:, 1]
+    eps_vals, eps_der = eval_epsilon(spec.epsilon, tgrid)
 
     m = -float(np.max(eps_der))
     checks.append(HypothesisCheck("epsilon_monotone", m >= -1e-12, m,

@@ -19,9 +19,11 @@ so a field in a batch gets the bits it gets alone). At desk resolutions that
 is cheaper than an FFT. Each stage can write into a given buffer
 (``np.matmul(..., out=)``), and g into a given grid array, so a stepping
 loop that holds a ``nonlinearity_work`` workspace transforms without
-allocating. The nonlinearity is collocated on the nodes j/(2N+1), which
+allocating; without one, they run in row blocks of at most _BLOCK_VALUES
+grid values. The nonlinearity is collocated on the nodes j/(2N+1), which
 makes it the exact Galerkin projection for cubic g. All field operations
-accept a leading batch dimension, so ensembles evolve as one array.
+accept a leading batch dimension: ensembles evolve as one array, and a
+trajectory's records are evaluated as one.
 """
 
 from __future__ import annotations
@@ -73,11 +75,12 @@ class Basis:
 
 @dataclass(frozen=True)
 class ModalState:
-    """Galerkin coefficients of (u, u_t) at one time instant."""
+    """Galerkin coefficients of (u, u_t) at one time instant, or a batch:
+    rows of u and v with one time per row in t (or one t for all rows)."""
 
     u: np.ndarray
     v: np.ndarray
-    t: float
+    t: float | np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -239,12 +242,29 @@ def nonlinearity_work(spec: NonlinearitySpec, basis: Basis, lead: tuple) -> tupl
             _stage_buffers(batch, dim, side, n))
 
 
+_BLOCK_VALUES = 1 << 15  # grid values (256 KB) per row block of an allocating transform
+
+
+def _in_row_blocks(basis: Basis, f: np.ndarray, M: int, on_grid, width: tuple) -> np.ndarray:
+    """on_grid(values on the M-point nodes) of the fields of f, shaped
+    f.shape[:-1] + width, taking the rows in blocks of at most _BLOCK_VALUES
+    nodal values (at least one row); every row gets the bits it gets alone."""
+    f = np.asarray(f, dtype=float)
+    rows = f.reshape(-1, basis.n_modes)
+    step = max(1, _BLOCK_VALUES // (M - 1) ** basis.dim)
+    out = np.empty((rows.shape[0],) + width)
+    for i in range(0, rows.shape[0], step):
+        out[i:i + step] = on_grid(to_grid(basis, rows[i:i + step], M))
+    return out.reshape(f.shape[:-1] + width)
+
+
 def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
                             work=None) -> np.ndarray:
     """Galerkin projection (g(u), phi_m) by collocation on the nodes j/M,
     M = 2N+1, per dimension: exact for polynomial g up to degree 3.
 
-    Without ``work`` (from nonlinearity_work) every stage allocates."""
+    Without ``work`` (from nonlinearity_work) every stage allocates, one row
+    block at a time."""
     to, g, back = (None, None, None) if work is None else work
     if spec.kind == "zero":  # no transform
         if back is None:
@@ -252,17 +272,21 @@ def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
         back[-1].fill(0.0)
         return back[-1]
     M = _quadrature_pts(basis)
+    if work is None:
+        return _in_row_blocks(basis, f, M, lambda vals: from_grid(
+            basis, eval_g_value(spec, vals), M), (basis.n_modes,))
     vals = to_grid(basis, f, M, to)
     return from_grid(basis, eval_g_value(spec, vals, g), M, back)
 
 
 def integral_of_G(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.ndarray | float:
     """(G(u), 1) by quadrature on the nodes j/M, M = 2N+1, per dimension:
-    exact for G up to degree 4 (cubic g)."""
+    exact for G up to degree 4 (cubic g). One value per row of a batch,
+    evaluated in row blocks."""
     if spec.kind == "zero":
         out = np.zeros(np.asarray(f).shape[:-1])
-        return float(out) if np.ndim(out) == 0 else out
-    M = _quadrature_pts(basis)
-    vals = to_grid(basis, f, M)
-    _, _, G_vals = eval_g(spec, vals)
-    return integrate_grid(G_vals, M, basis.dim)
+    else:
+        M = _quadrature_pts(basis)
+        out = _in_row_blocks(basis, f, M, lambda vals: integrate_grid(
+            eval_g(spec, vals)[2], M, basis.dim), ())
+    return float(out) if np.ndim(out) == 0 else out

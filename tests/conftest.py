@@ -42,3 +42,22 @@ def hand_instance():
     basis = kw.Basis(1, 8)
     params = EnergyParams(rho=1.0, chi=0.1, c0=0.0, c4=1.0)
     return spec, basis, params
+
+
+@pytest.fixture(scope="session", params=[(1, 8), (2, 5), (3, 6)], ids=["d1", "d2", "d3"])
+def forced_cubic_run(request):
+    """(spec, basis, trajectory) with every term of the model on: cubic g,
+    delta > 0, decaying eps and separable forcing, from t = -0.3 so that the
+    kink of |h| at t = 0 lies inside. The 71 records of the d = 3 run span
+    four row blocks of the grid transforms."""
+    dim, n = request.param
+    spec = kw.ModelSpec(
+        dim=dim, delta=0.3, lam=0.2,
+        epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
+        g=kw.NonlinearitySpec.cubic_soft(),
+        h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=2, sigma=1.0))
+    basis = kw.Basis(dim, n)
+    rng = np.random.default_rng(dim)
+    ic = kw.ModalState(rng.standard_normal(basis.n_modes) / np.sqrt(basis.eigenvalues),
+                       rng.standard_normal(basis.n_modes), -0.3)
+    return spec, basis, kw.run(ic, spec, basis, kw.StepConfig(dt=1e-2, t_start=-0.3, t_end=0.4))

@@ -65,7 +65,7 @@ def test_criterion_2_energy_decay(tmp_path):
     params = EnergyParams(rho=chosen["rho"], chi=chosen["chi"],
                           sigma1=chosen["sigma1"], c0=0.0, c4=1.0)
     traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
-    ledger = build_ledger(traj, cfg.model, cfg.basis, params, include_accel=False)
+    ledger = build_ledger(traj, cfg.model, cfg.basis, params)
     decay = verify_decay_inequality(ledger, traj, cfg.model, cfg.basis, params,
                                     slack_factor=10.0, dt=cfg.step.dt)
     sandwich = fit_norm_sandwich(ledger, traj, cfg.model, cfg.basis, params)

@@ -159,21 +159,25 @@ class TestExitCodes:
         ("simulate", "eps_sample"), ("simulate", "eps_mode"),
         ("decompose", "eps_sample"), ("decompose", "eps_mode"),
         ("pullback", "negative_delta"), ("semicontinuity", "negative_delta"),
+        ("pullback", "empty_deltas"), ("semicontinuity", "empty_deltas"),
+        ("pullback", "repeated_delta"), ("semicontinuity", "repeated_delta"),
         ("validate", "h_mode"), ("simulate", "h_mode"), ("decompose", "h_mode"),
         ("pullback", "h_mode"), ("semicontinuity", "h_mode")])
     def test_unrunnable_config_exit_2(self, tmp_path, capsys, command, case):
-        # eps(t) = 1 - 0.5 exp(-t) < 0 at disc.t_start = -1; a negative delta
-        # in the sweep list; a forcing mode outside the 8-mode basis
+        # eps(t) = 1 - 0.5 exp(-t) < 0 at disc.t_start = -1; a negative,
+        # empty or repeated delta list; a forcing mode outside the 8-mode basis
+        deltas = {"negative_delta": "0.2, -0.1, 0.0", "empty_deltas": ",",
+                  "repeated_delta": "0.1, 0.1, 0.0"}
         if case.startswith("eps"):
             with open(fixture_cfg("eps_increasing.cfg")) as fh:
                 text = fh.read().replace("disc.t_start = 0.0", "disc.t_start = -1.0")
             text += ("ic.kind = sample\n" if case == "eps_sample"
                      else "ic.kind = mode\nic.u_amp = 0.5\n")
             message = "<= 0 at t = -1,"
-        elif case == "negative_delta":
+        elif case in deltas:
             text = SMALL_MODEL.replace("attractor.deltas = 0.2, 0.1, 0.0",
-                                       "attractor.deltas = 0.2, -0.1, 0.0")
-            message = "attractor.deltas must be nonnegative"
+                                       f"attractor.deltas = {deltas[case]}")
+            message = "attractor.deltas must be nonnegative, distinct and nonempty"
         else:
             text = SMALL_MODEL + "model.h.mode = 9\n"
             message = "model.h.mode 9 outside basis of 8 modes"

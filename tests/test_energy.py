@@ -94,10 +94,42 @@ class TestPointFunctionals:
             return quadrature(*args)
 
         monkeypatch.setattr(en, "integral_of_G", counting)
-        ledger = build_ledger(traj, spec, basis, params, include_accel=False)
-        assert len(calls) == traj.n_records
+        ledger = build_ledger(traj, spec, basis, params)
+        assert len(calls) == 1  # one batched call evaluates E at every record
         for i in range(traj.n_records):  # the same bits as evaluating E afresh
             assert ledger.I[i] == eval_I(traj.state(i), spec, basis, params)
+
+
+class TestBatchedLedger:
+    def test_ledger_equals_per_state_calls_bitwise(self, forced_cubic_run):
+        spec, basis, traj = forced_cubic_run
+        params = EnergyParams(rho=0.5, chi=0.1, c0=0.0, c4=1.0)
+        ledger = build_ledger(traj, spec, basis, params)
+        series = {name: np.empty(traj.n_records)
+                  for name in ("E", "I", "K", "L", "xt_norm_sq", "B")}
+        for i in range(traj.n_records):  # the per-record oracle
+            st = traj.state(i)
+            series["E"][i] = eval_E(st, spec, basis, params)
+            series["I"][i] = eval_I(st, spec, basis, params, E=series["E"][i])
+            series["K"][i] = eval_K(st, spec, basis, params)
+            series["L"][i] = eval_L(st, spec, basis, params)
+            series["xt_norm_sq"][i] = kw.xt_norm_sq(basis, st, spec.epsilon)
+            series["B"][i] = eval_B(st.t, spec, params)
+        for name, want in series.items():
+            assert np.array_equal(getattr(ledger, name), want), name
+        assert np.isnan(ledger.Etilde).all() and np.isnan(ledger.residuals).all()
+
+    def test_single_state_and_one_row_batch_agree(self, cubic3d_setup):
+        spec, basis = cubic3d_setup
+        params = EnergyParams(rho=0.5, chi=0.1, c0=0.0, c4=1.0)
+        rng = np.random.default_rng(9)
+        st = ModalState(0.1 * rng.standard_normal(basis.n_modes),
+                        0.1 * rng.standard_normal(basis.n_modes), 0.7)
+        row = ModalState(st.u[None], st.v[None], np.array([st.t]))
+        for fn in (eval_E, eval_I, eval_K, eval_L, eval_Etilde):
+            single, batch = fn(st, spec, basis, params), fn(row, spec, basis, params)
+            assert isinstance(single, float) and batch.shape == (1,)
+            assert batch[0] == single, fn.__name__
 
 
 class TestSecondEnergy:
@@ -106,21 +138,21 @@ class TestSecondEnergy:
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
         traj = run(kw.zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
-        assert eval_L(traj, spec, basis, params, 1.0) == 0.0
+        assert eval_L(traj.final_state, spec, basis, params) == 0.0
 
     def test_single_mode_hand_expansion(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=0.8, chi=0.1, c0=0.0, c4=1.0)
         traj = run(single_mode_state(basis, 1.0), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=1.0, record_every=100))
-        t = 0.5
-        i = traj.index_of(t)
+        state = traj.state(5)
+        assert state.t == 0.5
         mu = basis.eigenvalues
-        w = traj.vs[i]
-        wt = kw.reconstruct_accel(traj, spec, t)
+        w = state.v
+        wt = kw.reconstruct_accel(state, spec, basis)
         expected = (np.sum(wt ** 2 / mu) + 2 * 0.8 * np.dot(wt, w) + np.sum(w ** 2)
                     + 0.8 * np.sum(mu * w ** 2))
-        assert eval_L(traj, spec, basis, params, t) == pytest.approx(expected, rel=1e-12)
+        assert eval_L(state, spec, basis, params) == pytest.approx(expected, rel=1e-12)
 
     def test_equivalence_sandwich(self, linear_setup):
         # fit c18, c19 on one run, then the sandwich holds at every instant
@@ -132,12 +164,12 @@ class TestSecondEnergy:
                                                record_every=100))
         pairs = []
         for i in range(traj.n_records):
-            t = float(traj.times[i])
-            w = traj.vs[i]
-            wt = kw.reconstruct_accel(traj, spec, t)
+            state = traj.state(i)
+            w = state.v
+            wt = kw.reconstruct_accel(state, spec, basis)
             core = float(np.sum(wt ** 2 / basis.eigenvalues)
                          + np.sum(basis.eigenvalues * w ** 2))
-            pairs.append((eval_L(traj, spec, basis, params, t), core))
+            pairs.append((eval_L(state, spec, basis, params), core))
         ratios = [L / c for L, c in pairs if c > 1e-250]
         c18, c19 = min(ratios), max(ratios)
         assert 0.0 < c18 <= c19
@@ -221,14 +253,14 @@ class TestDecayInequality:
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0, c5=0.0)
         traj = run(kw.zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
-        ledger = build_ledger(traj, spec, basis, params, include_accel=False)
+        ledger = build_ledger(traj, spec, basis, params)
         rep = verify_decay_inequality(ledger, traj, spec, basis, params)
         assert rep.passed and rep.max_violation <= 0.0
 
     def test_linear_case_c5_zero_tiny_slack(self, linear_trajectory, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, sigma1=0.1, c0=0.0, c4=1.0, c5=0.0)
-        ledger = build_ledger(linear_trajectory, spec, basis, params, include_accel=False)
+        ledger = build_ledger(linear_trajectory, spec, basis, params)
         rep = verify_decay_inequality(ledger, linear_trajectory, spec, basis, params)
         assert rep.passed and rep.energy_nonneg
         assert float(np.max(rep.residuals)) < 1e-6
@@ -238,7 +270,7 @@ class TestDecayInequality:
         bad = EnergyParams(rho=2.9, chi=1.4, c0=0.0, c4=1.0)  # violates rho box
         traj = run(kw.zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=0.1))
-        ledger = build_ledger(traj, spec, basis, bad, include_accel=False)
+        ledger = build_ledger(traj, spec, basis, bad)
         with pytest.raises(InfeasibleParamsError):
             verify_decay_inequality(ledger, traj, spec, basis, bad)
 
@@ -251,13 +283,13 @@ class TestDecayInequality:
         ic = ModalState(u0, np.zeros(8), 0.0)
         traj_fine = run(ic, spec, basis, StepConfig(dt=1e-4, t_start=0.0, t_end=2.0,
                                                     record_every=10))
-        ref = build_ledger(traj_fine, spec, basis, params, include_accel=False)
+        ref = build_ledger(traj_fine, spec, basis, params)
         verify_decay_inequality(ref, traj_fine, spec, basis, params)
         errs = []
         for every in (400, 200):
             traj = run(ic, spec, basis, StepConfig(dt=1e-4, t_start=0.0, t_end=2.0,
                                                    record_every=every))
-            led = build_ledger(traj, spec, basis, params, include_accel=False)
+            led = build_ledger(traj, spec, basis, params)
             verify_decay_inequality(led, traj, spec, basis, params)
             # compare residuals at shared times against the near-continuum run
             idx = [ref.times.searchsorted(t) for t in led.times[:-1]]
@@ -278,7 +310,7 @@ class TestDecayInequality:
                         y[basis.n_modes:], 0.0)
         traj = run(ic, spec, basis, StepConfig(dt=2e-3, t_start=0.0, t_end=4.0,
                                                record_every=20))
-        ledger = build_ledger(traj, spec, basis, params, include_accel=False)
+        ledger = build_ledger(traj, spec, basis, params)
         rep = verify_decay_inequality(ledger, traj, spec, basis, params)
         assert rep.fitted_c5 and rep.passed and rep.energy_nonneg
         assert np.min(ledger.E) >= 0.0

@@ -246,14 +246,14 @@ class TestReconstructAccel:
         spec, basis = linear_setup
         traj = run(kw.zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
-        assert not kw.reconstruct_accel(traj, spec, 1.0).any()
+        assert not kw.reconstruct_accel(traj.final_state, spec, basis).any()
 
     def test_matches_second_difference(self, linear_setup):
         spec, basis = linear_setup
         traj = run(single_mode_ic(basis), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=1.0))
         i = 500
-        acc = kw.reconstruct_accel(traj, spec, float(traj.times[i]))
+        acc = kw.reconstruct_accel(traj.state(i), spec, basis)
         fd = (traj.us[i + 1] - 2 * traj.us[i] + traj.us[i - 1]) / 1e-6
         assert np.max(np.abs(acc - fd)) < 1e-3 * max(np.max(np.abs(acc)), 1e-12)
 
@@ -270,20 +270,17 @@ class TestReconstructAccel:
                         dense_output=True)
         traj = run(single_mode_ic(basis), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=1.0, record_every=1000))
-        acc = kw.reconstruct_accel(traj, spec, 1.0)[0]
+        acc = kw.reconstruct_accel(traj.final_state, spec, basis)[0]
         acc_ref = rhs(1.0, ref.sol(1.0))[1]
         assert abs(acc - acc_ref) / abs(acc_ref) < 1e-4
 
-    def test_off_grid_time_rejected(self, linear_trajectory, linear_setup):
-        spec, _ = linear_setup
-        with pytest.raises(ValueError):
-            kw.reconstruct_accel(linear_trajectory, spec, 0.005)
-
     def test_derived_trajectories_refuse_accel(self, linear_trajectory, linear_setup):
-        spec, _ = linear_setup
+        # u1 does not solve the second-order problem, so its ledger has no L
+        spec, basis = linear_setup
+        params = kw.EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
         pair = run_decomposition(linear_trajectory, spec)
-        with pytest.raises(ValueError, match="not reconstructable"):
-            kw.reconstruct_accel(pair.u1, spec, float(pair.u1.times[0]))
+        assert np.isnan(kw.build_ledger(pair.u1, spec, basis, params).L).all()
+        assert np.isfinite(kw.build_ledger(linear_trajectory, spec, basis, params).L).all()
 
 
 class TestDecomposition:
@@ -317,6 +314,27 @@ class TestDecomposition:
             g1 = kw.grad_norm_sq(basis, pair.u1.us[i])
             t = float(linear_trajectory.times[i])
             assert g1 <= math.exp(-2.0 * (t - t0)) * g0 * (1.0 + 1e-3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_residuals_equal_the_per_record_formula(self, forced_cubic_run):
+        spec, basis, parent = forced_cubic_run
+        pair = run_decomposition(parent, spec)
+        mu, k, a2 = basis.eigenvalues, pair.k_eff, pair.u2.us
+        h = float(parent.times[1] - parent.times[0])
+        d_a2 = (-a2[4:] + 8.0 * a2[3:-1] - 8.0 * a2[1:-3] + a2[:-4]) / (12.0 * h)
+        want = np.full(parent.n_records, np.nan)
+        for j, i in enumerate(range(2, parent.n_records - 2)):  # the per-record oracle
+            st = parent.state(i)
+            S = kw.grad_norm_sq(basis, st.u)
+            eps, _ = kw.eval_epsilon(spec.epsilon, st.t)
+            psi = (-eps * kw.reconstruct_accel(st, spec, basis) + k * st.u
+                   + kw.eval_h(spec.h, basis.n_modes, st.t))
+            phi = kw.eval_nonlinearity_modal(spec.g, basis, a2[i]) - k * a2[i]
+            res = ((1.0 + spec.delta * S) * mu * a2[i] + mu * d_a2[j]
+                   + spec.lam * a2[i] - phi - psi)
+            want[i] = math.sqrt(float(np.sum(res ** 2)))
+        assert np.array_equal(pair.residual_norms, want, equal_nan=True)
+        assert np.isfinite(want[2:-2]).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_decay_bound_with_cubic(self, cubic3d_setup):

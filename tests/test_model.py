@@ -101,6 +101,41 @@ class TestForcing:
         assert forcing_norm_sq(spec, 1.0) == pytest.approx(9.0 * math.exp(-2.0), rel=1e-14)
 
 
+class TestArrayTimes:
+    """The closed forms in t take an array of times and give, entry by entry,
+    the bits of the scalar calls (which use math.exp, not np.exp)."""
+
+    TIMES = np.random.default_rng(11).uniform(-10.0, 30.0, 400)
+
+    @pytest.mark.parametrize("prof", [EpsilonProfile(kind="constant", alpha=1.5),
+                                      EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0,
+                                                     amplitude=0.7)], ids=lambda p: p.kind)
+    def test_epsilon(self, prof):
+        eps, der = eval_epsilon(prof, self.TIMES)
+        assert eps.shape == der.shape == self.TIMES.shape
+        want = np.array([eval_epsilon(prof, float(t)) for t in self.TIMES])
+        assert np.array_equal(eps, want[:, 0]) and np.array_equal(der, want[:, 1])
+
+    @pytest.mark.parametrize("spec", [ForcingSpec(kind="zero"),
+                                      ForcingSpec(kind="separable", amplitude=1.3, rate=0.7,
+                                                  mode=3)], ids=lambda h: h.kind)
+    def test_forcing(self, spec):
+        h = eval_h(spec, 8, self.TIMES)
+        assert h.shape == (self.TIMES.size, 8)
+        assert np.array_equal(h, [eval_h(spec, 8, float(t)) for t in self.TIMES])
+        norm = forcing_norm_sq(spec, self.TIMES)
+        assert norm.shape == self.TIMES.shape
+        assert np.array_equal(norm, [forcing_norm_sq(spec, float(t)) for t in self.TIMES])
+
+    def test_scalar_times_give_floats(self):
+        prof = EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.7)
+        spec = ForcingSpec(kind="separable", amplitude=1.3, rate=0.7)
+        for t in (0.25, np.float64(0.25)):
+            assert all(type(x) is float for x in eval_epsilon(prof, t))
+            assert type(forcing_norm_sq(spec, t)) is float
+            assert eval_h(spec, 8, t).shape == (8,)
+
+
 class TestValidateHypotheses:
     def test_trivial_model_all_pass(self):
         rep = validate_hypotheses(kw.ModelSpec(dim=1, lam=1.0))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import kwavelab as kw
+from kwavelab import spectral
 from kwavelab.spectral import (AliasingError, Basis, ModalState, _dst_matrix,
                                dual_norm_sq, eval_nonlinearity_modal, from_grid,
                                integral_of_G, integrate_grid, nonlinearity_work,
@@ -195,7 +197,8 @@ class TestNonlinearityModal:
 
     @pytest.mark.parametrize("g", [kw.NonlinearitySpec.zero(), kw.NonlinearitySpec.cubic_soft(),
                                    kw.NonlinearitySpec.lipschitz_sine()], ids=lambda g: g.kind)
-    @pytest.mark.parametrize("dim,n,lead", [(1, 8, ()), (1, 8, (3,)), (2, 5, (3,)), (3, 4, (2,))])
+    @pytest.mark.parametrize("dim,n,lead", [(1, 8, ()), (1, 8, (3,)), (2, 5, (3,)), (3, 4, (2,)),
+                                            (3, 6, (40,))])  # 40 rows: three row blocks
     def test_workspace_gives_the_allocating_bits(self, g, dim, n, lead):
         b = Basis(dim, n)
         f = np.random.default_rng(dim).standard_normal(lead + (b.n_modes,))
@@ -205,6 +208,39 @@ class TestNonlinearityModal:
         for _ in range(2):  # a reused workspace gives the same bits again
             assert np.array_equal(eval_nonlinearity_modal(g, b, f, work), want)
         assert np.array_equal(f, f0)
+
+    @pytest.mark.parametrize("g", [kw.NonlinearitySpec.cubic_soft(),
+                                   kw.NonlinearitySpec.lipschitz_sine()], ids=lambda g: g.kind)
+    def test_row_blocks_give_every_row_its_own_bits(self, g):
+        # 40 rows of Basis(3, 6) hold 40 * 12^3 grid values: three row blocks
+        b = Basis(3, 6)
+        f = np.random.default_rng(6).standard_normal((2, 20, b.n_modes))
+        assert f[..., 0].size * 12 ** 3 > 2 * spectral._BLOCK_VALUES
+        G = integral_of_G(g, b, f)
+        N = eval_nonlinearity_modal(g, b, f)
+        assert G.shape == (2, 20) and N.shape == f.shape
+        for i, j in np.ndindex(2, 20):
+            assert G[i, j] == integral_of_G(g, b, f[i, j])
+            assert np.array_equal(N[i, j], eval_nonlinearity_modal(g, b, f[i, j]))
+
+    def test_allocating_transforms_keep_a_bounded_peak(self):
+        # 1000 rows at d = 3 need 13.8 MB for one whole-batch grid array;
+        # the row blocks keep every temporary below PEAK_BOUND
+        PEAK_BOUND = 4_000_000
+        b, g = Basis(3, 6), kw.NonlinearitySpec.cubic_soft()
+        f = np.random.default_rng(7).standard_normal((1000, b.n_modes))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: to_grid(b, f, 13)) > PEAK_BOUND
+        assert peak(lambda: integral_of_G(g, b, f)) < PEAK_BOUND
+        assert peak(lambda: eval_nonlinearity_modal(g, b, f)) < PEAK_BOUND
 
     def test_cubic_single_mode_quadrature_oracle(self):
         # project -(sqrt(2) sin(2 pi x))^3 on each retained mode by quadrature
