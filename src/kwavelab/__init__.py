@@ -16,7 +16,7 @@ from .spectral import (Basis, ModalState, eval_nonlinearity_modal, from_grid,
                        grad_norm_sq, norm_sq, to_grid, xt_norm_sq, zero_state)
 from .integrator import (BlowUpError, DecompositionPair, StepConfig,
                          Trajectory, evolve_ensemble, reconstruct_accel, run,
-                         run_decomposition, run_difference, step)
+                         run_decomposition, run_difference)
 from .energy import (EnergyLedger, EnergyParams, FeasibilityReport,
                      build_ledger, eval_B, eval_E, eval_Etilde, eval_I,
                      eval_K, eval_L, fit_norm_sandwich, solve_feasibility,

@@ -196,10 +196,10 @@ def cmd_decompose(cfg: ExperimentConfig) -> int:
     traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
     _stage("integrating decomposition")
     pair = run_decomposition(traj, cfg.model)
-    g1 = grad_norm_sq(cfg.basis, pair.u1.us)
+    g1 = grad_norm_sq(cfg.basis, pair.u1)
     bound = exp_each(-2.0 * (traj.times - traj.times[0])) * g1[0] * (1.0 + 1e-3)
     rate2_ok = not np.any(g1 > bound + 1e-300)
-    lap_sq = np.sum(cfg.basis.eigenvalues ** 2 * pair.u2.us ** 2, axis=1)
+    lap_sq = np.sum(cfg.basis.eigenvalues ** 2 * pair.u2 ** 2, axis=1)
     _write_csv(os.path.join(out, "decomposition.csv"),
                ["t", "grad_u1_sq", "decay_bound", "residual_norm", "lap_u2_sq"],
                zip(traj.times, g1, bound, pair.residual_norms, lap_sq))

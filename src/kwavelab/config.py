@@ -180,7 +180,9 @@ class ExperimentConfig:
             step = StepConfig(dt=values["disc.dt"], t_start=values["disc.t_start"],
                               t_end=values["disc.t_end"],
                               record_every=values["disc.record_every"])
-            step.n_steps  # validates divisibility
+            if step.n_steps == 0:  # also validates divisibility
+                raise ValueError(f"disc.t_end = {step.t_end:g} must exceed "
+                                 f"disc.t_start = {step.t_start:g}")
             if step.n_steps % values["disc.record_every"] != 0:
                 raise ValueError("record_every must divide the step count")
             if model.h.kind != "zero" and model.h.mode > basis.n_modes:
@@ -190,8 +192,12 @@ class ExperimentConfig:
             if not deltas or min(deltas) < 0 or len(set(deltas)) < len(deltas):
                 raise ValueError(f"attractor.deltas must be nonnegative, distinct and "
                                  f"nonempty, not {list(deltas)}")
-            if values["threads"] < 1:
-                raise ValueError(f"threads = {values['threads']} must be at least 1")
+            for key in ("threads", "energy.grid_n"):
+                if values[key] < 1:
+                    raise ValueError(f"{key} = {values[key]} must be at least 1")
+            for key in ("energy.rho_max", "energy.chi_max", "attractor.dt"):
+                if values[key] is not None and values[key] <= 0:
+                    raise ValueError(f"{key} = {values[key]:g} must be positive")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return cls(model, basis, step, values)

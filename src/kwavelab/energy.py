@@ -189,16 +189,16 @@ class EnergyLedger:
 
 def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis,
                  params: EnergyParams) -> EnergyLedger:
-    """Functionals at every record, all records as one batched state. L is
-    NaN for a trajectory that does not solve the second-order problem;
-    Etilde needs a difference run and stays NaN."""
+    """Functionals at every record, all records as one batched state. A
+    Trajectory solves the second-order problem, so L (which reconstructs
+    u_tt from the equation) is defined at every record; Etilde needs a
+    difference run and stays NaN."""
     records = ModalState(traj.us, traj.vs, traj.times)
     E = eval_E(records, spec, basis, params)
     nan = np.full(traj.n_records, np.nan)
     return EnergyLedger(
         traj.times.copy(), E, eval_I(records, spec, basis, params, E=E),
-        eval_K(records, spec, basis, params),
-        eval_L(records, spec, basis, params) if traj.accel_available else nan.copy(),
+        eval_K(records, spec, basis, params), eval_L(records, spec, basis, params),
         nan.copy(), xt_norm_sq(basis, records, spec.epsilon),
         np.array([eval_B(float(t), spec, params) for t in traj.times]), nan)
 

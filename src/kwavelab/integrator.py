@@ -16,7 +16,7 @@ The explicit Kirchhoff product scales with mu_max like the linear part, so
 a large delta |grad u|^2 limits the stable dt; folding (1 + delta S*) mu_m,
 S* extrapolated, into the implicit diagonal would lift that limit.
 
-``step``, ``run`` and ``evolve_ensemble`` drive one loop, ``_march``, which
+``run`` and ``evolve_ensemble`` drive one loop, ``_march``, which
 takes a leading batch axis. Step i runs from origin + (origin_step + i)*dt;
 a resumed run reuses the parent origin, so split runs are bitwise identical
 to unsplit ones. u is checked after every step (a non-finite v makes u
@@ -100,7 +100,6 @@ class Trajectory:
     times: np.ndarray
     us: np.ndarray
     vs: np.ndarray
-    accel_available: bool = True
     resume: Optional[ResumePoint] = None
 
     def __post_init__(self):
@@ -215,13 +214,6 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     return u, v, nl_prev
 
 
-def step(state: ModalState, spec: ModelSpec, basis: Basis, cfg: StepConfig,
-         nl_prev: Optional[np.ndarray] = None) -> ModalState:
-    """Advance one step of cfg.dt from the state's own time."""
-    u, v, _ = _march(state.u, state.v, spec, basis, cfg.dt, state.t, 0, 1, nl_prev)
-    return ModalState(u, v, state.t + cfg.dt)
-
-
 def run(initial: ModalState, spec: ModelSpec, basis: Basis, cfg: StepConfig,
         resume: Optional[ResumePoint] = None) -> Trajectory:
     """Integrate and record every cfg.record_every-th step.
@@ -283,12 +275,13 @@ class DecompositionPair:
 
     with u1(t0) = u(t0); u2 := u - u1 by subtraction, so the sum invariant is
     exact and the u2 equation (with psi = -eps u_tt + k_eff u + h on the
-    right) serves as a residual diagnostic.
+    right) serves as a residual diagnostic. u1 and u2 are the coefficients
+    at the parent's records, arrays of shape (records, modes); neither
+    solves the second-order problem, so neither is a Trajectory.
     """
 
-    u1: Trajectory
-    u2: Trajectory
-    parent: Trajectory
+    u1: np.ndarray
+    u2: np.ndarray
     k_eff: float
     residual_norms: np.ndarray = field(repr=False)
 
@@ -310,35 +303,32 @@ def run_decomposition(parent: Trajectory, spec: ModelSpec) -> DecompositionPair:
     evaluate the u2 residual diagnostic, all records in one batch. Its
     largest value measures the initial damping layer, which no record grid
     resolves, not a failed split (README, "The decompose residual"); above
-    RESIDUAL_TOL it warns, and the exit code of ``decompose`` ignores it."""
+    RESIDUAL_TOL it warns, and the exit code of ``decompose`` ignores it.
+
+    The parent's terms (S, the implicit diagonal and phi(u)) are evaluated
+    once for all records; each Heun stage evaluates only phi(u - a1), as a1
+    is sequential."""
     basis = parent.basis
     mu = basis.eigenvalues
     k_eff = max(spec.g.k, 1e-3)  # phi must be strictly decreasing
     ts, us = parent.times, parent.us
     n = parent.n_records
+    S = grad_norm_sq(basis, us)[:, None]
+    diag = (1.0 + spec.delta * S) * mu + spec.lam
+    phi_u = _phi_modal(spec, basis, us, k_eff)
     a1 = np.empty_like(us)
-    v1 = np.empty_like(us)
     a1[0] = us[0]
 
-    def rhs(i_time: int, a1_val: np.ndarray) -> np.ndarray:
-        u = us[i_time]
-        S = grad_norm_sq(basis, u)
-        f = _phi_modal(spec, basis, u, k_eff) - _phi_modal(spec, basis, u - a1_val, k_eff)
-        return (f - ((1.0 + spec.delta * S) * mu + spec.lam) * a1_val) / mu
+    def rhs(i: int, a1_val: np.ndarray) -> np.ndarray:
+        f = phi_u[i] - _phi_modal(spec, basis, us[i] - a1_val, k_eff)
+        return (f - diag[i] * a1_val) / mu
 
     for i in range(n - 1):
         h = float(ts[i + 1] - ts[i])
         k1 = rhs(i, a1[i])
-        pred = a1[i] + h * k1
-        k2 = rhs(i + 1, pred)
+        k2 = rhs(i + 1, a1[i] + h * k1)
         a1[i + 1] = a1[i] + 0.5 * h * (k1 + k2)
-        v1[i] = k1
-    v1[n - 1] = rhs(n - 1, a1[n - 1])
-
     a2 = us - a1
-    v2 = parent.vs - v1
-    u1_traj = Trajectory(basis, ts.copy(), a1, v1, accel_available=False)
-    u2_traj = Trajectory(basis, ts.copy(), a2, v2, accel_available=False)
 
     residuals = np.full(n, np.nan)
     if n >= 5:
@@ -346,11 +336,10 @@ def run_decomposition(parent: Trajectory, spec: ModelSpec) -> DecompositionPair:
         # 4th-order centered derivative of a2 on the recorded grid
         d_a2 = (-a2[4:] + 8.0 * a2[3:-1] - 8.0 * a2[1:-3] + a2[:-4]) / (12.0 * h)
         mid = ModalState(us[2:-2], parent.vs[2:-2], ts[2:-2])
-        S = grad_norm_sq(basis, mid.u)[:, None]
         eps, _ = eval_epsilon(spec.epsilon, mid.t)
         psi = (-eps[:, None] * reconstruct_accel(mid, spec, basis) + k_eff * mid.u
                + eval_h(spec.h, basis.n_modes, mid.t))
-        res = ((1.0 + spec.delta * S) * mu * a2[2:-2] + mu * d_a2
+        res = ((1.0 + spec.delta * S[2:-2]) * mu * a2[2:-2] + mu * d_a2
                + spec.lam * a2[2:-2] - _phi_modal(spec, basis, a2[2:-2], k_eff) - psi)
         residuals[2:-2] = np.sqrt(np.sum(res ** 2, axis=1))
         worst = np.nanmax(residuals)
@@ -358,19 +347,18 @@ def run_decomposition(parent: Trajectory, spec: ModelSpec) -> DecompositionPair:
             i_bad = int(np.nanargmax(residuals))
             warnings.warn(f"decomposition residual {worst:.3e} exceeds {RESIDUAL_TOL:g} "
                           f"at t = {float(ts[i_bad]):.6g}", RuntimeWarning, stacklevel=2)
-    return DecompositionPair(u1_traj, u2_traj, parent, k_eff, residuals)
+    return DecompositionPair(a1, a2, k_eff, residuals)
 
 
 def run_difference(spec_a: ModelSpec, spec_b: ModelSpec,
                    x_a: ModalState, x_b: ModalState,
-                   basis: Basis, cfg: StepConfig) -> Trajectory:
-    """Run two problems that differ only in delta; the trajectory of
-    z = u_a - u_b, with time derivative v_a - v_b."""
+                   basis: Basis, cfg: StepConfig) -> ModalState:
+    """Run two problems that differ only in delta; z = u_a - u_b at every
+    record as a batched state: u = z, v = z_t = v_a - v_b, t = the times."""
     if replace(spec_a, delta=0.0) != replace(spec_b, delta=0.0):
         raise ValueError("specs must agree except for delta")
     if x_a.u.shape != x_b.u.shape or x_a.u.shape[-1] != basis.n_modes:
         raise ValueError("initial states must live on the shared basis")
     ta = run(x_a, spec_a, basis, cfg)
     tb = run(x_b, spec_b, basis, cfg)
-    return Trajectory(basis, ta.times.copy(), ta.us - tb.us, ta.vs - tb.vs,
-                      accel_available=False)
+    return ModalState(ta.us - tb.us, ta.vs - tb.vs, ta.times)

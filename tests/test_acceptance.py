@@ -97,12 +97,12 @@ def test_criterion_4_decomposition():
     cfg = ExperimentConfig.load(f"{CONFIGS}/linear.cfg")
     traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
     pair = run_decomposition(traj, cfg.model)
-    sum_exact = bool(np.array_equal(pair.u2.us, traj.us - pair.u1.us))
+    sum_exact = bool(np.array_equal(pair.u2, traj.us - pair.u1))
     residual_ok = pair.max_residual < 1e-3
-    g0 = kw.grad_norm_sq(cfg.basis, pair.u1.us[0])
+    g0 = kw.grad_norm_sq(cfg.basis, pair.u1[0])
     t_0 = float(traj.times[0])
     rate2_ok = all(
-        kw.grad_norm_sq(cfg.basis, pair.u1.us[i])
+        kw.grad_norm_sq(cfg.basis, pair.u1[i])
         <= math.exp(-2.0 * (float(traj.times[i]) - t_0)) * g0 * (1.0 + 1e-3)
         for i in range(traj.n_records))
     ok = sum_exact and residual_ok and rate2_ok
@@ -124,7 +124,7 @@ def test_criterion_5_h2_boundedness():
         traj = run(kw.ModalState(u0, np.zeros(16), 0.0), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=t_end, record_every=10))
         pair = run_decomposition(traj, spec)
-        sups.append(float(np.max(np.sum(mu ** 2 * pair.u2.us ** 2, axis=1))))
+        sups.append(float(np.max(np.sum(mu ** 2 * pair.u2 ** 2, axis=1))))
     change = abs(sups[1] - sups[0]) / sups[0]
     ok = all(math.isfinite(s) for s in sups) and change < 0.05
     assert report(5, "H2 boundedness of u2", ok,
@@ -146,7 +146,7 @@ def test_criterion_6_delta_continuity():
     sq_norms = []
     for d in deltas:
         z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
-        sq_norms.append(kw.xt_norm_sq(basis, z.final_state, spec.epsilon))
+        sq_norms.append(kw.xt_norm_sq(basis, z, spec.epsilon)[-1])
     slope_sq = float(np.polyfit(np.log(deltas), np.log(sq_norms), 1)[0])
     slope_norm = slope_sq / 2.0
     C = sq_norms[0] / deltas[0]

@@ -186,6 +186,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
 
+    @pytest.mark.parametrize("command,line,message", [
+        ("simulate", "disc.t_end = 0.0", "disc.t_end = 0 must exceed disc.t_start = 0"),
+        ("decompose", "disc.t_end = 0.0", "disc.t_end = 0 must exceed disc.t_start = 0"),
+        ("feasibility", "energy.grid_n = -3", "energy.grid_n = -3 must be at least 1"),
+        ("feasibility", "energy.grid_n = 0", "energy.grid_n = 0 must be at least 1"),
+        ("feasibility", "energy.chi_max = 0", "energy.chi_max = 0 must be positive"),
+        ("feasibility", "energy.rho_max = -1", "energy.rho_max = -1 must be positive"),
+        ("pullback", "attractor.dt = 0", "attractor.dt = 0 must be positive"),
+        ("semicontinuity", "attractor.dt = -0.005", "attractor.dt = -0.005 must be positive")])
+    def test_unrunnable_value_exit_2(self, tmp_path, capsys, command, line, message):
+        # a run of no steps; an empty, negative or degenerate (rho, chi) grid;
+        # a pullback step that is not positive
+        key = line.split(" = ")[0]
+        pattern = rf"^{re.escape(key)} = .*$"
+        text = (re.sub(pattern, line, SMALL_MODEL, flags=re.M)
+                if re.search(pattern, SMALL_MODEL, flags=re.M) else SMALL_MODEL + line + "\n")
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_nonpositive_threads_key_exit_2(self, tmp_path, capsys, threads):
         path = write_cfg(tmp_path, SMALL_MODEL + f"threads = {threads}\n")

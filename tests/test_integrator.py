@@ -79,16 +79,17 @@ class TestStep:
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
     def test_single_step_api(self, linear_setup):
+        # one step is a run over one step of dt
         spec, basis = linear_setup
         cfg = StepConfig(dt=1e-3, t_start=0.0, t_end=1e-3)
         ic = single_mode_ic(basis, amp_v=0.5)
         u0, v0 = ic.u.copy(), ic.v.copy()
-        out = kw.step(ic, spec, basis, cfg)
         traj = run(ic, spec, basis, cfg)
-        assert np.array_equal(out.u, traj.us[-1])
-        assert np.array_equal(out.v, traj.vs[-1])
+        assert traj.times.tolist() == [0.0, 1e-3]
+        assert not np.array_equal(traj.us[-1], u0) and not np.array_equal(traj.vs[-1], v0)
         # the stepping loop works in its own buffers, never in the caller's
         assert np.array_equal(ic.u, u0) and np.array_equal(ic.v, v0)
+        assert not np.shares_memory(traj.us, ic.u) and not np.shares_memory(traj.vs, ic.v)
 
     def test_blow_up_reports_time(self):
         spec = kw.ModelSpec(dim=1, delta=1.0)
@@ -107,13 +108,11 @@ class TestStep:
         data[field][3] = np.nan
         ic = kw.ModalState(data["u"], data["v"], 0.5)
         cfg = StepConfig(dt=0.1, t_start=0.5, t_end=1.5, record_every=10)
-        for call in (lambda: run(ic, spec, basis, cfg),
-                     lambda: kw.step(ic, spec, basis, cfg)):
-            with pytest.raises(BlowUpError) as exc:
-                call()
-            assert exc.value.t == 0.5 + 0.1
-            assert exc.value.member is None and exc.value.mode == 3
-            assert str(exc.value) == "non-finite state at t = 0.6 (mode 3)"
+        with pytest.raises(BlowUpError) as exc:
+            run(ic, spec, basis, cfg)
+        assert exc.value.t == 0.5 + 0.1
+        assert exc.value.member is None and exc.value.mode == 3
+        assert str(exc.value) == "non-finite state at t = 0.6 (mode 3)"
 
     def test_ensemble_blow_up_names_member_and_mode(self):
         spec, basis = kw.ModelSpec(dim=1), kw.Basis(1, 8)
@@ -274,30 +273,75 @@ class TestReconstructAccel:
         acc_ref = rhs(1.0, ref.sol(1.0))[1]
         assert abs(acc - acc_ref) / abs(acc_ref) < 1e-4
 
-    def test_derived_trajectories_refuse_accel(self, linear_trajectory, linear_setup):
-        # u1 does not solve the second-order problem, so its ledger has no L
-        spec, basis = linear_setup
-        params = kw.EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
-        pair = run_decomposition(linear_trajectory, spec)
-        assert np.isnan(kw.build_ledger(pair.u1, spec, basis, params).L).all()
-        assert np.isfinite(kw.build_ledger(linear_trajectory, spec, basis, params).L).all()
+
+def heun_u1_oracle(parent, spec):
+    """u1 by the per-record Heun loop: every stage evaluates S, the implicit
+    diagonal and phi(u) of its own record afresh, one row at a time."""
+    basis = parent.basis
+    mu = basis.eigenvalues
+    k_eff = max(spec.g.k, 1e-3)
+
+    def phi(u):
+        return kw.eval_nonlinearity_modal(spec.g, basis, u) - k_eff * u
+
+    def rhs(i, a):
+        u = parent.us[i]
+        S = kw.grad_norm_sq(basis, u)
+        return (phi(u) - phi(u - a) - ((1.0 + spec.delta * S) * mu + spec.lam) * a) / mu
+
+    a1 = np.empty_like(parent.us)
+    a1[0] = parent.us[0]
+    for i in range(parent.n_records - 1):
+        h = float(parent.times[i + 1] - parent.times[i])
+        k1 = rhs(i, a1[i])
+        pred = a1[i] + h * k1
+        k2 = rhs(i + 1, pred)
+        a1[i + 1] = a1[i] + 0.5 * h * (k1 + k2)
+    return a1
 
 
 class TestDecomposition:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_u1_equals_the_per_record_heun_loop(self, forced_cubic_run):
+        spec, _, parent = forced_cubic_run
+        assert np.array_equal(run_decomposition(parent, spec).u1, heun_u1_oracle(parent, spec))
+
+    def test_u1_equals_the_per_record_heun_loop_linear(self, linear_trajectory, linear_setup):
+        spec, _ = linear_setup
+        pair = run_decomposition(linear_trajectory, spec)
+        assert np.array_equal(pair.u1, heun_u1_oracle(linear_trajectory, spec))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_transforms_once_per_heun_stage(self, forced_cubic_run, monkeypatch):
+        import kwavelab.integrator as integ
+        spec, _, parent = forced_cubic_run
+        calls = []
+        transform = integ.eval_nonlinearity_modal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(integ, "eval_nonlinearity_modal", counting)
+        run_decomposition(parent, spec)
+        # phi(u) of all records in one call, phi(u - a1) at each of the
+        # 2 (n - 1) Heun stages, then g(u) and phi(a2) of the residual
+        assert len(calls) == 2 * parent.n_records + 1
+
     def test_zero_parent(self, linear_setup):
         spec, basis = linear_setup
         traj = run(kw.zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
         pair = run_decomposition(traj, spec)
-        assert not pair.u1.us.any() and not pair.u2.us.any()
+        assert not pair.u1.any() and not pair.u2.any()
 
     def test_sum_invariant_exact(self, linear_trajectory, linear_setup):
         spec, _ = linear_setup
         pair = run_decomposition(linear_trajectory, spec)
-        assert np.array_equal(pair.u2.us, linear_trajectory.us - pair.u1.us)
+        assert np.array_equal(pair.u2, linear_trajectory.us - pair.u1)
         # recomposition is exact to one rounding of the component scale
-        recomposed = pair.u1.us + pair.u2.us
-        scale = np.maximum(np.abs(pair.u1.us), np.abs(linear_trajectory.us)) + 1e-300
+        recomposed = pair.u1 + pair.u2
+        scale = np.maximum(np.abs(pair.u1), np.abs(linear_trajectory.us)) + 1e-300
         assert np.max(np.abs(recomposed - linear_trajectory.us) / scale) < 4 * np.finfo(float).eps
 
     def test_residual_small_on_linear_case(self, linear_trajectory, linear_setup):
@@ -308,10 +352,10 @@ class TestDecomposition:
     def test_exponential_decay_bound(self, linear_trajectory, linear_setup):
         spec, basis = linear_setup
         pair = run_decomposition(linear_trajectory, spec)
-        g0 = kw.grad_norm_sq(basis, pair.u1.us[0])
+        g0 = kw.grad_norm_sq(basis, pair.u1[0])
         t0 = float(linear_trajectory.times[0])
         for i in range(linear_trajectory.n_records):
-            g1 = kw.grad_norm_sq(basis, pair.u1.us[i])
+            g1 = kw.grad_norm_sq(basis, pair.u1[i])
             t = float(linear_trajectory.times[i])
             assert g1 <= math.exp(-2.0 * (t - t0)) * g0 * (1.0 + 1e-3)
 
@@ -319,7 +363,7 @@ class TestDecomposition:
     def test_residuals_equal_the_per_record_formula(self, forced_cubic_run):
         spec, basis, parent = forced_cubic_run
         pair = run_decomposition(parent, spec)
-        mu, k, a2 = basis.eigenvalues, pair.k_eff, pair.u2.us
+        mu, k, a2 = basis.eigenvalues, pair.k_eff, pair.u2
         h = float(parent.times[1] - parent.times[0])
         d_a2 = (-a2[4:] + 8.0 * a2[3:-1] - 8.0 * a2[1:-3] + a2[:-4]) / (12.0 * h)
         want = np.full(parent.n_records, np.nan)
@@ -347,9 +391,9 @@ class TestDecomposition:
         traj = run(ic, spec, basis, StepConfig(dt=2e-3, t_start=0.0, t_end=4.0,
                                                record_every=2))
         pair = run_decomposition(traj, spec)
-        g0 = kw.grad_norm_sq(basis, pair.u1.us[0])
+        g0 = kw.grad_norm_sq(basis, pair.u1[0])
         for i in range(traj.n_records):
-            g1 = kw.grad_norm_sq(basis, pair.u1.us[i])
+            g1 = kw.grad_norm_sq(basis, pair.u1[i])
             t = float(traj.times[i])
             assert g1 <= math.exp(-2.0 * t) * g0 * (1.0 + 1e-3)
 
@@ -360,7 +404,19 @@ class TestDifference:
         ic = single_mode_ic(basis)
         cfg = StepConfig(dt=1e-3, t_start=0.0, t_end=1.0, record_every=100)
         z = kw.run_difference(spec, spec, ic, ic, basis, cfg)
-        assert not z.us.any() and not z.vs.any()
+        assert not z.u.any() and not z.v.any()
+
+    def test_rows_are_differences_of_two_runs(self, forced_cubic_run):
+        spec, basis, parent = forced_cubic_run
+        ic_a, ic_b = parent.state(0), parent.state(3)
+        ic_b = kw.ModalState(ic_b.u, ic_b.v, ic_a.t)
+        cfg = StepConfig(dt=1e-2, t_start=-0.3, t_end=0.2, record_every=10)
+        z = kw.run_difference(spec, spec.with_delta(0.0), ic_a, ic_b, basis, cfg)
+        ta = run(ic_a, spec, basis, cfg)
+        tb = run(ic_b, spec.with_delta(0.0), basis, cfg)
+        assert isinstance(z, kw.ModalState)
+        assert np.array_equal(z.t, ta.times)
+        assert np.array_equal(z.u, ta.us - tb.us) and np.array_equal(z.v, ta.vs - tb.vs)
 
     def test_specs_must_match_except_delta(self, linear_setup):
         spec, basis = linear_setup
@@ -378,7 +434,7 @@ class TestDifference:
         for gap in (1e-4, 5e-5):
             shifted = kw.ModalState(ic.u + gap, ic.v, 0.0)
             z = kw.run_difference(spec, spec, shifted, ic, basis, cfg)
-            norms.append(math.sqrt(kw.xt_norm_sq(basis, z.final_state, spec.epsilon)))
+            norms.append(math.sqrt(kw.xt_norm_sq(basis, z, spec.epsilon)[-1]))
         assert norms[0] / norms[1] == pytest.approx(2.0, rel=0.05)
 
     def test_delta_perturbation_bound(self, hand_instance):
@@ -391,7 +447,7 @@ class TestDifference:
         sq_norms = []
         for d in deltas:
             z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
-            sq_norms.append(kw.xt_norm_sq(basis, z.final_state, spec.epsilon))
+            sq_norms.append(kw.xt_norm_sq(basis, z, spec.epsilon)[-1])
         V3 = sq_norms[0] / deltas[0]
         assert sq_norms[1] <= V3 * deltas[1]
 
@@ -427,8 +483,8 @@ class TestDifference:
         y0_end = ref_end(0.0)
         for d in (1e-2, 1e-3):
             z_ref = ref_end(d) - y0_end
-            z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg).final_state
+            z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
             want = kw.xt_norm_sq(basis, kw.ModalState(z_ref[:n], z_ref[n:], 2.0), spec.epsilon)
-            gap = kw.xt_norm_sq(basis, kw.ModalState(z.u - z_ref[:n], z.v - z_ref[n:], 2.0),
-                                spec.epsilon)
+            gap = kw.xt_norm_sq(basis, kw.ModalState(z.u[-1] - z_ref[:n], z.v[-1] - z_ref[n:],
+                                                     2.0), spec.epsilon)
             assert math.sqrt(gap / want) < 1e-4
