@@ -18,7 +18,7 @@ import numpy as np
 
 from . import attractor as att
 from . import energy as en
-from .config import ConfigError, ExperimentConfig, InfeasibleConfigError
+from .config import ConfigError, ExperimentConfig
 from .integrator import BlowUpError, StepConfig, run, run_decomposition
 from .model import eval_epsilon, exp_each, validate_hypotheses
 from .spectral import grad_norm_sq
@@ -82,7 +82,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                                        slack_factor=cfg.values["energy.slack_factor"],
                                        dt=cfg.step.dt)
     sandwich = en.fit_norm_sandwich(ledger, traj, cfg.model, cfg.basis, params)
-    _write_csv(os.path.join(out, "ledger.csv"), list(ledger.COLUMNS), ledger.rows())
+    residual = np.append(decay.residuals, np.nan)  # the last record has no forward difference
+    _write_csv(os.path.join(out, "ledger.csv"), [*ledger.COLUMNS, "residual"],
+               np.column_stack(ledger.columns() + [residual]))
     summary = {
         "final_xt_norm_sq": float(ledger.xt_norm_sq[-1]),
         "decay": decay.to_dict(),
@@ -92,7 +94,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         "params": {"rho": params.rho, "chi": params.chi, "sigma1": params.sigma1},
     }
     _write_json(os.path.join(out, "summary.json"), summary)
-    _stage(f"max decay residual {float(np.nanmax(ledger.residuals)):.3e}, "
+    _stage(f"max decay residual {float(np.max(decay.residuals)):.3e}, "
            f"c5 = {decay.c5:.6g}")
     ok = (decay.passed and decay.integrated_passed and decay.energy_nonneg
           and sandwich.passed)
@@ -247,9 +249,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleConfigError as exc:
-        print(f"property failure: {exc}", file=sys.stderr)
-        return 1
     except en.InfeasibleParamsError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import EnergyParams, FeasibilityReport, solve_feasibility
+from .energy import (EnergyParams, FeasibilityReport, InfeasibleParamsError,
+                     solve_feasibility)
 from .integrator import StepConfig
 from .model import (EpsilonProfile, ForcingSpec, ModelSpec, NonlinearitySpec,
                     eval_epsilon)
@@ -274,7 +275,7 @@ class ExperimentConfig:
         if rho == "fit" or chi == "fit":
             report = self.scan_feasibility()
             if report.is_empty:
-                raise InfeasibleConfigError(
+                raise InfeasibleParamsError(
                     f"feasibility scan is empty (binding: {report.binding_kill})")
             rho_f, chi_f, sig_f = report.chosen
             if log is not None:
@@ -305,7 +306,3 @@ class ExperimentConfig:
     def attractor_dt(self) -> float:
         v = self.values["attractor.dt"]
         return float(self.step.dt if v is None else v)
-
-
-class InfeasibleConfigError(RuntimeError):
-    """'fit' was requested but the feasible set is empty."""

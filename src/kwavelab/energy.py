@@ -11,7 +11,6 @@ quadratic-plus-potential functionals evaluated along trajectories:
          - (rho^2 lam1 eps / 2)|u|^2
     L  = eps|(-Lap)^{-1/2} w_t|^2 + 2 rho eps (w_t, w) + |w|^2 + rho|grad w|^2
          + lam|(-Lap)^{-1/2} w|^2,              w = u_t
-    Et = eps|z_t|^2 + 2 xi eps (z_t, z) + (1 + xi)|grad z|^2 + lam|z|^2
 
 together with the absorbing radius
 
@@ -41,24 +40,22 @@ from .spectral import (Basis, ModalState, dual_norm_sq, eval_nonlinearity_modal,
 
 
 class InfeasibleParamsError(ValueError):
-    """Energy multipliers violate a binding feasibility constraint."""
+    """Energy multipliers violate a binding feasibility constraint, or the
+    scan behind 'fit' finds no feasible multipliers."""
 
 
 @dataclass(frozen=True)
 class EnergyParams:
     """Multipliers and constants of the energy machinery.
 
-    sigma1 = None means chi / 2. xi is the multiplier of the difference
-    functional Et (None: ``xi_value``'s default); no command evaluates Et.
-    c4 must strictly dominate c0, and the scan uses max(c4, g.c4); c1..c3
-    are the structure constants declared on the nonlinearity. c5 = None
-    means "fit along the run".
+    sigma1 = None means chi / 2. c4 must strictly dominate c0, and the scan
+    uses max(c4, g.c4) with the structure constants c1..c3 declared on the
+    nonlinearity. c5 = None means "fit along the run".
     """
 
     rho: float
     chi: float
     sigma1: Optional[float] = None
-    xi: Optional[float] = None
     c0: float = 0.0
     c4: float = 1.0
     c5: Optional[float] = None
@@ -77,13 +74,6 @@ class EnergyParams:
             raise ValueError("need c0 < c4")
         if self.c14 <= 0:
             raise ValueError("c14 must be positive")
-
-
-def xi_value(params: EnergyParams, basis: Basis) -> float:
-    """Difference-system multiplier; the default keeps Et >= 0 by Cauchy-Schwarz."""
-    if params.xi is not None:
-        return params.xi
-    return min(0.1, math.sqrt(basis.lambda1) / 4.0)
 
 
 def eval_E(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams):
@@ -133,15 +123,6 @@ def eval_L(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParam
             + spec.lam * dual_norm_sq(basis, w))
 
 
-def eval_Etilde(z_state: ModalState, spec: ModelSpec, basis: Basis,
-                params: EnergyParams):
-    eps, _ = eval_epsilon(spec.epsilon, z_state.t)
-    xi = xi_value(params, basis)
-    z, zt = z_state.u, z_state.v
-    return (eps * norm_sq(zt) + 2.0 * xi * eps * inner(zt, z)
-            + (1.0 + xi) * grad_norm_sq(basis, z) + spec.lam * norm_sq(z))
-
-
 def weighted_tail_integral(h: ForcingSpec, sigma1: float, t: float) -> float:
     """int_{-inf}^t e^{sigma1 s} |h(s)|^2 ds, from the exact antiderivative of
     the separable forcing A^2 e^{-2 beta |s|}; finite for sigma1 > 0."""
@@ -166,7 +147,7 @@ def eval_B(t: float, spec: ModelSpec, params: EnergyParams) -> float:
     return math.sqrt(params.c14 * math.exp(-params.sigma1 * t) * tail + params.c14)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyLedger:
     """Per-time series of the functionals along one trajectory."""
 
@@ -175,40 +156,38 @@ class EnergyLedger:
     I: np.ndarray
     K: np.ndarray
     L: np.ndarray
-    Etilde: np.ndarray
     xt_norm_sq: np.ndarray
     B: np.ndarray
-    residuals: np.ndarray
 
-    COLUMNS = ("t", "E", "I", "K", "L", "Etilde", "xt_norm_sq", "B", "residual")
+    COLUMNS = ("t", "E", "I", "K", "L", "xt_norm_sq", "B")
 
-    def rows(self):
-        return zip(self.times, self.E, self.I, self.K, self.L, self.Etilde,
-                   self.xt_norm_sq, self.B, self.residuals)
+    def columns(self) -> list[np.ndarray]:
+        """The series in the order of COLUMNS."""
+        return [self.times, self.E, self.I, self.K, self.L, self.xt_norm_sq, self.B]
 
 
 def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis,
                  params: EnergyParams) -> EnergyLedger:
     """Functionals at every record, all records as one batched state. A
     Trajectory solves the second-order problem, so L (which reconstructs
-    u_tt from the equation) is defined at every record; Etilde needs a
-    difference run and stays NaN."""
+    u_tt from the equation) is defined at every record."""
     records = ModalState(traj.us, traj.vs, traj.times)
     E = eval_E(records, spec, basis, params)
-    nan = np.full(traj.n_records, np.nan)
     return EnergyLedger(
         traj.times.copy(), E, eval_I(records, spec, basis, params, E=E),
         eval_K(records, spec, basis, params), eval_L(records, spec, basis, params),
-        nan.copy(), xt_norm_sq(basis, records, spec.epsilon),
-        np.array([eval_B(float(t), spec, params) for t in traj.times]), nan)
+        xt_norm_sq(basis, records, spec.epsilon),
+        np.array([eval_B(float(t), spec, params) for t in traj.times]))
 
 
 @dataclass(frozen=True)
 class DecayReport:
+    """``residuals`` is r = (E(t+D) - E(t))/D + chi E(t) - |h(t)|^2 / rho at
+    every record but the last, the term that c5 plus slack must bound."""
+
     c5: float
     fitted_c5: bool
     residuals: np.ndarray
-    slack: np.ndarray
     max_violation: float
     passed: bool
     front_constant: float
@@ -256,8 +235,6 @@ def verify_decay_inequality(ledger: EnergyLedger, traj: Trajectory, spec: ModelS
     slack = slack_factor * (D if dt is None else dt) * np.maximum(1.0, np.abs(ledger.E[:-1]))
     violation = r - c5 - slack
     max_violation = float(np.max(violation))
-    ledger.residuals[:-1] = r
-    ledger.residuals[-1] = np.nan
 
     # integrated envelope with a single fitted front constant
     p = spec.sobolev_p
@@ -271,7 +248,7 @@ def verify_decay_inequality(ledger: EnergyLedger, traj: Trajectory, spec: ModelS
     C = float(np.max(ledger.xt_norm_sq / denom))
     integrated_ok = bool(np.all(ledger.xt_norm_sq <= C * denom * (1.0 + 1e-9)))
     energy_nonneg = bool(np.min(ledger.E) >= -1e-9)  # holds under feasibility
-    return DecayReport(c5, fitted, r, slack, max_violation, max_violation <= 0.0,
+    return DecayReport(c5, fitted, r, max_violation, max_violation <= 0.0,
                        C, integrated_ok, energy_nonneg)
 
 
@@ -361,6 +338,9 @@ def check_point_margins(spec: ModelSpec, basis: Basis, params: EnergyParams) -> 
     return {k: float(v) for k, v in raw.items()}
 
 
+FEASIBLE_POINTS_MAX = 4096  # feasible points listed in FeasibilityReport.to_dict
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
     rho_grid: np.ndarray
@@ -382,7 +362,8 @@ class FeasibilityReport:
         ii, jj = np.nonzero(self.feasible_mask)
         return np.column_stack([self.rho_grid[ii], self.chi_grid[jj]])
 
-    def to_dict(self, max_points: int = 4096) -> dict:
+    def to_dict(self) -> dict:
+        """The report, its feasible points cut at FEASIBLE_POINTS_MAX."""
         total = int(self.feasible_mask.size)
         pts = self.feasible_points
         constraints = []
@@ -408,7 +389,7 @@ class FeasibilityReport:
                 "constraints": constraints,
                 "rho_grid": [float(x) for x in self.rho_grid],
                 "chi_grid": [float(x) for x in self.chi_grid],
-                "feasible_points": [[float(a), float(b)] for a, b in pts[:max_points]]}
+                "feasible_points": [[float(a), float(b)] for a, b in pts[:FEASIBLE_POINTS_MAX]]}
 
 
 def solve_feasibility(spec: ModelSpec, basis: Basis, params: EnergyParams,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -113,13 +113,6 @@ class Trajectory:
     @property
     def n_records(self) -> int:
         return int(self.times.size)
-
-    def state(self, i: int) -> ModalState:
-        return ModalState(self.us[i].copy(), self.vs[i].copy(), float(self.times[i]))
-
-    @property
-    def final_state(self) -> ModalState:
-        return self.state(self.n_records - 1)
 
 
 def _explicit_term(spec: ModelSpec, basis: Basis, u, work, kp, S, out):
@@ -348,17 +341,3 @@ def run_decomposition(parent: Trajectory, spec: ModelSpec) -> DecompositionPair:
             warnings.warn(f"decomposition residual {worst:.3e} exceeds {RESIDUAL_TOL:g} "
                           f"at t = {float(ts[i_bad]):.6g}", RuntimeWarning, stacklevel=2)
     return DecompositionPair(a1, a2, k_eff, residuals)
-
-
-def run_difference(spec_a: ModelSpec, spec_b: ModelSpec,
-                   x_a: ModalState, x_b: ModalState,
-                   basis: Basis, cfg: StepConfig) -> ModalState:
-    """Run two problems that differ only in delta; z = u_a - u_b at every
-    record as a batched state: u = z, v = z_t = v_a - v_b, t = the times."""
-    if replace(spec_a, delta=0.0) != replace(spec_b, delta=0.0):
-        raise ValueError("specs must agree except for delta")
-    if x_a.u.shape != x_b.u.shape or x_a.u.shape[-1] != basis.n_modes:
-        raise ValueError("initial states must live on the shared basis")
-    ta = run(x_a, spec_a, basis, cfg)
-    tb = run(x_b, spec_b, basis, cfg)
-    return ModalState(ta.us - tb.us, ta.vs - tb.vs, ta.times)

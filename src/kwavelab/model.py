@@ -153,20 +153,28 @@ def eval_g_value(spec: NonlinearitySpec, u, out: Optional[np.ndarray] = None) ->
     return np.multiply(np.sin(u, out=out), spec.coeff, out=out)
 
 
-def eval_g(spec: NonlinearitySpec, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (g(u), g'(u), G(u)) elementwise; G is the exact antiderivative
-    with G(0) = 0."""
+def eval_G(spec: NonlinearitySpec, u) -> np.ndarray:
+    """G(u) alone, elementwise: the exact antiderivative of g with G(0) = 0."""
     u = np.asarray(u, dtype=float)
     if spec.kind == "zero":
-        z = np.zeros_like(u)
-        return z, z.copy(), z.copy()
+        return np.zeros_like(u)
     if spec.kind == "cubic_soft":
-        c = spec.coeff
         u2 = u * u
-        return -c * u2 * u, -3.0 * c * u2, -0.25 * c * u2 * u2
-    a = spec.coeff
-    cos_u = np.cos(u)
-    return a * np.sin(u), a * cos_u, a * (1.0 - cos_u)
+        return -0.25 * spec.coeff * u2 * u2
+    return spec.coeff * (1.0 - np.cos(u))
+
+
+def eval_g(spec: NonlinearitySpec, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (g(u), g'(u), G(u)) elementwise, G as eval_G gives it."""
+    u = np.asarray(u, dtype=float)
+    G = eval_G(spec, u)
+    if spec.kind == "zero":
+        return np.zeros_like(u), np.zeros_like(u), G
+    c = spec.coeff
+    if spec.kind == "cubic_soft":
+        u2 = u * u
+        return -c * u2 * u, -3.0 * c * u2, G
+    return c * np.sin(u), c * np.cos(u), G
 
 
 @dataclass(frozen=True)
@@ -264,32 +272,29 @@ class HypothesisReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def failed_names(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
-
     def to_dict(self) -> dict:
         return {"all_passed": self.all_passed,
                 "checks": [c.to_dict() for c in self.checks]}
 
 
+U_MAX = 8.0  # g and G are audited on [-U_MAX, U_MAX]
+SAMPLES = 512  # points of the u- and t-grids
+
+
 def validate_hypotheses(spec: ModelSpec,
-                        u_range: tuple[float, float] = (-8.0, 8.0),
-                        t_range: tuple[float, float] = (0.0, 50.0),
-                        samples: int = 512) -> HypothesisReport:
-    """Audit the standing assumptions on sampled grids.
+                        t_range: tuple[float, float] = (0.0, 50.0)) -> HypothesisReport:
+    """Audit the standing assumptions on sampled grids: SAMPLES points over
+    [-U_MAX, U_MAX] in u and over t_range in t.
 
     Margins are 'distance to violation': nonnegative means the check passed
     with that much room. Asymptotic ratio conditions are evaluated at the
     largest sampled |u| against the slack implied by the declared c1..c4 and
     carry ``sampled=True``.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if not (u_range[1] > u_range[0]) or not (t_range[1] > t_range[0]):
+    if not t_range[1] > t_range[0]:
         raise ValueError("empty sampling range")
     checks: list[HypothesisCheck] = []
-    tgrid = np.linspace(t_range[0], t_range[1], samples)
+    tgrid = np.linspace(t_range[0], t_range[1], SAMPLES)
     eps_vals, eps_der = eval_epsilon(spec.epsilon, tgrid)
 
     m = -float(np.max(eps_der))
@@ -304,7 +309,7 @@ def validate_hypotheses(spec: ModelSpec,
     checks.append(HypothesisCheck("epsilon_bound", m >= -1e-12, m,
                                   "sup(|eps| + |eps'|) <= declared L on the t-grid"))
 
-    ugrid = np.linspace(u_range[0], u_range[1], samples)
+    ugrid = np.linspace(-U_MAX, U_MAX, SAMPLES)
     g0 = float(eval_g(spec.g, np.array([0.0]))[0][0])
     checks.append(HypothesisCheck("g_zero_at_zero", abs(g0) <= 1e-12, 1e-12 - abs(g0),
                                   f"g(0) = {g0:.3e}"))
@@ -326,19 +331,18 @@ def validate_hypotheses(spec: ModelSpec,
     m = -float(np.max(resid / (1.0 + ugrid ** 2)))
     checks.append(HypothesisCheck("G_structure_bound", m >= -1e-9, m,
                                   "G <= c3 u^2 + c4 on the u-grid"))
-    u_edge = max(abs(u_range[0]), abs(u_range[1]))
-    edge = np.array([-u_edge, u_edge])
+    edge = np.array([-U_MAX, U_MAX])
     ge, _, Ge = eval_g(spec.g, edge)
-    allowance6 = spec.g.c1 + spec.g.c2 / u_edge ** 2
+    allowance6 = spec.g.c1 + spec.g.c2 / U_MAX ** 2
     ratio6 = float(np.max((edge * ge - spec.g.gamma * Ge) / edge ** 2))
     checks.append(HypothesisCheck("g_dissipative_ratio", ratio6 <= allowance6 + 1e-9,
                                   allowance6 - ratio6,
-                                  f"(u g - gamma G)/u^2 at |u| = {u_edge:g}", sampled=True))
-    allowance7 = spec.g.c3 + spec.g.c4 / u_edge ** 2
+                                  f"(u g - gamma G)/u^2 at |u| = {U_MAX:g}", sampled=True))
+    allowance7 = spec.g.c3 + spec.g.c4 / U_MAX ** 2
     ratio7 = float(np.max(Ge / edge ** 2))
     checks.append(HypothesisCheck("G_ratio", ratio7 <= allowance7 + 1e-9,
                                   allowance7 - ratio7,
-                                  f"G/u^2 at |u| = {u_edge:g}", sampled=True))
+                                  f"G/u^2 at |u| = {U_MAX:g}", sampled=True))
 
     checks.append(_forcing_tail_check(spec.h, t_range[1]))
     return HypothesisReport(tuple(checks))

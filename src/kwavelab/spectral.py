@@ -35,8 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import (EpsilonProfile, NonlinearitySpec, eval_epsilon, eval_g,
-                    eval_g_value)
+from .model import EpsilonProfile, NonlinearitySpec, eval_epsilon, eval_G, eval_g_value
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,6 @@ class ModalState:
         object.__setattr__(self, "v", v)
 
 
-def zero_state(basis: Basis, t: float = 0.0) -> ModalState:
-    return ModalState(np.zeros(basis.n_modes), np.zeros(basis.n_modes), t)
-
-
 def norm_sq(f: np.ndarray) -> np.ndarray | float:
     out = np.sum(np.asarray(f, dtype=float) ** 2, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
@@ -121,10 +116,6 @@ def dual_norm_sq(basis: Basis, f: np.ndarray) -> np.ndarray | float:
     """Squared H^{-1} norm: |(-Lap)^{-1/2} f|^2."""
     out = np.sum(np.asarray(f, dtype=float) ** 2 / basis.eigenvalues, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
-
-
-class AliasingError(ValueError):
-    pass
 
 
 def _dst_matrix(n_modes: int, grid_pts: int) -> np.ndarray:
@@ -183,13 +174,12 @@ def _stage_buffers(batch: int, dim: int, n_in: int, n_out: int) -> list[np.ndarr
 
 
 def to_grid(basis: Basis, f: np.ndarray, grid_pts: int, out=None) -> np.ndarray:
-    """Nodal values at the interior collocation nodes j/M, j = 1..M-1, per dim.
+    """Nodal values at the interior collocation nodes j/M, j = 1..M-1, per dim
+    (M > N, or the band aliases; the nonlinearity uses M = 2N + 1).
 
     Output shape is f.shape[:-1] + (M-1,)*dim; with ``out`` (stage buffers)
     it is a view of the last one.
     """
-    if grid_pts < basis.modes_per_dim + 1:
-        raise AliasingError("need grid_pts >= modes_per_dim + 1")
     f = np.ascontiguousarray(f, dtype=float)
     lead = f.shape[:-1]
     left, right = _dst_pair(basis.modes_per_dim, grid_pts)[0]
@@ -200,8 +190,6 @@ def to_grid(basis: Basis, f: np.ndarray, grid_pts: int, out=None) -> np.ndarray:
 def from_grid(basis: Basis, values: np.ndarray, grid_pts: int, out=None) -> np.ndarray:
     """Project nodal values back onto the retained band (inverse of to_grid
     for band-limited fields); ``out`` as for to_grid."""
-    if grid_pts < basis.modes_per_dim + 1:
-        raise AliasingError("need grid_pts >= modes_per_dim + 1")
     values = np.ascontiguousarray(values, dtype=float)
     lead = values.shape[: values.ndim - basis.dim]
     left, right = _dst_pair(basis.modes_per_dim, grid_pts)[1]
@@ -288,5 +276,5 @@ def integral_of_G(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.nda
     else:
         M = _quadrature_pts(basis)
         out = _in_row_blocks(basis, f, M, lambda vals: integrate_grid(
-            eval_g(spec, vals)[2], M, basis.dim), ())
+            eval_G(spec, vals), M, basis.dim), ())
     return float(out) if np.ndim(out) == 0 else out

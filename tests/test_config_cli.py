@@ -265,9 +265,9 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
         rows = (out / "ledger.csv").read_text().splitlines()
-        first = rows[1].split(",")
-        assert float(first[1]) == 0.0  # E
-        assert float(first[6]) == 0.0  # xt_norm_sq
+        assert rows[0] == "t,E,I,K,L,xt_norm_sq,B,residual"
+        first = dict(zip(rows[0].split(","), map(float, rows[1].split(","))))
+        assert first["E"] == 0.0 and first["xt_norm_sq"] == 0.0
 
     def test_rerun_bitwise_identical(self, tmp_path):
         path = write_cfg(tmp_path, SMALL_MODEL)

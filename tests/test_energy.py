@@ -5,12 +5,13 @@ import pytest
 
 import kwavelab as kw
 from kwavelab.energy import (EnergyParams, InfeasibleParamsError, build_ledger,
-                             eval_B, eval_E, eval_Etilde, eval_I, eval_K, eval_L,
+                             eval_B, eval_E, eval_I, eval_K, eval_L,
                              fit_norm_sandwich, solve_feasibility,
-                             verify_decay_inequality, xi_value)
+                             verify_decay_inequality)
 from kwavelab.integrator import StepConfig, run
 from kwavelab.model import forcing_norm_sq
 from kwavelab.spectral import ModalState
+from oracles import eval_Etilde, record, zero_state
 
 
 def single_mode_state(basis, u1=0.0, v1=0.0, t=0.0):
@@ -24,12 +25,12 @@ class TestPointFunctionals:
     def test_E_zero_state_no_offset(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
-        assert eval_E(kw.zero_state(basis), spec, basis, params) == 0.0
+        assert eval_E(zero_state(basis), spec, basis, params) == 0.0
 
     def test_E_zero_state_offset_survives(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=1.0, c4=2.0)
-        assert eval_E(kw.zero_state(basis), spec, basis, params) == 2.0
+        assert eval_E(zero_state(basis), spec, basis, params) == 2.0
 
     def test_E_single_mode_hand_expansion(self):
         spec = kw.ModelSpec(dim=1, lam=0.3,
@@ -47,13 +48,13 @@ class TestPointFunctionals:
     def test_I_zero_state(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.5, c4=1.0)
-        assert eval_I(kw.zero_state(basis), spec, basis, params) == pytest.approx(
+        assert eval_I(zero_state(basis), spec, basis, params) == pytest.approx(
             -0.2 * 2 * 0.5, rel=1e-14)
 
     def test_K_zero_state(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
-        assert eval_K(kw.zero_state(basis), spec, basis, params) == 0.0
+        assert eval_K(zero_state(basis), spec, basis, params) == 0.0
 
     def test_K_nonnegative_under_rho_bound(self):
         # rho <= min(2/L, lam1 sqrt(L)/(4L)) forces K >= 0
@@ -73,7 +74,7 @@ class TestPointFunctionals:
         u0[0] = 0.6
         traj = run(ModalState(u0, np.zeros(8), 0.0), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=5.0, record_every=50))
-        I_series = [eval_I(traj.state(i), spec, basis, params)
+        I_series = [eval_I(record(traj, i), spec, basis, params)
                     for i in range(traj.n_records)]
         c5 = max(0.0, -min(I_series)) + 1e-12
         assert all(I >= -c5 for I in I_series)
@@ -97,7 +98,7 @@ class TestPointFunctionals:
         ledger = build_ledger(traj, spec, basis, params)
         assert len(calls) == 1  # one batched call evaluates E at every record
         for i in range(traj.n_records):  # the same bits as evaluating E afresh
-            assert ledger.I[i] == eval_I(traj.state(i), spec, basis, params)
+            assert ledger.I[i] == eval_I(record(traj, i), spec, basis, params)
 
 
 class TestBatchedLedger:
@@ -108,7 +109,7 @@ class TestBatchedLedger:
         series = {name: np.empty(traj.n_records)
                   for name in ("E", "I", "K", "L", "xt_norm_sq", "B")}
         for i in range(traj.n_records):  # the per-record oracle
-            st = traj.state(i)
+            st = record(traj, i)
             series["E"][i] = eval_E(st, spec, basis, params)
             series["I"][i] = eval_I(st, spec, basis, params, E=series["E"][i])
             series["K"][i] = eval_K(st, spec, basis, params)
@@ -117,7 +118,19 @@ class TestBatchedLedger:
             series["B"][i] = eval_B(st.t, spec, params)
         for name, want in series.items():
             assert np.array_equal(getattr(ledger, name), want), name
-        assert np.isnan(ledger.Etilde).all() and np.isnan(ledger.residuals).all()
+
+    def test_decay_check_leaves_the_ledger_as_it_was(self, forced_cubic_run):
+        spec, basis, traj = forced_cubic_run
+        params = EnergyParams(rho=0.8, chi=0.1, c0=0.0, c4=1.0)  # feasible here
+        ledger = build_ledger(traj, spec, basis, params)
+        before = [c.copy() for c in ledger.columns()]
+        rep = verify_decay_inequality(ledger, traj, spec, basis, params)
+        assert all(np.array_equal(a, b) for a, b in zip(ledger.columns(), before))
+        # one forward-difference residual per record but the last
+        t, E = ledger.times, ledger.E
+        want = ((E[1:] - E[:-1]) / float(t[1] - t[0]) + params.chi * E[:-1]
+                - forcing_norm_sq(spec.h, t[:-1]) / params.rho)
+        assert np.array_equal(rep.residuals, want)
 
     def test_single_state_and_one_row_batch_agree(self, cubic3d_setup):
         spec, basis = cubic3d_setup
@@ -126,7 +139,10 @@ class TestBatchedLedger:
         st = ModalState(0.1 * rng.standard_normal(basis.n_modes),
                         0.1 * rng.standard_normal(basis.n_modes), 0.7)
         row = ModalState(st.u[None], st.v[None], np.array([st.t]))
-        for fn in (eval_E, eval_I, eval_K, eval_L, eval_Etilde):
+        def Etilde(state, spec, basis, params):
+            return eval_Etilde(state, spec, basis, xi=0.1)
+
+        for fn in (eval_E, eval_I, eval_K, eval_L, Etilde):
             single, batch = fn(st, spec, basis, params), fn(row, spec, basis, params)
             assert isinstance(single, float) and batch.shape == (1,)
             assert batch[0] == single, fn.__name__
@@ -136,16 +152,16 @@ class TestSecondEnergy:
     def test_zero_trajectory(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
-        traj = run(kw.zero_state(basis), spec, basis,
+        traj = run(zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
-        assert eval_L(traj.final_state, spec, basis, params) == 0.0
+        assert eval_L(record(traj, -1), spec, basis, params) == 0.0
 
     def test_single_mode_hand_expansion(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=0.8, chi=0.1, c0=0.0, c4=1.0)
         traj = run(single_mode_state(basis, 1.0), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=1.0, record_every=100))
-        state = traj.state(5)
+        state = record(traj, 5)
         assert state.t == 0.5
         mu = basis.eigenvalues
         w = state.v
@@ -164,7 +180,7 @@ class TestSecondEnergy:
                                                record_every=100))
         pairs = []
         for i in range(traj.n_records):
-            state = traj.state(i)
+            state = record(traj, i)
             w = state.v
             wt = kw.reconstruct_accel(state, spec, basis)
             core = float(np.sum(wt ** 2 / basis.eigenvalues)
@@ -180,30 +196,22 @@ class TestSecondEnergy:
 class TestDifferenceEnergy:
     def test_zero_difference(self, linear_setup):
         spec, basis = linear_setup
-        params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
-        assert eval_Etilde(kw.zero_state(basis), spec, basis, params) == 0.0
+        assert eval_Etilde(zero_state(basis), spec, basis, xi=0.1) == 0.0
 
     def test_xi_zero_reduction(self, linear_setup):
         spec, basis = linear_setup
         rng = np.random.default_rng(8)
         z = ModalState(rng.standard_normal(8), rng.standard_normal(8), 0.0)
-        params = EnergyParams(rho=1.0, chi=0.2, xi=0.0, c0=0.0, c4=1.0)
         expected = (kw.norm_sq(z.v) + kw.grad_norm_sq(basis, z.u))
-        assert eval_Etilde(z, spec, basis, params) == pytest.approx(expected, rel=1e-13)
+        assert eval_Etilde(z, spec, basis, xi=0.0) == pytest.approx(expected, rel=1e-13)
 
     def test_nonnegative_for_small_xi(self, linear_setup):
         spec, basis = linear_setup
         xi = math.sqrt(basis.lambda1) / 2.0
-        params = EnergyParams(rho=1.0, chi=0.2, xi=xi, c0=0.0, c4=1.0)
         rng = np.random.default_rng(13)
         for _ in range(500):
             z = ModalState(rng.standard_normal(8), rng.standard_normal(8), 0.0)
-            assert eval_Etilde(z, spec, basis, params) >= -1e-10
-
-    def test_default_xi_guarantee(self, cubic3d_setup):
-        spec, basis = cubic3d_setup
-        params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
-        assert xi_value(params, basis) == pytest.approx(min(0.1, math.sqrt(basis.lambda1) / 4))
+            assert eval_Etilde(z, spec, basis, xi=xi) >= -1e-10
 
 
 class TestAbsorbingRadius:
@@ -251,7 +259,7 @@ class TestDecayInequality:
     def test_zero_trajectory_passes(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0, c5=0.0)
-        traj = run(kw.zero_state(basis), spec, basis,
+        traj = run(zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
         ledger = build_ledger(traj, spec, basis, params)
         rep = verify_decay_inequality(ledger, traj, spec, basis, params)
@@ -268,7 +276,7 @@ class TestDecayInequality:
     def test_infeasible_params_rejected(self, linear_setup):
         spec, basis = linear_setup
         bad = EnergyParams(rho=2.9, chi=1.4, c0=0.0, c4=1.0)  # violates rho box
-        traj = run(kw.zero_state(basis), spec, basis,
+        traj = run(zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=0.1))
         ledger = build_ledger(traj, spec, basis, bad)
         with pytest.raises(InfeasibleParamsError):
@@ -284,16 +292,16 @@ class TestDecayInequality:
         traj_fine = run(ic, spec, basis, StepConfig(dt=1e-4, t_start=0.0, t_end=2.0,
                                                     record_every=10))
         ref = build_ledger(traj_fine, spec, basis, params)
-        verify_decay_inequality(ref, traj_fine, spec, basis, params)
+        ref_r = verify_decay_inequality(ref, traj_fine, spec, basis, params).residuals
         errs = []
         for every in (400, 200):
             traj = run(ic, spec, basis, StepConfig(dt=1e-4, t_start=0.0, t_end=2.0,
                                                    record_every=every))
             led = build_ledger(traj, spec, basis, params)
-            verify_decay_inequality(led, traj, spec, basis, params)
+            r = verify_decay_inequality(led, traj, spec, basis, params).residuals
             # compare residuals at shared times against the near-continuum run
             idx = [ref.times.searchsorted(t) for t in led.times[:-1]]
-            errs.append(float(np.max(np.abs(led.residuals[:-1] - ref.residuals[idx]))))
+            errs.append(float(np.max(np.abs(r - ref_r[idx]))))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.25)
 
     def test_cubic_fixture_with_fitted_c5(self, cubic3d_setup):

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 import kwavelab as kw
 from kwavelab.integrator import BlowUpError, StepConfig, run, run_decomposition
+from oracles import record, run_difference, zero_state
 
 try:
     import resource
@@ -46,7 +47,7 @@ class TestStep:
 
     def test_zero_data_zero_forcing_fixed_point(self, linear_setup):
         spec, basis = linear_setup
-        traj = run(kw.zero_state(basis), spec, basis,
+        traj = run(zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=5.0, record_every=100))
         assert not traj.us.any() and not traj.vs.any()
 
@@ -195,7 +196,7 @@ class TestRun:
         first = run(ic, spec, basis, StepConfig(dt=1e-3, t_start=0.0, t_end=0.5,
                                                 record_every=100))
         nl_prev = first.resume.nl_prev.copy()
-        second = run(first.final_state, spec, basis,
+        second = run(record(first, -1), spec, basis,
                      StepConfig(dt=1e-3, t_start=0.5, t_end=1.0, record_every=100),
                      resume=first.resume)
         # the resumed run reads the history and leaves it as it was
@@ -218,7 +219,7 @@ class TestRun:
 
     def test_linear_decay_reaches_floor(self, linear_trajectory, linear_setup):
         spec, basis = linear_setup
-        final = linear_trajectory.final_state
+        final = record(linear_trajectory, -1)
         assert kw.xt_norm_sq(basis, final, spec.epsilon) < 1e-6
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
@@ -231,7 +232,7 @@ class TestRun:
         y /= math.sqrt(np.sum(y ** 2))
         ic = kw.ModalState(y[:8] / np.sqrt(basis.eigenvalues), y[8:], 0.0)
         traj = run(ic, spec, basis, StepConfig(dt=1e-2, t_start=0.0, t_end=20.0))
-        xt = np.array([kw.xt_norm_sq(basis, traj.state(i), spec.epsilon)
+        xt = np.array([kw.xt_norm_sq(basis, record(traj, i), spec.epsilon)
                        for i in range(traj.n_records)])
         assert np.all(xt[1:] <= xt[:-1] + 1e-8 * np.maximum(1.0, xt[:-1]))
 
@@ -243,16 +244,16 @@ class TestRun:
 class TestReconstructAccel:
     def test_zero_equilibrium(self, linear_setup):
         spec, basis = linear_setup
-        traj = run(kw.zero_state(basis), spec, basis,
+        traj = run(zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
-        assert not kw.reconstruct_accel(traj.final_state, spec, basis).any()
+        assert not kw.reconstruct_accel(record(traj, -1), spec, basis).any()
 
     def test_matches_second_difference(self, linear_setup):
         spec, basis = linear_setup
         traj = run(single_mode_ic(basis), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=1.0))
         i = 500
-        acc = kw.reconstruct_accel(traj.state(i), spec, basis)
+        acc = kw.reconstruct_accel(record(traj, i), spec, basis)
         fd = (traj.us[i + 1] - 2 * traj.us[i] + traj.us[i - 1]) / 1e-6
         assert np.max(np.abs(acc - fd)) < 1e-3 * max(np.max(np.abs(acc)), 1e-12)
 
@@ -269,7 +270,7 @@ class TestReconstructAccel:
                         dense_output=True)
         traj = run(single_mode_ic(basis), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=1.0, record_every=1000))
-        acc = kw.reconstruct_accel(traj.final_state, spec, basis)[0]
+        acc = kw.reconstruct_accel(record(traj, -1), spec, basis)[0]
         acc_ref = rhs(1.0, ref.sol(1.0))[1]
         assert abs(acc - acc_ref) / abs(acc_ref) < 1e-4
 
@@ -330,7 +331,7 @@ class TestDecomposition:
 
     def test_zero_parent(self, linear_setup):
         spec, basis = linear_setup
-        traj = run(kw.zero_state(basis), spec, basis,
+        traj = run(zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
         pair = run_decomposition(traj, spec)
         assert not pair.u1.any() and not pair.u2.any()
@@ -368,7 +369,7 @@ class TestDecomposition:
         d_a2 = (-a2[4:] + 8.0 * a2[3:-1] - 8.0 * a2[1:-3] + a2[:-4]) / (12.0 * h)
         want = np.full(parent.n_records, np.nan)
         for j, i in enumerate(range(2, parent.n_records - 2)):  # the per-record oracle
-            st = parent.state(i)
+            st = record(parent, i)
             S = kw.grad_norm_sq(basis, st.u)
             eps, _ = kw.eval_epsilon(spec.epsilon, st.t)
             psi = (-eps * kw.reconstruct_accel(st, spec, basis) + k * st.u
@@ -403,15 +404,15 @@ class TestDifference:
         spec, basis = linear_setup
         ic = single_mode_ic(basis)
         cfg = StepConfig(dt=1e-3, t_start=0.0, t_end=1.0, record_every=100)
-        z = kw.run_difference(spec, spec, ic, ic, basis, cfg)
+        z = run_difference(spec, spec, ic, ic, basis, cfg)
         assert not z.u.any() and not z.v.any()
 
     def test_rows_are_differences_of_two_runs(self, forced_cubic_run):
         spec, basis, parent = forced_cubic_run
-        ic_a, ic_b = parent.state(0), parent.state(3)
+        ic_a, ic_b = record(parent, 0), record(parent, 3)
         ic_b = kw.ModalState(ic_b.u, ic_b.v, ic_a.t)
         cfg = StepConfig(dt=1e-2, t_start=-0.3, t_end=0.2, record_every=10)
-        z = kw.run_difference(spec, spec.with_delta(0.0), ic_a, ic_b, basis, cfg)
+        z = run_difference(spec, spec.with_delta(0.0), ic_a, ic_b, basis, cfg)
         ta = run(ic_a, spec, basis, cfg)
         tb = run(ic_b, spec.with_delta(0.0), basis, cfg)
         assert isinstance(z, kw.ModalState)
@@ -424,7 +425,7 @@ class TestDifference:
         ic = single_mode_ic(basis)
         cfg = StepConfig(dt=1e-3, t_start=0.0, t_end=0.01)
         with pytest.raises(ValueError):
-            kw.run_difference(spec, other, ic, ic, basis, cfg)
+            run_difference(spec, other, ic, ic, basis, cfg)
 
     def test_response_proportional_to_initial_gap(self, linear_setup):
         spec, basis = linear_setup
@@ -433,7 +434,7 @@ class TestDifference:
         norms = []
         for gap in (1e-4, 5e-5):
             shifted = kw.ModalState(ic.u + gap, ic.v, 0.0)
-            z = kw.run_difference(spec, spec, shifted, ic, basis, cfg)
+            z = run_difference(spec, spec, shifted, ic, basis, cfg)
             norms.append(math.sqrt(kw.xt_norm_sq(basis, z, spec.epsilon)[-1]))
         assert norms[0] / norms[1] == pytest.approx(2.0, rel=0.05)
 
@@ -446,7 +447,7 @@ class TestDifference:
         deltas = (1e-3, 1e-4)
         sq_norms = []
         for d in deltas:
-            z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
+            z = run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
             sq_norms.append(kw.xt_norm_sq(basis, z, spec.epsilon)[-1])
         V3 = sq_norms[0] / deltas[0]
         assert sq_norms[1] <= V3 * deltas[1]
@@ -483,7 +484,7 @@ class TestDifference:
         y0_end = ref_end(0.0)
         for d in (1e-2, 1e-3):
             z_ref = ref_end(d) - y0_end
-            z = kw.run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
+            z = run_difference(spec.with_delta(d), spec, ic, ic, basis, cfg)
             want = kw.xt_norm_sq(basis, kw.ModalState(z_ref[:n], z_ref[n:], 2.0), spec.epsilon)
             gap = kw.xt_norm_sq(basis, kw.ModalState(z.u[-1] - z_ref[:n], z.v[-1] - z_ref[n:],
                                                      2.0), spec.epsilon)

@@ -136,10 +136,14 @@ class TestArrayTimes:
             assert eval_h(spec, 8, t).shape == (8,)
 
 
+def failed_names(report):
+    return [c.name for c in report.checks if not c.passed]
+
+
 class TestValidateHypotheses:
     def test_trivial_model_all_pass(self):
         rep = validate_hypotheses(kw.ModelSpec(dim=1, lam=1.0))
-        assert rep.all_passed, rep.failed_names
+        assert rep.all_passed, failed_names(rep)
 
     def test_cubic_gamma2_dissipative(self):
         # u g - gamma G = -u^4/2 < 0 for u != 0, so the ratio check passes
@@ -152,19 +156,19 @@ class TestValidateHypotheses:
     def test_sine_preset_passes(self):
         spec = kw.ModelSpec(dim=3, g=NonlinearitySpec.lipschitz_sine(a=1.0))
         rep = validate_hypotheses(spec)
-        assert rep.all_passed, rep.failed_names
+        assert rep.all_passed, failed_names(rep)
 
     def test_separable_forcing_tail(self):
         spec = kw.ModelSpec(dim=1, h=ForcingSpec(kind="separable", amplitude=1.0,
                                                  rate=0.5, sigma=1.0))
         rep = validate_hypotheses(spec)
-        assert rep.all_passed, rep.failed_names
+        assert rep.all_passed, failed_names(rep)
 
     def test_increasing_epsilon_fails_monotonicity(self):
         spec = kw.ModelSpec(dim=1, epsilon=EpsilonProfile(
             kind="exp_decay_to_limit", alpha=1.0, amplitude=-0.5))
         rep = validate_hypotheses(spec)
-        assert "epsilon_monotone" in rep.failed_names
+        assert "epsilon_monotone" in failed_names(rep)
 
     def test_deterministic(self):
         spec = kw.ModelSpec(dim=1, g=NonlinearitySpec.cubic_soft())
@@ -174,9 +178,9 @@ class TestValidateHypotheses:
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
-            validate_hypotheses(kw.ModelSpec(dim=1), u_range=(1.0, 1.0))
+            validate_hypotheses(kw.ModelSpec(dim=1), t_range=(1.0, 1.0))
         with pytest.raises(ValueError):
-            validate_hypotheses(kw.ModelSpec(dim=1), samples=1)
+            validate_hypotheses(kw.ModelSpec(dim=1), t_range=(2.0, 1.0))
 
     @given(st.floats(min_value=0.1, max_value=3.0),
            st.floats(min_value=0.1, max_value=2.0))
@@ -185,7 +189,7 @@ class TestValidateHypotheses:
         spec = kw.ModelSpec(dim=3, g=NonlinearitySpec.cubic_soft(c=c),
                             epsilon=EpsilonProfile(kind="exp_decay_to_limit",
                                                    alpha=1.0, amplitude=a))
-        assert validate_hypotheses(spec, samples=64).all_passed
+        assert validate_hypotheses(spec).all_passed
 
 
 class TestModelSpec:

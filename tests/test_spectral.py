@@ -9,10 +9,11 @@ from scipy.integrate import quad
 
 import kwavelab as kw
 from kwavelab import spectral
-from kwavelab.spectral import (AliasingError, Basis, ModalState, _dst_matrix,
+from kwavelab.spectral import (Basis, ModalState, _dst_matrix,
                                dual_norm_sq, eval_nonlinearity_modal, from_grid,
                                integral_of_G, integrate_grid, nonlinearity_work,
                                to_grid)
+from oracles import zero_state
 
 
 def mode_field(basis, index, amp=1.0):
@@ -57,7 +58,7 @@ class TestNorms:
 
     def test_xt_norm_zero_state(self):
         b = Basis(1, 8)
-        st0 = kw.zero_state(b)
+        st0 = zero_state(b)
         assert kw.xt_norm_sq(b, st0, kw.EpsilonProfile()) == 0.0
 
     def test_xt_norm_velocity_only(self):
@@ -147,11 +148,6 @@ class TestTransforms:
         b = Basis(2, 4)
         assert not to_grid(b, np.zeros(16), 8).any()
 
-    def test_aliasing_guard(self):
-        b = Basis(1, 8)
-        with pytest.raises(AliasingError):
-            to_grid(b, np.zeros(8), 8)
-
     def test_batch_dimension(self):
         rng = np.random.default_rng(5)
         b = Basis(2, 4)
@@ -222,6 +218,19 @@ class TestNonlinearityModal:
         for i, j in np.ndindex(2, 20):
             assert G[i, j] == integral_of_G(g, b, f[i, j])
             assert np.array_equal(N[i, j], eval_nonlinearity_modal(g, b, f[i, j]))
+
+    @pytest.mark.parametrize("g", [kw.NonlinearitySpec.cubic_soft(),
+                                   kw.NonlinearitySpec.lipschitz_sine()], ids=lambda g: g.kind)
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
+    def test_integral_of_G_is_the_G_of_eval_g(self, g, dim, n):
+        # one batch over one and a half row blocks, against eval_g's G on the
+        # whole batch's grid at once
+        b = Basis(dim, n)
+        M = 2 * n + 1
+        rows = 3 * (spectral._BLOCK_VALUES // (M - 1) ** dim) // 2
+        f = np.random.default_rng(dim).standard_normal((rows, b.n_modes))
+        want = integrate_grid(kw.eval_g(g, to_grid(b, f, M))[2], M, dim)
+        assert np.array_equal(integral_of_G(g, b, f), want)
 
     def test_allocating_transforms_keep_a_bounded_peak(self):
         # 1000 rows at d = 3 need 13.8 MB for one whole-batch grid array;
