@@ -48,8 +48,8 @@ class EnsembleSpec:
         if self.sampling not in SAMPLINGS:
             raise ValueError(f"unknown sampling {self.sampling!r}")
         taus = tuple(float(t) for t in self.taus)
-        if any(t <= 0 for t in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
-            raise ValueError("taus must be positive and strictly increasing")
+        if not taus or min(taus) <= 0 or any(b <= a for a, b in zip(taus, taus[1:])):
+            raise ValueError("taus must be positive, strictly increasing and nonempty")
         object.__setattr__(self, "taus", taus)
 
 

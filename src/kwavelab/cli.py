@@ -79,7 +79,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     _stage("building energy ledger")
     ledger = en.build_ledger(traj, cfg.model, cfg.basis, params)
     decay = en.verify_decay_inequality(ledger, traj, cfg.model, cfg.basis, params,
-                                       slack_factor=cfg.values["energy.slack_factor"],
                                        dt=cfg.step.dt)
     sandwich = en.fit_norm_sandwich(ledger, traj, cfg.model, cfg.basis, params)
     residual = np.append(decay.residuals, np.nan)  # the last record has no forward difference
@@ -103,9 +102,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_feasibility(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    v = cfg.values
-    _stage(f"scanning {v['energy.grid_n']}^2 grid over "
-           f"(0, {v['energy.rho_max']:g}] x (0, {v['energy.chi_max']:g}]")
+    _stage(f"scanning {cfg.values['energy.grid_n']}^2 grid over "
+           f"(0, {en.RHO_MAX:g}] x (0, {en.CHI_MAX:g}]")
     report = cfg.scan_feasibility()
     _write_json(os.path.join(out, "feasibility.json"), report.to_dict())
     if report.is_empty:
@@ -141,7 +139,7 @@ def _check_legs(cfg: ExperimentConfig, t_star: float, taus) -> None:
 
 def cmd_pullback(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    ens = cfg.ensemble()
+    ens = cfg.ensemble
     t_star = float(cfg.values["attractor.t_star"])
     _check_legs(cfg, t_star, ens.taus)
     params = cfg.energy_params(log=_stage)
@@ -166,7 +164,7 @@ def cmd_pullback(cfg: ExperimentConfig) -> int:
 
 def cmd_semicontinuity(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    ens = cfg.ensemble()
+    ens = cfg.ensemble
     t_star = float(cfg.values["attractor.t_star"])
     tau = ens.taus[-1]
     _check_legs(cfg, t_star, [tau])
@@ -203,12 +201,12 @@ def cmd_decompose(cfg: ExperimentConfig) -> int:
     rate2_ok = not np.any(g1 > bound + 1e-300)
     lap_sq = np.sum(cfg.basis.eigenvalues ** 2 * pair.u2 ** 2, axis=1)
     _write_csv(os.path.join(out, "decomposition.csv"),
-               ["t", "grad_u1_sq", "decay_bound", "residual_norm", "lap_u2_sq"],
-               zip(traj.times, g1, bound, pair.residual_norms, lap_sq))
+               ["t", "grad_u1_sq", "decay_bound", "lap_u2_sq"],
+               zip(traj.times, g1, bound, lap_sq))
     _write_json(os.path.join(out, "decomposition.json"),
-                {"max_residual": pair.max_residual, "rate2_ok": rate2_ok,
+                {"split_error": pair.split_error, "rate2_ok": rate2_ok,
                  "sup_lap_u2_sq": float(np.max(lap_sq)), "k_eff": pair.k_eff})
-    _stage(f"max residual {pair.max_residual:.3e}, rate-2 bound "
+    _stage(f"split error {pair.split_error:.3e}, rate-2 bound "
            f"{'holds' if rate2_ok else 'FAILS'}")
     return 0 if rate2_ok else 1
 

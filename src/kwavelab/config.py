@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .attractor import EnsembleSpec
 from .energy import (EnergyParams, FeasibilityReport, InfeasibleParamsError,
                      solve_feasibility)
 from .integrator import StepConfig
@@ -74,9 +75,6 @@ KEY_SPECS: dict[str, tuple[str, object]] = {
     "energy.c5": ("fitfloat", "fit"),
     "energy.c14": ("float", 1.0),
     "energy.grid_n": ("int", 48),
-    "energy.rho_max": ("float", 3.0),
-    "energy.chi_max": ("float", 1.5),
-    "energy.slack_factor": ("float", 10.0),
     "attractor.n_points": ("int", 64),
     "attractor.sampling": ("str", "sphere_surface"),
     "attractor.taus": ("floatlist", (5.0, 10.0, 20.0)),
@@ -163,6 +161,7 @@ class ExperimentConfig:
     model: ModelSpec
     basis: Basis
     step: StepConfig
+    ensemble: EnsembleSpec
     values: dict
 
     @classmethod
@@ -196,12 +195,19 @@ class ExperimentConfig:
             for key in ("threads", "energy.grid_n"):
                 if values[key] < 1:
                     raise ValueError(f"{key} = {values[key]} must be at least 1")
-            for key in ("energy.rho_max", "energy.chi_max", "attractor.dt"):
-                if values[key] is not None and values[key] <= 0:
-                    raise ValueError(f"{key} = {values[key]:g} must be positive")
+            if values["attractor.dt"] is not None and values["attractor.dt"] <= 0:
+                raise ValueError(f"attractor.dt = {values['attractor.dt']:g} must be positive")
+            if values["ic.kind"] not in ("zero", "mode", "sample"):
+                raise ValueError(f"unknown ic.kind {values['ic.kind']!r}")
+            if values["ic.kind"] == "mode" and not 1 <= values["ic.mode"] <= basis.n_modes:
+                raise ValueError(f"ic.mode {values['ic.mode']} outside basis of "
+                                 f"{basis.n_modes} modes")
+            ensemble = EnsembleSpec(n_points=values["attractor.n_points"],
+                                    sampling=values["attractor.sampling"],
+                                    seed=values["seed"], taus=values["attractor.taus"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return cls(model, basis, step, values)
+        return cls(model, basis, step, ensemble, values)
 
     @property
     def seed(self) -> int:
@@ -229,21 +235,17 @@ class ExperimentConfig:
         if kind == "zero":
             return ModalState(np.zeros(n), np.zeros(n), t0)
         if kind == "mode":
-            mode = int(v["ic.mode"])
-            if not (1 <= mode <= n):
-                raise ConfigError(f"ic.mode {mode} outside basis of {n} modes")
             u = np.zeros(n)
             w = np.zeros(n)
-            u[mode - 1] = v["ic.u_amp"]
-            w[mode - 1] = v["ic.v_amp"]
+            u[v["ic.mode"] - 1] = v["ic.u_amp"]
+            w[v["ic.mode"] - 1] = v["ic.v_amp"]
             return ModalState(u, w, t0)
-        if kind == "sample":
-            rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
-            y = rng.standard_normal(2 * n)
-            y *= v["ic.radius"] / math.sqrt(np.sum(y ** 2))
-            u = y[:n] / np.sqrt(self.basis.eigenvalues)
-            return ModalState(u, y[n:] / math.sqrt(eps0), t0)
-        raise ConfigError(f"unknown ic.kind {kind!r}")
+        # ic.kind = sample, as load rejects every other kind
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
+        y = rng.standard_normal(2 * n)
+        y *= v["ic.radius"] / math.sqrt(np.sum(y ** 2))
+        u = y[:n] / np.sqrt(self.basis.eigenvalues)
+        return ModalState(u, y[n:] / math.sqrt(eps0), t0)
 
     def scan_feasibility(self) -> FeasibilityReport:
         """The (rho, chi) feasibility scan over the energy.* grid keys.
@@ -260,9 +262,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return solve_feasibility(self.model, self.basis, probe,
-                                 grid_n=int(v["energy.grid_n"]),
-                                 rho_max=v["energy.rho_max"],
-                                 chi_max=v["energy.chi_max"])
+                                 grid_n=int(v["energy.grid_n"]))
 
     def energy_params(self, log=None) -> EnergyParams:
         """Resolve energy multipliers, running the feasibility scan when rho
@@ -288,17 +288,6 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from exc
         try:
             return EnergyParams(rho=float(rho), chi=float(chi), **base_kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def ensemble(self) -> "EnsembleSpec":
-        from .attractor import EnsembleSpec
-        v = self.values
-        try:
-            return EnsembleSpec(n_points=int(v["attractor.n_points"]),
-                                sampling=v["attractor.sampling"],
-                                seed=self.seed,
-                                taus=v["attractor.taus"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

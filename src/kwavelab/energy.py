@@ -180,6 +180,9 @@ def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis,
         np.array([eval_B(float(t), spec, params) for t in traj.times]))
 
 
+SLACK_FACTOR = 10.0  # slack of the discrete decay inequality, per unit of dt |E|
+
+
 @dataclass(frozen=True)
 class DecayReport:
     """``residuals`` is r = (E(t+D) - E(t))/D + chi E(t) - |h(t)|^2 / rho at
@@ -205,13 +208,12 @@ class DecayReport:
 
 def verify_decay_inequality(ledger: EnergyLedger, traj: Trajectory, spec: ModelSpec,
                             basis: Basis, params: EnergyParams,
-                            slack_factor: float = 10.0,
                             dt: Optional[float] = None) -> DecayReport:
     """Check the discrete decay inequality and the integrated bound.
 
     Forward differences on the recorded grid:
         (E(t+D) - E(t))/D <= -chi E(t) + |h(t)|^2 / rho + c5 + slack,
-    slack = slack_factor * dt * max(1, |E(t)|) with dt the integrator step
+    slack = SLACK_FACTOR * dt * max(1, |E(t)|) with dt the integrator step
     (record spacing when not given). c5 is taken from params or fitted as the
     smallest nonnegative constant making the raw inequality hold, then
     frozen. The integrated form fits a single front constant C and asserts
@@ -232,7 +234,7 @@ def verify_decay_inequality(ledger: EnergyLedger, traj: Trajectory, spec: ModelS
     r = (ledger.E[1:] - ledger.E[:-1]) / D + params.chi * ledger.E[:-1] - h_sq / params.rho
     fitted = params.c5 is None
     c5 = max(0.0, float(np.max(r))) if fitted else params.c5
-    slack = slack_factor * (D if dt is None else dt) * np.maximum(1.0, np.abs(ledger.E[:-1]))
+    slack = SLACK_FACTOR * (D if dt is None else dt) * np.maximum(1.0, np.abs(ledger.E[:-1]))
     violation = r - c5 - slack
     max_violation = float(np.max(violation))
 
@@ -339,6 +341,9 @@ def check_point_margins(spec: ModelSpec, basis: Basis, params: EnergyParams) -> 
 
 
 FEASIBLE_POINTS_MAX = 4096  # feasible points listed in FeasibilityReport.to_dict
+# The scanned box (0, RHO_MAX] x (0, CHI_MAX]; the binding rows confine the
+# feasible set to rho <= 2 (rho_window) and chi < 1/2 (chi_gradient_coeff).
+RHO_MAX, CHI_MAX = 3.0, 1.5
 
 
 @dataclass(frozen=True)
@@ -393,9 +398,8 @@ class FeasibilityReport:
 
 
 def solve_feasibility(spec: ModelSpec, basis: Basis, params: EnergyParams,
-                      grid_n: int = 48, rho_max: float = 3.0,
-                      chi_max: float = 1.5) -> FeasibilityReport:
-    """Scan (0, rho_max] x (0, chi_max] and classify every grid point.
+                      grid_n: int = 48) -> FeasibilityReport:
+    """Scan (0, RHO_MAX] x (0, CHI_MAX] and classify every grid point.
 
     The feasible set is the conjunction of the binding constraints; a
     canonical interior point maximises the smallest normalised binding
@@ -403,8 +407,8 @@ def solve_feasibility(spec: ModelSpec, basis: Basis, params: EnergyParams,
     the most grid points.
     """
     kw = _constants_for_scan(spec, basis, params)
-    rho_grid = np.linspace(0.0, rho_max, grid_n + 1)[1:]
-    chi_grid = np.linspace(0.0, chi_max, grid_n + 1)[1:]
+    rho_grid = np.linspace(0.0, RHO_MAX, grid_n + 1)[1:]
+    chi_grid = np.linspace(0.0, CHI_MAX, grid_n + 1)[1:]
     R = rho_grid[:, None]
     X = chi_grid[None, :]
     bind_kw = {k: v for k, v in kw.items() if k not in ("c0", "c4")}

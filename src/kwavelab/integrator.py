@@ -33,8 +33,7 @@ same bits. The dt-dependent diagonals are formed once per call.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -267,36 +266,29 @@ class DecompositionPair:
         f = phi(u) - phi(u - u1),  phi(s) = g(s) - k_eff s,
 
     with u1(t0) = u(t0); u2 := u - u1 by subtraction, so the sum invariant is
-    exact and the u2 equation (with psi = -eps u_tt + k_eff u + h on the
-    right) serves as a residual diagnostic. u1 and u2 are the coefficients
-    at the parent's records, arrays of shape (records, modes); neither
-    solves the second-order problem, so neither is a Trajectory.
+    exact. u1 and u2 are the coefficients at the parent's records, arrays of
+    shape (records, modes); neither solves the second-order problem, so
+    neither is a Trajectory. split_error is the Richardson estimate of the
+    Heun error of u1 in the gradient norm, sup over the records it compares.
     """
 
     u1: np.ndarray
     u2: np.ndarray
     k_eff: float
-    residual_norms: np.ndarray = field(repr=False)
-
-    @property
-    def max_residual(self) -> float:
-        vals = self.residual_norms[np.isfinite(self.residual_norms)]
-        return float(np.max(vals)) if vals.size else 0.0
+    split_error: float
 
 
 def _phi_modal(spec: ModelSpec, basis: Basis, u: np.ndarray, k_eff: float) -> np.ndarray:
     return eval_nonlinearity_modal(spec.g, basis, u) - k_eff * u
 
 
-RESIDUAL_TOL = 1e-3  # decomposition residual above which a RuntimeWarning is issued
-
-
 def run_decomposition(parent: Trajectory, spec: ModelSpec) -> DecompositionPair:
-    """Integrate the u1 system on the parent's recorded grid (Heun steps) and
-    evaluate the u2 residual diagnostic, all records in one batch. Its
-    largest value measures the initial damping layer, which no record grid
-    resolves, not a failed split (README, "The decompose residual"); above
-    RESIDUAL_TOL it warns, and the exit code of ``decompose`` ignores it.
+    """Integrate the u1 system by Heun steps on the parent's record grid, and
+    once more on every other record.
+
+    Heun is second order, so the error of u1 at a shared record is a third of
+    its difference from the coarse pass (Richardson); split_error is the
+    largest such gradient norm, 0.0 with fewer than three records.
 
     The parent's terms (S, the implicit diagonal and phi(u)) are evaluated
     once for all records; each Heun stage evaluates only phi(u - a1), as a1
@@ -305,39 +297,25 @@ def run_decomposition(parent: Trajectory, spec: ModelSpec) -> DecompositionPair:
     mu = basis.eigenvalues
     k_eff = max(spec.g.k, 1e-3)  # phi must be strictly decreasing
     ts, us = parent.times, parent.us
-    n = parent.n_records
     S = grad_norm_sq(basis, us)[:, None]
     diag = (1.0 + spec.delta * S) * mu + spec.lam
     phi_u = _phi_modal(spec, basis, us, k_eff)
-    a1 = np.empty_like(us)
-    a1[0] = us[0]
 
-    def rhs(i: int, a1_val: np.ndarray) -> np.ndarray:
-        f = phi_u[i] - _phi_modal(spec, basis, us[i] - a1_val, k_eff)
-        return (f - diag[i] * a1_val) / mu
+    def heun(ts, us, phi_u, diag) -> np.ndarray:
+        def rhs(i: int, a1_val: np.ndarray) -> np.ndarray:
+            f = phi_u[i] - _phi_modal(spec, basis, us[i] - a1_val, k_eff)
+            return (f - diag[i] * a1_val) / mu
 
-    for i in range(n - 1):
-        h = float(ts[i + 1] - ts[i])
-        k1 = rhs(i, a1[i])
-        k2 = rhs(i + 1, a1[i] + h * k1)
-        a1[i + 1] = a1[i] + 0.5 * h * (k1 + k2)
-    a2 = us - a1
+        a1 = np.empty_like(us)
+        a1[0] = us[0]
+        for i in range(ts.size - 1):
+            h = float(ts[i + 1] - ts[i])
+            k1 = rhs(i, a1[i])
+            k2 = rhs(i + 1, a1[i] + h * k1)
+            a1[i + 1] = a1[i] + 0.5 * h * (k1 + k2)
+        return a1
 
-    residuals = np.full(n, np.nan)
-    if n >= 5:
-        h = float(ts[1] - ts[0])
-        # 4th-order centered derivative of a2 on the recorded grid
-        d_a2 = (-a2[4:] + 8.0 * a2[3:-1] - 8.0 * a2[1:-3] + a2[:-4]) / (12.0 * h)
-        mid = ModalState(us[2:-2], parent.vs[2:-2], ts[2:-2])
-        eps, _ = eval_epsilon(spec.epsilon, mid.t)
-        psi = (-eps[:, None] * reconstruct_accel(mid, spec, basis) + k_eff * mid.u
-               + eval_h(spec.h, basis.n_modes, mid.t))
-        res = ((1.0 + spec.delta * S[2:-2]) * mu * a2[2:-2] + mu * d_a2
-               + spec.lam * a2[2:-2] - _phi_modal(spec, basis, a2[2:-2], k_eff) - psi)
-        residuals[2:-2] = np.sqrt(np.sum(res ** 2, axis=1))
-        worst = np.nanmax(residuals)
-        if worst > RESIDUAL_TOL:
-            i_bad = int(np.nanargmax(residuals))
-            warnings.warn(f"decomposition residual {worst:.3e} exceeds {RESIDUAL_TOL:g} "
-                          f"at t = {float(ts[i_bad]):.6g}", RuntimeWarning, stacklevel=2)
-    return DecompositionPair(a1, a2, k_eff, residuals)
+    a1 = heun(ts, us, phi_u, diag)
+    a1c = heun(ts[::2], us[::2], phi_u[::2], diag[::2])
+    split_error = float(np.max(np.sqrt(grad_norm_sq(basis, a1[::2] - a1c)))) / 3.0
+    return DecompositionPair(a1, us - a1, k_eff, split_error)

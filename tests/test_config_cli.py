@@ -108,9 +108,11 @@ class TestExitCodes:
         assert main(["validate", "--config", path]) == 2
 
     def test_removed_output_formats_key_exit_2(self, tmp_path, capsys):
-        # every removed key: output.formats, disc.scheme (one scheme left) and
+        # every removed key: output.formats, disc.scheme (one scheme left),
         # energy.xi (no command evaluates the difference functional it sets)
-        for line in ("output.formats = csv,json", "disc.scheme = imex2", "energy.xi = 0.1"):
+        # and the constants energy.rho_max, energy.chi_max, energy.slack_factor
+        for line in ("output.formats = csv,json", "disc.scheme = imex2", "energy.xi = 0.1",
+                     "energy.rho_max = -1", "energy.chi_max = 0", "energy.slack_factor = 10"):
             path = write_cfg(tmp_path, SMALL_MODEL + line + "\n")
             assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
             assert "unknown key" in capsys.readouterr().err
@@ -191,13 +193,21 @@ class TestExitCodes:
         ("decompose", "disc.t_end = 0.0", "disc.t_end = 0 must exceed disc.t_start = 0"),
         ("feasibility", "energy.grid_n = -3", "energy.grid_n = -3 must be at least 1"),
         ("feasibility", "energy.grid_n = 0", "energy.grid_n = 0 must be at least 1"),
-        ("feasibility", "energy.chi_max = 0", "energy.chi_max = 0 must be positive"),
-        ("feasibility", "energy.rho_max = -1", "energy.rho_max = -1 must be positive"),
         ("pullback", "attractor.dt = 0", "attractor.dt = 0 must be positive"),
-        ("semicontinuity", "attractor.dt = -0.005", "attractor.dt = -0.005 must be positive")])
+        ("semicontinuity", "attractor.dt = -0.005", "attractor.dt = -0.005 must be positive"),
+        *((command, line, message) for command in ("validate", "feasibility", "simulate")
+          for line, message in (
+              ("attractor.sampling = bogus", "unknown sampling 'bogus'"),
+              ("attractor.n_points = 0", "need at least one ensemble member"),
+              ("attractor.taus = 3, 1", "taus must be positive, strictly increasing"),
+              ("attractor.taus = ,", "taus must be positive, strictly increasing"))),
+        *((command, line, message) for command in ("validate", "feasibility", "pullback")
+          for line, message in (("ic.kind = bogus", "unknown ic.kind 'bogus'"),
+                                ("ic.mode = 9", "ic.mode 9 outside basis of 8 modes")))])
     def test_unrunnable_value_exit_2(self, tmp_path, capsys, command, line, message):
-        # a run of no steps; an empty, negative or degenerate (rho, chi) grid;
-        # a pullback step that is not positive
+        # a run of no steps; an empty grid; a pullback step that is not
+        # positive; an ensemble or initial state that no command could build,
+        # rejected by every command, including those that do not use it
         key = line.split(" = ")[0]
         pattern = rf"^{re.escape(key)} = .*$"
         text = (re.sub(pattern, line, SMALL_MODEL, flags=re.M)
@@ -396,7 +406,7 @@ class TestDecomposeCommand:
                      "--out", str(out)]) == 0
         summary = json.loads((out / "decomposition.json").read_text())
         assert summary["rate2_ok"]
-        assert summary["max_residual"] < 1e-3
+        assert summary["split_error"] < 1e-3
         assert np.isfinite(summary["sup_lap_u2_sq"])
 
 

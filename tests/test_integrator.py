@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import kwavelab as kw
-from kwavelab.integrator import BlowUpError, StepConfig, run, run_decomposition
+from kwavelab.config import ExperimentConfig
+from kwavelab.integrator import BlowUpError, StepConfig, Trajectory, run, run_decomposition
 from oracles import record, run_difference, zero_state
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 try:
     import resource
@@ -301,8 +305,12 @@ def heun_u1_oracle(parent, spec):
     return a1
 
 
+def every_kth_record(parent, k):
+    """The parent's records as record_every = k would keep them."""
+    return Trajectory(parent.basis, parent.times[::k], parent.us[::k], parent.vs[::k])
+
+
 class TestDecomposition:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_u1_equals_the_per_record_heun_loop(self, forced_cubic_run):
         spec, _, parent = forced_cubic_run
         assert np.array_equal(run_decomposition(parent, spec).u1, heun_u1_oracle(parent, spec))
@@ -312,7 +320,6 @@ class TestDecomposition:
         pair = run_decomposition(linear_trajectory, spec)
         assert np.array_equal(pair.u1, heun_u1_oracle(linear_trajectory, spec))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_transforms_once_per_heun_stage(self, forced_cubic_run, monkeypatch):
         import kwavelab.integrator as integ
         spec, _, parent = forced_cubic_run
@@ -325,9 +332,11 @@ class TestDecomposition:
 
         monkeypatch.setattr(integ, "eval_nonlinearity_modal", counting)
         run_decomposition(parent, spec)
-        # phi(u) of all records in one call, phi(u - a1) at each of the
-        # 2 (n - 1) Heun stages, then g(u) and phi(a2) of the residual
-        assert len(calls) == 2 * parent.n_records + 1
+        # phi(u) of all records in one call, then phi(u - a1) at each of the
+        # 2 (n - 1) Heun stages on every record and the 2 floor((n - 1) / 2)
+        # on every other record
+        n = parent.n_records
+        assert len(calls) == 1 + 2 * (n - 1) + 2 * ((n - 1) // 2)
 
     def test_zero_parent(self, linear_setup):
         spec, basis = linear_setup
@@ -348,7 +357,7 @@ class TestDecomposition:
     def test_residual_small_on_linear_case(self, linear_trajectory, linear_setup):
         spec, _ = linear_setup
         pair = run_decomposition(linear_trajectory, spec)
-        assert pair.max_residual < 1e-3
+        assert pair.split_error < 1e-3
 
     def test_exponential_decay_bound(self, linear_trajectory, linear_setup):
         spec, basis = linear_setup
@@ -360,31 +369,36 @@ class TestDecomposition:
             t = float(linear_trajectory.times[i])
             assert g1 <= math.exp(-2.0 * (t - t0)) * g0 * (1.0 + 1e-3)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_residuals_equal_the_per_record_formula(self, forced_cubic_run):
+    def test_split_error_is_the_richardson_formula(self, forced_cubic_run):
         spec, basis, parent = forced_cubic_run
-        pair = run_decomposition(parent, spec)
-        mu, k, a2 = basis.eigenvalues, pair.k_eff, pair.u2
-        h = float(parent.times[1] - parent.times[0])
-        d_a2 = (-a2[4:] + 8.0 * a2[3:-1] - 8.0 * a2[1:-3] + a2[:-4]) / (12.0 * h)
-        want = np.full(parent.n_records, np.nan)
-        for j, i in enumerate(range(2, parent.n_records - 2)):  # the per-record oracle
-            st = record(parent, i)
-            S = kw.grad_norm_sq(basis, st.u)
-            eps, _ = kw.eval_epsilon(spec.epsilon, st.t)
-            psi = (-eps * kw.reconstruct_accel(st, spec, basis) + k * st.u
-                   + kw.eval_h(spec.h, basis.n_modes, st.t))
-            phi = kw.eval_nonlinearity_modal(spec.g, basis, a2[i]) - k * a2[i]
-            res = ((1.0 + spec.delta * S) * mu * a2[i] + mu * d_a2[j]
-                   + spec.lam * a2[i] - phi - psi)
-            want[i] = math.sqrt(float(np.sum(res ** 2)))
-        assert np.array_equal(pair.residual_norms, want, equal_nan=True)
-        assert np.isfinite(want[2:-2]).all()
+        fine = heun_u1_oracle(parent, spec)
+        coarse = heun_u1_oracle(every_kth_record(parent, 2), spec)
+        want = max(math.sqrt(kw.grad_norm_sq(basis, fine[2 * j] - coarse[j]))
+                   for j in range(coarse.shape[0])) / 3.0
+        assert run_decomposition(parent, spec).split_error == want > 0.0
+        # with fewer than three records both passes end on the first record
+        two = Trajectory(basis, parent.times[:2], parent.us[:2], parent.vs[:2])
+        assert run_decomposition(two, spec).split_error == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["linear.cfg", "cubic3d.cfg"])
+    def test_split_error_estimates_the_heun_error(self, name):
+        # u1 of a parent recorded every step is the reference: its own Heun
+        # error is 1/k^2 of that of every k-th record
+        cfg = ExperimentConfig.load(os.path.join(CONFIG_DIR, name))
+        spec, basis = cfg.model, cfg.basis
+        ref = run(cfg.initial_state(), spec, basis,
+                  StepConfig(dt=cfg.step.dt, t_start=cfg.step.t_start, t_end=4.0))
+        u1_ref = run_decomposition(ref, spec).u1
+        estimates = []
+        for k in (10, 20):
+            pair = run_decomposition(every_kth_record(ref, k), spec)
+            error = np.max(np.sqrt(kw.grad_norm_sq(basis, pair.u1 - u1_ref[::k])))
+            assert 0.9 * error <= pair.split_error <= 1.2 * error
+            estimates.append(pair.split_error)
+        # second order: a doubled record spacing quadruples the estimate
+        assert 3.5 <= estimates[1] / estimates[0] <= 4.5
+
     def test_decay_bound_with_cubic(self, cubic3d_setup):
-        # the residual diagnostic cannot resolve the initial fast layer on this
-        # record grid; only the decay bound is under test here
         spec, basis = cubic3d_setup
         rng = np.random.default_rng(4)
         ic = kw.ModalState(rng.standard_normal(basis.n_modes) * 0.05,
