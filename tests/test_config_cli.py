@@ -110,9 +110,9 @@ class TestExitCodes:
     def test_removed_output_formats_key_exit_2(self, tmp_path, capsys):
         # every removed key: output.formats, disc.scheme (one scheme left),
         # energy.xi (no command evaluates the difference functional it sets)
-        # and the constants energy.rho_max, energy.chi_max, energy.slack_factor
+        # and the constant energy.slack_factor
         for line in ("output.formats = csv,json", "disc.scheme = imex2", "energy.xi = 0.1",
-                     "energy.rho_max = -1", "energy.chi_max = 0", "energy.slack_factor = 10"):
+                     "energy.slack_factor = 10"):
             path = write_cfg(tmp_path, SMALL_MODEL + line + "\n")
             assert main(["validate", "--config", path, "--out", str(tmp_path)]) == 2
             assert "unknown key" in capsys.readouterr().err
@@ -193,6 +193,11 @@ class TestExitCodes:
         ("decompose", "disc.t_end = 0.0", "disc.t_end = 0 must exceed disc.t_start = 0"),
         ("feasibility", "energy.grid_n = -3", "energy.grid_n = -3 must be at least 1"),
         ("feasibility", "energy.grid_n = 0", "energy.grid_n = 0 must be at least 1"),
+        # the scan box is the constants RHO_MAX and CHI_MAX: setting either is an unknown key
+        pytest.param("feasibility", "energy.chi_max = 0", "unknown key 'energy.chi_max'",
+                     id="feasibility-energy.chi_max = 0-energy.chi_max is a constant"),
+        pytest.param("feasibility", "energy.rho_max = -1", "unknown key 'energy.rho_max'",
+                     id="feasibility-energy.rho_max = -1-energy.rho_max is a constant"),
         ("pullback", "attractor.dt = 0", "attractor.dt = 0 must be positive"),
         ("semicontinuity", "attractor.dt = -0.005", "attractor.dt = -0.005 must be positive"),
         *((command, line, message) for command in ("validate", "feasibility", "simulate")
@@ -205,8 +210,8 @@ class TestExitCodes:
           for line, message in (("ic.kind = bogus", "unknown ic.kind 'bogus'"),
                                 ("ic.mode = 9", "ic.mode 9 outside basis of 8 modes")))])
     def test_unrunnable_value_exit_2(self, tmp_path, capsys, command, line, message):
-        # a run of no steps; an empty grid; a pullback step that is not
-        # positive; an ensemble or initial state that no command could build,
+        # a run of no steps; an empty grid; a scan-box bound that is no longer
+        # a key; a pullback step that is not positive; an ensemble or initial state that no command could build,
         # rejected by every command, including those that do not use it
         key = line.split(" = ")[0]
         pattern = rf"^{re.escape(key)} = .*$"
