@@ -13,8 +13,13 @@ step), eps frozen at the half step, forcing averaged over the step
 endpoints. Each step is a closed-form diagonal solve, O(N^d) work.
 
 The explicit Kirchhoff product scales with mu_max like the linear part, so
-a large delta |grad u|^2 limits the stable dt; folding (1 + delta S*) mu_m,
-S* extrapolated, into the implicit diagonal would lift that limit.
+a large delta |grad u|^2 limits the stable dt, and that limit is open.
+Folding an extrapolated (1 + delta S*) mu_m into the implicit diagonal
+removes the blow-up but not the error: where dt does not resolve the
+Kirchhoff frequency of the underdamped modes it returns bounded wrong
+answers (93-112 % of |grad u_ref| at delta = 50, d = 1, N = 64). A fix
+needs a step that stays accurate there and a diagnostic that says when dt
+is too coarse.
 
 ``run`` and ``evolve_ensemble`` drive one loop, ``_march``, which
 takes a leading batch axis. Step i runs from origin + (origin_step + i)*dt;
@@ -27,7 +32,12 @@ and the explicit term (so the AB2 history needs no copy), the step scratch,
 and the grid-transform workspace of ``nonlinearity_work``. The steps then
 run in place with ``out=`` ufuncs that pair the operands exactly as the
 plain expressions would, so they allocate no field-sized array and give the
-same bits. The dt-dependent diagonals are formed once per call.
+same bits. What does not depend on the step is formed once per call: the
+dt-dependent diagonals, the denominator when eps is constant, and the row
+that holds the forcing mean, of which a step updates only the forced mode.
+A model with no explicit term (g = 0 and delta = 0) skips it: no grid
+transform runs, the AB2 history is one zero array, and nothing is done for
+forcing that is zero.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelSpec, eval_epsilon, eval_h
+from .model import ModelSpec, eval_epsilon, eval_h, forcing_coefficient
 from .spectral import (Basis, ModalState, eval_nonlinearity_modal,
                        grad_norm_sq, nonlinearity_work)
 
@@ -144,41 +154,85 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     row (row 0 is left to the caller). Returns the final (u, v) and the
     explicit term of the last step, the multistep history of a resumed run.
 
+    One step is, with alpha = u + (dt/2) v and eps_h = eps(t + dt/2),
+
+        force = 1.5 nl(u) - 0.5 nl_prev + 0.5 (h(t) + h(t + dt))
+                (nl(u) in place of the AB2 pair at the Euler bootstrap),
+        v_new = (eps_h v - half_stiff (u + alpha) - half_mu v + dt force) / denom,
+        u_new = alpha + (dt/2) v_new,
+
+    with half_stiff = (dt/2)(mu + lam), half_mu = (dt/2) mu and
+    denom = eps_h + (dt^2/4)(mu + lam) + half_mu.
+
     Every work array is allocated here, once per call. u, v and the explicit
     term live in ping-pong pairs: step i writes entry i % 2 and reads the
     other (at i = 0 the caller's arrays, which are never written), so the
     returned arrays belong to this call and nothing writes them afterwards.
+    A model with g = 0 and delta = 0 has no explicit term: its history is one
+    zero array, and force is the forcing mean alone, one row for the batch.
     """
     mu = basis.eigenvalues
     stiff = mu + spec.lam
-    half_stiff, half_mu = (dt / 2.0) * stiff, (dt / 2.0) * mu
+    half_dt = dt / 2.0
+    half_stiff, half_mu = half_dt * stiff, half_dt * mu
     quarter_dt2_stiff = (dt * dt / 4.0) * stiff
     shape = u.shape
-    u_pair, v_pair, nl_pair = ((np.empty(shape), np.empty(shape)) for _ in range(3))
-    alpha, force, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
-    S, denom = np.empty(shape[:-1]), np.empty(shape[-1])
-    work = nonlinearity_work(spec.g, basis, shape[:-1])
+    explicit = spec.g.kind != "zero" or spec.delta != 0.0
+    # the allocation order matters: at (64, 256) another order made the page
+    # faults of a call swing between calls by 128 pages, whatever the steps
+    u_pair, v_pair = ((np.empty(shape), np.empty(shape)) for _ in range(2))
+    if explicit:
+        nl_pair = (np.empty(shape), np.empty(shape))
+        alpha, force, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
+        S, denom = np.empty(shape[:-1]), np.empty(shape[-1])
+        work = nonlinearity_work(spec.g, basis, shape[:-1])
+    else:
+        nl_prev = np.zeros(shape)
+        alpha, scratch, denom = np.empty(shape), np.empty(shape), np.empty(shape[-1])
+        force = np.zeros(shape[-1])  # dt times the forcing mean
+    # the forcing mean 0.5 (h(t) + h(t + dt)); only the forced mode's entry moves
+    h_mean = eval_h(spec.h, basis.n_modes, origin_t + origin_step * dt)
+    forced = spec.h.kind != "zero"
+    if forced:
+        m = spec.h.mode - 1
+        h_lo = float(h_mean[m])
+    varying_eps = spec.epsilon.kind != "constant"
+    if not varying_eps:
+        eps_h, _ = eval_epsilon(spec.epsilon, origin_t)
+        np.add(eps_h, quarter_dt2_stiff, out=denom)
+        np.add(denom, half_mu, out=denom)
 
-    h_lo = eval_h(spec.h, basis.n_modes, origin_t + origin_step * dt)
+    t_next = origin_t + origin_step * dt
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
         for i in range(n):
-            t = origin_t + (origin_step + i) * dt
-            t_next = origin_t + (origin_step + i + 1) * dt
+            t, t_next = t_next, origin_t + (origin_step + i + 1) * dt
             u_new, v_new = u_pair[i % 2], v_pair[i % 2]
-            nl_cur = _explicit_term(spec, basis, u, work, scratch, S, nl_pair[i % 2])
-            h_hi = eval_h(spec.h, basis.n_modes, t_next)
-            # force = AB2 extrapolation of nl (Euler at the bootstrap) + mean h
-            if nl_prev is None:
-                np.copyto(force, nl_cur)
-            else:
-                np.multiply(nl_cur, 1.5, out=force)
-                np.multiply(nl_prev, 0.5, out=scratch)
-                np.subtract(force, scratch, out=force)
-            np.add(force, 0.5 * (h_lo + h_hi), out=force)
-            eps_h, _ = eval_epsilon(spec.epsilon, t + dt / 2.0)
-            np.add(eps_h, quarter_dt2_stiff, out=denom)
-            np.add(denom, half_mu, out=denom)
-            np.multiply(v, dt / 2.0, out=alpha)
+            if forced:
+                h_hi = forcing_coefficient(spec.h, t_next)
+                mean = 0.5 * (h_lo + h_hi)
+                h_lo = h_hi
+            if explicit:
+                nl_cur = _explicit_term(spec, basis, u, work, scratch, S, nl_pair[i % 2])
+                # force = AB2 extrapolation of nl (Euler at the bootstrap) + mean h
+                if nl_prev is None:
+                    np.copyto(force, nl_cur)
+                else:
+                    np.multiply(nl_cur, 1.5, out=force)
+                    np.multiply(nl_prev, 0.5, out=scratch)
+                    np.subtract(force, scratch, out=force)
+                if forced:
+                    h_mean[m] = mean
+                np.add(force, h_mean, out=force)
+                np.multiply(force, dt, out=force)
+                nl_prev = nl_cur
+            elif forced:
+                # 0.0 + mean: the zero explicit term turns a mean of -0.0 into 0.0
+                force[m] = (0.0 + mean) * dt
+            if varying_eps:
+                eps_h, _ = eval_epsilon(spec.epsilon, t + half_dt)
+                np.add(eps_h, quarter_dt2_stiff, out=denom)
+                np.add(denom, half_mu, out=denom)
+            np.multiply(v, half_dt, out=alpha)
             np.add(u, alpha, out=alpha)
             # v_new = (eps_h v - half_stiff (u + alpha) - half_mu v + dt force) / denom
             np.multiply(v, eps_h, out=v_new)
@@ -187,16 +241,15 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
             np.subtract(v_new, scratch, out=v_new)
             np.multiply(v, half_mu, out=scratch)
             np.subtract(v_new, scratch, out=v_new)
-            np.multiply(force, dt, out=force)
             np.add(v_new, force, out=v_new)
             np.divide(v_new, denom, out=v_new)
             # u_new = alpha + (dt/2) v_new
-            np.multiply(v_new, dt / 2.0, out=u_new)
+            np.multiply(v_new, half_dt, out=u_new)
             np.add(alpha, u_new, out=u_new)
-            u, v, nl_prev, h_lo = u_new, v_new, nl_cur, h_hi
+            u, v = u_new, v_new
             # a finite sum means every entry is finite: one pass and no temporary
             # (an isfinite(u) temporary made 1.8x the page faults at (64, 256))
-            if not math.isfinite(u.sum()) and not np.isfinite(u).all():
+            if not math.isfinite(np.add.reduce(u, axis=None)) and not np.isfinite(u).all():
                 first = np.argwhere(~np.isfinite(u))[0]
                 raise BlowUpError(float(t_next), member=int(first[0]) if u.ndim > 1 else None,
                                   mode=int(first[-1]))

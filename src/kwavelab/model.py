@@ -220,8 +220,14 @@ def eval_h(spec: ForcingSpec, n_modes: int, t) -> np.ndarray:
         return h
     if spec.mode > n_modes:
         raise ValueError(f"forcing mode {spec.mode} outside basis of {n_modes} modes")
-    h[..., spec.mode - 1] = spec.amplitude * exp_each(-spec.rate * abs(t))
+    h[..., spec.mode - 1] = forcing_coefficient(spec, t)
     return h
+
+
+def forcing_coefficient(spec: ForcingSpec, t):
+    """The one nonzero modal coefficient of separable forcing, that of
+    phi_mode, at t (one per time of an array of times)."""
+    return spec.amplitude * exp_each(-spec.rate * abs(t))
 
 
 @dataclass(frozen=True)

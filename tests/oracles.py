@@ -1,13 +1,15 @@
-"""Test oracles that no command runs: the delta-difference run and its
-energy, plus one-line constructors of the states the tests start from."""
+"""Test oracles that no command runs: the IMEX step in plain expressions,
+the delta-difference run and its energy, plus one-line constructors of the
+states the tests start from."""
 
 import dataclasses
 
 import numpy as np
 
 from kwavelab.integrator import run
-from kwavelab.model import eval_epsilon
-from kwavelab.spectral import ModalState, grad_norm_sq, inner, norm_sq
+from kwavelab.model import eval_epsilon, eval_h
+from kwavelab.spectral import (ModalState, eval_nonlinearity_modal, grad_norm_sq, inner,
+                               norm_sq)
 
 
 def zero_state(basis, t=0.0):
@@ -17,6 +19,34 @@ def zero_state(basis, t=0.0):
 def record(traj, i):
     """Record i of a trajectory as a single state (i = -1: the last)."""
     return ModalState(traj.us[i], traj.vs[i], float(traj.times[i]))
+
+
+def imex2_plain(u, v, spec, basis, t_start, dt, n):
+    """(u, v) after n IMEX steps from t_start, in the allocating expressions
+    that the integrator._march docstring names, with h and eps evaluated at
+    every step: an explicit Euler bootstrap step, then AB2. u and v are one
+    state or a batch of rows."""
+    mu = basis.eigenvalues
+    stiff = mu + spec.lam
+    half_stiff, half_mu = (dt / 2.0) * stiff, (dt / 2.0) * mu
+    quarter_dt2_stiff = (dt * dt / 4.0) * stiff
+    nl_prev = None
+    for i in range(n):
+        t, t_next = t_start + i * dt, t_start + (i + 1) * dt
+        nl = eval_nonlinearity_modal(spec.g, basis, u)
+        if spec.delta != 0.0:
+            S = spec.delta * np.sum(u * u * mu, axis=-1)
+            nl = nl - u * mu * S[..., None]
+        h_mean = 0.5 * (eval_h(spec.h, basis.n_modes, t) + eval_h(spec.h, basis.n_modes, t_next))
+        explicit = nl if nl_prev is None else 1.5 * nl - 0.5 * nl_prev
+        force = explicit + h_mean
+        eps_h, _ = eval_epsilon(spec.epsilon, t + dt / 2.0)
+        denom = eps_h + quarter_dt2_stiff + half_mu
+        alpha = u + (dt / 2.0) * v
+        v = (eps_h * v - half_stiff * (u + alpha) - half_mu * v + dt * force) / denom
+        u = alpha + (dt / 2.0) * v
+        nl_prev = nl
+    return u, v
 
 
 def run_difference(spec_a, spec_b, x_a, x_b, basis, cfg):

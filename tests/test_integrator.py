@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 import kwavelab as kw
 from kwavelab.config import ExperimentConfig
 from kwavelab.integrator import BlowUpError, StepConfig, Trajectory, run, run_decomposition
-from oracles import record, run_difference, zero_state
+from oracles import imex2_plain, record, run_difference, zero_state
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -38,6 +38,23 @@ def single_mode_ic(basis, amp_u=1.0, amp_v=0.0, t=0.0):
     v = np.zeros(basis.n_modes)
     u[0], v[0] = amp_u, amp_v
     return kw.ModalState(u, v, t)
+
+
+DECAYING_EPS = kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5)
+# a negative amplitude, which no fixture uses, and a forced mode other than the first
+FORCING = kw.ForcingSpec(kind="separable", amplitude=-1.0, rate=0.5, mode=2, sigma=1.0)
+CUBIC = kw.NonlinearitySpec.cubic_soft()
+
+
+def plain_model(name, dim):
+    """The models the plain-expression oracle is checked on, g = delta = 0 first."""
+    return {
+        "linear": kw.ModelSpec(dim=dim, lam=0.1),
+        "linear_forced": kw.ModelSpec(dim=dim, lam=0.1, h=FORCING),
+        "eps_decay_cubic": kw.ModelSpec(dim=dim, epsilon=DECAYING_EPS, g=CUBIC),
+        "kirchhoff_cubic_forced": kw.ModelSpec(dim=dim, delta=0.3, lam=0.1, g=CUBIC,
+                                               h=FORCING),
+    }[name]
 
 
 class TestStep:
@@ -156,6 +173,47 @@ class TestStep:
             assert np.array_equal(u_end[k], traj.us[-1])
             assert np.array_equal(v_end[k], traj.vs[-1])
 
+    @pytest.mark.parametrize("dim,n", [(1, 8), (3, 4)])
+    @pytest.mark.parametrize("model", ["linear", "linear_forced", "eps_decay_cubic",
+                                       "kirchhoff_cubic_forced"])
+    def test_run_and_ensemble_equal_the_plain_expressions(self, model, dim, n):
+        spec, basis = plain_model(model, dim), kw.Basis(dim, n)
+        rng = np.random.default_rng(dim)
+        us = rng.standard_normal((3, basis.n_modes)) / basis.eigenvalues
+        vs = rng.standard_normal((3, basis.n_modes)) / np.sqrt(basis.eigenvalues)
+        cfg = StepConfig(dt=1e-2, t_start=-0.3, t_end=0.2, record_every=50)
+        u_ref, v_ref = imex2_plain(us, vs, spec, basis, cfg.t_start, cfg.dt, cfg.n_steps)
+        assert np.all(np.isfinite(u_ref)) and np.any(u_ref != us)
+        u_end, v_end = kw.evolve_ensemble(us, vs, spec, basis, cfg.t_start, cfg.t_end, cfg.dt)
+        assert np.array_equal(u_end, u_ref) and np.array_equal(v_end, v_ref)
+        for k in range(us.shape[0]):
+            traj = run(kw.ModalState(us[k], vs[k], cfg.t_start), spec, basis, cfg)
+            assert np.array_equal(traj.us[-1], u_ref[k])
+            assert np.array_equal(traj.vs[-1], v_ref[k])
+
+    @pytest.mark.parametrize("spec,per_step", [
+        (kw.ModelSpec(dim=1, lam=0.1, epsilon=DECAYING_EPS, h=FORCING), 0),
+        (kw.ModelSpec(dim=1, delta=0.3), 1),
+        (kw.ModelSpec(dim=1, g=CUBIC), 1)], ids=["linear", "kirchhoff", "cubic"])
+    def test_transforms_once_per_step_and_never_without_an_explicit_term(
+            self, spec, per_step, monkeypatch):
+        import kwavelab.integrator as integ
+        basis = kw.Basis(1, 8)
+        calls = []
+        transform = integ.eval_nonlinearity_modal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(integ, "eval_nonlinearity_modal", counting)
+        cfg = StepConfig(dt=1e-2, t_start=0.0, t_end=0.2)
+        run(single_mode_ic(basis), spec, basis, cfg)
+        assert len(calls) == per_step * cfg.n_steps
+        kw.evolve_ensemble(np.full((4, 8), 0.1), np.zeros((4, 8)), spec, basis,
+                           cfg.t_start, cfg.t_end, cfg.dt)
+        assert len(calls) == 2 * per_step * cfg.n_steps
+
     @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
                         reason="needs getrusage minor page-fault counts (Linux)")
     def test_ensemble_page_faults_do_not_grow_with_steps(self):
@@ -186,13 +244,10 @@ class TestRun:
         assert traj.n_records == 1
         assert np.array_equal(traj.us[0], ic.u)
 
-    def test_composition_bitwise(self):
-        # time-dependent eps + forcing + cubic g so time stamps matter
-        spec = kw.ModelSpec(
-            dim=1, delta=0.2, lam=0.1,
-            epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
-            g=kw.NonlinearitySpec.cubic_soft(),
-            h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=1, sigma=1.0))
+    @staticmethod
+    def split_and_whole(spec):
+        """The halves of a run split at t = 0.5, after checking that they
+        stitch to the unsplit run bit for bit."""
         basis = kw.Basis(1, 8)
         ic = single_mode_ic(basis, amp_u=0.5)
         whole = run(ic, spec, basis, StepConfig(dt=1e-3, t_start=0.0, t_end=1.0,
@@ -210,6 +265,22 @@ class TestRun:
         stitched_vs = np.vstack([first.vs, second.vs[1:]])
         assert np.array_equal(stitched_us, whole.us)
         assert np.array_equal(stitched_vs, whole.vs)
+        return first, second
+
+    def test_composition_bitwise(self):
+        # time-dependent eps + forcing + cubic g so time stamps matter
+        self.split_and_whole(kw.ModelSpec(
+            dim=1, delta=0.2, lam=0.1,
+            epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
+            g=kw.NonlinearitySpec.cubic_soft(),
+            h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=1, sigma=1.0)))
+
+    def test_composition_bitwise_linear(self):
+        # g = delta = 0: no explicit term, so the carried history is zero
+        spec = kw.ModelSpec(dim=1, lam=0.1, epsilon=DECAYING_EPS, h=FORCING)
+        for half in self.split_and_whole(spec):
+            nl_prev = half.resume.nl_prev
+            assert nl_prev.shape == (8,) and not nl_prev.any()
 
     def test_determinism_bitwise(self, cubic3d_setup):
         spec, basis = cubic3d_setup
