@@ -10,8 +10,10 @@ Sampling is frequency-spread: coefficients are drawn with variance
 proportional to 1/mu_m (and 1/eps for the velocity block), which makes the
 draw isotropic in the phase-space metric, then rescaled onto the sphere or
 into the ball of the target radius. Distances between clouds are Hausdorff
-semi-distances in the metric of the common evaluation time, computed by
-brute-force pairwise comparison.
+semi-distances in the metric of the common evaluation time. One GEMM screens
+the pairs with a rigorous rounding bound, and only the pairs that can be a
+row's nearest get the exact distance, summed in scipy cdist's order; so the
+result has the bits of a brute-force pairwise comparison.
 
 Every (delta, tau) pair is one independent pullback leg. The absorbing check
 and the delta sweep each hand all their legs to one scheduler,
@@ -76,30 +78,72 @@ def _metric_weights(basis: Basis, eps_profile, t: float) -> np.ndarray:
     return np.concatenate([basis.eigenvalues, np.full(basis.n_modes, eps)])
 
 
-_BUF_FLOATS = 1 << 15  # size bound (256 KB) of _pairwise_dist's work buffer
+_BUF_FLOATS = 1 << 15  # size bound (256 KB) of the distance kernels' work arrays
 
 
-def _pairwise_dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of P and the rows of Q.
+def _sq_dist(P: np.ndarray, Q: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows P[ia[k]] and Q[ib[k]].
 
-    The squared differences are summed one coordinate after the other, the
-    order scipy's cdist uses, so the result equals cdist's bit for bit
-    (numpy reduces an axis other than the innermost in order). Not calling
-    cdist keeps scipy.spatial, whose import costs ~30 MB of resident memory,
-    out of the attractor commands. Coordinates go in blocks to keep the
-    Python loop short.
+    The squared differences of a pair are summed one coordinate after the
+    other (np.add.accumulate along the coordinate axis), the order scipy's
+    cdist uses, so the square root equals cdist's distance bit for bit. Not
+    calling cdist keeps scipy.spatial, whose import costs ~30 MB of resident
+    memory, out of the attractor commands. The pairs go in blocks of at most
+    _BUF_FLOATS differences.
     """
-    n_a, n_b, n_coords = P.shape[0], Q.shape[0], P.shape[1]
-    PT, QT = np.ascontiguousarray(P.T), np.ascontiguousarray(Q.T)
-    block = max(1, min(n_coords, _BUF_FLOATS // max(1, n_a * n_b)))
-    buf = np.zeros((block + 1, n_a, n_b))  # row 0: running sum
-    for j in range(0, n_coords, block):
-        k = min(block, n_coords - j)
-        sq = buf[1:k + 1]
-        np.subtract(PT[j:j + k, :, None], QT[j:j + k, None, :], out=sq)
-        sq *= sq
-        buf[0] = np.add.reduce(buf[:k + 1], axis=0)
-    return np.sqrt(buf[0])
+    out = np.empty(ia.size)
+    step = max(1, _BUF_FLOATS // P.shape[1])
+    for j in range(0, ia.size, step):
+        D = P[ia[j:j + step]]
+        np.subtract(D, Q[ib[j:j + step]], out=D)
+        np.multiply(D, D, out=D)
+        np.add.accumulate(D, axis=1, out=D)
+        out[j:j + step] = D[:, -1]
+    return out
+
+
+def _min_sq_dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """For each row p of P, the least squared distance to a row of Q, with the
+    bits of the minimum of _sq_dist over all pairs.
+
+    Pairs are screened by the GEMM expansion D~ = |p|^2 + |q|^2 - 2 p.q,
+    which is cheap but rounds differently. For c coordinates, D~ and _sq_dist
+    are each within gamma_{c+2} (|p| + |q|)^2 of the exact squared distance
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3), so with
+
+        e = k ((|p| + |q|)^2 + tiny),   k = 4 (c + 4) eps >= 2 gamma_{c+2} + 2u
+
+    (u = eps / 2, the unit roundoff), |D~ - _sq_dist| <= e; the margin in k
+    covers the rounding of e itself, and the smallest normal float ``tiny``
+    the absolute error of underflow. A q is dropped only if D~ - e exceeds
+    the least D~ + e of its row, so every minimiser of _sq_dist is kept, and
+    only the kept pairs get _sq_dist. An overflowing norm makes e, or D~,
+    non-finite, and then every pair of the row is kept: brute force. Rows of
+    P go in blocks of at most _BUF_FLOATS pairs.
+    """
+    n_b, c = Q.shape
+    k = 4.0 * (c + 4) * np.finfo(float).eps
+    q2 = np.einsum("ij,ij->i", Q, Q)
+    q1 = np.sqrt(q2)
+    out = np.empty(P.shape[0])
+    rows = max(1, _BUF_FLOATS // n_b)
+    for i in range(0, P.shape[0], rows):
+        Pb = P[i:i + rows]
+        p2 = np.einsum("ij,ij->i", Pb, Pb)
+        approx = np.matmul(Pb, Q.T)
+        approx *= -2.0
+        approx += p2[:, None]
+        approx += q2
+        bound = np.add.outer(np.sqrt(p2), q1)
+        bound *= bound
+        bound += np.finfo(float).tiny
+        bound *= k
+        upper = approx + bound
+        approx -= bound
+        ia, ib = np.nonzero(~(approx > np.min(upper, axis=1, keepdims=True)))
+        row_starts = np.flatnonzero(np.diff(ia, prepend=-1))
+        out[i:i + rows] = np.minimum.reduceat(_sq_dist(Pb, Q, ia, ib), row_starts)
+    return out
 
 
 def _sample_arrays(spec: ModelSpec, params: EnergyParams, basis: Basis,
@@ -163,7 +207,8 @@ def pullback_cloud(spec: ModelSpec, params: EnergyParams, basis: Basis,
 
 def hausdorff_semidist(A: AttractorCloud, B: AttractorCloud, eps_profile) -> float:
     """sup over a in A of the distance to B, in the metric at the common
-    evaluation time (asymmetric)."""
+    evaluation time (asymmetric). sqrt is monotone, so the sqrt of the
+    largest least squared distance is the brute-force max-min distance."""
     if A.n_points == 0 or B.n_points == 0:
         raise ValueError("clouds must be nonempty")
     if A.basis != B.basis or not math.isclose(A.t_star, B.t_star, abs_tol=1e-12):
@@ -171,7 +216,7 @@ def hausdorff_semidist(A: AttractorCloud, B: AttractorCloud, eps_profile) -> flo
     w = np.sqrt(_metric_weights(A.basis, eps_profile, A.t_star))
     P = np.concatenate([A.us, A.vs], axis=1) * w
     Q = np.concatenate([B.us, B.vs], axis=1) * w
-    return float(np.max(np.min(_pairwise_dist(P, Q), axis=1)))
+    return float(np.sqrt(np.max(_min_sq_dist(P, Q))))
 
 
 @dataclass(frozen=True)

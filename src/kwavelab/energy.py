@@ -87,15 +87,18 @@ def eval_E(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParam
 
 
 def eval_I(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams,
-           E=None):
-    """Dissipation functional; ``E`` is eval_E of the same state when the
-    caller has it already."""
+           E=None, g_modal=None):
+    """Dissipation functional; ``E`` is eval_E and ``g_modal`` the modal g(u)
+    (eval_nonlinearity_modal) of the same state when the caller has them
+    already."""
     if E is None:
         E = eval_E(state, spec, basis, params)
+    if g_modal is None:
+        g_modal = eval_nonlinearity_modal(spec.g, basis, state.u)
     eps, _ = eval_epsilon(spec.epsilon, state.t)
     u, v = state.u, state.v
     S = grad_norm_sq(basis, u)
-    gu = inner(eval_nonlinearity_modal(spec.g, basis, u), u)
+    gu = inner(g_modal, u)
     rho = params.rho
     return (0.5 * rho * S + 2.0 * spec.delta * rho * (S * S) - 2.0 * rho * gu
             + rho * (2.0 * eps - rho) * norm_sq(v + rho * u)
@@ -111,11 +114,13 @@ def eval_K(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParam
             - 0.5 * rho ** 2 * basis.lambda1 * eps * norm_sq(u))
 
 
-def eval_L(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams):
+def eval_L(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams,
+           g_modal=None):
     """Second energy with w = u_t, for a state that solves the second-order
-    problem (its w_t is reconstructed from the equation)."""
+    problem (its w_t is reconstructed from the equation; ``g_modal`` as for
+    eval_I)."""
     w = state.v
-    wt = reconstruct_accel(state, spec, basis)
+    wt = reconstruct_accel(state, spec, basis, g_modal=g_modal)
     eps, _ = eval_epsilon(spec.epsilon, state.t)
     rho = params.rho
     return (eps * dual_norm_sq(basis, wt) + 2.0 * rho * eps * inner(wt, w)
@@ -170,12 +175,15 @@ def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis,
                  params: EnergyParams) -> EnergyLedger:
     """Functionals at every record, all records as one batched state. A
     Trajectory solves the second-order problem, so L (which reconstructs
-    u_tt from the equation) is defined at every record."""
+    u_tt from the equation) is defined at every record. E and the modal
+    g(u) are evaluated once, for I and L both."""
     records = ModalState(traj.us, traj.vs, traj.times)
     E = eval_E(records, spec, basis, params)
+    g_modal = eval_nonlinearity_modal(spec.g, basis, traj.us)
     return EnergyLedger(
-        traj.times.copy(), E, eval_I(records, spec, basis, params, E=E),
-        eval_K(records, spec, basis, params), eval_L(records, spec, basis, params),
+        traj.times.copy(), E, eval_I(records, spec, basis, params, E=E, g_modal=g_modal),
+        eval_K(records, spec, basis, params),
+        eval_L(records, spec, basis, params, g_modal=g_modal),
         xt_norm_sq(basis, records, spec.epsilon),
         np.array([eval_B(float(t), spec, params) for t in traj.times]))
 

@@ -29,12 +29,16 @@ non-finite in the same step), so a blow-up is reported at its exact step.
 
 ``_march`` allocates its work arrays once per call: ping-pong pairs for u, v
 and the explicit term (so the AB2 history needs no copy), the step scratch,
-and the grid-transform workspace of ``nonlinearity_work``. The steps then
-run in place with ``out=`` ufuncs that pair the operands exactly as the
-plain expressions would, so they allocate no field-sized array and give the
-same bits. What does not depend on the step is formed once per call: the
-dt-dependent diagonals, the denominator when eps is constant, and the row
-that holds the forcing mean, of which a step updates only the forced mode.
+and the grid-transform plan of ``nonlinearity_work``, which binds every
+buffer and view of the transform stages, so a step's transform is its stage
+matmuls and g. The steps then run in place with ``out=`` ufuncs that pair
+the operands exactly as the plain expressions would, so they allocate no
+field-sized array and give the same bits. What does not depend on the state
+is formed once per call: the dt-dependent diagonals, the denominator when
+eps is constant, eps at every half step and the forcing mean of every step
+(the closed forms on the array of step times: n floats each, one math.exp
+per entry, so the bits of a per-step call), and the row that holds the
+forcing mean, of which a step updates only the forced mode.
 A model with no explicit term (g = 0 and delta = 0) skips it: no grid
 transform runs, the AB2 history is one zero array, and nothing is done for
 forcing that is zero.
@@ -127,7 +131,7 @@ class Trajectory:
 def _explicit_term(spec: ModelSpec, basis: Basis, u, work, kp, S, out):
     """Explicit (AB2) part of eps*b', g_m(u) - delta * S * mu_m * a_m, written
     into ``out``; the Kirchhoff product is as stiff as the linear part (see
-    module docstring). kp (u's shape) and S (u's shape less the last axis)
+    module docstring). kp (u's shape) and S (u's shape with a last axis of 1)
     are scratch; the products pair their operands as in the plain expression
     delta * S * (mu * u), S = sum(mu * u**2)."""
     g = eval_nonlinearity_modal(spec.g, basis, u, work)
@@ -137,10 +141,10 @@ def _explicit_term(spec: ModelSpec, basis: Basis, u, work, kp, S, out):
     mu = basis.eigenvalues
     np.multiply(u, u, out=kp)
     np.multiply(kp, mu, out=kp)
-    np.sum(kp, axis=-1, out=S)
+    np.add.reduce(kp, axis=-1, out=S, keepdims=True)
     np.multiply(S, spec.delta, out=S)
     np.multiply(u, mu, out=kp)
-    np.multiply(kp, S[..., None], out=kp)
+    np.multiply(kp, S, out=kp)
     return np.subtract(g, kp, out=out)
 
 
@@ -176,6 +180,7 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     half_dt = dt / 2.0
     half_stiff, half_mu = half_dt * stiff, half_dt * mu
     quarter_dt2_stiff = (dt * dt / 4.0) * stiff
+    u = np.ascontiguousarray(u)  # the transform plan views its input as is
     shape = u.shape
     explicit = spec.g.kind != "zero" or spec.delta != 0.0
     # the allocation order matters: at (64, 256) another order made the page
@@ -184,33 +189,38 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     if explicit:
         nl_pair = (np.empty(shape), np.empty(shape))
         alpha, force, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
-        S, denom = np.empty(shape[:-1]), np.empty(shape[-1])
+        S, denom = np.empty(shape[:-1] + (1,)), np.empty(shape[-1])
         work = nonlinearity_work(spec.g, basis, shape[:-1])
     else:
         nl_prev = np.zeros(shape)
         alpha, scratch, denom = np.empty(shape), np.empty(shape), np.empty(shape[-1])
         force = np.zeros(shape[-1])  # dt times the forcing mean
-    # the forcing mean 0.5 (h(t) + h(t + dt)); only the forced mode's entry moves
+    # step i runs from ends[i] to ends[i + 1]; what depends on the step time
+    # alone is evaluated here for all steps, by the functions a step would
+    # call: eps at the half steps, and the forcing mean 0.5 (h(t) + h(t + dt)),
+    # of which only the forced mode's entry moves
+    ends = origin_t + (origin_step + np.arange(n + 1)) * dt
     h_mean = eval_h(spec.h, basis.n_modes, origin_t + origin_step * dt)
     forced = spec.h.kind != "zero"
     if forced:
         m = spec.h.mode - 1
-        h_lo = float(h_mean[m])
+        h_ends = forcing_coefficient(spec.h, ends)
+        means = 0.5 * (h_ends[:-1] + h_ends[1:])
+        if not explicit:
+            # dt times the mean; 0.0 + mean: the zero explicit term turns a
+            # mean of -0.0 into 0.0
+            means = (0.0 + means) * dt
     varying_eps = spec.epsilon.kind != "constant"
-    if not varying_eps:
+    if varying_eps:
+        eps_half, _ = eval_epsilon(spec.epsilon, ends[:-1] + half_dt)
+    else:
         eps_h, _ = eval_epsilon(spec.epsilon, origin_t)
         np.add(eps_h, quarter_dt2_stiff, out=denom)
         np.add(denom, half_mu, out=denom)
 
-    t_next = origin_t + origin_step * dt
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
         for i in range(n):
-            t, t_next = t_next, origin_t + (origin_step + i + 1) * dt
             u_new, v_new = u_pair[i % 2], v_pair[i % 2]
-            if forced:
-                h_hi = forcing_coefficient(spec.h, t_next)
-                mean = 0.5 * (h_lo + h_hi)
-                h_lo = h_hi
             if explicit:
                 nl_cur = _explicit_term(spec, basis, u, work, scratch, S, nl_pair[i % 2])
                 # force = AB2 extrapolation of nl (Euler at the bootstrap) + mean h
@@ -221,15 +231,14 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
                     np.multiply(nl_prev, 0.5, out=scratch)
                     np.subtract(force, scratch, out=force)
                 if forced:
-                    h_mean[m] = mean
+                    h_mean[m] = means[i]
                 np.add(force, h_mean, out=force)
                 np.multiply(force, dt, out=force)
                 nl_prev = nl_cur
             elif forced:
-                # 0.0 + mean: the zero explicit term turns a mean of -0.0 into 0.0
-                force[m] = (0.0 + mean) * dt
+                force[m] = means[i]
             if varying_eps:
-                eps_h, _ = eval_epsilon(spec.epsilon, t + half_dt)
+                eps_h = eps_half[i]
                 np.add(eps_h, quarter_dt2_stiff, out=denom)
                 np.add(denom, half_mu, out=denom)
             np.multiply(v, half_dt, out=alpha)
@@ -251,11 +260,11 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
             # (an isfinite(u) temporary made 1.8x the page faults at (64, 256))
             if not math.isfinite(np.add.reduce(u, axis=None)) and not np.isfinite(u).all():
                 first = np.argwhere(~np.isfinite(u))[0]
-                raise BlowUpError(float(t_next), member=int(first[0]) if u.ndim > 1 else None,
+                raise BlowUpError(float(ends[i + 1]), member=int(first[0]) if u.ndim > 1 else None,
                                   mode=int(first[-1]))
             if times is not None and (i + 1) % record_every == 0:
                 rec = (i + 1) // record_every
-                times[rec], us[rec], vs[rec] = t_next, u, v
+                times[rec], us[rec], vs[rec] = ends[i + 1], u, v
     return u, v, nl_prev
 
 
@@ -296,15 +305,19 @@ def evolve_ensemble(us: np.ndarray, vs: np.ndarray, spec: ModelSpec, basis: Basi
     return u, v
 
 
-def reconstruct_accel(state: ModalState, spec: ModelSpec, basis: Basis) -> np.ndarray:
+def reconstruct_accel(state: ModalState, spec: ModelSpec, basis: Basis,
+                      g_modal=None) -> np.ndarray:
     """u_tt of a state that solves the second-order problem (one row per time
-    of a batched state), solved pointwise from the modal equation."""
+    of a batched state), solved pointwise from the modal equation;
+    ``g_modal`` is the state's eval_nonlinearity_modal when the caller has it
+    already."""
     u, v, t = state.u, state.v, state.t
     mu = basis.eigenvalues
     S = np.asarray(grad_norm_sq(basis, u))[..., None]
-    gmod = eval_nonlinearity_modal(spec.g, basis, u)
+    if g_modal is None:
+        g_modal = eval_nonlinearity_modal(spec.g, basis, u)
     eps, _ = eval_epsilon(spec.epsilon, t)
-    return ((gmod + eval_h(spec.h, basis.n_modes, t) - (1.0 + spec.delta * S) * mu * u
+    return ((g_modal + eval_h(spec.h, basis.n_modes, t) - (1.0 + spec.delta * S) * mu * u
              - mu * v - spec.lam * u) / np.asarray(eps)[..., None])
 
 

@@ -16,14 +16,16 @@ axis but the last is a broadcast matmul from the left on a (rows, N, rest)
 reshape, the last axis one GEMM from the right on the (-1, N) reshape, so no
 axis is ever moved or copied (at d = 1, one vector-matrix product per field,
 so a field in a batch gets the bits it gets alone). At desk resolutions that
-is cheaper than an FFT. Each stage can write into a given buffer
-(``np.matmul(..., out=)``), and g into a given grid array, so a stepping
-loop that holds a ``nonlinearity_work`` workspace transforms without
-allocating; without one, they run in row blocks of at most _BLOCK_VALUES
-grid values. The nonlinearity is collocated on the nodes j/(2N+1), which
-makes it the exact Galerkin projection for cubic g. All field operations
-accept a leading batch dimension: ensembles evolve as one array, and a
-trajectory's records are evaluated as one.
+is cheaper than an FFT. One routine, ``_Contraction``, binds the stages of a
+map to their buffers and views once, and both paths run it. A stepping loop
+holds a ``nonlinearity_work`` plan, made once per call of the loop, so a
+step runs the stage matmuls and g into the plan's buffers (``np.matmul(...,
+out=)``) and allocates nothing; without a plan, the transforms allocate, in
+row blocks of at most _BLOCK_VALUES grid values. The nonlinearity is
+collocated on the nodes j/(2N+1), which makes it the exact Galerkin
+projection for cubic g. All field operations accept a leading batch
+dimension: ensembles evolve as one array, and a trajectory's records are
+evaluated as one.
 """
 
 from __future__ import annotations
@@ -142,59 +144,71 @@ def _dst_pair(n_modes: int, grid_pts: int) -> tuple[tuple, tuple]:
     return mats[:2], mats[2:]
 
 
-def _contract(x: np.ndarray, batch: int, dim: int, left: np.ndarray,
-              right: np.ndarray, out=None) -> np.ndarray:
-    """Apply the one-axis map to each of the dim field axes of a contiguous
-    x holding batch fields of n_in^dim values.
+class _Contraction:
+    """One grid map, to_grid's or from_grid's (``mats`` from _dst_pair), on
+    ``batch`` fields of n_in^dim values, bound to buffers allocated here in
+    stage order.
 
     Field axis a < dim-1 is a broadcast matmul with ``left`` on the view
-    (batch * n_out^a, n_in, n_in^(dim-1-a)); the last axis is one GEMM of the
-    (-1, n_in) view with ``right`` (at dim = 1 one row at a time: BLAS rounds
-    a lone row differently from a GEMM row). Every view is a reshape of a
-    contiguous array, so nothing is transposed or copied. Stage a writes into
-    out[a] when ``out`` (from _stage_buffers) is given. Returns (-1, n_out).
+    (batch * n_out^a, n_in, n_in^(dim-1-a)) of the previous stage's output;
+    the last axis is one GEMM of the (-1, n_in) view with ``right`` (at
+    dim = 1 one row at a time: BLAS rounds a lone row differently from a GEMM
+    row). Every view is a reshape of a contiguous array, taken here once, so
+    a call runs the dim matmuls and nothing is transposed or copied. A call
+    returns ``result``, the last buffer viewed in ``shape``; it holds until
+    the next call. The input is a contiguous array handed to each call, or
+    ``src``, bound here, which the caller refills between calls.
     """
-    n_out, n_in = left.shape
-    if out is None:
-        out = (None,) * dim
-    if dim == 1:
-        return np.matmul(x.reshape(batch, 1, n_in), right, out=out[0]).reshape(batch, n_out)
-    for a in range(dim - 1):
-        x = np.matmul(left, x.reshape(batch * n_out ** a, n_in, n_in ** (dim - 1 - a)),
-                      out=out[a])
-    return np.matmul(x.reshape(-1, n_in), right, out=out[-1])
+
+    __slots__ = ("entry", "src", "head", "tail", "result")
+
+    def __init__(self, mats, batch: int, dim: int, shape: tuple, src=None):
+        left, right = mats
+        n_out, n_in = left.shape
+        if dim == 1:
+            self.entry = (batch, 1, n_in)
+            last = np.empty((batch, 1, n_out))
+            self.head, self.tail = (None, right, last), ()
+        else:
+            self.entry = (batch, n_in, n_in ** (dim - 1))
+            out = np.empty((batch, n_out, n_in ** (dim - 1)))
+            self.head, tail = (left, None, out), []
+            for a in range(1, dim - 1):
+                x, out = (out.reshape(batch * n_out ** a, n_in, n_in ** (dim - 1 - a)),
+                          np.empty((batch * n_out ** a, n_out, n_in ** (dim - 1 - a))))
+                tail.append((left, x, out))
+            last = np.empty((batch * n_out ** (dim - 1), n_out))
+            tail.append((out.reshape(-1, n_in), right, last))
+            self.tail = tuple(tail)
+        self.src = None if src is None else src.reshape(self.entry)
+        self.result = last.reshape(shape)
+
+    def __call__(self, x=None) -> np.ndarray:
+        x = self.src if x is None else x.reshape(self.entry)
+        a, b, out = self.head
+        np.matmul(x if a is None else a, x if b is None else b, out=out)
+        for a, b, out in self.tail:
+            np.matmul(a, b, out=out)
+        return self.result
 
 
-def _stage_buffers(batch: int, dim: int, n_in: int, n_out: int) -> list[np.ndarray]:
-    """Output arrays for the dim stages of _contract, in its shapes."""
-    if dim == 1:
-        return [np.empty((batch, 1, n_out))]
-    return ([np.empty((batch * n_out ** a, n_out, n_in ** (dim - 1 - a))) for a in range(dim - 1)]
-            + [np.empty((batch * n_out ** (dim - 1), n_out))])
-
-
-def to_grid(basis: Basis, f: np.ndarray, grid_pts: int, out=None) -> np.ndarray:
+def to_grid(basis: Basis, f: np.ndarray, grid_pts: int) -> np.ndarray:
     """Nodal values at the interior collocation nodes j/M, j = 1..M-1, per dim
-    (M > N, or the band aliases; the nonlinearity uses M = 2N + 1).
-
-    Output shape is f.shape[:-1] + (M-1,)*dim; with ``out`` (stage buffers)
-    it is a view of the last one.
-    """
+    (M > N, or the band aliases; the nonlinearity uses M = 2N + 1), of shape
+    f.shape[:-1] + (M-1,)*dim."""
     f = np.ascontiguousarray(f, dtype=float)
     lead = f.shape[:-1]
-    left, right = _dst_pair(basis.modes_per_dim, grid_pts)[0]
-    vals = _contract(f, math.prod(lead), basis.dim, left, right, out)
-    return vals.reshape(lead + (grid_pts - 1,) * basis.dim)
+    return _Contraction(_dst_pair(basis.modes_per_dim, grid_pts)[0], math.prod(lead),
+                        basis.dim, lead + (grid_pts - 1,) * basis.dim)(f)
 
 
-def from_grid(basis: Basis, values: np.ndarray, grid_pts: int, out=None) -> np.ndarray:
+def from_grid(basis: Basis, values: np.ndarray, grid_pts: int) -> np.ndarray:
     """Project nodal values back onto the retained band (inverse of to_grid
-    for band-limited fields); ``out`` as for to_grid."""
+    for band-limited fields)."""
     values = np.ascontiguousarray(values, dtype=float)
     lead = values.shape[: values.ndim - basis.dim]
-    left, right = _dst_pair(basis.modes_per_dim, grid_pts)[1]
-    modal = _contract(values, math.prod(lead), basis.dim, left, right, out)
-    return modal.reshape(lead + (basis.n_modes,))
+    return _Contraction(_dst_pair(basis.modes_per_dim, grid_pts)[1], math.prod(lead),
+                        basis.dim, lead + (basis.n_modes,))(values)
 
 
 def integrate_grid(values: np.ndarray, grid_pts: int, dim: int) -> np.ndarray | float:
@@ -217,17 +231,20 @@ def _quadrature_pts(basis: Basis) -> int:
 
 
 def nonlinearity_work(spec: NonlinearitySpec, basis: Basis, lead: tuple) -> tuple:
-    """Workspace of eval_nonlinearity_modal for fields of shape
-    lead + (n_modes,): the to_grid stages, g on the grid, the from_grid
-    stages (for g = 0, only an array for the result). The result is a view
-    of the last array, so it holds only until the next call with the same
-    workspace."""
+    """Plan of eval_nonlinearity_modal for C-contiguous fields of shape
+    lead + (n_modes,): (to, g, back), the to_grid map, the grid array g is
+    written into and the from_grid map bound to read it, allocated in that
+    order (for g = 0, only the result array, as ``back``). Every view of a
+    call is bound here, once. The result is back's buffer, so it holds only
+    until the next call with the same plan."""
     if spec.kind == "zero":
-        return (), None, [np.empty(lead + (basis.n_modes,))]
-    n, side, dim = basis.modes_per_dim, _quadrature_pts(basis) - 1, basis.dim
-    batch = math.prod(lead)
-    return (_stage_buffers(batch, dim, n, side), np.empty(lead + (side,) * dim),
-            _stage_buffers(batch, dim, side, n))
+        return None, None, np.empty(lead + (basis.n_modes,))
+    M, batch = _quadrature_pts(basis), math.prod(lead)
+    fwd, inv = _dst_pair(basis.modes_per_dim, M)
+    grid = lead + (M - 1,) * basis.dim
+    to = _Contraction(fwd, batch, basis.dim, grid)
+    g = np.empty(grid)
+    return to, g, _Contraction(inv, batch, basis.dim, lead + (basis.n_modes,), src=g)
 
 
 _BLOCK_VALUES = 1 << 15  # grid values (256 KB) per row block of an allocating transform
@@ -251,20 +268,21 @@ def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
     """Galerkin projection (g(u), phi_m) by collocation on the nodes j/M,
     M = 2N+1, per dimension: exact for polynomial g up to degree 3.
 
-    Without ``work`` (from nonlinearity_work) every stage allocates, one row
-    block at a time."""
-    to, g, back = (None, None, None) if work is None else work
+    With ``work`` (a plan from nonlinearity_work) a call runs the plan's
+    stage matmuls and g into its buffers; without, every stage allocates, one
+    row block at a time."""
     if spec.kind == "zero":  # no transform
-        if back is None:
+        if work is None:
             return np.zeros_like(np.asarray(f, dtype=float))
-        back[-1].fill(0.0)
-        return back[-1]
-    M = _quadrature_pts(basis)
+        work[2].fill(0.0)
+        return work[2]
     if work is None:
+        M = _quadrature_pts(basis)
         return _in_row_blocks(basis, f, M, lambda vals: from_grid(
             basis, eval_g_value(spec, vals), M), (basis.n_modes,))
-    vals = to_grid(basis, f, M, to)
-    return from_grid(basis, eval_g_value(spec, vals, g), M, back)
+    to, g, back = work
+    eval_g_value(spec, to(f), g)
+    return back()
 
 
 def integral_of_G(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.ndarray | float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.stats import kstest
 
 import kwavelab as kw
@@ -26,6 +27,46 @@ def free_setup():
     basis = kw.Basis(1, 8)
     params = EnergyParams(rho=1.0, chi=0.2, sigma1=0.1, c0=0.0, c4=1.0)
     return spec, basis, params
+
+
+def all_pair_sq_dists(P, Q):
+    """Squared distances between every row of P and every row of Q,
+    (len(P), len(Q)), by the exact kernel."""
+    ia, ib = np.divmod(np.arange(len(P) * len(Q)), len(Q))
+    return att._sq_dist(P, Q, ia, ib).reshape(len(P), len(Q))
+
+
+def all_pair_dists(P, Q):
+    return np.sqrt(all_pair_sq_dists(P, Q))
+
+
+def screening_cases():
+    """(P, Q) pairs on which screening could drop a row's nearest point if its
+    bound were not rigorous."""
+    rng = np.random.default_rng(14)
+    P = rng.standard_normal((40, 24))
+    lattice = rng.integers(-2, 3, (50, 6)).astype(float)  # many exact ties
+    ring = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    far = rng.standard_normal((20, 50)) + 1e3
+    sub = rng.standard_normal((20, 8)) * 1e-162
+    cases = {
+        # five candidates per row nearer to each other than the GEMM's rounding
+        "near_ties_far_from_origin": (
+            far, np.repeat(far, 5, axis=0) + 1e-7 * rng.standard_normal((100, 50))),
+        # squares below the smallest normal: only the bound's tiny term covers them
+        "near_ties_subnormal": (
+            sub, np.repeat(sub, 5, axis=0) + 1e-163 * rng.standard_normal((100, 8))),
+        "ties_and_duplicates": (lattice[:30], np.concatenate([lattice[10:], lattice[10:20]])),
+        "a_is_b": (P, P),
+        "b_is_a_shifted_one_ulp": (P, np.nextafter(P, np.inf)),
+        "equidistant_candidates": (np.zeros((3, 2)), ring),
+        "equidistant_scaled": (np.array([[0.5, 0.5]]) * 1e-3, ring * 1e-3 + 0.5e-3),
+        "tiny_1e-150": (P * 1e-150, (P[::-1] + 1e-9 * rng.standard_normal(P.shape)) * 1e-150),
+        "huge_1e150": (P * 1e150, (P[::-1] + 1e-9 * rng.standard_normal(P.shape)) * 1e150),
+        "one_by_n": (P[:1], P[1:]),
+        "n_by_one": (P[1:], P[:1]),
+    }
+    return [pytest.param(P, Q, id=name) for name, (P, Q) in cases.items()]
 
 
 def cloud_from_states(states, basis, t, delta=0.0, tau=0.0):
@@ -82,7 +123,7 @@ class TestPullbackCloud:
             cloud = pullback_cloud(spec, params, basis, ens, 0.0, tau, dt=5e-3)
             P = (np.concatenate([cloud.us, cloud.vs], axis=1)
                  * np.sqrt(att._metric_weights(basis, spec.epsilon, cloud.t_star)))
-            diam.append(float(np.max(att._pairwise_dist(P, P))))
+            diam.append(float(np.max(all_pair_dists(P, P))))
             norms = (np.sum(basis.eigenvalues * cloud.us ** 2, axis=1)
                      + np.sum(cloud.vs ** 2, axis=1))
             max_norm.append(float(np.sqrt(np.max(norms))))
@@ -165,11 +206,42 @@ class TestHausdorff:
     @pytest.mark.parametrize("n_a, n_b, dim", [(64, 64, 432), (64, 64, 512), (7, 3, 33),
                                                (1, 5, 1), (1100, 1000, 3)])
     def test_pairwise_distances_equal_cdist_bitwise(self, n_a, n_b, dim):
-        from scipy.spatial.distance import cdist
         rng = np.random.default_rng(n_a + dim)
         P = rng.standard_normal((n_a, dim)) * np.logspace(-3, 3, dim)
         Q = P[rng.integers(0, n_a, n_b)] + 1e-4 * rng.standard_normal((n_b, dim))
-        assert np.array_equal(att._pairwise_dist(P, Q), cdist(P, Q))
+        assert np.array_equal(all_pair_dists(P, Q), cdist(P, Q))
+
+    @pytest.mark.parametrize("P, Q", screening_cases())
+    def test_screened_distance_equals_brute_force_bitwise(self, P, Q):
+        brute = float(np.max(np.min(cdist(P, Q), axis=1)))
+        assert float(np.sqrt(np.max(att._min_sq_dist(P, Q)))) == brute
+        assert np.array_equal(att._min_sq_dist(P, Q), np.min(all_pair_sq_dists(P, Q), axis=1))
+
+    def test_screening_leaves_one_candidate_per_row(self, monkeypatch):
+        # at a sweep's cloud shape the GEMM screen leaves only the nearest point
+        rng = np.random.default_rng(5)
+        P = rng.standard_normal((64, 512))
+        Q = P[rng.permutation(64)] + 0.1 * rng.standard_normal((64, 512))
+        pairs = []
+        sq_dist = att._sq_dist
+
+        def counting(P, Q, ia, ib):
+            pairs.append(ia.size)
+            return sq_dist(P, Q, ia, ib)
+
+        monkeypatch.setattr(att, "_sq_dist", counting)
+        att._min_sq_dist(P, Q)
+        assert pairs == [64]
+
+    def test_hausdorff_semidist_equals_brute_force_bitwise(self, free_setup):
+        spec, basis, _ = free_setup
+        rng = np.random.default_rng(3)
+        A = AttractorCloud(0.0, 0.0, 0.0, basis, rng.standard_normal((9, 8)),
+                           rng.standard_normal((9, 8)))
+        B = AttractorCloud(0.0, 0.0, 0.0, basis, A.us[::-1] + 1e-12, A.vs[::-1])
+        w = np.sqrt(att._metric_weights(basis, spec.epsilon, 0.0))
+        P, Q = (np.concatenate([c.us, c.vs], axis=1) * w for c in (A, B))
+        assert hausdorff_semidist(A, B, spec.epsilon) == float(np.max(np.min(cdist(P, Q), axis=1)))
 
     def test_empty_cloud_rejected(self, free_setup):
         spec, basis, _ = free_setup

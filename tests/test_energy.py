@@ -100,6 +100,22 @@ class TestPointFunctionals:
         for i in range(traj.n_records):  # the same bits as evaluating E afresh
             assert ledger.I[i] == eval_I(record(traj, i), spec, basis, params)
 
+    def test_ledger_evaluates_modal_g_once_for_I_and_L(self, forced_cubic_run, monkeypatch):
+        import kwavelab.energy as en
+        import kwavelab.integrator as integ
+        spec, basis, traj = forced_cubic_run
+        calls = []
+        transform = en.eval_nonlinearity_modal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return transform(*args, **kwargs)
+
+        for module in (en, integ):
+            monkeypatch.setattr(module, "eval_nonlinearity_modal", counting)
+        build_ledger(traj, spec, basis, EnergyParams(rho=0.5, chi=0.1, c0=0.0, c4=1.0))
+        assert len(calls) == 1
+
 
 class TestBatchedLedger:
     def test_ledger_equals_per_state_calls_bitwise(self, forced_cubic_run):

@@ -194,16 +194,22 @@ class TestNonlinearityModal:
     @pytest.mark.parametrize("g", [kw.NonlinearitySpec.zero(), kw.NonlinearitySpec.cubic_soft(),
                                    kw.NonlinearitySpec.lipschitz_sine()], ids=lambda g: g.kind)
     @pytest.mark.parametrize("dim,n,lead", [(1, 8, ()), (1, 8, (3,)), (2, 5, (3,)), (3, 4, (2,)),
-                                            (3, 6, (40,))])  # 40 rows: three row blocks
+                                            (3, 6, (40,))]  # 40 rows: three row blocks
+                             + [(dim, n, lead) for dim, n in [(1, 8), (2, 5), (3, 4)]
+                                for lead in [(), (1,), (7,), (64,), (2, 3)]
+                                if (dim, lead) != (1, ())])
     def test_workspace_gives_the_allocating_bits(self, g, dim, n, lead):
+        # one plan, fed the two arrays of a ping-pong pair in turn as the
+        # stepping loop feeds it, against the allocating path on each
         b = Basis(dim, n)
-        f = np.random.default_rng(dim).standard_normal(lead + (b.n_modes,))
-        f0 = f.copy()
+        rng = np.random.default_rng(dim)
+        pair = [rng.standard_normal(lead + (b.n_modes,)) for _ in range(2)]
+        kept = [f.copy() for f in pair]
+        want = [eval_nonlinearity_modal(g, b, f) for f in pair]
         work = nonlinearity_work(g, b, lead)
-        want = eval_nonlinearity_modal(g, b, f)
-        for _ in range(2):  # a reused workspace gives the same bits again
-            assert np.array_equal(eval_nonlinearity_modal(g, b, f, work), want)
-        assert np.array_equal(f, f0)
+        for i in range(5):
+            assert np.array_equal(eval_nonlinearity_modal(g, b, pair[i % 2], work), want[i % 2])
+        assert all(np.array_equal(f, f0) for f, f0 in zip(pair, kept))
 
     @pytest.mark.parametrize("g", [kw.NonlinearitySpec.cubic_soft(),
                                    kw.NonlinearitySpec.lipschitz_sine()], ids=lambda g: g.kind)
