@@ -15,9 +15,10 @@ the pairs with a rigorous rounding bound, and only the pairs that can be a
 row's nearest get the exact distance, summed in scipy cdist's order; so the
 result has the bits of a brute-force pairwise comparison.
 
-Every (delta, tau) pair is one independent pullback leg. The absorbing check
-and the delta sweep each hand all their legs to one scheduler,
-_evolve_legs, which parallelises across whole legs rather than within one.
+Every (delta, tau) pair is one independent pullback leg. One routine, _clouds,
+builds the clouds of the absorbing check, the delta sweep and pullback_cloud,
+and hands all its legs to one scheduler, _evolve_legs, which parallelises
+across whole legs rather than within one.
 """
 
 from __future__ import annotations
@@ -196,13 +197,25 @@ def _evolve_legs(legs, basis: Basis, dt: float, threads: int):
     return (fut.result() for fut in futures)
 
 
+def _clouds(spec: ModelSpec, params: EnergyParams, basis: Basis, ens: EnsembleSpec,
+            deltas, taus, t: float, dt: float, threads: int):
+    """Per delta of ``deltas``, in order, the list of its endpoint clouds at t
+    over the horizons ``taus``, from one sample per tau. Yielded lazily: on
+    one thread a delta's legs are evolved when its list is asked for."""
+    samples = [_sample_arrays(spec, params, basis, t - tau, ens) for tau in taus]
+    specs = [spec.with_delta(float(d)) for d in deltas]
+    ends = _evolve_legs([(s, us, vs, t - tau, t) for s in specs
+                         for tau, (us, vs) in zip(taus, samples)], basis, dt, threads)
+    for s in specs:
+        yield [AttractorCloud(t, tau, s.delta, basis, *next(ends)) for tau in taus]
+
+
 def pullback_cloud(spec: ModelSpec, params: EnergyParams, basis: Basis,
                    ens: EnsembleSpec, t_star: float, tau: float,
                    dt: float) -> AttractorCloud:
-    """Evolve an absorbing-set sample from t_star - tau to t_star."""
-    us, vs = _sample_arrays(spec, params, basis, t_star - tau, ens)
-    us, vs = evolve_ensemble(us, vs, spec, basis, t_star - tau, t_star, dt)
-    return AttractorCloud(t_star, tau, spec.delta, basis, us, vs)
+    """Evolve an absorbing-set sample from t_star - tau to t_star (one leg of _clouds)."""
+    [cloud], = _clouds(spec, params, basis, ens, [spec.delta], [tau], t_star, dt, 1)
+    return cloud
 
 
 def hausdorff_semidist(A: AttractorCloud, B: AttractorCloud, eps_profile) -> float:
@@ -256,20 +269,11 @@ def verify_absorbing(spec: ModelSpec, params: EnergyParams, basis: Basis,
 
     Each row also carries the Cauchy-in-tau truncation gap: the Hausdorff
     semi-distance from its endpoint cloud to that of the largest tau (0 on
-    the last row). The endpoint clouds are returned in ``clouds``. Neither
-    the samples nor the radius depend on delta, so each is computed once, and
-    all (delta, tau) legs are evolved in one call of _evolve_legs.
+    the last row). The endpoint clouds are returned in ``clouds``.
     """
     radius = eval_B(t, spec, params)
-    samples = [_sample_arrays(spec, params, basis, t - tau, ens) for tau in ens.taus]
-    specs = [spec.with_delta(float(d)) for d in deltas]
-    legs = [(s, us, vs, t - tau, t) for s in specs
-            for tau, (us, vs) in zip(ens.taus, samples)]
-    ends = _evolve_legs(legs, basis, dt, threads)
     reports = []
-    for s in specs:
-        clouds = tuple(AttractorCloud(t, tau, s.delta, basis, *next(ends))
-                       for tau in ens.taus)
+    for clouds in _clouds(spec, params, basis, ens, deltas, ens.taus, t, dt, threads):
         rows = []
         for cloud in clouds:
             xt = xt_norm_sq(basis, ModalState(cloud.us, cloud.vs, t), spec.epsilon)
@@ -284,7 +288,7 @@ def verify_absorbing(spec: ModelSpec, params: EnergyParams, basis: Basis,
             if all(r.fraction_inside == 1.0 for r in rows[i:]):
                 empirical_T = rows[i].tau
                 break
-        reports.append(AbsorbingReport(t, radius, tuple(rows), empirical_T, clouds))
+        reports.append(AbsorbingReport(t, radius, tuple(rows), empirical_T, tuple(clouds)))
     return reports
 
 
@@ -312,27 +316,18 @@ def semicontinuity_sweep(spec: ModelSpec, params: EnergyParams, basis: Basis,
                          dt: float, threads: int = 1) -> SweepResult:
     """Distance from each delta-cloud to the delta = 0 cloud at time t_star.
 
+    The rows run over ``deltas`` in descending order, whatever order they
+    are given in, and end with the delta = 0 reference, added when absent.
     The same seed (hence the same initial sample) is used for every delta, so
     the columns differ only through the flow. The fitted order is the log-log
     slope of dist against delta over the positive rows.
     """
-    deltas = [float(d) for d in deltas]
-    if sorted(deltas, reverse=True) != deltas:
-        raise ValueError("delta list must be sorted descending")
-    if deltas and deltas[-1] != 0.0:
-        deltas = deltas + [0.0]
-    us, vs = _sample_arrays(spec, params, basis, t_star - tau, ens)
-    legs = [(spec.with_delta(d), us, vs, t_star - tau, t_star)
-            for d in [0.0] + [d for d in deltas if d != 0.0]]
-    ends = _evolve_legs(legs, basis, dt, threads)
-    ref_cloud = AttractorCloud(t_star, tau, 0.0, basis, *next(ends))
-    rows = []
-    for d in deltas:
-        if d == 0.0:  # the reference itself: d_H(A, A) = 0
-            rows.append(SweepRow(d, 0.0))
-            continue
-        cloud = AttractorCloud(t_star, tau, d, basis, *next(ends))
-        rows.append(SweepRow(d, hausdorff_semidist(cloud, ref_cloud, spec.epsilon)))
+    nonzero = [d for d in sorted(map(float, deltas), reverse=True) if d != 0.0]
+    clouds = _clouds(spec, params, basis, ens, [0.0] + nonzero, [tau], t_star, dt, threads)
+    [ref_cloud] = next(clouds)
+    rows = [SweepRow(d, hausdorff_semidist(cloud, ref_cloud, spec.epsilon))
+            for d, [cloud] in zip(nonzero, clouds)]
+    rows.append(SweepRow(0.0, 0.0))  # the reference itself: d_H(A, A) = 0
     pos = [(r.delta, r.dist) for r in rows if r.delta > 0 and r.dist > 0]
     order = None
     if len(pos) >= 2:

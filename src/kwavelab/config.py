@@ -29,6 +29,7 @@ class ConfigError(ValueError):
 
 
 REQUIRED = object()
+RUN_START = "the start of the run (disc.t_start)"
 
 # key -> (type tag, default); type tags: int, float, str, floatlist,
 # optfloat (float or unset), fitfloat (float or the literal "fit")
@@ -158,6 +159,10 @@ def _build_model(v: dict) -> ModelSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A config's resolved key values and what they build. Load rejects what
+    no command could run; eps at a start time is checked, through one
+    method, by the command that starts there."""
+
     model: ModelSpec
     basis: Basis
     step: StepConfig
@@ -188,6 +193,9 @@ class ExperimentConfig:
             if model.h.kind != "zero" and model.h.mode > basis.n_modes:
                 raise ValueError(f"model.h.mode {model.h.mode} outside basis of "
                                  f"{basis.n_modes} modes")
+            if (values["energy.rho"] == "fit") != (values["energy.chi"] == "fit"):
+                raise ValueError("energy.rho and energy.chi are fitted together: "
+                                 "set both to fit or neither")
             deltas = values["attractor.deltas"]
             if not deltas or min(deltas) < 0 or len(set(deltas)) < len(deltas):
                 raise ValueError(f"attractor.deltas must be nonnegative, distinct and "
@@ -221,17 +229,39 @@ class ExperimentConfig:
     def out_dir(self) -> str:
         return str(self.values["output.dir"])
 
+    def eps_at(self, t: float, where: str) -> float:
+        """eps at time t, the start of ``where``; ConfigError if it overflows."""
+        try:
+            return eval_epsilon(self.model.epsilon, t)[0]
+        except OverflowError:
+            raise ConfigError(f"eps overflows at t = {t:g}, {where}") from None
+
+    def _start_eps(self, t: float, where: str) -> float:
+        """eps_at, and ConfigError unless eps > 0 (monotone eps then stays positive)."""
+        eps = self.eps_at(t, where)
+        if eps <= 0.0:
+            raise ConfigError(f"eps = {eps:.6g} <= 0 at t = {t:g}, {where}")
+        return eps
+
+    def check_legs(self, t_star: float, taus) -> None:
+        """ConfigError unless each pullback leg t_star - tau -> t_star is a whole
+        number of attractor.dt steps and starts where eps > 0."""
+        dt = self.attractor_dt
+        for tau in taus:
+            try:
+                StepConfig(dt=dt, t_start=t_star - tau, t_end=t_star).n_steps
+            except ValueError:
+                raise ConfigError(f"pullback horizon tau = {tau:g} is not a whole number "
+                                  f"of attractor.dt = {dt:g} steps") from None
+            self._start_eps(t_star - tau, f"the start of the pullback leg tau = {tau:g}")
+
     def initial_state(self) -> ModalState:
-        """The state at disc.t_start; ConfigError unless eps > 0 there (the
-        eps profiles are monotone, so eps stays positive along the run)."""
+        """The state at disc.t_start; ConfigError unless eps > 0 there."""
         v = self.values
         kind = v["ic.kind"]
         n = self.basis.n_modes
         t0 = self.step.t_start
-        eps0, _ = eval_epsilon(self.model.epsilon, t0)
-        if eps0 <= 0.0:
-            raise ConfigError(f"eps = {eps0:.6g} <= 0 at t = {t0:g}, the start of the run "
-                              f"(disc.t_start)")
+        eps0 = self._start_eps(t0, RUN_START)
         if kind == "zero":
             return ModalState(np.zeros(n), np.zeros(n), t0)
         if kind == "mode":
@@ -265,29 +295,23 @@ class ExperimentConfig:
                                  grid_n=int(v["energy.grid_n"]))
 
     def energy_params(self, log=None) -> EnergyParams:
-        """Resolve energy multipliers, running the feasibility scan when rho
-        or chi is declared 'fit'."""
+        """Resolve the energy multipliers: rho and chi as set, or, when both
+        are 'fit', the feasibility scan's chosen point. An unset sigma1 is
+        chi / 2, which is also the scan's choice."""
         v = self.values
-        rho, chi = v["energy.rho"], v["energy.chi"]
-        base_kwargs = dict(sigma1=v["energy.sigma1"], c0=v["energy.c0"], c4=v["energy.c4"],
-                           c5=None if v["energy.c5"] == "fit" else v["energy.c5"],
-                           c14=v["energy.c14"])
-        if rho == "fit" or chi == "fit":
+        kw = dict(rho=v["energy.rho"], chi=v["energy.chi"], sigma1=v["energy.sigma1"],
+                  c0=v["energy.c0"], c4=v["energy.c4"], c14=v["energy.c14"],
+                  c5=None if v["energy.c5"] == "fit" else v["energy.c5"])
+        if kw["rho"] == "fit":  # load rejects fitting only one of rho and chi
             report = self.scan_feasibility()
             if report.is_empty:
                 raise InfeasibleParamsError(
                     f"feasibility scan is empty (binding: {report.binding_kill})")
-            rho_f, chi_f, sig_f = report.chosen
+            kw["rho"], kw["chi"], _ = report.chosen
             if log is not None:
-                log(f"feasible point rho = {rho_f:.6g}, chi = {chi_f:.6g}")
-            if base_kwargs["sigma1"] is None:
-                base_kwargs["sigma1"] = sig_f
-            try:
-                return EnergyParams(rho=rho_f, chi=chi_f, **base_kwargs)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+                log(f"feasible point rho = {kw['rho']:.6g}, chi = {kw['chi']:.6g}")
         try:
-            return EnergyParams(rho=float(rho), chi=float(chi), **base_kwargs)
+            return EnergyParams(**kw)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -238,8 +238,8 @@ def verify_decay_inequality(ledger: EnergyLedger, traj: Trajectory, spec: ModelS
     if t.size < 2:
         raise ValueError("need at least two recorded states")
     D = float(t[1] - t[0])
-    h_sq = forcing_norm_sq(spec.h, t[:-1])
-    r = (ledger.E[1:] - ledger.E[:-1]) / D + params.chi * ledger.E[:-1] - h_sq / params.rho
+    h_sq = forcing_norm_sq(spec.h, t)
+    r = (ledger.E[1:] - ledger.E[:-1]) / D + params.chi * ledger.E[:-1] - h_sq[:-1] / params.rho
     fitted = params.c5 is None
     c5 = max(0.0, float(np.max(r))) if fitted else params.c5
     slack = SLACK_FACTOR * (D if dt is None else dt) * np.maximum(1.0, np.abs(ledger.E[:-1]))
@@ -251,7 +251,7 @@ def verify_decay_inequality(ledger: EnergyLedger, traj: Trajectory, spec: ModelS
     S0 = grad_norm_sq(basis, traj.us[0])
     data0 = ledger.xt_norm_sq[0] + S0 ** ((p + 2.0) / 2.0) + spec.delta * S0 ** 2
     tau = float(t[0])
-    hw = exp_each(params.sigma1 * t) * forcing_norm_sq(spec.h, t)
+    hw = exp_each(params.sigma1 * t) * h_sq
     W = np.concatenate([[0.0], np.cumsum(0.5 * (hw[1:] + hw[:-1]) * np.diff(t))])
     denom = (np.exp(-params.sigma1 * (t - tau)) * data0
              + np.exp(-params.sigma1 * t) * W + 1.0)
@@ -291,10 +291,12 @@ def fit_norm_sandwich(ledger: EnergyLedger, traj: Trajectory, spec: ModelSpec,
 # ---------------------------------------------------------------------------
 # feasibility scan
 
-def _binding_margins(rho, chi, *, lam1, L, alpha, lam, delta, gamma, c1, c2, c3):
+def _binding_margins(rho, chi, spec: ModelSpec, basis: Basis):
     """Margins (>= 0 means satisfied) of the binding constraints; rho and chi
     broadcast. eps-dependent rows take the worst case over eps in {alpha, L}."""
-    eps_lo, eps_hi = alpha, L
+    lam1, L, lam, delta = basis.lambda1, spec.epsilon.bound, spec.lam, spec.delta
+    gamma, c1, c3 = spec.g.gamma, spec.g.c1, spec.g.c3
+    eps_lo, eps_hi = spec.epsilon.alpha, L
     m = {}
     m["rho_min_zero_order"] = rho - math.sqrt(2.0 * lam)
     m["rho_max_mass_ratio"] = lam1 / (4.0 * L) - rho
@@ -314,7 +316,9 @@ def _binding_margins(rho, chi, *, lam1, L, alpha, lam, delta, gamma, c1, c2, c3)
     return m
 
 
-def _advisory_margins(rho, chi, *, lam1, L, lam, gamma, c0, c1, c2, c3, c4):
+def _advisory_margins(rho, chi, spec: ModelSpec, basis: Basis, params: EnergyParams):
+    lam1, L, lam, gamma = basis.lambda1, spec.epsilon.bound, spec.lam, spec.g.gamma
+    c0, c1, c2, c3, c4 = params.c0, spec.g.c1, spec.g.c2, spec.g.c3, max(params.c4, spec.g.c4)
     m = {}
     m["constant_term_sign"] = -(2.0 * rho * gamma - 2.0 * chi) * c4 - 2.0 * rho * c2 - 2.0 * chi * c0
     upper = np.minimum.reduce([rho / (2.0 * (1.0 + rho)), 4.0 * rho,
@@ -333,18 +337,9 @@ def _advisory_margins(rho, chi, *, lam1, L, lam, gamma, c0, c1, c2, c3, c4):
     return m
 
 
-def _constants_for_scan(spec: ModelSpec, basis: Basis, params: EnergyParams) -> dict:
-    return dict(lam1=basis.lambda1, L=spec.epsilon.bound, alpha=spec.epsilon.alpha,
-                lam=spec.lam, delta=spec.delta, gamma=spec.g.gamma, c0=params.c0,
-                c1=spec.g.c1, c2=spec.g.c2, c3=spec.g.c3, c4=max(params.c4, spec.g.c4))
-
-
 def check_point_margins(spec: ModelSpec, basis: Basis, params: EnergyParams) -> dict[str, float]:
     """Binding-constraint margins at a single (rho, chi)."""
-    kw = _constants_for_scan(spec, basis, params)
-    kw.pop("c0")
-    kw.pop("c4")
-    raw = _binding_margins(np.asarray(params.rho), np.asarray(params.chi), **kw)
+    raw = _binding_margins(np.asarray(params.rho), np.asarray(params.chi), spec, basis)
     return {k: float(v) for k, v in raw.items()}
 
 
@@ -380,16 +375,12 @@ class FeasibilityReport:
         total = int(self.feasible_mask.size)
         pts = self.feasible_points
         constraints = []
-        for name, marg in self.binding.items():
-            ok = marg >= -1e-12
-            constraints.append({"name": name, "binding": True, "active": True,
-                                "pass_fraction": float(np.mean(ok)),
-                                "kill_count": int(self.kill_counts[name])})
-        for name, marg in self.advisory.items():
-            ok = marg >= -1e-12
-            constraints.append({"name": name, "binding": False, "active": True,
-                                "pass_fraction": float(np.mean(ok)),
-                                "kill_count": int(np.sum(~ok))})
+        for binding, margins in ((True, self.binding), (False, self.advisory)):
+            for name, marg in margins.items():
+                ok = marg >= -1e-12
+                constraints.append({"name": name, "binding": binding, "active": True,
+                                    "pass_fraction": float(np.mean(ok)),
+                                    "kill_count": int(np.sum(~ok))})
         for name in self.inactive:
             constraints.append({"name": name, "binding": False, "active": False,
                                 "pass_fraction": None, "kill_count": None})
@@ -414,17 +405,14 @@ def solve_feasibility(spec: ModelSpec, basis: Basis, params: EnergyParams,
     margin. Emptiness is a valid outcome and names the constraint that kills
     the most grid points.
     """
-    kw = _constants_for_scan(spec, basis, params)
     rho_grid = np.linspace(0.0, RHO_MAX, grid_n + 1)[1:]
     chi_grid = np.linspace(0.0, CHI_MAX, grid_n + 1)[1:]
     R = rho_grid[:, None]
     X = chi_grid[None, :]
-    bind_kw = {k: v for k, v in kw.items() if k not in ("c0", "c4")}
-    binding = {k: np.broadcast_to(np.asarray(v, dtype=float), (grid_n, grid_n)).copy()
-               for k, v in _binding_margins(R, X, **bind_kw).items()}
-    adv_kw = {k: v for k, v in kw.items() if k not in ("alpha", "delta")}
-    advisory = {k: np.broadcast_to(np.asarray(v, dtype=float), (grid_n, grid_n)).copy()
-                for k, v in _advisory_margins(R, X, **adv_kw).items()}
+    binding = {k: np.broadcast_to(np.asarray(v, dtype=float), (grid_n, grid_n))
+               for k, v in _binding_margins(R, X, spec, basis).items()}
+    advisory = {k: np.broadcast_to(np.asarray(v, dtype=float), (grid_n, grid_n))
+                for k, v in _advisory_margins(R, X, spec, basis, params).items()}
     inactive = () if "rho_min_heavy_mass" in advisory else ("rho_min_heavy_mass",)
 
     feasible = np.ones((grid_n, grid_n), dtype=bool)

@@ -444,11 +444,26 @@ class TestSemicontinuity:
         assert sweep.rows[-1].dist == 0.0
         assert sweep.fitted_order == pytest.approx(1.0, abs=0.35)
 
-    def test_requires_descending_deltas(self, free_setup):
-        spec, basis, params = free_setup
+    def test_any_delta_order_gives_the_descending_sweep(self, forced_setup):
+        # the sweep sorts the deltas itself and adds the delta = 0 reference
+        spec, basis, params = forced_setup
         ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0,))
-        with pytest.raises(ValueError):
-            semicontinuity_sweep(spec, params, basis, ens, [0.1, 0.2], 0.0, 1.0, dt=1e-2)
+        ref = semicontinuity_sweep(spec, params, basis, ens, [0.3, 0.2, 0.1, 0.0],
+                                   0.0, 1.0, dt=1e-2)
+        assert [r.delta for r in ref.rows] == [0.3, 0.2, 0.1, 0.0]
+        for deltas in ([0.1, 0.2, 0.3], [0.2, 0.3, 0.1]):
+            assert semicontinuity_sweep(spec, params, basis, ens, deltas,
+                                        0.0, 1.0, dt=1e-2) == ref
+
+    def test_rows_are_distances_between_pullback_clouds(self, forced_setup):
+        spec, basis, params = forced_setup
+        ens = EnsembleSpec(n_points=4, seed=3, taus=(1.0,))
+        sweep = semicontinuity_sweep(spec, params, basis, ens, [0.1, 0.2], 0.0, 1.0,
+                                     dt=1e-2)
+        clouds = {d: pullback_cloud(spec.with_delta(d), params, basis, ens, 0.0, 1.0, 1e-2)
+                  for d in (0.2, 0.1, 0.0)}
+        assert [(r.delta, r.dist) for r in sweep.rows] == [
+            (d, hausdorff_semidist(clouds[d], clouds[0.0], spec.epsilon)) for d in clouds]
 
     def test_threads_do_not_change_membership(self, forced_setup):
         spec, basis, params = forced_setup

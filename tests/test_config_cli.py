@@ -164,13 +164,25 @@ class TestExitCodes:
         ("pullback", "empty_deltas"), ("semicontinuity", "empty_deltas"),
         ("pullback", "repeated_delta"), ("semicontinuity", "repeated_delta"),
         ("validate", "h_mode"), ("simulate", "h_mode"), ("decompose", "h_mode"),
-        ("pullback", "h_mode"), ("semicontinuity", "h_mode")])
+        ("pullback", "h_mode"), ("semicontinuity", "h_mode"),
+        ("validate", "eps_overflow"), ("simulate", "eps_overflow"),
+        ("decompose", "eps_overflow"), ("pullback", "leg_overflow"),
+        ("semicontinuity", "leg_overflow")])
     def test_unrunnable_config_exit_2(self, tmp_path, capsys, command, case):
         # eps(t) = 1 - 0.5 exp(-t) < 0 at disc.t_start = -1; a negative,
-        # empty or repeated delta list; a forcing mode outside the 8-mode basis
+        # empty or repeated delta list; a forcing mode outside the 8-mode basis;
+        # eps(t) = 1 + 0.5 exp(-t) overflowing at a run or leg start t = -800
         deltas = {"negative_delta": "0.2, -0.1, 0.0", "empty_deltas": ",",
                   "repeated_delta": "0.1, 0.1, 0.0"}
-        if case.startswith("eps"):
+        if case == "eps_overflow":
+            with open(fixture_cfg("cubic3d.cfg")) as fh:
+                text = fh.read().replace("disc.t_start = 0.0", "disc.t_start = -800")
+            message = "eps overflows at t = -800, the start of the run (disc.t_start)"
+        elif case == "leg_overflow":
+            with open(fixture_cfg("sweep.cfg")) as fh:
+                text = fh.read().replace("attractor.taus = 5, 10, 20", "attractor.taus = 800")
+            message = "eps overflows at t = -800, the start of the pullback leg tau = 800"
+        elif case.startswith("eps"):
             with open(fixture_cfg("eps_increasing.cfg")) as fh:
                 text = fh.read().replace("disc.t_start = 0.0", "disc.t_start = -1.0")
             text += ("ic.kind = sample\n" if case == "eps_sample"
@@ -208,10 +220,14 @@ class TestExitCodes:
               ("attractor.taus = ,", "taus must be positive, strictly increasing"))),
         *((command, line, message) for command in ("validate", "feasibility", "pullback")
           for line, message in (("ic.kind = bogus", "unknown ic.kind 'bogus'"),
-                                ("ic.mode = 9", "ic.mode 9 outside basis of 8 modes")))])
+                                ("ic.mode = 9", "ic.mode 9 outside basis of 8 modes"))),
+        *((command, line, "energy.rho and energy.chi are fitted together: set both to fit "
+                          "or neither") for command in ("validate", "simulate")
+          for line in ("energy.rho = fit", "energy.chi = fit"))])
     def test_unrunnable_value_exit_2(self, tmp_path, capsys, command, line, message):
         # a run of no steps; an empty grid; a scan-box bound that is no longer
         # a key; a pullback step that is not positive; an ensemble or initial state that no command could build,
+        # or one fitted multiplier beside a set one (the set one would be dropped),
         # rejected by every command, including those that do not use it
         key = line.split(" = ")[0]
         pattern = rf"^{re.escape(key)} = .*$"
