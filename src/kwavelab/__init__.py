@@ -18,7 +18,7 @@ from .integrator import (BlowUpError, DecompositionPair, StepConfig,
                          Trajectory, evolve_ensemble, reconstruct_accel, run,
                          run_decomposition)
 from .energy import (EnergyLedger, EnergyParams, FeasibilityReport,
-                     build_ledger, eval_B, eval_E, eval_I, eval_K, eval_L,
+                     build_ledger, eval_B, eval_functionals,
                      fit_norm_sandwich, solve_feasibility,
                      verify_decay_inequality)
 from .attractor import (AttractorCloud, EnsembleSpec, hausdorff_semidist,

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import attractor as att
 from . import energy as en
-from .config import RUN_START, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .integrator import BlowUpError, run, run_decomposition
-from .model import exp_each, validate_hypotheses
+from .model import exp_each
 from .spectral import grad_norm_sq
 
 MONOTONE_NOISE_BAND = 0.10  # tolerated relative increase between sweep rows
@@ -52,10 +52,7 @@ def _out_dir(cfg: ExperimentConfig) -> str:
 
 def cmd_validate(cfg: ExperimentConfig) -> int:
     _stage("validating hypotheses")
-    t_lo = cfg.step.t_start
-    t_hi = max(cfg.step.t_end, t_lo + 50.0)
-    cfg.eps_at(t_lo, RUN_START)  # eps <= 0 there is a failed hypothesis, not an error
-    report = validate_hypotheses(cfg.model, t_range=(t_lo, t_hi))
+    report = cfg.hypotheses()
     out = _out_dir(cfg)
     _write_json(os.path.join(out, "hypotheses.json"), report.to_dict())
     for check in report.checks:
@@ -73,15 +70,16 @@ def _state_columns(basis) -> list[str]:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     params = cfg.energy_params(log=_stage)
+    cfg.check_radius(params, cfg.step.t_start, cfg.step.t_end)
     _stage(f"integrating {cfg.step.n_steps} steps of dt = {cfg.step.dt:g}")
     traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
     _write_csv(os.path.join(out, "trajectory.csv"), ["t"] + _state_columns(cfg.basis),
                np.column_stack([traj.times, traj.us, traj.vs]))
     _stage("building energy ledger")
     ledger = en.build_ledger(traj, cfg.model, cfg.basis, params)
-    decay = en.verify_decay_inequality(ledger, traj, cfg.model, cfg.basis, params,
+    decay = en.verify_decay_inequality(ledger, cfg.model, cfg.basis, params,
                                        dt=cfg.step.dt)
-    sandwich = en.fit_norm_sandwich(ledger, traj, cfg.model, cfg.basis, params)
+    sandwich = en.fit_norm_sandwich(ledger, cfg.model, params)
     residual = np.append(decay.residuals, np.nan)  # the last record has no forward difference
     _write_csv(os.path.join(out, "ledger.csv"), [*ledger.COLUMNS, "residual"],
                np.column_stack(ledger.columns() + [residual]))
@@ -127,6 +125,7 @@ def cmd_pullback(cfg: ExperimentConfig) -> int:
     t_star = float(cfg.values["attractor.t_star"])
     cfg.check_legs(t_star, ens.taus)
     params = cfg.energy_params(log=_stage)
+    cfg.check_radius(params, t_star - ens.taus[-1], t_star)
     deltas = [float(d) for d in cfg.values["attractor.deltas"]]
     _stage(f"absorbing check over deltas {deltas} and taus {list(ens.taus)}")
     reps = att.verify_absorbing(cfg.model, params, cfg.basis, ens, deltas, t_star,
@@ -152,6 +151,7 @@ def cmd_semicontinuity(cfg: ExperimentConfig) -> int:
     tau = ens.taus[-1]
     cfg.check_legs(t_star, [tau])
     params = cfg.energy_params(log=_stage)
+    cfg.check_radius(params, t_star - tau, t_star - tau)
     deltas = [float(d) for d in cfg.values["attractor.deltas"]]
     _stage(f"sweep over deltas {deltas} at tau = {tau:g}")
     sweep = att.semicontinuity_sweep(cfg.model, params, cfg.basis, ens, deltas,

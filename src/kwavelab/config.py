@@ -17,10 +17,10 @@ import numpy as np
 
 from .attractor import EnsembleSpec
 from .energy import (EnergyParams, FeasibilityReport, InfeasibleParamsError,
-                     solve_feasibility)
+                     eval_B, solve_feasibility)
 from .integrator import StepConfig
-from .model import (EpsilonProfile, ForcingSpec, ModelSpec, NonlinearitySpec,
-                    eval_epsilon)
+from .model import (EpsilonProfile, ForcingSpec, HypothesisReport, ModelSpec,
+                    NonlinearitySpec, eval_epsilon, validate_hypotheses)
 from .spectral import Basis, ModalState
 
 
@@ -254,6 +254,31 @@ class ExperimentConfig:
                 raise ConfigError(f"pullback horizon tau = {tau:g} is not a whole number "
                                   f"of attractor.dt = {dt:g} steps") from None
             self._start_eps(t_star - tau, f"the start of the pullback leg tau = {tau:g}")
+
+    def check_radius(self, params: EnergyParams, t_lo: float, t_hi: float) -> None:
+        """ConfigError unless B is finite at t_lo and t_hi, the ends of the window
+        a command evaluates B on; each factor of B is monotone in t."""
+        for t in dict.fromkeys((t_lo, t_hi)):  # each end once
+            try:
+                finite = math.isfinite(eval_B(t, self.model, params))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"the absorbing radius B overflows at t = {t:g}, an end "
+                                  f"of the window [{t_lo:g}, {t_hi:g}] it is evaluated on")
+
+    def hypotheses(self) -> HypothesisReport:
+        """validate_hypotheses from disc.t_start to max(disc.t_end, t_start + 50);
+        ConfigError where eps overflows at the start or the forcing tail check
+        overflows (eps <= 0 is a failed hypothesis, not an error)."""
+        t_lo = self.step.t_start
+        t_hi = max(self.step.t_end, t_lo + 50.0)
+        self.eps_at(t_lo, RUN_START)
+        try:
+            return validate_hypotheses(self.model, t_range=(t_lo, t_hi))
+        except OverflowError:
+            raise ConfigError(f"the forcing tail integrand e^(sigma s) |h(s)|^2 overflows "
+                              f"before t = {t_hi:g}, the end of the validated window") from None
 
     def initial_state(self) -> ModalState:
         """The state at disc.t_start; ConfigError unless eps > 0 there."""

@@ -16,6 +16,10 @@ together with the absorbing radius
 
     B(t) = ( c14 e^{-sigma1 t} int_{-inf}^t e^{sigma1 s} |h(s)|^2 ds + c14 )^{1/2}.
 
+``build_ledger`` is one call of ``eval_functionals``, which evaluates each
+term that E, I, K and L share once, on a trajectory's records as one batch,
+and one of ``eval_B`` on its record times.
+
 Feasible multipliers (rho, chi) make E nonnegative and force the decay
 inequality dE/dt <= -chi E + |h|^2 / rho + c5. The admissible region is the
 intersection of explicit inequalities in (rho, chi) and the model constants;
@@ -28,6 +32,7 @@ reported but do not gate feasibility; the report marks them "advisory".
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,7 +41,7 @@ import numpy as np
 from .integrator import Trajectory, reconstruct_accel
 from .model import ForcingSpec, ModelSpec, eval_epsilon, exp_each, forcing_norm_sq
 from .spectral import (Basis, ModalState, dual_norm_sq, eval_nonlinearity_modal,
-                       grad_norm_sq, inner, integral_of_G, norm_sq, xt_norm_sq)
+                       grad_norm_sq, inner, integral_of_G, norm_sq)
 
 
 class InfeasibleParamsError(ValueError):
@@ -76,85 +81,66 @@ class EnergyParams:
             raise ValueError("c14 must be positive")
 
 
-def eval_E(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams):
-    eps, _ = eval_epsilon(spec.epsilon, state.t)
-    u, v = state.u, state.v
-    S = grad_norm_sq(basis, u)
-    return (eps * norm_sq(v + params.rho * u) - params.rho ** 2 * eps * norm_sq(u)
-            + S + 0.5 * spec.delta * (S * S) + params.rho * S
-            + spec.lam * norm_sq(u)
-            - 2.0 * integral_of_G(spec.g, basis, u) + 2.0 * params.c0)
+# eval_functionals' result: floats for one state, one value per row of a batch
+Functionals = namedtuple("Functionals", "E I K L xt_norm_sq grad_norm_sq")
 
 
-def eval_I(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams,
-           E=None, g_modal=None):
-    """Dissipation functional; ``E`` is eval_E and ``g_modal`` the modal g(u)
-    (eval_nonlinearity_modal) of the same state when the caller has them
-    already."""
-    if E is None:
-        E = eval_E(state, spec, basis, params)
-    if g_modal is None:
-        g_modal = eval_nonlinearity_modal(spec.g, basis, state.u)
-    eps, _ = eval_epsilon(spec.epsilon, state.t)
-    u, v = state.u, state.v
-    S = grad_norm_sq(basis, u)
-    gu = inner(g_modal, u)
-    rho = params.rho
-    return (0.5 * rho * S + 2.0 * spec.delta * rho * (S * S) - 2.0 * rho * gu
-            + rho * (2.0 * eps - rho) * norm_sq(v + rho * u)
-            - params.chi * E)
-
-
-def eval_K(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams):
+def eval_functionals(state: ModalState, spec: ModelSpec, basis: Basis,
+                     params: EnergyParams) -> Functionals:
+    """E, I, K and L of a state that solves the second-order problem (L's
+    w_t = u_tt is reconstructed from the equation). Each term they share is
+    evaluated once here: eps, the norms of u, v and v + rho u, the modal g(u)
+    (handed to reconstruct_accel), (G(u), 1) and u_tt."""
     eps, _ = eval_epsilon(spec.epsilon, state.t)
     u, v = state.u, state.v
     rho = params.rho
-    return (0.5 * grad_norm_sq(basis, v) + rho * grad_norm_sq(basis, u)
-            - (8.0 * rho ** 2 * eps / basis.lambda1) * norm_sq(v)
-            - 0.5 * rho ** 2 * basis.lambda1 * eps * norm_sq(u))
+    S, grad_v = grad_norm_sq(basis, u), grad_norm_sq(basis, v)
+    u_sq, v_sq, mixed_sq = norm_sq(u), norm_sq(v), norm_sq(v + rho * u)
+    g_modal = eval_nonlinearity_modal(spec.g, basis, u)
+    E = (eps * mixed_sq - rho ** 2 * eps * u_sq
+         + S + 0.5 * spec.delta * (S * S) + rho * S
+         + spec.lam * u_sq
+         - 2.0 * integral_of_G(spec.g, basis, u) + 2.0 * params.c0)
+    I = (0.5 * rho * S + 2.0 * spec.delta * rho * (S * S) - 2.0 * rho * inner(g_modal, u)
+         + rho * (2.0 * eps - rho) * mixed_sq - params.chi * E)
+    K = (0.5 * grad_v + rho * S
+         - (8.0 * rho ** 2 * eps / basis.lambda1) * v_sq
+         - 0.5 * rho ** 2 * basis.lambda1 * eps * u_sq)
+    wt = reconstruct_accel(state, spec, basis, g_modal)
+    L = (eps * dual_norm_sq(basis, wt) + 2.0 * rho * eps * inner(wt, v)
+         + v_sq + rho * grad_v + spec.lam * dual_norm_sq(basis, v))
+    return Functionals(E, I, K, L, S + eps * v_sq, S)
 
 
-def eval_L(state: ModalState, spec: ModelSpec, basis: Basis, params: EnergyParams,
-           g_modal=None):
-    """Second energy with w = u_t, for a state that solves the second-order
-    problem (its w_t is reconstructed from the equation; ``g_modal`` as for
-    eval_I)."""
-    w = state.v
-    wt = reconstruct_accel(state, spec, basis, g_modal=g_modal)
-    eps, _ = eval_epsilon(spec.epsilon, state.t)
-    rho = params.rho
-    return (eps * dual_norm_sq(basis, wt) + 2.0 * rho * eps * inner(wt, w)
-            + norm_sq(w) + rho * grad_norm_sq(basis, w)
-            + spec.lam * dual_norm_sq(basis, w))
-
-
-def weighted_tail_integral(h: ForcingSpec, sigma1: float, t: float) -> float:
+def weighted_tail_integral(h: ForcingSpec, sigma1: float, t):
     """int_{-inf}^t e^{sigma1 s} |h(s)|^2 ds, from the exact antiderivative of
-    the separable forcing A^2 e^{-2 beta |s|}; finite for sigma1 > 0."""
+    the separable forcing A^2 e^{-2 beta |s|}; finite for sigma1 > 0. For a
+    float t or an array of times: the part up to min(t, 0) plus the rest."""
     if h.kind == "zero":
         return 0.0
     A2, beta = h.amplitude ** 2, h.rate
     up = sigma1 + 2.0 * beta
-    if t <= 0:
-        return float(A2 * math.exp(up * t) / up)
-    head = A2 / up
+    head = A2 * exp_each(up * np.minimum(t, 0.0)) / up
+    after = np.maximum(t, 0.0)
     dn = sigma1 - 2.0 * beta
     if abs(dn) < 1e-14:
-        tail = A2 * t
+        tail = A2 * after
     else:
-        tail = A2 * (math.exp(dn * t) - 1.0) / dn
-    return float(head + tail)
+        tail = A2 * (exp_each(dn * after) - 1.0) / dn
+    return head + tail
 
 
-def eval_B(t: float, spec: ModelSpec, params: EnergyParams) -> float:
-    """Absorbing radius at time t."""
+def eval_B(t, spec: ModelSpec, params: EnergyParams):
+    """Absorbing radius at time t: a float, or an array for an array of times."""
     tail = weighted_tail_integral(spec.h, params.sigma1, t)
-    return math.sqrt(params.c14 * math.exp(-params.sigma1 * t) * tail + params.c14)
+    B_sq = params.c14 * exp_each(-params.sigma1 * t) * tail + params.c14
+    return np.sqrt(B_sq) if getattr(t, "ndim", 0) else math.sqrt(B_sq)
 
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """Per-time series of the functionals along one trajectory."""
+    """Per-time series of the functionals along one trajectory, with
+    |grad u|^2 per record, which is not a CSV column."""
 
     times: np.ndarray
     E: np.ndarray
@@ -163,6 +149,7 @@ class EnergyLedger:
     L: np.ndarray
     xt_norm_sq: np.ndarray
     B: np.ndarray
+    grad_norm_sq: np.ndarray
 
     COLUMNS = ("t", "E", "I", "K", "L", "xt_norm_sq", "B")
 
@@ -173,19 +160,11 @@ class EnergyLedger:
 
 def build_ledger(traj: Trajectory, spec: ModelSpec, basis: Basis,
                  params: EnergyParams) -> EnergyLedger:
-    """Functionals at every record, all records as one batched state. A
-    Trajectory solves the second-order problem, so L (which reconstructs
-    u_tt from the equation) is defined at every record. E and the modal
-    g(u) are evaluated once, for I and L both."""
-    records = ModalState(traj.us, traj.vs, traj.times)
-    E = eval_E(records, spec, basis, params)
-    g_modal = eval_nonlinearity_modal(spec.g, basis, traj.us)
-    return EnergyLedger(
-        traj.times.copy(), E, eval_I(records, spec, basis, params, E=E, g_modal=g_modal),
-        eval_K(records, spec, basis, params),
-        eval_L(records, spec, basis, params, g_modal=g_modal),
-        xt_norm_sq(basis, records, spec.epsilon),
-        np.array([eval_B(float(t), spec, params) for t in traj.times]))
+    """The functionals at every record, all records as one batched state, and
+    B on the array of record times."""
+    f = eval_functionals(ModalState(traj.us, traj.vs, traj.times), spec, basis, params)
+    return EnergyLedger(traj.times.copy(), f.E, f.I, f.K, f.L, f.xt_norm_sq,
+                        eval_B(traj.times, spec, params), f.grad_norm_sq)
 
 
 SLACK_FACTOR = 10.0  # slack of the discrete decay inequality, per unit of dt |E|
@@ -214,7 +193,7 @@ class DecayReport:
                 "energy_nonneg": self.energy_nonneg}
 
 
-def verify_decay_inequality(ledger: EnergyLedger, traj: Trajectory, spec: ModelSpec,
+def verify_decay_inequality(ledger: EnergyLedger, spec: ModelSpec,
                             basis: Basis, params: EnergyParams,
                             dt: Optional[float] = None) -> DecayReport:
     """Check the discrete decay inequality and the integrated bound.
@@ -248,7 +227,7 @@ def verify_decay_inequality(ledger: EnergyLedger, traj: Trajectory, spec: ModelS
 
     # integrated envelope with a single fitted front constant
     p = spec.sobolev_p
-    S0 = grad_norm_sq(basis, traj.us[0])
+    S0 = float(ledger.grad_norm_sq[0])
     data0 = ledger.xt_norm_sq[0] + S0 ** ((p + 2.0) / 2.0) + spec.delta * S0 ** 2
     tau = float(t[0])
     hw = exp_each(params.sigma1 * t) * h_sq
@@ -270,12 +249,12 @@ class SandwichFit:
     passed: bool
 
 
-def fit_norm_sandwich(ledger: EnergyLedger, traj: Trajectory, spec: ModelSpec,
-                      basis: Basis, params: EnergyParams) -> SandwichFit:
+def fit_norm_sandwich(ledger: EnergyLedger, spec: ModelSpec,
+                      params: EnergyParams) -> SandwichFit:
     """Fit c6, c9, c10 once and verify the two-sided norm comparison
     c6^{-1} xt <= E <= c9 (xt + |grad u|^{p+2} + delta |grad u|^4) + 2 c10."""
     p = spec.sobolev_p
-    S = grad_norm_sq(basis, traj.us)
+    S = ledger.grad_norm_sq
     upper_arg = ledger.xt_norm_sq + S ** ((p + 2.0) / 2.0) + spec.delta * S ** 2
     pos = ledger.E > 1e-300
     ratios = np.where(pos, ledger.xt_norm_sq / np.where(pos, ledger.E, 1.0), 0.0)
@@ -365,22 +344,18 @@ class FeasibilityReport:
     def is_empty(self) -> bool:
         return self.chosen is None
 
-    @property
-    def feasible_points(self) -> np.ndarray:
-        ii, jj = np.nonzero(self.feasible_mask)
-        return np.column_stack([self.rho_grid[ii], self.chi_grid[jj]])
-
     def to_dict(self) -> dict:
         """The report, its feasible points cut at FEASIBLE_POINTS_MAX."""
         total = int(self.feasible_mask.size)
-        pts = self.feasible_points
+        ii, jj = np.nonzero(self.feasible_mask)
+        pts = np.column_stack([self.rho_grid[ii], self.chi_grid[jj]])
         constraints = []
         for binding, margins in ((True, self.binding), (False, self.advisory)):
             for name, marg in margins.items():
-                ok = marg >= -1e-12
+                kill = self.kill_counts[name] if binding else int(np.sum(~(marg >= -1e-12)))
                 constraints.append({"name": name, "binding": binding, "active": True,
-                                    "pass_fraction": float(np.mean(ok)),
-                                    "kill_count": int(np.sum(~ok))})
+                                    "pass_fraction": (total - kill) / total,
+                                    "kill_count": kill})
         for name in self.inactive:
             constraints.append({"name": name, "binding": False, "active": False,
                                 "pass_fraction": None, "kill_count": None})
@@ -421,9 +396,8 @@ def solve_feasibility(spec: ModelSpec, basis: Basis, params: EnergyParams,
         ok = marg >= -1e-12
         kill_counts[name] = int(np.sum(~ok))
         feasible &= ok
-    binding_kill = max(kill_counts, key=lambda k: (kill_counts[k], k))
-    if all(v == 0 for v in kill_counts.values()):
-        binding_kill = None
+    binding_kill = (max(kill_counts, key=lambda k: (kill_counts[k], k))
+                    if any(kill_counts.values()) else None)
 
     chosen = None
     if np.any(feasible):

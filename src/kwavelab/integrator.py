@@ -42,6 +42,9 @@ forcing mean, of which a step updates only the forced mode.
 A model with no explicit term (g = 0 and delta = 0) skips it: no grid
 transform runs, the AB2 history is one zero array, and nothing is done for
 forcing that is zero.
+
+``reconstruct_accel`` solves the equation for u_tt given the modal g(u),
+which its caller, the energy functionals, evaluates for its own use too.
 """
 
 from __future__ import annotations
@@ -306,16 +309,13 @@ def evolve_ensemble(us: np.ndarray, vs: np.ndarray, spec: ModelSpec, basis: Basi
 
 
 def reconstruct_accel(state: ModalState, spec: ModelSpec, basis: Basis,
-                      g_modal=None) -> np.ndarray:
+                      g_modal: np.ndarray) -> np.ndarray:
     """u_tt of a state that solves the second-order problem (one row per time
-    of a batched state), solved pointwise from the modal equation;
-    ``g_modal`` is the state's eval_nonlinearity_modal when the caller has it
-    already."""
+    of a batched state), solved pointwise from the modal equation, given the
+    state's modal g(u) (eval_nonlinearity_modal)."""
     u, v, t = state.u, state.v, state.t
     mu = basis.eigenvalues
     S = np.asarray(grad_norm_sq(basis, u))[..., None]
-    if g_modal is None:
-        g_modal = eval_nonlinearity_modal(spec.g, basis, u)
     eps, _ = eval_epsilon(spec.epsilon, t)
     return ((g_modal + eval_h(spec.h, basis.n_modes, t) - (1.0 + spec.delta * S) * mu * u
              - mu * v - spec.lam * u) / np.asarray(eps)[..., None])

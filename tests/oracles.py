@@ -1,12 +1,12 @@
 """Test oracles that no command runs: the IMEX step in plain expressions,
 the delta-difference run and its energy, plus one-line constructors of the
-states the tests start from."""
+states the tests start from and u_tt from a state's own g(u)."""
 
 import dataclasses
 
 import numpy as np
 
-from kwavelab.integrator import run
+from kwavelab.integrator import reconstruct_accel, run
 from kwavelab.model import eval_epsilon, eval_h
 from kwavelab.spectral import (ModalState, eval_nonlinearity_modal, grad_norm_sq, inner,
                                norm_sq)
@@ -19,6 +19,12 @@ def zero_state(basis, t=0.0):
 def record(traj, i):
     """Record i of a trajectory as a single state (i = -1: the last)."""
     return ModalState(traj.us[i], traj.vs[i], float(traj.times[i]))
+
+
+def accel(state, spec, basis):
+    """reconstruct_accel with the state's own modal g(u)."""
+    return reconstruct_accel(state, spec, basis,
+                             eval_nonlinearity_modal(spec.g, basis, state.u))
 
 
 def imex2_plain(u, v, spec, basis, t_start, dt, n):

@@ -67,9 +67,9 @@ def test_criterion_2_energy_decay(tmp_path):
                           sigma1=chosen["sigma1"], c0=0.0, c4=1.0)
     traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
     ledger = build_ledger(traj, cfg.model, cfg.basis, params)
-    decay = verify_decay_inequality(ledger, traj, cfg.model, cfg.basis, params,
+    decay = verify_decay_inequality(ledger, cfg.model, cfg.basis, params,
                                     dt=cfg.step.dt)
-    sandwich = fit_norm_sandwich(ledger, traj, cfg.model, cfg.basis, params)
+    sandwich = fit_norm_sandwich(ledger, cfg.model, params)
     elapsed = time.time() - t0
     ok = (decay.fitted_c5 and decay.passed and decay.integrated_passed
           and sandwich.passed and float(np.min(ledger.E)) >= 0.0 and elapsed < 120.0)

@@ -167,11 +167,15 @@ class TestExitCodes:
         ("pullback", "h_mode"), ("semicontinuity", "h_mode"),
         ("validate", "eps_overflow"), ("simulate", "eps_overflow"),
         ("decompose", "eps_overflow"), ("pullback", "leg_overflow"),
-        ("semicontinuity", "leg_overflow")])
+        ("semicontinuity", "leg_overflow"), ("validate", "tail_overflow"),
+        ("simulate", "radius_overflow"), ("pullback", "radius_overflow"),
+        ("semicontinuity", "radius_overflow")])
     def test_unrunnable_config_exit_2(self, tmp_path, capsys, command, case):
         # eps(t) = 1 - 0.5 exp(-t) < 0 at disc.t_start = -1; a negative,
         # empty or repeated delta list; a forcing mode outside the 8-mode basis;
-        # eps(t) = 1 + 0.5 exp(-t) overflowing at a run or leg start t = -800
+        # eps(t) = 1 + 0.5 exp(-t) overflowing at a run or leg start t = -800;
+        # e^(sigma s) of the forcing tail check overflowing before t = 800; and
+        # e^((sigma1 - 2 beta) t) of B overflowing at t = 2999.9, where B is finite
         deltas = {"negative_delta": "0.2, -0.1, 0.0", "empty_deltas": ",",
                   "repeated_delta": "0.1, 0.1, 0.0"}
         if case == "eps_overflow":
@@ -182,6 +186,21 @@ class TestExitCodes:
             with open(fixture_cfg("sweep.cfg")) as fh:
                 text = fh.read().replace("attractor.taus = 5, 10, 20", "attractor.taus = 800")
             message = "eps overflows at t = -800, the start of the pullback leg tau = 800"
+        elif case == "tail_overflow":
+            with open(fixture_cfg("cubic3d.cfg")) as fh:
+                text = fh.read().replace("disc.t_end = 10.0", "disc.t_end = 800")
+            message = "integrand e^(sigma s) |h(s)|^2 overflows before t = 800,"
+        elif case == "radius_overflow":
+            with open(fixture_cfg("cubic3d.cfg")) as fh:
+                text = fh.read()
+            for key, value in (("disc.t_start", "2999.9"), ("disc.t_end", "3000"),
+                               ("attractor.t_star", "3000"), ("attractor.taus", "0.05, 0.1"),
+                               ("model.h.rate", "0.05"), ("energy.rho", "0.5"),
+                               ("energy.chi", "0.45")):
+                text = re.sub(f"^{re.escape(key)} = .*$", f"{key} = {value}", text,
+                              flags=re.M)
+            text += "energy.sigma1 = 0.44\n"
+            message = "the absorbing radius B overflows at t = 2999.9, an end of the window"
         elif case.startswith("eps"):
             with open(fixture_cfg("eps_increasing.cfg")) as fh:
                 text = fh.read().replace("disc.t_start = 0.0", "disc.t_start = -1.0")

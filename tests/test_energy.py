@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import kwavelab as kw
-from kwavelab.energy import (EnergyParams, InfeasibleParamsError, build_ledger,
-                             eval_B, eval_E, eval_I, eval_K, eval_L,
+from kwavelab.energy import (EnergyParams, Functionals, InfeasibleParamsError,
+                             build_ledger, eval_B, eval_functionals,
                              fit_norm_sandwich, solve_feasibility,
                              verify_decay_inequality)
 from kwavelab.integrator import StepConfig, run
 from kwavelab.model import forcing_norm_sq
 from kwavelab.spectral import ModalState
-from oracles import eval_Etilde, record, zero_state
+from oracles import accel, eval_Etilde, record, zero_state
 
 
 def single_mode_state(basis, u1=0.0, v1=0.0, t=0.0):
@@ -25,12 +25,12 @@ class TestPointFunctionals:
     def test_E_zero_state_no_offset(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
-        assert eval_E(zero_state(basis), spec, basis, params) == 0.0
+        assert eval_functionals(zero_state(basis), spec, basis, params).E == 0.0
 
     def test_E_zero_state_offset_survives(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=1.0, c4=2.0)
-        assert eval_E(zero_state(basis), spec, basis, params) == 2.0
+        assert eval_functionals(zero_state(basis), spec, basis, params).E == 2.0
 
     def test_E_single_mode_hand_expansion(self):
         spec = kw.ModelSpec(dim=1, lam=0.3,
@@ -43,18 +43,18 @@ class TestPointFunctionals:
         eps = 1.5
         expected = (eps * (v1 + 0.7 * u1) ** 2 - 0.7 ** 2 * eps * u1 ** 2
                     + mu * u1 ** 2 + 0.7 * mu * u1 ** 2 + 0.3 * u1 ** 2)
-        assert eval_E(st, spec, basis, params) == pytest.approx(expected, rel=1e-13)
+        assert eval_functionals(st, spec, basis, params).E == pytest.approx(expected, rel=1e-13)
 
     def test_I_zero_state(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.5, c4=1.0)
-        assert eval_I(zero_state(basis), spec, basis, params) == pytest.approx(
+        assert eval_functionals(zero_state(basis), spec, basis, params).I == pytest.approx(
             -0.2 * 2 * 0.5, rel=1e-14)
 
     def test_K_zero_state(self, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
-        assert eval_K(zero_state(basis), spec, basis, params) == 0.0
+        assert eval_functionals(zero_state(basis), spec, basis, params).K == 0.0
 
     def test_K_nonnegative_under_rho_bound(self):
         # rho <= min(2/L, lam1 sqrt(L)/(4L)) forces K >= 0
@@ -66,7 +66,7 @@ class TestPointFunctionals:
         rng = np.random.default_rng(12)
         for _ in range(1000):
             st = ModalState(rng.standard_normal(8), rng.standard_normal(8), 0.0)
-            assert eval_K(st, spec, basis, params) >= -1e-10
+            assert eval_functionals(st, spec, basis, params).K >= -1e-10
 
     def test_I_bounded_below_on_trajectory(self, hand_instance):
         spec, basis, params = hand_instance
@@ -74,7 +74,7 @@ class TestPointFunctionals:
         u0[0] = 0.6
         traj = run(ModalState(u0, np.zeros(8), 0.0), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=5.0, record_every=50))
-        I_series = [eval_I(record(traj, i), spec, basis, params)
+        I_series = [eval_functionals(record(traj, i), spec, basis, params).I
                     for i in range(traj.n_records)]
         c5 = max(0.0, -min(I_series)) + 1e-12
         assert all(I >= -c5 for I in I_series)
@@ -98,7 +98,7 @@ class TestPointFunctionals:
         ledger = build_ledger(traj, spec, basis, params)
         assert len(calls) == 1  # one batched call evaluates E at every record
         for i in range(traj.n_records):  # the same bits as evaluating E afresh
-            assert ledger.I[i] == eval_I(record(traj, i), spec, basis, params)
+            assert ledger.I[i] == eval_functionals(record(traj, i), spec, basis, params).I
 
     def test_ledger_evaluates_modal_g_once_for_I_and_L(self, forced_cubic_run, monkeypatch):
         import kwavelab.energy as en
@@ -116,6 +116,20 @@ class TestPointFunctionals:
         build_ledger(traj, spec, basis, EnergyParams(rho=0.5, chi=0.1, c0=0.0, c4=1.0))
         assert len(calls) == 1
 
+    def test_ledger_evaluates_B_once(self, forced_cubic_run, monkeypatch):
+        import kwavelab.energy as en
+        spec, basis, traj = forced_cubic_run
+        calls = []
+        radius = en.eval_B
+
+        def counting(t, *args):
+            calls.append(t)
+            return radius(t, *args)
+
+        monkeypatch.setattr(en, "eval_B", counting)
+        build_ledger(traj, spec, basis, EnergyParams(rho=0.5, chi=0.1, c0=0.0, c4=1.0))
+        assert len(calls) == 1 and np.array_equal(calls[0], traj.times)
+
 
 class TestBatchedLedger:
     def test_ledger_equals_per_state_calls_bitwise(self, forced_cubic_run):
@@ -123,15 +137,14 @@ class TestBatchedLedger:
         params = EnergyParams(rho=0.5, chi=0.1, c0=0.0, c4=1.0)
         ledger = build_ledger(traj, spec, basis, params)
         series = {name: np.empty(traj.n_records)
-                  for name in ("E", "I", "K", "L", "xt_norm_sq", "B")}
+                  for name in ("E", "I", "K", "L", "xt_norm_sq", "B", "grad_norm_sq")}
         for i in range(traj.n_records):  # the per-record oracle
             st = record(traj, i)
-            series["E"][i] = eval_E(st, spec, basis, params)
-            series["I"][i] = eval_I(st, spec, basis, params, E=series["E"][i])
-            series["K"][i] = eval_K(st, spec, basis, params)
-            series["L"][i] = eval_L(st, spec, basis, params)
+            f = eval_functionals(st, spec, basis, params)
+            series["E"][i], series["I"][i], series["K"][i], series["L"][i] = f.E, f.I, f.K, f.L
             series["xt_norm_sq"][i] = kw.xt_norm_sq(basis, st, spec.epsilon)
             series["B"][i] = eval_B(st.t, spec, params)
+            series["grad_norm_sq"][i] = kw.grad_norm_sq(basis, st.u)
         for name, want in series.items():
             assert np.array_equal(getattr(ledger, name), want), name
 
@@ -140,7 +153,7 @@ class TestBatchedLedger:
         params = EnergyParams(rho=0.8, chi=0.1, c0=0.0, c4=1.0)  # feasible here
         ledger = build_ledger(traj, spec, basis, params)
         before = [c.copy() for c in ledger.columns()]
-        rep = verify_decay_inequality(ledger, traj, spec, basis, params)
+        rep = verify_decay_inequality(ledger, spec, basis, params)
         assert all(np.array_equal(a, b) for a, b in zip(ledger.columns(), before))
         # one forward-difference residual per record but the last
         t, E = ledger.times, ledger.E
@@ -155,13 +168,14 @@ class TestBatchedLedger:
         st = ModalState(0.1 * rng.standard_normal(basis.n_modes),
                         0.1 * rng.standard_normal(basis.n_modes), 0.7)
         row = ModalState(st.u[None], st.v[None], np.array([st.t]))
-        def Etilde(state, spec, basis, params):
-            return eval_Etilde(state, spec, basis, xi=0.1)
-
-        for fn in (eval_E, eval_I, eval_K, eval_L, Etilde):
-            single, batch = fn(st, spec, basis, params), fn(row, spec, basis, params)
-            assert isinstance(single, float) and batch.shape == (1,)
-            assert batch[0] == single, fn.__name__
+        single = eval_functionals(st, spec, basis, params)
+        batch = eval_functionals(row, spec, basis, params)
+        pairs = [*zip(Functionals._fields, single, batch),
+                 ("Etilde", eval_Etilde(st, spec, basis, xi=0.1),
+                  eval_Etilde(row, spec, basis, xi=0.1))]
+        for name, one, rows in pairs:
+            assert isinstance(one, float) and rows.shape == (1,)
+            assert rows[0] == one, name
 
 
 class TestSecondEnergy:
@@ -170,7 +184,7 @@ class TestSecondEnergy:
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0)
         traj = run(zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
-        assert eval_L(record(traj, -1), spec, basis, params) == 0.0
+        assert eval_functionals(record(traj, -1), spec, basis, params).L == 0.0
 
     def test_single_mode_hand_expansion(self, linear_setup):
         spec, basis = linear_setup
@@ -181,10 +195,10 @@ class TestSecondEnergy:
         assert state.t == 0.5
         mu = basis.eigenvalues
         w = state.v
-        wt = kw.reconstruct_accel(state, spec, basis)
+        wt = accel(state, spec, basis)
         expected = (np.sum(wt ** 2 / mu) + 2 * 0.8 * np.dot(wt, w) + np.sum(w ** 2)
                     + 0.8 * np.sum(mu * w ** 2))
-        assert eval_L(state, spec, basis, params) == pytest.approx(expected, rel=1e-12)
+        assert eval_functionals(state, spec, basis, params).L == pytest.approx(expected, rel=1e-12)
 
     def test_equivalence_sandwich(self, linear_setup):
         # fit c18, c19 on one run, then the sandwich holds at every instant
@@ -198,10 +212,10 @@ class TestSecondEnergy:
         for i in range(traj.n_records):
             state = record(traj, i)
             w = state.v
-            wt = kw.reconstruct_accel(state, spec, basis)
+            wt = accel(state, spec, basis)
             core = float(np.sum(wt ** 2 / basis.eigenvalues)
                          + np.sum(basis.eigenvalues * w ** 2))
-            pairs.append((eval_L(state, spec, basis, params), core))
+            pairs.append((eval_functionals(state, spec, basis, params).L, core))
         ratios = [L / c for L, c in pairs if c > 1e-250]
         c18, c19 = min(ratios), max(ratios)
         assert 0.0 < c18 <= c19
@@ -271,6 +285,39 @@ class TestAbsorbingRadius:
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
 
 
+    @staticmethod
+    def radius_oracle(t, h, params):
+        """B from the scalar closed form, split at t = 0 by a branch."""
+        s1 = params.sigma1
+        tail = 0.0
+        if h.kind != "zero":
+            A2, up, dn = h.amplitude ** 2, s1 + 2.0 * h.rate, s1 - 2.0 * h.rate
+            if t <= 0:
+                tail = A2 * math.exp(up * t) / up
+            elif abs(dn) < 1e-14:
+                tail = A2 / up + A2 * t
+            else:
+                tail = A2 / up + A2 * (math.exp(dn * t) - 1.0) / dn
+        return math.sqrt(params.c14 * math.exp(-s1 * t) * tail + params.c14)
+
+    @pytest.mark.parametrize("kind,sigma1,rate", [
+        ("separable", 0.05, 0.5), ("separable", 0.44, 0.05), ("separable", 0.4, 0.2),
+        ("zero", 0.3, 1.0)], ids=["sigma1<2beta", "sigma1>2beta", "sigma1=2beta", "h=0"])
+    def test_batched_radius_equals_scalar_calls_bitwise(self, kind, sigma1, rate):
+        spec = kw.ModelSpec(dim=1, h=kw.ForcingSpec(kind=kind, amplitude=1.3,
+                                                    rate=rate, sigma=1.0))
+        params = EnergyParams(rho=1.0, chi=0.9, sigma1=sigma1, c0=0.0, c4=1.0, c14=1.7)
+        assert (sigma1 == 2.0 * rate) == (kind == "separable" and rate == 0.2)
+        ts = np.concatenate([np.linspace(-40.0, 40.0, 321),
+                             [0.0, -0.0, 5e-324, -5e-324, 1e-9, -1e-9]])
+        batch = eval_B(ts, spec, params)
+        assert batch.shape == ts.shape
+        for t, b in zip(ts, batch):
+            single = eval_B(float(t), spec, params)
+            assert isinstance(single, float)
+            assert b == single == self.radius_oracle(float(t), spec.h, params), t
+
+
 class TestDecayInequality:
     def test_zero_trajectory_passes(self, linear_setup):
         spec, basis = linear_setup
@@ -278,14 +325,14 @@ class TestDecayInequality:
         traj = run(zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
         ledger = build_ledger(traj, spec, basis, params)
-        rep = verify_decay_inequality(ledger, traj, spec, basis, params)
+        rep = verify_decay_inequality(ledger, spec, basis, params)
         assert rep.passed and rep.max_violation <= 0.0
 
     def test_linear_case_c5_zero_tiny_slack(self, linear_trajectory, linear_setup):
         spec, basis = linear_setup
         params = EnergyParams(rho=1.0, chi=0.2, sigma1=0.1, c0=0.0, c4=1.0, c5=0.0)
         ledger = build_ledger(linear_trajectory, spec, basis, params)
-        rep = verify_decay_inequality(ledger, linear_trajectory, spec, basis, params)
+        rep = verify_decay_inequality(ledger, spec, basis, params)
         assert rep.passed and rep.energy_nonneg
         assert float(np.max(rep.residuals)) < 1e-6
 
@@ -296,7 +343,7 @@ class TestDecayInequality:
                    StepConfig(dt=1e-2, t_start=0.0, t_end=0.1))
         ledger = build_ledger(traj, spec, basis, bad)
         with pytest.raises(InfeasibleParamsError):
-            verify_decay_inequality(ledger, traj, spec, basis, bad)
+            verify_decay_inequality(ledger, spec, basis, bad)
 
     def test_residuals_shrink_first_order_in_record_spacing(self, linear_setup):
         # the forward difference converges to the true derivative linearly
@@ -308,13 +355,13 @@ class TestDecayInequality:
         traj_fine = run(ic, spec, basis, StepConfig(dt=1e-4, t_start=0.0, t_end=2.0,
                                                     record_every=10))
         ref = build_ledger(traj_fine, spec, basis, params)
-        ref_r = verify_decay_inequality(ref, traj_fine, spec, basis, params).residuals
+        ref_r = verify_decay_inequality(ref, spec, basis, params).residuals
         errs = []
         for every in (400, 200):
             traj = run(ic, spec, basis, StepConfig(dt=1e-4, t_start=0.0, t_end=2.0,
                                                    record_every=every))
             led = build_ledger(traj, spec, basis, params)
-            r = verify_decay_inequality(led, traj, spec, basis, params).residuals
+            r = verify_decay_inequality(led, spec, basis, params).residuals
             # compare residuals at shared times against the near-continuum run
             idx = [ref.times.searchsorted(t) for t in led.times[:-1]]
             errs.append(float(np.max(np.abs(r - ref_r[idx]))))
@@ -335,10 +382,10 @@ class TestDecayInequality:
         traj = run(ic, spec, basis, StepConfig(dt=2e-3, t_start=0.0, t_end=4.0,
                                                record_every=20))
         ledger = build_ledger(traj, spec, basis, params)
-        rep = verify_decay_inequality(ledger, traj, spec, basis, params)
+        rep = verify_decay_inequality(ledger, spec, basis, params)
         assert rep.fitted_c5 and rep.passed and rep.energy_nonneg
         assert np.min(ledger.E) >= 0.0
-        sandwich = fit_norm_sandwich(ledger, traj, spec, basis, params)
+        sandwich = fit_norm_sandwich(ledger, spec, params)
         assert sandwich.passed
 
 

