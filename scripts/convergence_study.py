@@ -19,7 +19,7 @@ def closed_form(mu, lam, u0, v0, t):
 
 
 if __name__ == "__main__":
-    spec = kw.ModelSpec(dim=1)
+    spec = kw.ModelSpec()
     basis = kw.Basis(1, 1)
     mu = basis.eigenvalues[0]
     exact = closed_form(mu, 0.0, 1.0, 0.0, 1.0)

@@ -6,14 +6,12 @@ a long horizon tau; the endpoint set is the cloud. Truncating the horizon
 replaces the nested-intersection construction, and a Cauchy-in-tau self-test
 quantifies the truncation error.
 
-Sampling is frequency-spread: coefficients are drawn with variance
-proportional to 1/mu_m (and 1/eps for the velocity block), which makes the
-draw isotropic in the phase-space metric, then rescaled onto the sphere or
-into the ball of the target radius. Distances between clouds are Hausdorff
-semi-distances in the metric of the common evaluation time. One GEMM screens
-the pairs with a rigorous rounding bound, and only the pairs that can be a
-row's nearest get the exact distance, summed in scipy cdist's order; so the
-result has the bits of a brute-force pairwise comparison.
+An ensemble is one spectral.sample_xt draw, isotropic in the phase-space
+metric, on the sphere or in the ball of radius B(t* - tau). Distances between
+clouds are Hausdorff semi-distances in the metric of the common evaluation
+time. One GEMM screens the pairs with a rigorous rounding bound, and only the
+pairs that can be a row's nearest get the exact distance, summed in scipy
+cdist's order; so the result has the bits of a brute-force pairwise comparison.
 
 Every (delta, tau) pair is one independent pullback leg. One routine, _clouds,
 builds the clouds of the absorbing check, the delta sweep and pullback_cloud,
@@ -33,7 +31,7 @@ import numpy as np
 from .energy import EnergyParams, eval_B
 from .integrator import evolve_ensemble
 from .model import ModelSpec, eval_epsilon
-from .spectral import Basis, ModalState, xt_norm_sq
+from .spectral import Basis, ModalState, sample_xt, xt_norm_sq
 
 SAMPLINGS = ("sphere_surface", "ball_uniform")
 
@@ -149,21 +147,10 @@ def _min_sq_dist(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def _sample_arrays(spec: ModelSpec, params: EnergyParams, basis: Basis,
                    t: float, ens: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    radius = eval_B(t, spec, params)
-    eps, _ = eval_epsilon(spec.epsilon, t)
-    rng = np.random.default_rng(ens.seed)
-    n, m = ens.n_points, basis.n_modes
-    y = rng.standard_normal((n, 2 * m))
-    norms = np.sqrt(np.sum(y ** 2, axis=1))
-    if ens.sampling == "sphere_surface":
-        scale = radius / norms
-    else:
-        r = radius * rng.random(n) ** (1.0 / (2 * m))
-        scale = r / norms
-    y *= scale[:, None]
-    us = y[:, :m] / np.sqrt(basis.eigenvalues)
-    vs = y[:, m:] / math.sqrt(eps)
-    return us, vs
+    """The ensemble's draw from the absorbing ball of radius B(t), seeded by ens.seed."""
+    return sample_xt(np.random.default_rng(ens.seed), ens.n_points, basis,
+                     eval_epsilon(spec.epsilon, t)[0], eval_B(t, spec, params),
+                     ball=ens.sampling == "ball_uniform")
 
 
 def _plan_pool(sizes, threads: int) -> tuple[list[int], int]:

@@ -14,7 +14,10 @@ quadratic-plus-potential functionals evaluated along trajectories:
 
 together with the absorbing radius
 
-    B(t) = ( c14 e^{-sigma1 t} int_{-inf}^t e^{sigma1 s} |h(s)|^2 ds + c14 )^{1/2}.
+    B(t) = ( c14 e^{-sigma1 t} W_sigma1(t) + c14 )^{1/2},
+
+with W_sigma1(t) = int_{-inf}^t e^{sigma1 s} |h(s)|^2 ds (model.weighted_tail_integral).
+The decay envelope's forcing term uses B's factors, so it is finite wherever B is.
 
 ``build_ledger`` is one call of ``eval_functionals``, which evaluates each
 term that E, I, K and L share once, on a trajectory's records as one batch,
@@ -39,7 +42,8 @@ from typing import Optional
 import numpy as np
 
 from .integrator import Trajectory, reconstruct_accel
-from .model import ForcingSpec, ModelSpec, eval_epsilon, exp_each, forcing_norm_sq
+from .model import (ModelSpec, eval_epsilon, exp_each, forcing_norm_sq,
+                    weighted_tail_integral)
 from .spectral import (Basis, ModalState, dual_norm_sq, eval_nonlinearity_modal,
                        grad_norm_sq, inner, integral_of_G, norm_sq)
 
@@ -112,27 +116,9 @@ def eval_functionals(state: ModalState, spec: ModelSpec, basis: Basis,
     return Functionals(E, I, K, L, S + eps * v_sq, S)
 
 
-def weighted_tail_integral(h: ForcingSpec, sigma1: float, t):
-    """int_{-inf}^t e^{sigma1 s} |h(s)|^2 ds, from the exact antiderivative of
-    the separable forcing A^2 e^{-2 beta |s|}; finite for sigma1 > 0. For a
-    float t or an array of times: the part up to min(t, 0) plus the rest."""
-    if h.kind == "zero":
-        return 0.0
-    A2, beta = h.amplitude ** 2, h.rate
-    up = sigma1 + 2.0 * beta
-    head = A2 * exp_each(up * np.minimum(t, 0.0)) / up
-    after = np.maximum(t, 0.0)
-    dn = sigma1 - 2.0 * beta
-    if abs(dn) < 1e-14:
-        tail = A2 * after
-    else:
-        tail = A2 * (exp_each(dn * after) - 1.0) / dn
-    return head + tail
-
-
 def eval_B(t, spec: ModelSpec, params: EnergyParams):
     """Absorbing radius at time t: a float, or an array for an array of times."""
-    tail = weighted_tail_integral(spec.h, params.sigma1, t)
+    tail = weighted_tail_integral(spec.h, params.sigma1, t)  # W_sigma1(t)
     B_sq = params.c14 * exp_each(-params.sigma1 * t) * tail + params.c14
     return np.sqrt(B_sq) if getattr(t, "ndim", 0) else math.sqrt(B_sq)
 
@@ -229,11 +215,11 @@ def verify_decay_inequality(ledger: EnergyLedger, spec: ModelSpec,
     p = spec.sobolev_p
     S0 = float(ledger.grad_norm_sq[0])
     data0 = ledger.xt_norm_sq[0] + S0 ** ((p + 2.0) / 2.0) + spec.delta * S0 ** 2
-    tau = float(t[0])
-    hw = exp_each(params.sigma1 * t) * h_sq
-    W = np.concatenate([[0.0], np.cumsum(0.5 * (hw[1:] + hw[:-1]) * np.diff(t))])
-    denom = (np.exp(-params.sigma1 * (t - tau)) * data0
-             + np.exp(-params.sigma1 * t) * W + 1.0)
+    # e^{-s1 t} int_{t0}^t e^{s1 s} |h|^2 ds = m(t) - e^{-s1 (t - t0)} m(t0), m = e^{-s1 t} W_s1
+    s1 = params.sigma1
+    decay = np.exp(-s1 * (t - float(t[0])))
+    m = exp_each(-s1 * t) * weighted_tail_integral(spec.h, s1, t)
+    denom = decay * data0 + (m - decay * m[0]) + 1.0
     C = float(np.max(ledger.xt_norm_sq / denom))
     integrated_ok = bool(np.all(ledger.xt_norm_sq <= C * denom * (1.0 + 1e-9)))
     energy_nonneg = bool(np.min(ledger.E) >= -1e-9)  # holds under feasibility

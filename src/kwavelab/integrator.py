@@ -91,6 +91,8 @@ class StepConfig:
             raise ValueError("t_end must be >= t_start")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if self.n_steps % self.record_every != 0:
+            raise ValueError("record_every must divide the step count")
 
     @property
     def n_steps(self) -> int:
@@ -281,8 +283,6 @@ def run(initial: ModalState, spec: ModelSpec, basis: Basis, cfg: StepConfig,
     if not math.isclose(initial.t, cfg.t_start, rel_tol=0.0, abs_tol=1e-12):
         raise ValueError("initial state time must equal cfg.t_start")
     n = cfg.n_steps
-    if n % cfg.record_every != 0:
-        raise ValueError("record_every must divide the step count")
     origin_t, origin_step, nl_prev = cfg.t_start, 0, None
     if resume is not None:
         origin_t, origin_step, nl_prev = resume.origin_t, resume.origin_step, resume.nl_prev

@@ -16,7 +16,8 @@ standing assumptions:
   g', and asymptotically dissipative ratio conditions on u*g - gamma*G and on
   the antiderivative G;
 * the forcing has a finite exponentially weighted tail integral
-  int_{-inf}^t e^{sigma s} |h(s)|^2 ds.
+  W_sigma(t) = int_{-inf}^t e^{sigma s} |h(s)|^2 ds, whose one definition,
+  the closed form weighted_tail_integral, every check and estimate uses.
 
 The asymptotic (limsup) conditions cannot be decided from finite samples.
 They are tested as ratio bounds at the largest sampled amplitude, using the
@@ -165,16 +166,17 @@ def eval_G(spec: NonlinearitySpec, u) -> np.ndarray:
 
 
 def eval_g(spec: NonlinearitySpec, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (g(u), g'(u), G(u)) elementwise, G as eval_G gives it."""
+    """Return (g(u), g'(u), G(u)) elementwise, g as eval_g_value and G as
+    eval_G give them."""
     u = np.asarray(u, dtype=float)
-    G = eval_G(spec, u)
+    g = eval_g_value(spec, u, out=np.empty_like(u))
     if spec.kind == "zero":
-        return np.zeros_like(u), np.zeros_like(u), G
-    c = spec.coeff
-    if spec.kind == "cubic_soft":
-        u2 = u * u
-        return -c * u2 * u, -3.0 * c * u2, G
-    return c * np.sin(u), c * np.cos(u), G
+        gp = np.zeros_like(u)
+    elif spec.kind == "cubic_soft":
+        gp = -3.0 * spec.coeff * (u * u)
+    else:
+        gp = spec.coeff * np.cos(u)
+    return g, gp, eval_G(spec, u)
 
 
 @dataclass(frozen=True)
@@ -212,6 +214,25 @@ def forcing_norm_sq(spec: ForcingSpec, t):
     return spec.amplitude ** 2 * exp_each(-2.0 * spec.rate * abs(t))
 
 
+def weighted_tail_integral(h: ForcingSpec, sigma: float, t):
+    """W_sigma(t) = int_{-inf}^t e^{sigma s} |h(s)|^2 ds, from the exact
+    antiderivative of the separable forcing A^2 e^{-2 beta |s|}; finite for
+    sigma > 0. For a float t or an array of times: the part up to min(t, 0)
+    plus the rest. OverflowError where e^{(sigma - 2 beta) t} overflows."""
+    if h.kind == "zero":
+        return 0.0
+    A2, beta = h.amplitude ** 2, h.rate
+    up = sigma + 2.0 * beta
+    head = A2 * exp_each(up * np.minimum(t, 0.0)) / up
+    after = np.maximum(t, 0.0)
+    dn = sigma - 2.0 * beta
+    if abs(dn) < 1e-14:
+        tail = A2 * after
+    else:
+        tail = A2 * (exp_each(dn * after) - 1.0) / dn
+    return head + tail
+
+
 def eval_h(spec: ForcingSpec, n_modes: int, t) -> np.ndarray:
     """Modal coefficients of h(., t) on a basis of n_modes; one row per time
     of an array of times."""
@@ -232,11 +253,10 @@ def forcing_coefficient(spec: ForcingSpec, t):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full problem instance."""
+    """Full problem instance; the dimension is the Basis's."""
 
     delta: float = 0.0
     lam: float = 0.0
-    dim: int = 1
     sobolev_p: float = 4.0
     epsilon: EpsilonProfile = field(default_factory=EpsilonProfile)
     g: NonlinearitySpec = field(default_factory=NonlinearitySpec.zero)
@@ -247,8 +267,6 @@ class ModelSpec:
             raise ValueError("delta must be nonnegative")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if self.dim not in (1, 2, 3):
-            raise ValueError("dim must be 1, 2 or 3")
         if self.sobolev_p <= 0:
             raise ValueError("sobolev_p must be positive")
 
@@ -355,16 +373,14 @@ def validate_hypotheses(spec: ModelSpec,
 
 
 def _forcing_tail_check(h: ForcingSpec, t_end: float) -> HypothesisCheck:
-    """Stabilization of int_{-T0}^{t} e^{sigma s} |h|^2 ds as T0 grows."""
+    """Stabilization of int_{-T0}^{t_end} e^{sigma s} |h|^2 ds as T0 grows,
+    each a difference of W_sigma; OverflowError unless W_sigma(t_end) is finite."""
     if h.kind == "zero":
         return HypothesisCheck("forcing_tail", True, math.inf, "h = 0")
-    from scipy.integrate import quad
-
-    def integrand(s):
-        return math.exp(h.sigma * s) * forcing_norm_sq(h, s)
-
-    horizons = [20.0, 40.0, 80.0]
-    vals = [quad(integrand, -T0, t_end, limit=200)[0] for T0 in horizons]
+    W_end = weighted_tail_integral(h, h.sigma, t_end)
+    if not math.isfinite(W_end):
+        raise OverflowError("the forcing tail integral overflows")
+    vals = [W_end - weighted_tail_integral(h, h.sigma, -T0) for T0 in (20.0, 40.0, 80.0)]
     gap = abs(vals[-1] - vals[-2])
     tol = max(1e-10, 1e-8 * abs(vals[-1]))
     return HypothesisCheck("forcing_tail", gap <= tol, tol - gap,

@@ -114,6 +114,20 @@ def xt_norm_sq(basis: Basis, state: ModalState, eps: EpsilonProfile) -> np.ndarr
     return grad_norm_sq(basis, state.u) + e * norm_sq(state.v)
 
 
+def sample_xt(rng: np.random.Generator, n: int, basis: Basis, eps: float, radius: float,
+              ball: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """n states (rows of us and vs) on the sphere of the given radius in the X_t
+    norm |grad u|^2 + eps |v|^2, or uniform in its ball: one standard normal
+    per coordinate of that norm, so the draw is isotropic in it."""
+    m = basis.n_modes
+    y = rng.standard_normal((n, 2 * m))
+    norms = np.sqrt(np.sum(y ** 2, axis=1))
+    if ball:
+        radius = radius * rng.random(n) ** (1.0 / (2 * m))
+    y *= (radius / norms)[:, None]
+    return y[:, :m] / np.sqrt(basis.eigenvalues), y[:, m:] / math.sqrt(eps)
+
+
 def dual_norm_sq(basis: Basis, f: np.ndarray) -> np.ndarray | float:
     """Squared H^{-1} norm: |(-Lap)^{-1/2} f|^2."""
     out = np.sum(np.asarray(f, dtype=float) ** 2 / basis.eigenvalues, axis=-1)

@@ -8,7 +8,7 @@ from kwavelab.energy import EnergyParams
 @pytest.fixture(scope="session")
 def linear_setup():
     """d=1 strongly damped wave, no Kirchhoff term, no forcing."""
-    spec = kw.ModelSpec(dim=1)
+    spec = kw.ModelSpec()
     basis = kw.Basis(1, 8)
     return spec, basis
 
@@ -27,7 +27,7 @@ def linear_trajectory(linear_setup):
 def cubic3d_setup():
     """d=3 defocusing cubic with decaying mass and separable forcing."""
     spec = kw.ModelSpec(
-        dim=3, delta=0.1, lam=0.1,
+        delta=0.1, lam=0.1,
         epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
         g=kw.NonlinearitySpec.cubic_soft(),
         h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=1, sigma=1.0))
@@ -38,7 +38,7 @@ def cubic3d_setup():
 @pytest.fixture(scope="session")
 def hand_instance():
     """Hand-checkable feasibility instance: lam1 = pi^2, L = 1, lam = 0.1."""
-    spec = kw.ModelSpec(dim=1, lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
+    spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
     basis = kw.Basis(1, 8)
     params = EnergyParams(rho=1.0, chi=0.1, c0=0.0, c4=1.0)
     return spec, basis, params
@@ -52,7 +52,7 @@ def forced_cubic_run(request):
     four row blocks of the grid transforms."""
     dim, n = request.param
     spec = kw.ModelSpec(
-        dim=dim, delta=0.3, lam=0.2,
+        delta=0.3, lam=0.2,
         epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
         g=kw.NonlinearitySpec.cubic_soft(),
         h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=2, sigma=1.0))

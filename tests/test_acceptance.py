@@ -35,7 +35,7 @@ def report(num, label, ok, detail=""):
 
 def test_criterion_1_integrator_order():
     t0 = time.time()
-    spec = kw.ModelSpec(dim=1)
+    spec = kw.ModelSpec()
     basis = kw.Basis(1, 1)
     mu = basis.eigenvalues[0]
     r1, r2 = np.roots([1.0, mu, mu])
@@ -113,7 +113,7 @@ def test_criterion_4_decomposition():
 
 
 def test_criterion_5_h2_boundedness():
-    spec = kw.ModelSpec(dim=1, lam=0.1,
+    spec = kw.ModelSpec(lam=0.1,
                         h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5,
                                          mode=1, sigma=1.0))
     basis = kw.Basis(1, 16)
@@ -137,7 +137,7 @@ def test_criterion_6_delta_continuity():
     # data: its log-log slope against delta must lie in [0.8, 1.2] (the rate),
     # and C = |z|^2 / delta fitted at the largest delta must bound |z|^2 at
     # the smaller ones (the finite-horizon estimate |z(T)|^2 <= C delta)
-    spec = kw.ModelSpec(dim=1, lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
+    spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
     basis = kw.Basis(1, 8)
     u0 = np.zeros(8)
     u0[0], u0[2] = 1.0, 0.3
@@ -178,7 +178,7 @@ def test_criterion_7_upper_semicontinuity():
 
 
 def test_criterion_8_hausdorff_axioms():
-    spec = kw.ModelSpec(dim=1)
+    spec = kw.ModelSpec()
     basis = kw.Basis(1, 6)
     rng = np.random.default_rng(17)
 
@@ -210,7 +210,7 @@ def test_criterion_8_hausdorff_axioms():
 
 def test_criterion_9_feasibility_solver():
     # hand-checkable instance vs an independent brute-force scan
-    spec = kw.ModelSpec(dim=1, lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
+    spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
     basis = kw.Basis(1, 8)
     params = EnergyParams(rho=1.0, chi=0.1, c0=0.0, c4=1.0)
     n = 24
@@ -248,7 +248,7 @@ def test_criterion_9_feasibility_solver():
                 agree = False
     nonempty = not rep.is_empty
 
-    bad_spec = kw.ModelSpec(dim=1, lam=0.5,
+    bad_spec = kw.ModelSpec(lam=0.5,
                             epsilon=kw.EpsilonProfile(alpha=1.0, bound=100.0))
     bad = solve_feasibility(bad_spec, basis, params, grid_n=n)
     empty_ok = bad.is_empty and bad.binding_kill == "rho_max_mass_ratio"

@@ -14,7 +14,7 @@ from kwavelab.energy import EnergyParams, eval_B
 
 @pytest.fixture(scope="module")
 def forced_setup():
-    spec = kw.ModelSpec(dim=1, h=kw.ForcingSpec(kind="separable", amplitude=0.5,
+    spec = kw.ModelSpec(h=kw.ForcingSpec(kind="separable", amplitude=0.5,
                                                 rate=0.5, mode=1, sigma=1.0))
     basis = kw.Basis(1, 8)
     params = EnergyParams(rho=1.0, chi=0.2, sigma1=0.1, c0=0.0, c4=1.0)
@@ -23,7 +23,7 @@ def forced_setup():
 
 @pytest.fixture(scope="module")
 def free_setup():
-    spec = kw.ModelSpec(dim=1)
+    spec = kw.ModelSpec()
     basis = kw.Basis(1, 8)
     params = EnergyParams(rho=1.0, chi=0.2, sigma1=0.1, c0=0.0, c4=1.0)
     return spec, basis, params
@@ -143,7 +143,7 @@ class TestPullbackCloud:
 
     def test_blowup_propagates_member_index(self, free_setup):
         from kwavelab.integrator import BlowUpError
-        spec = kw.ModelSpec(dim=1, delta=1.0)
+        spec = kw.ModelSpec(delta=1.0)
         _, basis, _ = free_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0, c14=1e12)
         ens = EnsembleSpec(n_points=4, sampling="sphere_surface", seed=0, taus=(5.0,))
@@ -395,7 +395,7 @@ class TestLegScheduler:
     def test_blowup_is_that_of_the_first_failing_leg(self, free_setup):
         # leg 1 fails on row 3; leg 2 fails earlier in t, on row 0; leg 0 is stable
         _, basis, _ = free_setup
-        spec = kw.ModelSpec(dim=1, delta=1.0)
+        spec = kw.ModelSpec(delta=1.0)
         legs = []
         for col in ([0.01, 0.02, 0.03, 0.04], [0.01, 3.0, 0.02, 1e3], [1e4, 0.01, 0.02, 0.03]):
             us = np.zeros((4, basis.n_modes))

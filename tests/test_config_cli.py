@@ -56,7 +56,7 @@ def fixture_cfg(name):
 class TestConfigParsing:
     def test_load_shipped_fixture(self):
         cfg = ExperimentConfig.load(fixture_cfg("linear.cfg"))
-        assert cfg.model.dim == 1
+        assert cfg.basis.dim == 1
         assert cfg.basis.modes_per_dim == 32
         assert cfg.step.dt == 1e-3
 
@@ -174,7 +174,8 @@ class TestExitCodes:
         # eps(t) = 1 - 0.5 exp(-t) < 0 at disc.t_start = -1; a negative,
         # empty or repeated delta list; a forcing mode outside the 8-mode basis;
         # eps(t) = 1 + 0.5 exp(-t) overflowing at a run or leg start t = -800;
-        # e^(sigma s) of the forcing tail check overflowing before t = 800; and
+        # the forcing tail check's e^((sigma - 2 beta) s) = e^(2 s) overflowing
+        # before t = 800; and
         # e^((sigma1 - 2 beta) t) of B overflowing at t = 2999.9, where B is finite
         deltas = {"negative_delta": "0.2, -0.1, 0.0", "empty_deltas": ",",
                   "repeated_delta": "0.1, 0.1, 0.0"}
@@ -189,6 +190,7 @@ class TestExitCodes:
         elif case == "tail_overflow":
             with open(fixture_cfg("cubic3d.cfg")) as fh:
                 text = fh.read().replace("disc.t_end = 10.0", "disc.t_end = 800")
+            text = text.replace("model.h.sigma = 1.0", "model.h.sigma = 3")
             message = "integrand e^(sigma s) |h(s)|^2 overflows before t = 800,"
         elif case == "radius_overflow":
             with open(fixture_cfg("cubic3d.cfg")) as fh:
@@ -219,7 +221,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
 
+    def test_forcing_tail_long_horizon_exit_0(self, tmp_path):
+        # sigma = 2 beta on cubic3d, so the tail grows linearly: 800.5 at t = 800
+        with open(fixture_cfg("cubic3d.cfg")) as fh:
+            text = fh.read().replace("disc.t_end = 10.0", "disc.t_end = 800")
+        out = tmp_path / "o"
+        assert main(["validate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        tail = json.loads((out / "hypotheses.json").read_text())["checks"][-1]
+        assert tail["name"] == "forcing_tail" and tail["passed"]
+        assert tail["detail"] == "tail integral stabilizes at 8.005000e+02"
+
     @pytest.mark.parametrize("command,line,message", [
+        ("validate", "model.dim = 4", "dim must be 1, 2 or 3"),
+        ("simulate", "model.dim = 0", "dim must be 1, 2 or 3"),
         ("simulate", "disc.t_end = 0.0", "disc.t_end = 0 must exceed disc.t_start = 0"),
         ("decompose", "disc.t_end = 0.0", "disc.t_end = 0 must exceed disc.t_start = 0"),
         ("feasibility", "energy.grid_n = -3", "energy.grid_n = -3 must be at least 1"),
@@ -244,8 +258,8 @@ class TestExitCodes:
                           "or neither") for command in ("validate", "simulate")
           for line in ("energy.rho = fit", "energy.chi = fit"))])
     def test_unrunnable_value_exit_2(self, tmp_path, capsys, command, line, message):
-        # a run of no steps; an empty grid; a scan-box bound that is no longer
-        # a key; a pullback step that is not positive; an ensemble or initial state that no command could build,
+        # a dimension no basis has; a run of no steps; an empty grid; a scan-box
+        # bound that is no longer a key; a pullback step that is not positive; an ensemble or initial state that no command could build,
         # or one fitted multiplier beside a set one (the set one would be dropped),
         # rejected by every command, including those that do not use it
         key = line.split(" = ")[0]
@@ -326,6 +340,19 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", str(out2)]) == 0
         for name in ("trajectory.csv", "ledger.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_long_horizon_decay_check_exit_0(self, tmp_path):
+        # sigma1 = 0.1: e^(sigma1 t) overflows past t = 7098, inside this run,
+        # while the decay envelope e^(-sigma1 t) W_sigma1(t) stays finite
+        with open(fixture_cfg("linear.cfg")) as fh:
+            text = fh.read()
+        for key, value in (("disc.dt", "0.5"), ("disc.t_end", "7200"),
+                           ("disc.record_every", "1")):
+            text = re.sub(f"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["decay"]["integrated_passed"]
 
     def test_linear_fixture_residual_budget(self, tmp_path):
         out = tmp_path / "out"
@@ -471,3 +498,25 @@ class TestArtifactDigests:
             ("semicontinuity", "semicontinuity.json"),
             ("decompose", "decomposition.csv"), ("decompose", "decomposition.json")}
         assert all(cfg == path and len(sha) == 64 for cfg, _, _, sha in lines)
+
+
+class TestRuntimeDependencies:
+    def test_no_command_loads_scipy(self, tmp_path):
+        # numpy is the only runtime dependency in pyproject.toml; scipy is a test one
+        text = SMALL_MODEL.replace("disc.t_end = 5.0", "disc.t_end = 0.5")
+        text = text.replace("attractor.taus = 4, 8", "attractor.taus = 0.05, 0.1")
+        path = write_cfg(tmp_path, text)
+        commands = ["validate", "simulate", "feasibility", "pullback", "semicontinuity",
+                    "decompose"]
+        code = ("import json, sys\n"
+                "from kwavelab.cli import main\n"
+                f"codes = [main([c, '--config', {path!r}, '--out', {str(tmp_path / 'o')!r}])"
+                f" for c in {commands!r}]\n"
+                "print(json.dumps([codes, sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy')]))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(commands) and loaded == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ class TestPointFunctionals:
         assert eval_functionals(zero_state(basis), spec, basis, params).E == 2.0
 
     def test_E_single_mode_hand_expansion(self):
-        spec = kw.ModelSpec(dim=1, lam=0.3,
+        spec = kw.ModelSpec(lam=0.3,
                             epsilon=kw.EpsilonProfile(kind="constant", alpha=1.5))
         basis = kw.Basis(1, 4)
         params = EnergyParams(rho=0.7, chi=0.1, c0=0.0, c4=1.0)
@@ -58,7 +59,7 @@ class TestPointFunctionals:
 
     def test_K_nonnegative_under_rho_bound(self):
         # rho <= min(2/L, lam1 sqrt(L)/(4L)) forces K >= 0
-        spec = kw.ModelSpec(dim=1, epsilon=kw.EpsilonProfile(kind="constant", alpha=1.0))
+        spec = kw.ModelSpec(epsilon=kw.EpsilonProfile(kind="constant", alpha=1.0))
         basis = kw.Basis(1, 8)
         L = spec.epsilon.bound
         rho = min(2.0 / L, basis.lambda1 * math.sqrt(L) / (4.0 * L))
@@ -254,7 +255,7 @@ class TestAbsorbingRadius:
     def test_quadrature_matches_closed_form(self):
         from scipy.integrate import quad
 
-        spec = kw.ModelSpec(dim=1, h=kw.ForcingSpec(kind="separable", amplitude=1.3,
+        spec = kw.ModelSpec(h=kw.ForcingSpec(kind="separable", amplitude=1.3,
                                                     rate=0.8, sigma=1.0))
         params = EnergyParams(rho=1.0, chi=0.4, sigma1=0.2, c0=0.0, c4=1.0)
         s1 = params.sigma1
@@ -274,7 +275,7 @@ class TestAbsorbingRadius:
         # with sigma1 < 2 beta the weighted memory peaks shortly after the
         # forcing maximum and shrinks from then on; monotonicity holds past
         # the peak (the radius still charges up while |h| is near its max)
-        spec = kw.ModelSpec(dim=1, h=kw.ForcingSpec(kind="separable", amplitude=1.0,
+        spec = kw.ModelSpec(h=kw.ForcingSpec(kind="separable", amplitude=1.0,
                                                     rate=1.0, sigma=1.0))
         params = EnergyParams(rho=1.0, chi=0.4, sigma1=0.3, c0=0.0, c4=1.0)
         ts = np.linspace(-5.0, 10.0, 61)
@@ -304,7 +305,7 @@ class TestAbsorbingRadius:
         ("separable", 0.05, 0.5), ("separable", 0.44, 0.05), ("separable", 0.4, 0.2),
         ("zero", 0.3, 1.0)], ids=["sigma1<2beta", "sigma1>2beta", "sigma1=2beta", "h=0"])
     def test_batched_radius_equals_scalar_calls_bitwise(self, kind, sigma1, rate):
-        spec = kw.ModelSpec(dim=1, h=kw.ForcingSpec(kind=kind, amplitude=1.3,
+        spec = kw.ModelSpec(h=kw.ForcingSpec(kind=kind, amplitude=1.3,
                                                     rate=rate, sigma=1.0))
         params = EnergyParams(rho=1.0, chi=0.9, sigma1=sigma1, c0=0.0, c4=1.0, c14=1.7)
         assert (sigma1 == 2.0 * rate) == (kind == "separable" and rate == 0.2)
@@ -366,6 +367,48 @@ class TestDecayInequality:
             idx = [ref.times.searchsorted(t) for t in led.times[:-1]]
             errs.append(float(np.max(np.abs(r - ref_r[idx]))))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.25)
+
+    @staticmethod
+    def front_constant(ledger, spec, params, forced):
+        """The integrated check's C, with the forcing term of its envelope given."""
+        t, S0 = ledger.times, float(ledger.grad_norm_sq[0])
+        data0 = ledger.xt_norm_sq[0] + S0 ** ((spec.sobolev_p + 2.0) / 2.0) + spec.delta * S0 ** 2
+        denom = np.exp(-params.sigma1 * (t - float(t[0]))) * data0 + forced + 1.0
+        return float(np.max(ledger.xt_norm_sq / denom))
+
+    def test_unforced_envelope_keeps_its_bits(self, linear_trajectory, linear_setup):
+        # the forcing term as the trapezoid of e^(sigma1 s) |h|^2 = 0 gave it
+        spec, basis = linear_setup
+        params = EnergyParams(rho=1.0, chi=0.2, sigma1=0.1, c0=0.0, c4=1.0, c5=0.0)
+        ledger = build_ledger(linear_trajectory, spec, basis, params)
+        forced = np.exp(-params.sigma1 * ledger.times) * np.zeros(ledger.times.size)
+        rep = verify_decay_inequality(ledger, spec, basis, params)
+        assert rep.front_constant == self.front_constant(ledger, spec, params, forced)
+
+    def test_forced_envelope_matches_quadrature(self, hand_instance):
+        # from rest at t0 = -2, so the forcing alone lifts the state and the
+        # kink of |h|^2 at s = 0 lies inside the window
+        from scipy.integrate import quad
+
+        spec, basis, params = hand_instance
+        spec = dataclasses.replace(spec, h=kw.ForcingSpec(kind="separable", amplitude=1.0,
+                                                          rate=0.5, sigma=1.0))
+        traj = run(zero_state(basis, -2.0), spec, basis,
+                   StepConfig(dt=1e-2, t_start=-2.0, t_end=6.0, record_every=10))
+        ledger = build_ledger(traj, spec, basis, params)
+        s1 = params.sigma1
+
+        def integrand(s):
+            return math.exp(s1 * s) * forcing_norm_sq(spec.h, s)
+
+        forced = np.array([math.exp(-s1 * t) * sum(
+            quad(integrand, lo, hi)[0] for lo, hi in ((-2.0, min(t, 0.0)), (0.0, t)) if lo < hi)
+            for t in ledger.times])
+        want = self.front_constant(ledger, spec, params, forced)
+        rep = verify_decay_inequality(ledger, spec, basis, params)
+        assert rep.front_constant == pytest.approx(want, rel=1e-10) and rep.integrated_passed
+        # the forcing term moves C: an envelope without it is far off
+        assert self.front_constant(ledger, spec, params, 0.0) > 1.5 * want
 
     def test_cubic_fixture_with_fitted_c5(self, cubic3d_setup):
         spec, basis = cubic3d_setup
@@ -437,7 +480,7 @@ class TestFeasibility:
 
     def test_contradictory_instance_is_empty(self):
         # lam1/(4L) < sqrt(2 lam): upper and lower rho bounds cross
-        spec = kw.ModelSpec(dim=1, lam=0.5,
+        spec = kw.ModelSpec(lam=0.5,
                             epsilon=kw.EpsilonProfile(alpha=1.0, bound=100.0))
         basis = kw.Basis(1, 8)
         params = EnergyParams(rho=1.0, chi=0.1, c0=0.0, c4=1.0)

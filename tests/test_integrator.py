@@ -46,13 +46,13 @@ FORCING = kw.ForcingSpec(kind="separable", amplitude=-1.0, rate=0.5, mode=2, sig
 CUBIC = kw.NonlinearitySpec.cubic_soft()
 
 
-def plain_model(name, dim):
+def plain_model(name):
     """The models the plain-expression oracle is checked on, g = delta = 0 first."""
     return {
-        "linear": kw.ModelSpec(dim=dim, lam=0.1),
-        "linear_forced": kw.ModelSpec(dim=dim, lam=0.1, h=FORCING),
-        "eps_decay_cubic": kw.ModelSpec(dim=dim, epsilon=DECAYING_EPS, g=CUBIC),
-        "kirchhoff_cubic_forced": kw.ModelSpec(dim=dim, delta=0.3, lam=0.1, g=CUBIC,
+        "linear": kw.ModelSpec(lam=0.1),
+        "linear_forced": kw.ModelSpec(lam=0.1, h=FORCING),
+        "eps_decay_cubic": kw.ModelSpec(epsilon=DECAYING_EPS, g=CUBIC),
+        "kirchhoff_cubic_forced": kw.ModelSpec(delta=0.3, lam=0.1, g=CUBIC,
                                                h=FORCING),
     }[name]
 
@@ -73,7 +73,7 @@ class TestStep:
         assert not traj.us.any() and not traj.vs.any()
 
     def test_kirchhoff_single_mode_vs_reference_ode(self):
-        spec = kw.ModelSpec(dim=1, delta=0.3, lam=0.2)
+        spec = kw.ModelSpec(delta=0.3, lam=0.2)
         basis = kw.Basis(1, 1)
         mu = basis.eigenvalues[0]
 
@@ -114,7 +114,7 @@ class TestStep:
         assert not np.shares_memory(traj.us, ic.u) and not np.shares_memory(traj.vs, ic.v)
 
     def test_blow_up_reports_time(self):
-        spec = kw.ModelSpec(dim=1, delta=1.0)
+        spec = kw.ModelSpec(delta=1.0)
         basis = kw.Basis(1, 8)
         ic = kw.ModalState(np.full(8, 1e3), np.zeros(8), 0.0)
         with pytest.raises(BlowUpError) as exc:
@@ -125,7 +125,7 @@ class TestStep:
     def test_blow_up_reports_exact_step_and_mode(self, field):
         # g = 0 and delta = 0 keep the modes apart, so only mode 3 turns NaN;
         # a single record at the end must not delay the report to t_end
-        spec, basis = kw.ModelSpec(dim=1), kw.Basis(1, 8)
+        spec, basis = kw.ModelSpec(), kw.Basis(1, 8)
         data = {"u": np.full(8, 0.1), "v": np.zeros(8)}
         data[field][3] = np.nan
         ic = kw.ModalState(data["u"], data["v"], 0.5)
@@ -137,7 +137,7 @@ class TestStep:
         assert str(exc.value) == "non-finite state at t = 0.6 (mode 3)"
 
     def test_ensemble_blow_up_names_member_and_mode(self):
-        spec, basis = kw.ModelSpec(dim=1), kw.Basis(1, 8)
+        spec, basis = kw.ModelSpec(), kw.Basis(1, 8)
         us, vs = np.full((3, 8), 0.1), np.zeros((3, 8))
         us[1, 5] = np.inf  # member 2 fails in the same step; the lower row is named
         vs[2, 2] = np.nan
@@ -150,7 +150,7 @@ class TestStep:
     @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
     def test_ensemble_rows_equal_single_runs_bitwise(self, dim, n):
         spec = kw.ModelSpec(
-            dim=dim, delta=0.3, lam=0.1,
+            delta=0.3, lam=0.1,
             epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
             g=kw.NonlinearitySpec.cubic_soft(),
             h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=1, sigma=1.0))
@@ -177,7 +177,7 @@ class TestStep:
     @pytest.mark.parametrize("model", ["linear", "linear_forced", "eps_decay_cubic",
                                        "kirchhoff_cubic_forced"])
     def test_run_and_ensemble_equal_the_plain_expressions(self, model, dim, n):
-        spec, basis = plain_model(model, dim), kw.Basis(dim, n)
+        spec, basis = plain_model(model), kw.Basis(dim, n)
         rng = np.random.default_rng(dim)
         us = rng.standard_normal((3, basis.n_modes)) / basis.eigenvalues
         vs = rng.standard_normal((3, basis.n_modes)) / np.sqrt(basis.eigenvalues)
@@ -192,9 +192,9 @@ class TestStep:
             assert np.array_equal(traj.vs[-1], v_ref[k])
 
     @pytest.mark.parametrize("spec,per_step", [
-        (kw.ModelSpec(dim=1, lam=0.1, epsilon=DECAYING_EPS, h=FORCING), 0),
-        (kw.ModelSpec(dim=1, delta=0.3), 1),
-        (kw.ModelSpec(dim=1, g=CUBIC), 1)], ids=["linear", "kirchhoff", "cubic"])
+        (kw.ModelSpec(lam=0.1, epsilon=DECAYING_EPS, h=FORCING), 0),
+        (kw.ModelSpec(delta=0.3), 1),
+        (kw.ModelSpec(g=CUBIC), 1)], ids=["linear", "kirchhoff", "cubic"])
     def test_transforms_once_per_step_and_never_without_an_explicit_term(
             self, spec, per_step, monkeypatch):
         import kwavelab.integrator as integ
@@ -219,7 +219,7 @@ class TestStep:
     def test_ensemble_page_faults_do_not_grow_with_steps(self):
         # the stepping loop allocates its work arrays once per call, so a long
         # run faults no more pages than a short one (before, about 128 per step)
-        spec = kw.ModelSpec(dim=2, delta=0.1, g=kw.NonlinearitySpec.cubic_soft())
+        spec = kw.ModelSpec(delta=0.1, g=kw.NonlinearitySpec.cubic_soft())
         basis = kw.Basis(2, 16)
         rng = np.random.default_rng(0)
         us = rng.standard_normal((64, basis.n_modes)) / basis.eigenvalues
@@ -270,14 +270,14 @@ class TestRun:
     def test_composition_bitwise(self):
         # time-dependent eps + forcing + cubic g so time stamps matter
         self.split_and_whole(kw.ModelSpec(
-            dim=1, delta=0.2, lam=0.1,
+            delta=0.2, lam=0.1,
             epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
             g=kw.NonlinearitySpec.cubic_soft(),
             h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=1, sigma=1.0)))
 
     def test_composition_bitwise_linear(self):
         # g = delta = 0: no explicit term, so the carried history is zero
-        spec = kw.ModelSpec(dim=1, lam=0.1, epsilon=DECAYING_EPS, h=FORCING)
+        spec = kw.ModelSpec(lam=0.1, epsilon=DECAYING_EPS, h=FORCING)
         for half in self.split_and_whole(spec):
             nl_prev = half.resume.nl_prev
             assert nl_prev.shape == (8,) and not nl_prev.any()
@@ -300,7 +300,7 @@ class TestRun:
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
     def test_dissipativity_without_forcing(self, delta):
         # unit phase-space norm keeps the Kirchhoff modulation moderate
-        spec = kw.ModelSpec(dim=1, delta=delta)
+        spec = kw.ModelSpec(delta=delta)
         basis = kw.Basis(1, 8)
         rng = np.random.default_rng(1)
         y = rng.standard_normal(2 * basis.n_modes)
@@ -333,7 +333,7 @@ class TestReconstructAccel:
         assert np.max(np.abs(acc - fd)) < 1e-3 * max(np.max(np.abs(acc)), 1e-12)
 
     def test_matches_reference_ode(self):
-        spec = kw.ModelSpec(dim=1, delta=0.3, lam=0.2)
+        spec = kw.ModelSpec(delta=0.3, lam=0.2)
         basis = kw.Basis(1, 1)
         mu = basis.eigenvalues[0]
 
@@ -506,7 +506,7 @@ class TestDifference:
 
     def test_specs_must_match_except_delta(self, linear_setup):
         spec, basis = linear_setup
-        other = kw.ModelSpec(dim=1, lam=0.5)
+        other = kw.ModelSpec(lam=0.5)
         ic = single_mode_ic(basis)
         cfg = StepConfig(dt=1e-3, t_start=0.0, t_end=0.01)
         with pytest.raises(ValueError):
@@ -541,7 +541,7 @@ class TestDifference:
         # criterion-6 instance against the same Galerkin ODE integrated by
         # Radau, with g projected by an N-independent midpoint rule that is
         # exact here: g(u) phi_m is a cosine polynomial in pi x of degree 4N < 2Q
-        spec = kw.ModelSpec(dim=1, lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
+        spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
         basis = kw.Basis(1, 8)
         n = basis.n_modes
         k = np.arange(1, n + 1)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import kwavelab as kw
 from kwavelab.model import (EpsilonProfile, ForcingSpec, NonlinearitySpec,
-                            eval_epsilon, eval_g, eval_h,
-                            forcing_norm_sq, validate_hypotheses)
+                            eval_epsilon, eval_g, eval_g_value, eval_h,
+                            forcing_norm_sq, validate_hypotheses,
+                            weighted_tail_integral)
 
 
 class TestEpsilon:
@@ -73,6 +74,13 @@ class TestNonlinearity:
         g, _, _ = eval_g(spec, u)
         scale = np.maximum(np.abs(g), 1.0)
         assert np.max(np.abs(fd - g) / scale) < 1e-6
+
+
+    @pytest.mark.parametrize("spec", [NonlinearitySpec.zero(), NonlinearitySpec.cubic_soft(c=0.7),
+                                      NonlinearitySpec.lipschitz_sine(a=1.3)])
+    def test_audited_g_is_the_stepped_g(self, spec):
+        u = np.linspace(-3.0, 3.0, 101)
+        assert np.array_equal(eval_g(spec, u)[0], eval_g_value(spec, u))
 
 
 class TestForcing:
@@ -142,51 +150,87 @@ def failed_names(report):
 
 class TestValidateHypotheses:
     def test_trivial_model_all_pass(self):
-        rep = validate_hypotheses(kw.ModelSpec(dim=1, lam=1.0))
+        rep = validate_hypotheses(kw.ModelSpec(lam=1.0))
         assert rep.all_passed, failed_names(rep)
 
     def test_cubic_gamma2_dissipative(self):
         # u g - gamma G = -u^4/2 < 0 for u != 0, so the ratio check passes
-        spec = kw.ModelSpec(dim=3, g=NonlinearitySpec.cubic_soft(gamma=2.0))
+        spec = kw.ModelSpec(g=NonlinearitySpec.cubic_soft(gamma=2.0))
         rep = validate_hypotheses(spec)
         check = {c.name: c for c in rep.checks}["g_dissipative_ratio"]
         assert check.passed and check.sampled
         assert check.margin > 0
 
     def test_sine_preset_passes(self):
-        spec = kw.ModelSpec(dim=3, g=NonlinearitySpec.lipschitz_sine(a=1.0))
+        spec = kw.ModelSpec(g=NonlinearitySpec.lipschitz_sine(a=1.0))
         rep = validate_hypotheses(spec)
         assert rep.all_passed, failed_names(rep)
 
     def test_separable_forcing_tail(self):
-        spec = kw.ModelSpec(dim=1, h=ForcingSpec(kind="separable", amplitude=1.0,
+        spec = kw.ModelSpec(h=ForcingSpec(kind="separable", amplitude=1.0,
                                                  rate=0.5, sigma=1.0))
         rep = validate_hypotheses(spec)
         assert rep.all_passed, failed_names(rep)
 
+    @pytest.mark.parametrize("rate", [0.8, 0.5, 0.2], ids=["sigma<2beta", "sigma=2beta",
+                                                           "sigma>2beta"])
+    def test_tail_differences_match_quadrature(self, rate):
+        # the tail check's partial integrals, against adaptive quadrature split at s = 0
+        from scipy.integrate import quad
+
+        h = ForcingSpec(kind="separable", amplitude=1.3, rate=rate, sigma=1.0)
+
+        def integrand(s):
+            return math.exp(h.sigma * s) * forcing_norm_sq(h, s)
+
+        for a, b in ((-80.0, 10.0), (-20.0, -1.0), (0.5, 4.0)):
+            want = sum(quad(integrand, lo, hi, limit=200)[0]
+                       for lo, hi in ((a, min(b, 0.0)), (max(a, 0.0), b)) if lo < hi)
+            got = weighted_tail_integral(h, h.sigma, b) - weighted_tail_integral(h, h.sigma, a)
+            assert got == pytest.approx(want, rel=1e-10)
+
+    def test_forcing_tail_long_horizon_passes(self):
+        # sigma = 2 beta: e^(sigma s) |h(s)|^2 = 1 for s > 0, so the tail up to
+        # t = 800 is 800.5, and the T0 = 40 and 80 integrals agree to every bit
+        spec = kw.ModelSpec(h=ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, sigma=1.0))
+        check = validate_hypotheses(spec, t_range=(0.0, 800.0)).checks[-1]
+        assert check.name == "forcing_tail" and check.passed
+        assert check.margin == 1e-8 * 800.5
+
+    @pytest.mark.parametrize("amplitude,t_end", [(1.0, 800.0), (1e5, 352.0)],
+                             ids=["exp_overflows", "product_overflows"])
+    def test_forcing_tail_overflow_raises(self, amplitude, t_end):
+        # sigma - 2 beta = 2: e^(2 t) overflows past t = 355, and A^2 e^(2 t)
+        # at t = 352 for A = 1e5
+        spec = kw.ModelSpec(h=ForcingSpec(kind="separable", amplitude=amplitude, rate=0.5,
+                                          sigma=3.0))
+        assert validate_hypotheses(spec, t_range=(0.0, 300.0)).all_passed
+        with pytest.raises(OverflowError):
+            validate_hypotheses(spec, t_range=(0.0, t_end))
+
     def test_increasing_epsilon_fails_monotonicity(self):
-        spec = kw.ModelSpec(dim=1, epsilon=EpsilonProfile(
+        spec = kw.ModelSpec(epsilon=EpsilonProfile(
             kind="exp_decay_to_limit", alpha=1.0, amplitude=-0.5))
         rep = validate_hypotheses(spec)
         assert "epsilon_monotone" in failed_names(rep)
 
     def test_deterministic(self):
-        spec = kw.ModelSpec(dim=1, g=NonlinearitySpec.cubic_soft())
+        spec = kw.ModelSpec(g=NonlinearitySpec.cubic_soft())
         a = validate_hypotheses(spec).to_dict()
         b = validate_hypotheses(spec).to_dict()
         assert a == b
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
-            validate_hypotheses(kw.ModelSpec(dim=1), t_range=(1.0, 1.0))
+            validate_hypotheses(kw.ModelSpec(), t_range=(1.0, 1.0))
         with pytest.raises(ValueError):
-            validate_hypotheses(kw.ModelSpec(dim=1), t_range=(2.0, 1.0))
+            validate_hypotheses(kw.ModelSpec(), t_range=(2.0, 1.0))
 
     @given(st.floats(min_value=0.1, max_value=3.0),
            st.floats(min_value=0.1, max_value=2.0))
     @settings(max_examples=20, deadline=None)
     def test_presets_always_validate(self, c, a):
-        spec = kw.ModelSpec(dim=3, g=NonlinearitySpec.cubic_soft(c=c),
+        spec = kw.ModelSpec(g=NonlinearitySpec.cubic_soft(c=c),
                             epsilon=EpsilonProfile(kind="exp_decay_to_limit",
                                                    alpha=1.0, amplitude=a))
         assert validate_hypotheses(spec).all_passed
@@ -195,11 +239,11 @@ class TestValidateHypotheses:
 class TestModelSpec:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            kw.ModelSpec(dim=1, delta=-0.1)
+            kw.ModelSpec(delta=-0.1)
         with pytest.raises(ValueError):
-            kw.ModelSpec(dim=4)
+            kw.Basis(4, 2)
         with pytest.raises(ValueError):
-            kw.ModelSpec(dim=1, lam=-1.0)
+            kw.ModelSpec(lam=-1.0)
 
     def test_default_growth_exponent(self):
-        assert kw.ModelSpec(dim=3).sobolev_p == 4.0
+        assert kw.ModelSpec().sobolev_p == 4.0
