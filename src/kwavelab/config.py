@@ -8,7 +8,6 @@ config must set. All randomness derives from the single ``seed`` key.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -90,17 +89,19 @@ def _convert(key: str, tag: str, raw: str, lineno: int):
     try:
         if tag == "int":
             return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "optfloat":
-            return None if raw.lower() in ("none", "auto") else float(raw)
-        if tag == "fitfloat":
-            return "fit" if raw.lower() == "fit" else float(raw)
-        if tag == "floatlist":
-            return tuple(float(x) for x in raw.split(",") if x.strip())
-        return raw
+        if tag == "str":
+            return raw
+        if tag == "optfloat" and raw.lower() in ("none", "auto"):
+            return None
+        if tag == "fitfloat" and raw.lower() == "fit":
+            return "fit"
+        value = (tuple(float(x) for x in raw.split(",") if x.strip())
+                 if tag == "floatlist" else float(raw))
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse value {raw!r} for key {key!r}")
+    if not np.isfinite(value).all():
+        raise ConfigError(f"line {lineno}: value {raw!r} for key {key!r} is not finite")
+    return value
 
 
 def read_config_file(path: str) -> dict:
@@ -126,30 +127,12 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-_G_BUILDERS = {
-    "zero": lambda v: NonlinearitySpec.zero(),
-    "cubic_soft": lambda v: NonlinearitySpec.cubic_soft(c=v["model.g.coeff"],
-                                                        gamma=v["model.g.gamma"]),
-    "lipschitz_sine": lambda v: NonlinearitySpec.lipschitz_sine(a=v["model.g.coeff"],
-                                                                gamma=v["model.g.gamma"]),
-}
-
-
 def _build_model(v: dict) -> ModelSpec:
     eps = EpsilonProfile(kind=v["model.epsilon.kind"], alpha=v["model.epsilon.alpha"],
                          amplitude=v["model.epsilon.amplitude"],
                          bound=v["model.epsilon.bound"])
-    kind = v["model.g.kind"]
-    if kind not in _G_BUILDERS:
-        raise ConfigError(f"model.g.kind must be one of {sorted(_G_BUILDERS)}")
-    g = _G_BUILDERS[kind](v)
-    overrides = {}
-    for name in ("k", "growth_c", "c1", "c2", "c3", "c4"):
-        val = v[f"model.g.{name}"]
-        if val is not None:
-            overrides[name] = val
-    if overrides:
-        g = dataclasses.replace(g, **overrides)
+    g = NonlinearitySpec(**{name: v[f"model.g.{name}"] for name in (
+        "kind", "coeff", "gamma", "k", "growth_c", "c1", "c2", "c3", "c4")})
     h = ForcingSpec(kind=v["model.h.kind"], amplitude=v["model.h.amplitude"],
                     rate=v["model.h.rate"], mode=v["model.h.mode"],
                     sigma=v["model.h.sigma"])
@@ -208,6 +191,8 @@ class ExperimentConfig:
             if values["ic.kind"] == "mode" and not 1 <= values["ic.mode"] <= basis.n_modes:
                 raise ValueError(f"ic.mode {values['ic.mode']} outside basis of "
                                  f"{basis.n_modes} modes")
+            if values["ic.radius"] < 0:
+                raise ValueError(f"ic.radius = {values['ic.radius']:g} must be nonnegative")
             ensemble = EnsembleSpec(n_points=values["attractor.n_points"],
                                     sampling=values["attractor.sampling"],
                                     seed=values["seed"], taus=values["attractor.taus"])

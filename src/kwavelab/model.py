@@ -7,14 +7,15 @@ Everything in this package solves
 on the unit box (0,1)^d with homogeneous Dirichlet data, where |grad u|^2 is
 the squared H^1_0 seminorm of the current state (the nonlocal Kirchhoff
 modulation). This module holds the immutable coefficient containers, the
-closed-form evaluators for the shipped presets, and a numerical audit of the
-standing assumptions:
+closed-form evaluators of each kind, and a numerical audit of the standing
+assumptions:
 
 * the mass coefficient eps is C^1, non-increasing, with limit alpha >= 1 and
   a declared uniform bound L >= alpha on |eps| + |eps'|;
 * g is C^1 with g(0) = 0, derivative bounded above by k, polynomial growth of
   g', and asymptotically dissipative ratio conditions on u*g - gamma*G and on
-  the antiderivative G;
+  the antiderivative G. The constants of these conditions are facts of g, so
+  each kind's preset values live here, in _g_preset;
 * the forcing has a finite exponentially weighted tail integral
   W_sigma(t) = int_{-inf}^t e^{sigma s} |h(s)|^2 ds, whose one definition,
   the closed form weighted_tail_integral, every check and estimate uses.
@@ -83,59 +84,64 @@ def eval_epsilon(profile: EpsilonProfile, t):
     return profile.alpha + profile.amplitude * decay, -profile.amplitude * decay
 
 
+def _g_preset(kind: str, a: float, gamma: float) -> dict:
+    """The preset k, growth_c and c1..c4 of a kind at coeff a and gamma."""
+    if kind == "zero":
+        return dict(k=0.0, growth_c=1.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0)
+    if kind == "cubic_soft":
+        # u*g - gamma*G = (gamma/4 - 1) u^4 <= 0 for gamma <= 4 and G <= 0,
+        # so the structure constants are zero (slack-free).
+        return dict(k=0.0, growth_c=max(3.0 * a, 1.0), c1=0.0, c2=0.0, c3=0.0, c4=0.0)
+    # lipschitz_sine: |u g - gamma G| <= a|u| + 2*gamma*a and G <= 2a; a|u| <= a(1+u^2)/2.
+    return dict(k=a, growth_c=max(a, 1.0), c1=a / 2.0, c2=a / 2.0 + 2.0 * gamma * a,
+                c3=0.0, c4=2.0 * a)
+
+
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Nonlinearity g with antiderivative G, G(0) = 0.
 
-    Presets:
+    Kinds:
       zero            g = 0
-      cubic_soft      g(u) = -coeff * u^3        (defocusing)
+      cubic_soft      g(u) = -coeff * u^3        (defocusing; gamma <= 4)
       lipschitz_sine  g(u) = coeff * sin(u)
 
     ``k`` bounds g' from above, ``gamma`` and ``growth_c`` enter the
     dissipativity and growth conditions, and ``c1..c4`` are the declared
     structure constants of the finite-range surrogates
         u g(u) - gamma G(u) <= c1 u^2 + c2,     G(u) <= c3 u^2 + c4.
+    Each of k, growth_c and c1..c4 left unset is the kind's preset at
+    (coeff, gamma), which satisfies these conditions; the preset c1..c4 must
+    be nonnegative even where declared values replace them.
     """
 
     kind: str = "zero"
     coeff: float = 1.0
-    k: float = 0.0
     gamma: float = 2.0
-    growth_c: float = 1.0
-    c1: float = 0.0
-    c2: float = 0.0
-    c3: float = 0.0
-    c4: float = 0.0
+    k: Optional[float] = None
+    growth_c: Optional[float] = None
+    c1: Optional[float] = None
+    c2: Optional[float] = None
+    c3: Optional[float] = None
+    c4: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in NONLINEARITY_KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        if self.kind == "cubic_soft" and self.gamma > 4.0:
+            raise ValueError("cubic_soft ships slack-free constants only for gamma <= 4")
+        preset = _g_preset(self.kind, self.coeff, self.gamma)
+        if min(preset["c1"], preset["c2"], preset["c3"], preset["c4"]) < 0:
+            raise ValueError("structure constants c1..c4 must be nonnegative")
+        for name, value in preset.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         if self.growth_c <= 0:
             raise ValueError("growth constant must be positive")
         if min(self.c1, self.c2, self.c3, self.c4) < 0:
             raise ValueError("structure constants c1..c4 must be nonnegative")
-
-    @classmethod
-    def zero(cls) -> "NonlinearitySpec":
-        return cls(kind="zero", coeff=0.0, growth_c=1.0)
-
-    @classmethod
-    def cubic_soft(cls, c: float = 1.0, gamma: float = 2.0, k: float = 0.0) -> "NonlinearitySpec":
-        # u*g - gamma*G = (gamma/4 - 1) u^4 <= 0 for gamma <= 4 and G <= 0,
-        # so the structure constants are zero (slack-free).
-        if gamma > 4.0:
-            raise ValueError("cubic_soft ships slack-free constants only for gamma <= 4")
-        return cls(kind="cubic_soft", coeff=c, k=k, gamma=gamma,
-                   growth_c=max(3.0 * c, 1.0))
-
-    @classmethod
-    def lipschitz_sine(cls, a: float = 1.0, gamma: float = 2.0) -> "NonlinearitySpec":
-        # |u g - gamma G| <= a|u| + 2*gamma*a and G <= 2a; a|u| <= a(1+u^2)/2.
-        return cls(kind="lipschitz_sine", coeff=a, k=a, gamma=gamma, growth_c=max(a, 1.0),
-                   c1=a / 2.0, c2=a / 2.0 + 2.0 * gamma * a, c3=0.0, c4=2.0 * a)
 
 
 def eval_g_value(spec: NonlinearitySpec, u, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -259,7 +265,7 @@ class ModelSpec:
     lam: float = 0.0
     sobolev_p: float = 4.0
     epsilon: EpsilonProfile = field(default_factory=EpsilonProfile)
-    g: NonlinearitySpec = field(default_factory=NonlinearitySpec.zero)
+    g: NonlinearitySpec = field(default_factory=NonlinearitySpec)
     h: ForcingSpec = field(default_factory=ForcingSpec)
 
     def __post_init__(self):

@@ -29,7 +29,7 @@ def cubic3d_setup():
     spec = kw.ModelSpec(
         delta=0.1, lam=0.1,
         epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
-        g=kw.NonlinearitySpec.cubic_soft(),
+        g=kw.NonlinearitySpec("cubic_soft"),
         h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=1, sigma=1.0))
     basis = kw.Basis(3, 6)
     return spec, basis
@@ -38,7 +38,7 @@ def cubic3d_setup():
 @pytest.fixture(scope="session")
 def hand_instance():
     """Hand-checkable feasibility instance: lam1 = pi^2, L = 1, lam = 0.1."""
-    spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
+    spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec("cubic_soft"))
     basis = kw.Basis(1, 8)
     params = EnergyParams(rho=1.0, chi=0.1, c0=0.0, c4=1.0)
     return spec, basis, params
@@ -54,7 +54,7 @@ def forced_cubic_run(request):
     spec = kw.ModelSpec(
         delta=0.3, lam=0.2,
         epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
-        g=kw.NonlinearitySpec.cubic_soft(),
+        g=kw.NonlinearitySpec("cubic_soft"),
         h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=2, sigma=1.0))
     basis = kw.Basis(dim, n)
     rng = np.random.default_rng(dim)

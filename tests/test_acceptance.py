@@ -137,7 +137,7 @@ def test_criterion_6_delta_continuity():
     # data: its log-log slope against delta must lie in [0.8, 1.2] (the rate),
     # and C = |z|^2 / delta fitted at the largest delta must bound |z|^2 at
     # the smaller ones (the finite-horizon estimate |z(T)|^2 <= C delta)
-    spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
+    spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec("cubic_soft"))
     basis = kw.Basis(1, 8)
     u0 = np.zeros(8)
     u0[0], u0[2] = 1.0, 0.3
@@ -210,7 +210,7 @@ def test_criterion_8_hausdorff_axioms():
 
 def test_criterion_9_feasibility_solver():
     # hand-checkable instance vs an independent brute-force scan
-    spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
+    spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec("cubic_soft"))
     basis = kw.Basis(1, 8)
     params = EnergyParams(rho=1.0, chi=0.1, c0=0.0, c4=1.0)
     n = 24

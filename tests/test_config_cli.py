@@ -11,6 +11,7 @@ import pytest
 
 from kwavelab.cli import _write_csv, main
 from kwavelab.config import ConfigError, ExperimentConfig
+from kwavelab.model import NONLINEARITY_KINDS
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -85,6 +86,32 @@ class TestConfigParsing:
         path = write_cfg(tmp_path, SMALL_MODEL)
         cfg = ExperimentConfig.load(path, out="elsewhere", threads=3, seed=99)
         assert cfg.out_dir == "elsewhere" and cfg.threads == 3 and cfg.seed == 99
+
+
+# each kind's preset constants at coeff = 0.5, gamma = 3, and declared values
+# that differ from every preset
+G_PRESETS = {
+    "zero": dict(k=0.0, growth_c=1.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0),
+    "cubic_soft": dict(k=0.0, growth_c=1.5, c1=0.0, c2=0.0, c3=0.0, c4=0.0),
+    "lipschitz_sine": dict(k=0.5, growth_c=1.0, c1=0.25, c2=3.25, c3=0.0, c4=1.0),
+}
+G_DECLARED = dict(k=0.75, growth_c=2.5, c1=0.125, c2=0.375, c3=0.0625, c4=1.75)
+
+
+class TestNonlinearityKeys:
+    @pytest.mark.parametrize("declared", [(), *((name,) for name in G_DECLARED),
+                                          tuple(G_DECLARED)], ids=lambda d: "+".join(d) or "none")
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_every_g_key_reaches_the_spec(self, tmp_path, kind, declared):
+        # each set model.g.* key is the spec's; each unset constant is the kind's preset
+        text = SMALL_MODEL.replace("model.g.kind = cubic_soft", f"model.g.kind = {kind}")
+        text += "model.g.coeff = 0.5\nmodel.g.gamma = 3\n"
+        want = dict(G_PRESETS[kind], kind=kind, coeff=0.5, gamma=3.0)
+        for name in declared:
+            text += f"model.g.{name} = {G_DECLARED[name]}\n"
+            want[name] = G_DECLARED[name]
+        g = ExperimentConfig.load(write_cfg(tmp_path, text)).model.g
+        assert {name: getattr(g, name) for name in want} == want
 
 
 class TestExitCodes:
@@ -253,7 +280,33 @@ class TestExitCodes:
               ("attractor.taus = ,", "taus must be positive, strictly increasing"))),
         *((command, line, message) for command in ("validate", "feasibility", "pullback")
           for line, message in (("ic.kind = bogus", "unknown ic.kind 'bogus'"),
-                                ("ic.mode = 9", "ic.mode 9 outside basis of 8 modes"))),
+                                ("ic.mode = 9", "ic.mode 9 outside basis of 8 modes"),
+                                ("ic.radius = -1", "ic.radius = -1 must be nonnegative"))),
+        # a number that is not finite, named by its line in SMALL_MODEL
+        ("validate", "disc.t_end = inf",
+         "line 13: value 'inf' for key 'disc.t_end' is not finite"),
+        ("simulate", "disc.dt = inf", "line 11: value 'inf' for key 'disc.dt' is not finite"),
+        ("simulate", "model.delta = nan",
+         "line 26: value 'nan' for key 'model.delta' is not finite"),
+        ("pullback", "attractor.taus = 5, inf",
+         "line 22: value '5, inf' for key 'attractor.taus' is not finite"),
+        ("semicontinuity", "attractor.deltas = inf, 0",
+         "line 24: value 'inf, 0' for key 'attractor.deltas' is not finite"),
+        # constants no g of its kind satisfies (SMALL_MODEL's g is cubic_soft)
+        *((command, line, message) for command in ("validate", "simulate")
+          for line, message in (
+              ("model.g.gamma = 5", "cubic_soft ships slack-free constants only for gamma <= 4"),
+              ("model.g.growth_c = -1", "growth constant must be positive"),
+              ("model.g.c1 = -1", "structure constants c1..c4 must be nonnegative"))),
+        # a negative preset c_i, even where declared c1..c4 replace all four
+        *(pytest.param(command, "model.g.kind = lipschitz_sine\nmodel.g.coeff = -1" + declared,
+                       "structure constants c1..c4 must be nonnegative",
+                       id=f"{command}-lipschitz_sine coeff = -1{label}")
+          for command in ("validate", "simulate")
+          for declared, label in (
+              ("", ""),
+              ("\nmodel.g.c1 = 1\nmodel.g.c2 = 1\nmodel.g.c3 = 1\nmodel.g.c4 = 1",
+               ", c1..c4 declared"))),
         *((command, line, "energy.rho and energy.chi are fitted together: set both to fit "
                           "or neither") for command in ("validate", "simulate")
           for line in ("energy.rho = fit", "energy.chi = fit"))])
@@ -270,6 +323,21 @@ class TestExitCodes:
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
+
+    def test_zero_kind_keeps_gamma(self, tmp_path, capsys):
+        # gamma enters the scan's constraints for every kind, g = 0 included
+        blobs = []
+        for gamma in ("2", "3"):
+            with open(fixture_cfg("linear.cfg")) as fh:
+                text = fh.read() + f"model.g.gamma = {gamma}\n"
+            out = tmp_path / f"gamma{gamma}"
+            assert main(["feasibility", "--config", write_cfg(tmp_path, text),
+                         "--out", str(out)]) == 0
+            blobs.append((out / "feasibility.json").read_bytes())
+        assert blobs[0] != blobs[1]
+        path = write_cfg(tmp_path, text.replace("model.g.gamma = 3", "model.g.gamma = 0"))
+        assert main(["feasibility", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "configuration error: gamma must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_nonpositive_threads_key_exit_2(self, tmp_path, capsys, threads):

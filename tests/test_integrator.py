@@ -43,7 +43,7 @@ def single_mode_ic(basis, amp_u=1.0, amp_v=0.0, t=0.0):
 DECAYING_EPS = kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5)
 # a negative amplitude, which no fixture uses, and a forced mode other than the first
 FORCING = kw.ForcingSpec(kind="separable", amplitude=-1.0, rate=0.5, mode=2, sigma=1.0)
-CUBIC = kw.NonlinearitySpec.cubic_soft()
+CUBIC = kw.NonlinearitySpec("cubic_soft")
 
 
 def plain_model(name):
@@ -152,7 +152,7 @@ class TestStep:
         spec = kw.ModelSpec(
             delta=0.3, lam=0.1,
             epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
-            g=kw.NonlinearitySpec.cubic_soft(),
+            g=kw.NonlinearitySpec("cubic_soft"),
             h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=1, sigma=1.0))
         basis = kw.Basis(dim, n)
         rng = np.random.default_rng(dim)
@@ -219,7 +219,7 @@ class TestStep:
     def test_ensemble_page_faults_do_not_grow_with_steps(self):
         # the stepping loop allocates its work arrays once per call, so a long
         # run faults no more pages than a short one (before, about 128 per step)
-        spec = kw.ModelSpec(delta=0.1, g=kw.NonlinearitySpec.cubic_soft())
+        spec = kw.ModelSpec(delta=0.1, g=kw.NonlinearitySpec("cubic_soft"))
         basis = kw.Basis(2, 16)
         rng = np.random.default_rng(0)
         us = rng.standard_normal((64, basis.n_modes)) / basis.eigenvalues
@@ -272,7 +272,7 @@ class TestRun:
         self.split_and_whole(kw.ModelSpec(
             delta=0.2, lam=0.1,
             epsilon=kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=0.5),
-            g=kw.NonlinearitySpec.cubic_soft(),
+            g=kw.NonlinearitySpec("cubic_soft"),
             h=kw.ForcingSpec(kind="separable", amplitude=1.0, rate=0.5, mode=1, sigma=1.0)))
 
     def test_composition_bitwise_linear(self):
@@ -541,7 +541,7 @@ class TestDifference:
         # criterion-6 instance against the same Galerkin ODE integrated by
         # Radau, with g projected by an N-independent midpoint rule that is
         # exact here: g(u) phi_m is a cosine polynomial in pi x of degree 4N < 2Q
-        spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec.cubic_soft())
+        spec = kw.ModelSpec(lam=0.1, g=kw.NonlinearitySpec("cubic_soft"))
         basis = kw.Basis(1, 8)
         n = basis.n_modes
         k = np.arange(1, n + 1)

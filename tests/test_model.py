@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kwavelab as kw
-from kwavelab.model import (EpsilonProfile, ForcingSpec, NonlinearitySpec,
-                            eval_epsilon, eval_g, eval_g_value, eval_h,
-                            forcing_norm_sq, validate_hypotheses,
+from kwavelab.model import (NONLINEARITY_KINDS, EpsilonProfile, ForcingSpec,
+                            NonlinearitySpec, eval_epsilon, eval_g, eval_g_value,
+                            eval_h, forcing_norm_sq, validate_hypotheses,
                             weighted_tail_integral)
 
 
@@ -48,21 +48,21 @@ class TestEpsilon:
 
 class TestNonlinearity:
     def test_cubic_at_zero(self):
-        assert eval_g(NonlinearitySpec.cubic_soft(), 0.0) == (0.0, 0.0, 0.0)
+        assert eval_g(NonlinearitySpec("cubic_soft"), 0.0) == (0.0, 0.0, 0.0)
 
     def test_cubic_symbolic(self):
         # g = -u^3, g' = -3u^2, G = -u^4/4 at u = 2
-        g, gp, G = eval_g(NonlinearitySpec.cubic_soft(c=1.0), 2.0)
+        g, gp, G = eval_g(NonlinearitySpec("cubic_soft", coeff=1.0), 2.0)
         assert (g, gp, G) == (-8.0, -12.0, -4.0)
 
     def test_sine_at_pi(self):
-        g, gp, G = eval_g(NonlinearitySpec.lipschitz_sine(a=1.0), math.pi)
+        g, gp, G = eval_g(NonlinearitySpec("lipschitz_sine", coeff=1.0), math.pi)
         assert g == pytest.approx(0.0, abs=1e-15)
         assert gp == pytest.approx(-1.0, abs=1e-15)
         assert G == pytest.approx(2.0, abs=1e-15)
 
-    @pytest.mark.parametrize("spec", [NonlinearitySpec.cubic_soft(c=0.8),
-                                      NonlinearitySpec.lipschitz_sine(a=1.5)])
+    @pytest.mark.parametrize("spec", [NonlinearitySpec("cubic_soft", coeff=0.8),
+                                      NonlinearitySpec("lipschitz_sine", coeff=1.5)])
     def test_G_antiderivative_of_g(self, spec):
         # central finite difference of G matches g at 1e4 random points
         rng = np.random.default_rng(42)
@@ -76,8 +76,9 @@ class TestNonlinearity:
         assert np.max(np.abs(fd - g) / scale) < 1e-6
 
 
-    @pytest.mark.parametrize("spec", [NonlinearitySpec.zero(), NonlinearitySpec.cubic_soft(c=0.7),
-                                      NonlinearitySpec.lipschitz_sine(a=1.3)])
+    @pytest.mark.parametrize("spec", [NonlinearitySpec("zero"),
+                                      NonlinearitySpec("cubic_soft", coeff=0.7),
+                                      NonlinearitySpec("lipschitz_sine", coeff=1.3)])
     def test_audited_g_is_the_stepped_g(self, spec):
         u = np.linspace(-3.0, 3.0, 101)
         assert np.array_equal(eval_g(spec, u)[0], eval_g_value(spec, u))
@@ -155,14 +156,14 @@ class TestValidateHypotheses:
 
     def test_cubic_gamma2_dissipative(self):
         # u g - gamma G = -u^4/2 < 0 for u != 0, so the ratio check passes
-        spec = kw.ModelSpec(g=NonlinearitySpec.cubic_soft(gamma=2.0))
+        spec = kw.ModelSpec(g=NonlinearitySpec("cubic_soft", gamma=2.0))
         rep = validate_hypotheses(spec)
         check = {c.name: c for c in rep.checks}["g_dissipative_ratio"]
         assert check.passed and check.sampled
         assert check.margin > 0
 
     def test_sine_preset_passes(self):
-        spec = kw.ModelSpec(g=NonlinearitySpec.lipschitz_sine(a=1.0))
+        spec = kw.ModelSpec(g=NonlinearitySpec("lipschitz_sine", coeff=1.0))
         rep = validate_hypotheses(spec)
         assert rep.all_passed, failed_names(rep)
 
@@ -215,7 +216,7 @@ class TestValidateHypotheses:
         assert "epsilon_monotone" in failed_names(rep)
 
     def test_deterministic(self):
-        spec = kw.ModelSpec(g=NonlinearitySpec.cubic_soft())
+        spec = kw.ModelSpec(g=NonlinearitySpec("cubic_soft"))
         a = validate_hypotheses(spec).to_dict()
         b = validate_hypotheses(spec).to_dict()
         assert a == b
@@ -226,11 +227,13 @@ class TestValidateHypotheses:
         with pytest.raises(ValueError):
             validate_hypotheses(kw.ModelSpec(), t_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     @given(st.floats(min_value=0.1, max_value=3.0),
            st.floats(min_value=0.1, max_value=2.0))
     @settings(max_examples=20, deadline=None)
-    def test_presets_always_validate(self, c, a):
-        spec = kw.ModelSpec(g=NonlinearitySpec.cubic_soft(c=c),
+    def test_presets_always_validate(self, kind, c, a):
+        # every kind's preset constants pass its own audit
+        spec = kw.ModelSpec(g=NonlinearitySpec(kind, coeff=c),
                             epsilon=EpsilonProfile(kind="exp_decay_to_limit",
                                                    alpha=1.0, amplitude=a))
         assert validate_hypotheses(spec).all_passed

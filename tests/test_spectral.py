@@ -188,11 +188,11 @@ class TestTransforms:
 class TestNonlinearityModal:
     def test_zero_g(self):
         b = Basis(1, 8)
-        out = kw.eval_nonlinearity_modal(kw.NonlinearitySpec.zero(), b, np.ones(8))
+        out = kw.eval_nonlinearity_modal(kw.NonlinearitySpec("zero"), b, np.ones(8))
         assert not out.any()
 
-    @pytest.mark.parametrize("g", [kw.NonlinearitySpec.zero(), kw.NonlinearitySpec.cubic_soft(),
-                                   kw.NonlinearitySpec.lipschitz_sine()], ids=lambda g: g.kind)
+    @pytest.mark.parametrize("g", [kw.NonlinearitySpec("zero"), kw.NonlinearitySpec("cubic_soft"),
+                                   kw.NonlinearitySpec("lipschitz_sine")], ids=lambda g: g.kind)
     @pytest.mark.parametrize("dim,n,lead", [(1, 8, ()), (1, 8, (3,)), (2, 5, (3,)), (3, 4, (2,)),
                                             (3, 6, (40,))]  # 40 rows: three row blocks
                              + [(dim, n, lead) for dim, n in [(1, 8), (2, 5), (3, 4)]
@@ -211,8 +211,8 @@ class TestNonlinearityModal:
             assert np.array_equal(eval_nonlinearity_modal(g, b, pair[i % 2], work), want[i % 2])
         assert all(np.array_equal(f, f0) for f, f0 in zip(pair, kept))
 
-    @pytest.mark.parametrize("g", [kw.NonlinearitySpec.cubic_soft(),
-                                   kw.NonlinearitySpec.lipschitz_sine()], ids=lambda g: g.kind)
+    @pytest.mark.parametrize("g", [kw.NonlinearitySpec("cubic_soft"),
+                                   kw.NonlinearitySpec("lipschitz_sine")], ids=lambda g: g.kind)
     def test_row_blocks_give_every_row_its_own_bits(self, g):
         # 40 rows of Basis(3, 6) hold 40 * 12^3 grid values: three row blocks
         b = Basis(3, 6)
@@ -225,8 +225,8 @@ class TestNonlinearityModal:
             assert G[i, j] == integral_of_G(g, b, f[i, j])
             assert np.array_equal(N[i, j], eval_nonlinearity_modal(g, b, f[i, j]))
 
-    @pytest.mark.parametrize("g", [kw.NonlinearitySpec.cubic_soft(),
-                                   kw.NonlinearitySpec.lipschitz_sine()], ids=lambda g: g.kind)
+    @pytest.mark.parametrize("g", [kw.NonlinearitySpec("cubic_soft"),
+                                   kw.NonlinearitySpec("lipschitz_sine")], ids=lambda g: g.kind)
     @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
     def test_integral_of_G_is_the_G_of_eval_g(self, g, dim, n):
         # one batch over one and a half row blocks, against eval_g's G on the
@@ -242,7 +242,7 @@ class TestNonlinearityModal:
         # 1000 rows at d = 3 need 13.8 MB for one whole-batch grid array;
         # the row blocks keep every temporary below PEAK_BOUND
         PEAK_BOUND = 4_000_000
-        b, g = Basis(3, 6), kw.NonlinearitySpec.cubic_soft()
+        b, g = Basis(3, 6), kw.NonlinearitySpec("cubic_soft")
         f = np.random.default_rng(7).standard_normal((1000, b.n_modes))
 
         def peak(fn):
@@ -260,7 +260,7 @@ class TestNonlinearityModal:
     def test_cubic_single_mode_quadrature_oracle(self):
         # project -(sqrt(2) sin(2 pi x))^3 on each retained mode by quadrature
         b = Basis(1, 8)
-        out = kw.eval_nonlinearity_modal(kw.NonlinearitySpec.cubic_soft(), b, mode_field(b, 1))
+        out = kw.eval_nonlinearity_modal(kw.NonlinearitySpec("cubic_soft"), b, mode_field(b, 1))
         for m in range(8):
             oracle, _ = quad(lambda x: -(math.sqrt(2) * np.sin(2 * np.pi * x)) ** 3
                              * math.sqrt(2) * np.sin((m + 1) * np.pi * x), 0, 1,
@@ -271,7 +271,8 @@ class TestNonlinearityModal:
         b = Basis(1, 8)
         f = mode_field(b, 0, amp=1.3)
         oracle, _ = quad(lambda x: -0.25 * (1.3 * math.sqrt(2) * np.sin(np.pi * x)) ** 4, 0, 1)
-        assert integral_of_G(kw.NonlinearitySpec.cubic_soft(), b, f) == pytest.approx(oracle, rel=1e-10)
+        assert integral_of_G(kw.NonlinearitySpec("cubic_soft"), b,
+                             f) == pytest.approx(oracle, rel=1e-10)
 
 
 def midpoint_projection(basis, f, cells):
@@ -302,7 +303,7 @@ class TestGalerkinExactness:
         else:
             f = np.random.default_rng([dim, n]).standard_normal(b.n_modes)
         proj, G_int = midpoint_projection(b, f, 4 * n)
-        spec = kw.NonlinearitySpec.cubic_soft()
+        spec = kw.NonlinearitySpec("cubic_soft")
         out = eval_nonlinearity_modal(spec, b, f)
         assert np.max(np.abs(out - proj)) <= 1e-13 * np.max(np.abs(proj))
         assert integral_of_G(spec, b, f) == pytest.approx(G_int, rel=1e-13, abs=0.0)
