@@ -1,6 +1,7 @@
 """Test oracles that no command runs: the IMEX step in plain expressions,
-the delta-difference run and its energy, plus one-line constructors of the
-states the tests start from and u_tt from a state's own g(u)."""
+the delta-difference run and its energy, the per-cell CSV writer, plus
+one-line constructors of the states the tests start from and u_tt from a
+state's own g(u)."""
 
 import dataclasses
 
@@ -74,3 +75,12 @@ def eval_Etilde(z_state, spec, basis, xi):
     z, zt = z_state.u, z_state.v
     return (eps * norm_sq(zt) + 2.0 * xi * eps * inner(zt, z)
             + (1.0 + xi) * grad_norm_sq(basis, z) + spec.lam * norm_sq(z))
+
+
+def write_csv_plain(path, header, rows):
+    """The CSV writer as one '%.17g' per cell, the reference whose bytes
+    kwavelab.cli._write_csv reproduces."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)

@@ -8,10 +8,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kwavelab.cli import _write_csv, main
 from kwavelab.config import ConfigError, ExperimentConfig
 from kwavelab.model import NONLINEARITY_KINDS
+from oracles import write_csv_plain
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -377,6 +381,69 @@ class TestCsvWriter:
     def test_ragged_row_raises(self, tmp_path, row):
         with pytest.raises(TypeError):
             _write_csv(str(tmp_path / "rows.csv"), ["a", "b", "c"], [row])
+
+    @staticmethod
+    def assert_plain_bytes(tmp_path, table):
+        header = [f"c{j}" for j in range(table.shape[1])]
+        _write_csv(str(tmp_path / "fast.csv"), header, table)
+        write_csv_plain(str(tmp_path / "plain.csv"), header, table)
+        assert (tmp_path / "fast.csv").read_text() == (tmp_path / "plain.csv").read_text()
+
+    def test_ragged_list_raises(self, tmp_path):
+        with pytest.raises(TypeError):
+            _write_csv(str(tmp_path / "rows.csv"), ["a", "b"], [(1.0, 2.0), (1.0,)])
+
+    # any 64-bit pattern, and the bits of the floats hypothesis favours
+    CELL_BITS = st.one_of(st.integers(0, 2 ** 64 - 1),
+                          st.floats().map(lambda f: int(np.float64(f).view(np.uint64))))
+
+    @given(hnp.arrays(np.uint64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                      elements=CELL_BITS))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_bit_pattern_matches_plain_writer(self, tmp_path, bits):
+        # NaN payloads, -NaN, subnormals and +-inf all occur among the patterns
+        self.assert_plain_bytes(tmp_path, bits.view(np.float64))
+
+    def test_edge_cells_match_plain_writer(self, tmp_path):
+        tiny = np.finfo(np.float64).smallest_normal
+        huge = np.finfo(np.float64).max
+        powers = np.array([10.0 ** k for k in range(-30, 31)])  # 1e-14, 1e20: D carries to 10^16
+        bounds = np.array([1e16, 1e17, 1e-4, 1e-5, 1e100, 1e-100, 1e200, 1e-200])
+        edges = np.concatenate([
+            [0.0, 5e-324, tiny, np.nextafter(tiny, 0.0), huge],
+            [2251799813685247.75],  # a true tie: 2251799813685247.8
+            powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf),  # log10 retries
+            bounds, np.nextafter(bounds, np.inf), np.nextafter(bounds, -np.inf)])
+        cells = np.concatenate([edges, -edges])
+        # an odd width and more cells than one block: rows straddle a block boundary
+        self.assert_plain_bytes(tmp_path, np.resize(cells, (613, 7)))
+
+    @pytest.mark.parametrize("command, name, edit, check", [
+        ("simulate", "trajectory.csv", None,
+         lambda rows: [r[0] for r in rows[:2]] == [0.0, 0.05]),
+        ("simulate", "ledger.csv", None,
+         lambda rows: math.isnan(rows[-1][-1]) and all(map(math.isfinite, rows[0]))),
+        ("pullback", "clouds.csv", None,
+         lambda rows: [r[:3] for r in rows] == [[0.0, d, 8.0] for d in (0.2, 0.1, 0.0)
+                                                for _ in range(8)]),
+        ("semicontinuity", "sweep.csv", ("attractor.deltas = 0.2, 0.1, 0.0",
+                                         "attractor.deltas = 0.1, 0.0"),
+         lambda rows: [r[0] for r in rows] == [0.1, 0.0] and all(math.isnan(r[2]) for r in rows)),
+        ("decompose", "decomposition.csv", None,
+         lambda rows: [r[0] for r in rows[:2]] == [0.0, 0.05]),
+    ], ids=["trajectory", "ledger", "clouds", "sweep", "decomposition"])
+    def test_command_artifact_is_plain_writer_output(self, tmp_path, command, name, edit, check):
+        # 17 digits round-trip exactly, so each file is the plain writer's bytes
+        # of its own parsed values
+        path = write_cfg(tmp_path, SMALL_MODEL if edit is None else SMALL_MODEL.replace(*edit))
+        out = tmp_path / "out"
+        main([command, "--config", path, "--out", str(out)])
+        header, *lines = (out / name).read_text().splitlines()
+        rows = [[float(cell) for cell in line.split(",")] for line in lines]
+        assert check(rows)
+        write_csv_plain(str(tmp_path / "plain.csv"), header.split(","), rows)
+        assert (out / name).read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 class TestSimulate:
