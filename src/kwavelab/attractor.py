@@ -16,7 +16,9 @@ cdist's order; so the result has the bits of a brute-force pairwise comparison.
 Every (delta, tau) pair is one independent pullback leg. One routine, _clouds,
 builds the clouds of the absorbing check, the delta sweep and pullback_cloud,
 and hands all its legs to one scheduler, _evolve_legs, which parallelises
-across whole legs rather than within one.
+across whole legs rather than within one. The entry points take their
+t*, deltas, horizons and leg step from one EnsembleSpec, the resolved
+attractor.* section of a config.
 """
 
 from __future__ import annotations
@@ -36,12 +38,19 @@ from .spectral import Basis, ModalState, sample_xt, xt_norm_sq
 SAMPLINGS = ("sphere_surface", "ball_uniform")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EnsembleSpec:
+    """The resolved attractor.* section: the ensemble drawn from the absorbing
+    ball (n_points, sampling, seed), the pullback horizons taus, the
+    evaluation time t_star, the deltas compared, and the leg step dt."""
+
     n_points: int = 64
     sampling: str = "sphere_surface"
     seed: int = 0
     taus: tuple[float, ...] = (5.0, 10.0, 20.0)
+    t_star: float = 0.0
+    deltas: tuple[float, ...] = (0.1, 0.05, 0.0)
+    dt: float
 
     def __post_init__(self):
         if self.n_points < 1:
@@ -51,7 +60,14 @@ class EnsembleSpec:
         taus = tuple(float(t) for t in self.taus)
         if not taus or min(taus) <= 0 or any(b <= a for a, b in zip(taus, taus[1:])):
             raise ValueError("taus must be positive, strictly increasing and nonempty")
+        deltas = tuple(float(d) for d in self.deltas)
+        if not deltas or min(deltas) < 0 or len(set(deltas)) < len(deltas):
+            raise ValueError(f"attractor.deltas must be nonnegative, distinct and "
+                             f"nonempty, not {list(deltas)}")
+        if self.dt <= 0:
+            raise ValueError(f"attractor.dt = {self.dt:g} must be positive")
         object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "deltas", deltas)
 
 
 @dataclass(frozen=True)
@@ -185,23 +201,25 @@ def _evolve_legs(legs, basis: Basis, dt: float, threads: int):
 
 
 def _clouds(spec: ModelSpec, params: EnergyParams, basis: Basis, ens: EnsembleSpec,
-            deltas, taus, t: float, dt: float, threads: int):
-    """Per delta of ``deltas``, in order, the list of its endpoint clouds at t
-    over the horizons ``taus``, from one sample per tau. Yielded lazily: on
-    one thread a delta's legs are evolved when its list is asked for."""
+            deltas, taus, threads: int):
+    """Per delta of ``deltas``, in order, the list of its endpoint clouds at
+    ens.t_star over the horizons ``taus``, from one sample per tau, evolved at
+    ens.dt. Yielded lazily: on one thread a delta's legs are evolved when its
+    list is asked for."""
+    t = ens.t_star
     samples = [_sample_arrays(spec, params, basis, t - tau, ens) for tau in taus]
     specs = [spec.with_delta(float(d)) for d in deltas]
     ends = _evolve_legs([(s, us, vs, t - tau, t) for s in specs
-                         for tau, (us, vs) in zip(taus, samples)], basis, dt, threads)
+                         for tau, (us, vs) in zip(taus, samples)], basis, ens.dt, threads)
     for s in specs:
         yield [AttractorCloud(t, tau, s.delta, basis, *next(ends)) for tau in taus]
 
 
 def pullback_cloud(spec: ModelSpec, params: EnergyParams, basis: Basis,
-                   ens: EnsembleSpec, t_star: float, tau: float,
-                   dt: float) -> AttractorCloud:
-    """Evolve an absorbing-set sample from t_star - tau to t_star (one leg of _clouds)."""
-    [cloud], = _clouds(spec, params, basis, ens, [spec.delta], [tau], t_star, dt, 1)
+                   ens: EnsembleSpec, tau: float) -> AttractorCloud:
+    """Evolve an absorbing-set sample from ens.t_star - tau to ens.t_star at
+    spec.delta (one leg of _clouds)."""
+    [cloud], = _clouds(spec, params, basis, ens, [spec.delta], [tau], 1)
     return cloud
 
 
@@ -248,19 +266,19 @@ class AbsorbingReport:
 
 
 def verify_absorbing(spec: ModelSpec, params: EnergyParams, basis: Basis,
-                     ens: EnsembleSpec, deltas, t: float, dt: float = 1e-2,
-                     threads: int = 1) -> list[AbsorbingReport]:
-    """Check, for each delta of ``deltas``, that samples of the absorbing ball
-    at t - tau land inside the ball at t, for each pullback horizon tau of
-    ``ens.taus``; one report per delta, in order.
+                     ens: EnsembleSpec, threads: int = 1) -> list[AbsorbingReport]:
+    """Check, for each delta of ens.deltas, that samples of the absorbing ball
+    at t - tau land inside the ball at t = ens.t_star, for each pullback
+    horizon tau of ens.taus; one report per delta, in order.
 
     Each row also carries the Cauchy-in-tau truncation gap: the Hausdorff
     semi-distance from its endpoint cloud to that of the largest tau (0 on
     the last row). The endpoint clouds are returned in ``clouds``.
     """
+    t = ens.t_star
     radius = eval_B(t, spec, params)
     reports = []
-    for clouds in _clouds(spec, params, basis, ens, deltas, ens.taus, t, dt, threads):
+    for clouds in _clouds(spec, params, basis, ens, ens.deltas, ens.taus, threads):
         rows = []
         for cloud in clouds:
             xt = xt_norm_sq(basis, ModalState(cloud.us, cloud.vs, t), spec.epsilon)
@@ -299,18 +317,19 @@ class SweepResult:
 
 
 def semicontinuity_sweep(spec: ModelSpec, params: EnergyParams, basis: Basis,
-                         ens: EnsembleSpec, deltas, t_star: float, tau: float,
-                         dt: float, threads: int = 1) -> SweepResult:
-    """Distance from each delta-cloud to the delta = 0 cloud at time t_star.
+                         ens: EnsembleSpec, threads: int = 1) -> SweepResult:
+    """Distance from each delta-cloud to the delta = 0 cloud at time
+    ens.t_star, each evolved over the largest horizon tau of ens.taus.
 
-    The rows run over ``deltas`` in descending order, whatever order they
+    The rows run over ens.deltas in descending order, whatever order they
     are given in, and end with the delta = 0 reference, added when absent.
     The same seed (hence the same initial sample) is used for every delta, so
     the columns differ only through the flow. The fitted order is the log-log
     slope of dist against delta over the positive rows.
     """
-    nonzero = [d for d in sorted(map(float, deltas), reverse=True) if d != 0.0]
-    clouds = _clouds(spec, params, basis, ens, [0.0] + nonzero, [tau], t_star, dt, threads)
+    tau = ens.taus[-1]
+    nonzero = [d for d in sorted(ens.deltas, reverse=True) if d != 0.0]
+    clouds = _clouds(spec, params, basis, ens, [0.0] + nonzero, [tau], threads)
     [ref_cloud] = next(clouds)
     rows = [SweepRow(d, hausdorff_semidist(cloud, ref_cloud, spec.epsilon))
             for d, [cloud] in zip(nonzero, clouds)]
@@ -321,4 +340,4 @@ def semicontinuity_sweep(spec: ModelSpec, params: EnergyParams, basis: Basis,
         ld = np.log([p[0] for p in pos])
         lv = np.log([p[1] for p in pos])
         order = float(np.polyfit(ld, lv, 1)[0])
-    return SweepResult(t_star, tau, tuple(rows), order)
+    return SweepResult(ens.t_star, tau, tuple(rows), order)

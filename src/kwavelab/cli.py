@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: validate, simulate, feasibility, pullback, semicontinuity,
-decompose. Exit codes: 0 success, 1 property failure, 2 configuration
-error (every check behind it is ExperimentConfig's), 3 numerical failure.
+decompose. Exit codes: 0 success, 1 property failure, 2 configuration error
+(ExperimentConfig's checks, and pullback's of its report keys), 3 numerical failure.
 All artifacts are written with 17 significant digits so CSV round-trips are
 exact, and identical config + seed produce identical bytes. Every CSV cell
 is the text of '%.17g' % x, byte for byte. _write_csv makes that text with
@@ -275,8 +275,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                np.column_stack([traj.times, traj.us, traj.vs]))
     _stage("building energy ledger")
     ledger = en.build_ledger(traj, cfg.model, cfg.basis, params)
-    decay = en.verify_decay_inequality(ledger, cfg.model, cfg.basis, params,
-                                       dt=cfg.step.dt)
+    decay = en.verify_decay_inequality(ledger, cfg.model, params, dt=cfg.step.dt)
     sandwich = en.fit_norm_sandwich(ledger, cfg.model, params)
     residual = np.append(decay.residuals, np.nan)  # the last record has no forward difference
     _write_csv(os.path.join(out, "ledger.csv"), [*ledger.COLUMNS, "residual"],
@@ -314,18 +313,18 @@ def cmd_feasibility(cfg: ExperimentConfig) -> int:
 def cmd_pullback(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     ens = cfg.ensemble
-    t_star = float(cfg.values["attractor.t_star"])
-    cfg.check_legs(t_star, ens.taus)
+    labels = [f"{d:g}" for d in ens.deltas]  # the keys of absorbing.json
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"attractor.deltas {list(ens.deltas)} repeat a key: {labels}")
     params = cfg.energy_params(log=_stage)
-    cfg.check_radius(params, t_star - ens.taus[-1], t_star)
-    deltas = [float(d) for d in cfg.values["attractor.deltas"]]
-    _stage(f"absorbing check over deltas {deltas} and taus {list(ens.taus)}")
-    reps = att.verify_absorbing(cfg.model, params, cfg.basis, ens, deltas, t_star,
-                                dt=cfg.attractor_dt, threads=cfg.threads)
+    cfg.check_legs(ens.taus)
+    cfg.check_radius(params, ens.t_star - ens.taus[-1], ens.t_star)
+    _stage(f"absorbing check over deltas {list(ens.deltas)} and taus {list(ens.taus)}")
+    reps = att.verify_absorbing(cfg.model, params, cfg.basis, ens, threads=cfg.threads)
     reports = {}
-    for d, rep in zip(deltas, reps):
-        reports[f"{d:g}"] = rep.to_dict()
-        _stage(f"delta = {d:g}: fraction inside at tau = {rep.rows[-1].tau:g} "
+    for label, rep in zip(labels, reps):
+        reports[label] = rep.to_dict()
+        _stage(f"delta = {label}: fraction inside at tau = {rep.rows[-1].tau:g} "
                f"is {rep.rows[-1].fraction_inside:.3f}")
     clouds = [rep.clouds[-1] for rep in reps]
     table = np.concatenate([
@@ -334,7 +333,7 @@ def cmd_pullback(cfg: ExperimentConfig) -> int:
     _write_csv(os.path.join(out, "clouds.csv"),
                ["t_star", "delta", "tau"] + _state_columns(cfg.basis), table)
     _write_json(os.path.join(out, "absorbing.json"),
-                {"t_star": t_star, "reports": reports})
+                {"t_star": ens.t_star, "reports": reports})
     all_ok = all(rep["passed"] for rep in reports.values())
     return 0 if all_ok else 1
 
@@ -342,16 +341,12 @@ def cmd_pullback(cfg: ExperimentConfig) -> int:
 def cmd_semicontinuity(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     ens = cfg.ensemble
-    t_star = float(cfg.values["attractor.t_star"])
     tau = ens.taus[-1]
-    cfg.check_legs(t_star, [tau])
     params = cfg.energy_params(log=_stage)
-    cfg.check_radius(params, t_star - tau, t_star - tau)
-    deltas = [float(d) for d in cfg.values["attractor.deltas"]]
-    _stage(f"sweep over deltas {deltas} at tau = {tau:g}")
-    sweep = att.semicontinuity_sweep(cfg.model, params, cfg.basis, ens, deltas,
-                                     t_star, tau, cfg.attractor_dt,
-                                     threads=cfg.threads)
+    cfg.check_legs([tau])
+    cfg.check_radius(params, ens.t_star - tau, ens.t_star - tau)
+    _stage(f"sweep over deltas {list(ens.deltas)} at tau = {tau:g}")
+    sweep = att.semicontinuity_sweep(cfg.model, params, cfg.basis, ens, threads=cfg.threads)
     order = sweep.fitted_order
     _write_csv(os.path.join(out, "sweep.csv"), ["delta", "dist", "fitted_order"],
                np.array([(r.delta, r.dist, np.nan if order is None else order)
@@ -399,6 +394,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kwavelab",
                                      description="Damped Kirchhoff wave laboratory")

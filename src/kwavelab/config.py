@@ -1,9 +1,10 @@
 """Flat key-value experiment configuration.
 
 Files are plain text, one ``section.key = value`` per line, ``#`` comments.
-Unknown keys are rejected so fixtures stay diff-reviewable. The full key
-list with defaults lives in KEY_SPECS below; REQUIRED marks keys every
-config must set. All randomness derives from the single ``seed`` key.
+Unknown keys are rejected so fixtures stay diff-reviewable. KEY_SPECS lists
+every key with its default; REQUIRED marks keys every config must set, and all
+randomness derives from ``seed``. Load resolves the attractor.* section into one
+EnsembleSpec; energy_params rejects infeasible set multipliers before any step.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .attractor import EnsembleSpec
 from .energy import (EnergyParams, FeasibilityReport, InfeasibleParamsError,
-                     eval_B, solve_feasibility)
+                     check_point_margins, eval_B, solve_feasibility)
 from .integrator import StepConfig
 from .model import (EpsilonProfile, ForcingSpec, HypothesisReport, ModelSpec,
                     NonlinearitySpec, eval_epsilon, validate_hypotheses)
@@ -177,15 +178,9 @@ class ExperimentConfig:
             if (values["energy.rho"] == "fit") != (values["energy.chi"] == "fit"):
                 raise ValueError("energy.rho and energy.chi are fitted together: "
                                  "set both to fit or neither")
-            deltas = values["attractor.deltas"]
-            if not deltas or min(deltas) < 0 or len(set(deltas)) < len(deltas):
-                raise ValueError(f"attractor.deltas must be nonnegative, distinct and "
-                                 f"nonempty, not {list(deltas)}")
             for key in ("threads", "energy.grid_n"):
                 if values[key] < 1:
                     raise ValueError(f"{key} = {values[key]} must be at least 1")
-            if values["attractor.dt"] is not None and values["attractor.dt"] <= 0:
-                raise ValueError(f"attractor.dt = {values['attractor.dt']:g} must be positive")
             if values["ic.kind"] not in ("zero", "mode", "sample"):
                 raise ValueError(f"unknown ic.kind {values['ic.kind']!r}")
             if values["ic.kind"] == "mode" and not 1 <= values["ic.mode"] <= basis.n_modes:
@@ -193,9 +188,9 @@ class ExperimentConfig:
                                  f"{basis.n_modes} modes")
             if values["ic.radius"] < 0:
                 raise ValueError(f"ic.radius = {values['ic.radius']:g} must be nonnegative")
-            ensemble = EnsembleSpec(n_points=values["attractor.n_points"],
-                                    sampling=values["attractor.sampling"],
-                                    seed=values["seed"], taus=values["attractor.taus"])
+            ensemble = EnsembleSpec(**{k: values[f"attractor.{k}"] for k in (
+                "n_points", "sampling", "taus", "t_star", "deltas")}, seed=values["seed"],
+                dt=step.dt if values["attractor.dt"] is None else values["attractor.dt"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return cls(model, basis, step, ensemble, values)
@@ -226,10 +221,10 @@ class ExperimentConfig:
             raise ConfigError(f"eps = {eps:.6g} <= 0 at t = {t:g}, {where}")
         return eps
 
-    def check_legs(self, t_star: float, taus) -> None:
+    def check_legs(self, taus) -> None:
         """ConfigError unless each pullback leg t_star - tau -> t_star is a whole
         number of attractor.dt steps and starts where eps > 0."""
-        dt = self.attractor_dt
+        t_star, dt = self.ensemble.t_star, self.ensemble.dt
         for tau in taus:
             try:
                 StepConfig(dt=dt, t_start=t_star - tau, t_end=t_star)
@@ -303,7 +298,8 @@ class ExperimentConfig:
     def energy_params(self, log=None) -> EnergyParams:
         """Resolve the energy multipliers: rho and chi as set, or, when both
         are 'fit', the feasibility scan's chosen point. An unset sigma1 is
-        chi / 2, which is also the scan's choice."""
+        chi / 2, which is also the scan's choice. InfeasibleParamsError when the
+        scan is empty or the multipliers violate a binding constraint."""
         v = self.values
         kw = dict(rho=v["energy.rho"], chi=v["energy.chi"], sigma1=v["energy.sigma1"],
                   c0=v["energy.c0"], c4=v["energy.c4"], c14=v["energy.c14"],
@@ -317,11 +313,16 @@ class ExperimentConfig:
             if log is not None:
                 log(f"feasible point rho = {kw['rho']:.6g}, chi = {kw['chi']:.6g}")
         try:
-            return EnergyParams(**kw)
+            params = EnergyParams(**kw)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        margins = check_point_margins(self.model, self.basis, params)
+        bad = min(margins, key=margins.get)
+        if margins[bad] < -1e-9:
+            raise InfeasibleParamsError(
+                f"(rho, chi) violates binding constraint {bad} by {-margins[bad]:.3e}")
+        return params
 
     @property
     def attractor_dt(self) -> float:
-        v = self.values["attractor.dt"]
-        return float(self.step.dt if v is None else v)
+        return self.ensemble.dt

@@ -67,8 +67,7 @@ def test_criterion_2_energy_decay(tmp_path):
                           sigma1=chosen["sigma1"], c0=0.0, c4=1.0)
     traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
     ledger = build_ledger(traj, cfg.model, cfg.basis, params)
-    decay = verify_decay_inequality(ledger, cfg.model, cfg.basis, params,
-                                    dt=cfg.step.dt)
+    decay = verify_decay_inequality(ledger, cfg.model, params, dt=cfg.step.dt)
     sandwich = fit_norm_sandwich(ledger, cfg.model, params)
     elapsed = time.time() - t0
     ok = (decay.fitted_c5 and decay.passed and decay.integrated_passed
@@ -83,10 +82,9 @@ def test_criterion_3_absorbing_family():
     cfg = ExperimentConfig.load(f"{CONFIGS}/cubic3d.cfg")
     params = cfg.energy_params()
     ens = EnsembleSpec(n_points=64, sampling="sphere_surface", seed=cfg.seed,
-                       taus=(10.0, 20.0))
+                       taus=(10.0, 20.0), t_star=0.0, deltas=(0.0, 0.1), dt=5e-3)
     fractions = []
-    for rep in verify_absorbing(cfg.model, params, cfg.basis, ens, [0.0, 0.1],
-                                t=0.0, dt=5e-3):
+    for rep in verify_absorbing(cfg.model, params, cfg.basis, ens):
         fractions.extend(r.fraction_inside for r in rep.rows)
     elapsed = time.time() - t0
     ok = all(f == 1.0 for f in fractions) and elapsed < 300.0
@@ -164,9 +162,8 @@ def test_criterion_7_upper_semicontinuity():
     cfg = ExperimentConfig.load(f"{CONFIGS}/sweep.cfg")
     params = cfg.energy_params()
     ens = EnsembleSpec(n_points=64, sampling="sphere_surface", seed=cfg.seed,
-                       taus=(20.0,))
-    sweep = semicontinuity_sweep(cfg.model, params, cfg.basis, ens,
-                                 [0.2, 0.1, 0.05, 0.01], 0.0, 20.0, dt=5e-3)
+                       taus=(20.0,), t_star=0.0, deltas=(0.2, 0.1, 0.05, 0.01), dt=5e-3)
+    sweep = semicontinuity_sweep(cfg.model, params, cfg.basis, ens)
     dists = [r.dist for r in sweep.rows if r.delta > 0]
     elapsed = time.time() - t0
     monotone = all(b <= a * 1.1 for a, b in zip(dists, dists[1:]))

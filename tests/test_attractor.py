@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,7 +80,7 @@ def cloud_from_states(states, basis, t, delta=0.0, tau=0.0):
 class TestSampling:
     def test_single_sphere_point_on_boundary(self, free_setup):
         spec, basis, params = free_setup
-        ens = EnsembleSpec(n_points=1, sampling="sphere_surface", seed=5, taus=(1.0,))
+        ens = EnsembleSpec(n_points=1, sampling="sphere_surface", seed=5, taus=(1.0,), dt=1e-2)
         us, vs = att._sample_arrays(spec, params, basis, 0.0, ens)
         assert us.shape == vs.shape == (1, basis.n_modes)
         radius = eval_B(0.0, spec, params)
@@ -88,7 +90,8 @@ class TestSampling:
 
     def test_ball_samples_inside_with_radial_law(self, forced_setup):
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=10_000, sampling="ball_uniform", seed=1, taus=(1.0,))
+        ens = EnsembleSpec(n_points=10_000, sampling="ball_uniform", seed=1, taus=(1.0,),
+                           dt=1e-2)
         us, vs = att._sample_arrays(spec, params, basis, 0.0, ens)
         radius = eval_B(0.0, spec, params)
         norms = np.sqrt(kw.xt_norm_sq(basis, kw.ModalState(us, vs, 0.0), spec.epsilon))
@@ -100,27 +103,46 @@ class TestSampling:
 
     def test_seed_reproducibility(self, free_setup):
         spec, basis, params = free_setup
-        ens = EnsembleSpec(n_points=16, seed=42, taus=(1.0,))
+        ens = EnsembleSpec(n_points=16, seed=42, taus=(1.0,), dt=1e-2)
         ua, va = att._sample_arrays(spec, params, basis, 0.0, ens)
         ub, vb = att._sample_arrays(spec, params, basis, 0.0, ens)
         assert np.array_equal(ua, ub) and np.array_equal(va, vb)
 
 
+class TestEnsembleSpec:
+    @pytest.mark.parametrize("field,value,message", [
+        ("deltas", (), "attractor.deltas must be nonnegative, distinct and nonempty, not []"),
+        ("deltas", (0.2, -0.1, 0.0), "not [0.2, -0.1, 0.0]"),
+        ("deltas", (0.1, 0.1, 0.0), "not [0.1, 0.1, 0.0]"),
+        ("dt", 0.0, "attractor.dt = 0 must be positive"),
+        ("dt", -0.005, "attractor.dt = -0.005 must be positive")],
+        ids=["empty_deltas", "negative_delta", "repeated_delta", "zero_dt", "negative_dt"])
+    def test_rejects_what_load_rejects(self, field, value, message):
+        fields = {"deltas": (0.1, 0.0), "dt": 1e-2, field: value}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EnsembleSpec(**fields)
+
+    def test_resolves_the_lists_to_floats(self):
+        ens = EnsembleSpec(taus=(1, 2), deltas=(0, 1), dt=0.5)
+        assert ens.taus == (1.0, 2.0) and ens.deltas == (0.0, 1.0)
+        assert all(type(x) is float for x in ens.taus + ens.deltas)
+
+
 class TestPullbackCloud:
     def test_tau_zero_is_initial_sample(self, free_setup):
         spec, basis, params = free_setup
-        ens = EnsembleSpec(n_points=8, seed=3, taus=(1.0,))
-        cloud = pullback_cloud(spec, params, basis, ens, t_star=0.0, tau=0.0, dt=1e-2)
+        ens = EnsembleSpec(n_points=8, seed=3, taus=(1.0,), t_star=0.0, dt=1e-2)
+        cloud = pullback_cloud(spec, params, basis, ens, tau=0.0)
         us, vs = att._sample_arrays(spec, params, basis, 0.0, ens)
         assert np.array_equal(cloud.us, us) and np.array_equal(cloud.vs, vs)
 
     def test_unforced_linear_cloud_collapses(self, free_setup):
         spec, basis, params = free_setup
-        ens = EnsembleSpec(n_points=16, seed=3, taus=(5.0, 10.0, 20.0))
+        ens = EnsembleSpec(n_points=16, seed=3, taus=(5.0, 10.0, 20.0), dt=5e-3)
         diam = []
         max_norm = []
         for tau in ens.taus:
-            cloud = pullback_cloud(spec, params, basis, ens, 0.0, tau, dt=5e-3)
+            cloud = pullback_cloud(spec, params, basis, ens, tau)
             P = (np.concatenate([cloud.us, cloud.vs], axis=1)
                  * np.sqrt(att._metric_weights(basis, spec.epsilon, cloud.t_star)))
             diam.append(float(np.max(all_pair_dists(P, P))))
@@ -136,9 +158,9 @@ class TestPullbackCloud:
     def test_forced_cloud_cauchy_in_tau(self, forced_setup):
         # past the transient (rate ~ 1) the endpoint set stabilizes in tau
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=8, seed=9, taus=(10.0, 16.0))
-        c1 = pullback_cloud(spec, params, basis, ens, 0.0, 10.0, dt=5e-3)
-        c2 = pullback_cloud(spec, params, basis, ens, 0.0, 16.0, dt=5e-3)
+        ens = EnsembleSpec(n_points=8, seed=9, taus=(10.0, 16.0), dt=5e-3)
+        c1 = pullback_cloud(spec, params, basis, ens, 10.0)
+        c2 = pullback_cloud(spec, params, basis, ens, 16.0)
         assert hausdorff_semidist(c2, c1, spec.epsilon) < 1e-4
 
     def test_blowup_propagates_member_index(self, free_setup):
@@ -146,24 +168,24 @@ class TestPullbackCloud:
         spec = kw.ModelSpec(delta=1.0)
         _, basis, _ = free_setup
         params = EnergyParams(rho=1.0, chi=0.2, c0=0.0, c4=1.0, c14=1e12)
-        ens = EnsembleSpec(n_points=4, sampling="sphere_surface", seed=0, taus=(5.0,))
+        ens = EnsembleSpec(n_points=4, sampling="sphere_surface", seed=0, taus=(5.0,), dt=0.1)
         with pytest.raises(BlowUpError) as exc:
-            pullback_cloud(spec, params, basis, ens, 0.0, 5.0, dt=0.1)
+            pullback_cloud(spec, params, basis, ens, 5.0)
         assert exc.value.member is not None
 
     def test_bitwise_deterministic(self, forced_setup):
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=8, seed=11, taus=(2.0,))
-        a = pullback_cloud(spec, params, basis, ens, 0.0, 2.0, dt=1e-2)
-        b = pullback_cloud(spec, params, basis, ens, 0.0, 2.0, dt=1e-2)
+        ens = EnsembleSpec(n_points=8, seed=11, taus=(2.0,), dt=1e-2)
+        a = pullback_cloud(spec, params, basis, ens, 2.0)
+        b = pullback_cloud(spec, params, basis, ens, 2.0)
         assert np.array_equal(a.us, b.us) and np.array_equal(a.vs, b.vs)
 
 
 class TestHausdorff:
     def test_reflexive_zero(self, free_setup):
         spec, basis, params = free_setup
-        ens = EnsembleSpec(n_points=8, seed=1, taus=(1.0,))
-        cloud = pullback_cloud(spec, params, basis, ens, 0.0, 0.0, dt=1e-2)
+        ens = EnsembleSpec(n_points=8, seed=1, taus=(1.0,), dt=1e-2)
+        cloud = pullback_cloud(spec, params, basis, ens, 0.0)
         assert hausdorff_semidist(cloud, cloud, spec.epsilon) == 0.0
 
     def test_singletons_equal_norm_of_difference(self, free_setup):
@@ -254,27 +276,29 @@ class TestHausdorff:
 class TestAbsorbing:
     def test_unforced_linear_absorbed_quickly(self, free_setup):
         spec, basis, params = free_setup
-        ens = EnsembleSpec(n_points=16, seed=2, taus=(2.0, 5.0, 10.0))
-        rep, = verify_absorbing(spec, params, basis, ens, [spec.delta], t=0.0, dt=5e-3)
+        ens = EnsembleSpec(n_points=16, seed=2, taus=(2.0, 5.0, 10.0), t_star=0.0,
+                           deltas=(spec.delta,), dt=5e-3)
+        rep, = verify_absorbing(spec, params, basis, ens)
         assert rep.passed
         assert all(r.fraction_inside == 1.0 for r in rep.rows)
 
     def test_tau_zero_boundary_case(self, free_setup):
         spec, basis, params = free_setup
-        ens = EnsembleSpec(n_points=8, sampling="sphere_surface", seed=2, taus=(1e-9,))
-        rep, = verify_absorbing(spec, params, basis, ens, [spec.delta], t=0.0, dt=1e-9)
+        ens = EnsembleSpec(n_points=8, sampling="sphere_surface", seed=2, taus=(1e-9,),
+                           t_star=0.0, deltas=(spec.delta,), dt=1e-9)
+        rep, = verify_absorbing(spec, params, basis, ens)
         assert rep.rows[0].fraction_inside == 1.0
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_clouds_are_the_pullback_clouds(self, forced_setup, threads):
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=8, seed=4, taus=(1.0, 2.0, 3.0))
         deltas = [0.1, 0.0]
-        reps = verify_absorbing(spec, params, basis, ens, deltas, t=0.5, dt=1e-2,
-                                threads=threads)
+        ens = EnsembleSpec(n_points=8, seed=4, taus=(1.0, 2.0, 3.0), t_star=0.5,
+                           deltas=deltas, dt=1e-2)
+        reps = verify_absorbing(spec, params, basis, ens, threads=threads)
         assert len(reps) == len(deltas)
         for delta, rep in zip(deltas, reps):
-            refs = [pullback_cloud(spec.with_delta(delta), params, basis, ens, 0.5, tau, 1e-2)
+            refs = [pullback_cloud(spec.with_delta(delta), params, basis, ens, tau)
                     for tau in ens.taus]
             assert len(rep.clouds) == len(refs)
             for cloud, ref, row in zip(rep.clouds, refs, rep.rows):
@@ -288,7 +312,8 @@ class TestAbsorbing:
 
     def test_last_row_skips_the_self_distance(self, forced_setup, monkeypatch):
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0, 2.0, 3.0))
+        ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0, 2.0, 3.0), t_star=0.0,
+                           deltas=(0.2, 0.0), dt=1e-2)
         pairs = []
         semidist = att.hausdorff_semidist
 
@@ -297,7 +322,7 @@ class TestAbsorbing:
             return semidist(A, B, eps_profile)
 
         monkeypatch.setattr(att, "hausdorff_semidist", counting)
-        reps = verify_absorbing(spec, params, basis, ens, [0.2, 0.0], t=0.0, dt=1e-2)
+        reps = verify_absorbing(spec, params, basis, ens)
         assert pairs == [(0.2, 1.0, 3.0), (0.2, 2.0, 3.0), (0.0, 1.0, 3.0), (0.0, 2.0, 3.0)]
         assert all(rep.rows[-1].cauchy_gap == 0.0 for rep in reps)
 
@@ -307,8 +332,9 @@ class TestAbsorbing:
         Ts = []
         for c14 in (4.0, 0.25):
             params = EnergyParams(rho=1.0, chi=0.2, sigma1=0.1, c0=0.0, c4=1.0, c14=c14)
-            ens = EnsembleSpec(n_points=16, seed=2, taus=taus)
-            rep, = verify_absorbing(spec, params, basis, ens, [spec.delta], t=0.0, dt=5e-3)
+            ens = EnsembleSpec(n_points=16, seed=2, taus=taus, t_star=0.0,
+                               deltas=(spec.delta,), dt=5e-3)
+            rep, = verify_absorbing(spec, params, basis, ens)
             assert rep.passed
             Ts.append(rep.empirical_T)
         assert Ts[1] >= Ts[0]
@@ -413,14 +439,16 @@ class TestLegScheduler:
 class TestSemicontinuity:
     def test_delta_zero_only_row_is_exact_zero(self, free_setup):
         spec, basis, params = free_setup
-        ens = EnsembleSpec(n_points=8, seed=1, taus=(2.0,))
-        sweep = semicontinuity_sweep(spec, params, basis, ens, [0.0], 0.0, 2.0, dt=1e-2)
+        ens = EnsembleSpec(n_points=8, seed=1, taus=(2.0,), t_star=0.0, deltas=(0.0,),
+                           dt=1e-2)
+        sweep = semicontinuity_sweep(spec, params, basis, ens)
         assert len(sweep.rows) == 1
         assert sweep.rows[0].dist == 0.0
 
     def test_reference_row_skips_the_self_distance(self, forced_setup, monkeypatch):
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0,))
+        ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0,), t_star=0.0,
+                           deltas=(0.2, 0.1, 0.0), dt=1e-2)
         pairs = []
         semidist = att.hausdorff_semidist
 
@@ -429,16 +457,15 @@ class TestSemicontinuity:
             return semidist(A, B, eps_profile)
 
         monkeypatch.setattr(att, "hausdorff_semidist", counting)
-        sweep = semicontinuity_sweep(spec, params, basis, ens, [0.2, 0.1, 0.0],
-                                     0.0, 1.0, dt=1e-2)
+        sweep = semicontinuity_sweep(spec, params, basis, ens)
         assert pairs == [(0.2, 0.0), (0.1, 0.0)]
         assert sweep.rows[-1].dist == 0.0
 
     def test_distances_track_delta(self, forced_setup):
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=12, seed=1, taus=(4.0,))
-        sweep = semicontinuity_sweep(spec, params, basis, ens,
-                                     [0.4, 0.2, 0.1, 0.0], 0.0, 4.0, dt=5e-3)
+        ens = EnsembleSpec(n_points=12, seed=1, taus=(4.0,), t_star=0.0,
+                           deltas=(0.4, 0.2, 0.1, 0.0), dt=5e-3)
+        sweep = semicontinuity_sweep(spec, params, basis, ens)
         d = [r.dist for r in sweep.rows if r.delta > 0]
         assert d[0] > d[1] > d[2] > 0
         assert sweep.rows[-1].dist == 0.0
@@ -447,34 +474,34 @@ class TestSemicontinuity:
     def test_any_delta_order_gives_the_descending_sweep(self, forced_setup):
         # the sweep sorts the deltas itself and adds the delta = 0 reference
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0,))
-        ref = semicontinuity_sweep(spec, params, basis, ens, [0.3, 0.2, 0.1, 0.0],
-                                   0.0, 1.0, dt=1e-2)
+        ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0,), t_star=0.0,
+                           deltas=(0.3, 0.2, 0.1, 0.0), dt=1e-2)
+        ref = semicontinuity_sweep(spec, params, basis, ens)
         assert [r.delta for r in ref.rows] == [0.3, 0.2, 0.1, 0.0]
         for deltas in ([0.1, 0.2, 0.3], [0.2, 0.3, 0.1]):
-            assert semicontinuity_sweep(spec, params, basis, ens, deltas,
-                                        0.0, 1.0, dt=1e-2) == ref
+            assert semicontinuity_sweep(spec, params, basis,
+                                        dataclasses.replace(ens, deltas=deltas)) == ref
 
     def test_rows_are_distances_between_pullback_clouds(self, forced_setup):
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=4, seed=3, taus=(1.0,))
-        sweep = semicontinuity_sweep(spec, params, basis, ens, [0.1, 0.2], 0.0, 1.0,
-                                     dt=1e-2)
-        clouds = {d: pullback_cloud(spec.with_delta(d), params, basis, ens, 0.0, 1.0, 1e-2)
+        ens = EnsembleSpec(n_points=4, seed=3, taus=(1.0,), t_star=0.0, deltas=(0.1, 0.2),
+                           dt=1e-2)
+        sweep = semicontinuity_sweep(spec, params, basis, ens)
+        clouds = {d: pullback_cloud(spec.with_delta(d), params, basis, ens, 1.0)
                   for d in (0.2, 0.1, 0.0)}
         assert [(r.delta, r.dist) for r in sweep.rows] == [
             (d, hausdorff_semidist(clouds[d], clouds[0.0], spec.epsilon)) for d in clouds]
 
     def test_threads_do_not_change_membership(self, forced_setup):
         spec, basis, params = forced_setup
-        ens = EnsembleSpec(n_points=8, seed=5, taus=(1.0, 2.0))
-        solo = semicontinuity_sweep(spec, params, basis, ens, [0.2, 0.1, 0.0],
-                                    0.0, 2.0, dt=1e-2, threads=1)
+        ens = EnsembleSpec(n_points=8, seed=5, taus=(1.0, 2.0), t_star=0.0,
+                           deltas=(0.2, 0.1, 0.0), dt=1e-2)
+        solo = semicontinuity_sweep(spec, params, basis, ens, threads=1)
         for threads in (2, 4):
-            multi = semicontinuity_sweep(spec, params, basis, ens, [0.2, 0.1, 0.0],
-                                         0.0, 2.0, dt=1e-2, threads=threads)
+            multi = semicontinuity_sweep(spec, params, basis, ens, threads=threads)
             assert multi == solo
-        reps = [verify_absorbing(spec, params, basis, ens, [0.1, 0.0], 0.0, 1e-2, threads)
+        ens = dataclasses.replace(ens, deltas=(0.1, 0.0))
+        reps = [verify_absorbing(spec, params, basis, ens, threads)
                 for threads in (1, 4)]
         for solo_rep, multi_rep in zip(*reps):
             assert multi_rep.rows == solo_rep.rows

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from kwavelab.cli import _write_csv, main
 from kwavelab.config import ConfigError, ExperimentConfig
+from kwavelab.energy import InfeasibleParamsError
 from kwavelab.model import NONLINEARITY_KINDS
 from oracles import write_csv_plain
 
@@ -228,11 +229,11 @@ class TestExitCodes:
                 text = fh.read()
             for key, value in (("disc.t_start", "2999.9"), ("disc.t_end", "3000"),
                                ("attractor.t_star", "3000"), ("attractor.taus", "0.05, 0.1"),
-                               ("model.h.rate", "0.05"), ("energy.rho", "0.5"),
-                               ("energy.chi", "0.45")):
+                               ("model.h.rate", "0.001"), ("energy.rho", "0.99"),
+                               ("energy.chi", "0.245")):
                 text = re.sub(f"^{re.escape(key)} = .*$", f"{key} = {value}", text,
                               flags=re.M)
-            text += "energy.sigma1 = 0.44\n"
+            text += "energy.sigma1 = 0.244\n"  # feasible: the least margin is 0.00745
             message = "the absorbing radius B overflows at t = 2999.9, an end of the window"
         elif case.startswith("eps"):
             with open(fixture_cfg("eps_increasing.cfg")) as fh:
@@ -251,6 +252,38 @@ class TestExitCodes:
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
+
+    @pytest.mark.parametrize("command,code", [
+        ("validate", 0), ("feasibility", 0), ("decompose", 0),
+        ("simulate", 1), ("pullback", 1), ("semicontinuity", 1)])
+    def test_infeasible_set_multipliers_exit_1_before_integrating(self, tmp_path, capsys,
+                                                                  command, code):
+        # rho = 2.5 violates chi_velocity_coeff; the commands that use the
+        # multipliers stop before their first step, the others never read them
+        with open(fixture_cfg("linear.cfg")) as fh:
+            text = fh.read()
+        for key, value in (("energy.rho", "2.5"), ("attractor.taus", "0.5, 1"),
+                           ("disc.t_end", "1")):
+            text = re.sub(f"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        out = tmp_path / "o"
+        assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == code
+        if code == 1:
+            assert capsys.readouterr().err.startswith(
+                "property failure: (rho, chi) violates binding constraint")
+            assert os.listdir(out) == []
+
+    def test_colliding_delta_labels_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 0.1 and 0.1000001 both print as '0.1', the key of their absorbing.json reports
+        import kwavelab.attractor as att
+        legs = []
+        monkeypatch.setattr(att, "_evolve_legs", lambda *args: legs.append(args))
+        text = SMALL_MODEL.replace("attractor.deltas = 0.2, 0.1, 0.0",
+                                   "attractor.deltas = 0.1, 0.1000001, 0.0")
+        out = tmp_path / "o"
+        assert main(["pullback", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: attractor.deltas [0.1, 0.1000001, 0.0]")
+        assert legs == [] and os.listdir(out) == []
 
     def test_forcing_tail_long_horizon_exit_0(self, tmp_path):
         # sigma = 2 beta on cubic3d, so the tail grows linearly: 800.5 at t = 800
@@ -497,6 +530,17 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["decay"]["max_residual"] < 1e-4
         assert summary["final_xt_norm_sq"] < 1e-6
+
+
+class TestEnergyParams:
+    def test_infeasible_params_rejected(self, tmp_path):
+        # rho = 2.9, chi = 1.4 lie outside the box the binding constraints allow
+        with open(fixture_cfg("linear.cfg")) as fh:
+            text = fh.read().replace("energy.rho = 1.0", "energy.rho = 2.9")
+        cfg = ExperimentConfig.load(write_cfg(tmp_path, text.replace("energy.chi = 0.2",
+                                                                     "energy.chi = 1.4")))
+        with pytest.raises(InfeasibleParamsError, match="violates binding constraint"):
+            cfg.energy_params()
 
 
 class TestFeasibilityCommand:
