@@ -10,7 +10,12 @@ one scheme is a diagonal IMEX method of order two: trapezoidal rule on
 the linear terms (mu a', mu a, lam a), two-step Adams-Bashforth on g and on
 the whole Kirchhoff product delta S mu_m a_m (one explicit Euler bootstrap
 step), eps frozen at the half step, forcing averaged over the step
-endpoints. Each step is a closed-form diagonal solve, O(N^d) work.
+endpoints. Each step is a closed-form diagonal solve, O(N^d) work, run in a
+folded form that reassociates it: v_new = c_v v + c_u u + c_f F and
+u_new = u + (dt/2)(v + v_new), with three diagonal rows c_v, c_u, c_f and F
+the extrapolated explicit term plus the forcing mean (see ``_march``). It
+agrees with the unfolded trapezoid expressions to roundoff and needs about
+half their array passes per step.
 
 The explicit Kirchhoff product scales with mu_max like the linear part, so
 a large delta |grad u|^2 limits the stable dt, and that limit is open.
@@ -32,13 +37,12 @@ and the explicit term (so the AB2 history needs no copy), the step scratch,
 and the grid-transform plan of ``nonlinearity_work``, which binds every
 buffer and view of the transform stages, so a step's transform is its stage
 matmuls and g. The steps then run in place with ``out=`` ufuncs that pair
-the operands exactly as the plain expressions would, so they allocate no
-field-sized array and give the same bits. What does not depend on the state
-is formed once per call: the dt-dependent diagonals, the denominator when
-eps is constant, eps at every half step and the forcing mean of every step
-(the closed forms on the array of step times: n floats each, one math.exp
-per entry, so the bits of a per-step call), and the row that holds the
-forcing mean, of which a step updates only the forced mode.
+the operands exactly as the folded plain expressions would, so they
+allocate no field-sized array and give the same bits. What does not depend
+on the state is formed once per call: the dt-dependent diagonals, the three
+rows when eps is constant, eps at every half step and the forced mode's
+forcing mean of every step (the closed forms on the array of step times: n
+floats each, one math.exp per entry, so the bits of a per-step call).
 A model with no explicit term (g = 0 and delta = 0) skips it: no grid
 transform runs, the AB2 history is one zero array, and nothing is done for
 forcing that is zero.
@@ -144,7 +148,7 @@ def _explicit_term(spec: ModelSpec, basis: Basis, u, work, kp, S, out):
         np.copyto(out, g)
         return out
     mu = basis.eigenvalues
-    np.multiply(u, u, out=kp)
+    np.square(u, out=kp)
     np.multiply(kp, mu, out=kp)
     np.add.reduce(kp, axis=-1, out=S, keepdims=True)
     np.multiply(S, spec.delta, out=S)
@@ -163,72 +167,84 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     row (row 0 is left to the caller). Returns the final (u, v) and the
     explicit term of the last step, the multistep history of a resumed run.
 
-    One step is, with alpha = u + (dt/2) v and eps_h = eps(t + dt/2),
+    One step is the trapezoid/AB2 step, reassociated into three rows: with
+    eps_h = eps(t + dt/2) and k = (dt/2) mu + (dt^2/4)(mu + lam),
 
-        force = 1.5 nl(u) - 0.5 nl_prev + 0.5 (h(t) + h(t + dt))
-                (nl(u) in place of the AB2 pair at the Euler bootstrap),
-        v_new = (eps_h v - half_stiff (u + alpha) - half_mu v + dt force) / denom,
-        u_new = alpha + (dt/2) v_new,
+        F = 1.5 nl(u) - 0.5 nl_prev + 0.5 (h(t) + h(t + dt))
+            (nl(u) in place of the AB2 pair at the Euler bootstrap),
+        v_new = c_v v + c_u u + c_f F,
+        u_new = u + (dt/2)(v + v_new),
 
-    with half_stiff = (dt/2)(mu + lam), half_mu = (dt/2) mu and
-    denom = eps_h + (dt^2/4)(mu + lam) + half_mu.
+    c_v = (eps_h - k) / (eps_h + k), c_u = -dt (mu + lam) / (eps_h + k) and
+    c_f = dt / (eps_h + k). The rows are formed once per call when eps is
+    constant and once per step otherwise. The forcing mean has one nonzero
+    entry, the forced mode's, so it is added to that mode alone (adding the
+    zeros of the other modes changes at most the sign of a zero).
 
     Every work array is allocated here, once per call. u, v and the explicit
     term live in ping-pong pairs: step i writes entry i % 2 and reads the
     other (at i = 0 the caller's arrays, which are never written), so the
     returned arrays belong to this call and nothing writes them afterwards.
     A model with g = 0 and delta = 0 has no explicit term: its history is one
-    zero array, and force is the forcing mean alone, one row for the batch.
+    zero array, and c_f F is c_f times the forcing mean, one entry per step.
     """
     mu = basis.eigenvalues
     stiff = mu + spec.lam
     half_dt = dt / 2.0
-    half_stiff, half_mu = half_dt * stiff, half_dt * mu
-    quarter_dt2_stiff = (dt * dt / 4.0) * stiff
+    k = half_dt * mu + (dt * dt / 4.0) * stiff
+    neg_dt_stiff = -dt * stiff
     u = np.ascontiguousarray(u)  # the transform plan views its input as is
     shape = u.shape
     explicit = spec.g.kind != "zero" or spec.delta != 0.0
-    # the allocation order matters: at (64, 256) another order made the page
-    # faults of a call swing between calls by 128 pages, whatever the steps
+    # the allocation order matters: at (64, 256) this one faults the same pages
+    # in every call, and others made them swing between calls by 96-128 pages,
+    # whatever the steps
     u_pair, v_pair = ((np.empty(shape), np.empty(shape)) for _ in range(2))
     if explicit:
         nl_pair = (np.empty(shape), np.empty(shape))
-        alpha, force, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
-        S, denom = np.empty(shape[:-1] + (1,)), np.empty(shape[-1])
-        work = nonlinearity_work(spec.g, basis, shape[:-1])
+        force, scratch = np.empty(shape), np.empty(shape)
+        S = np.empty(shape[:-1] + (1,))
     else:
-        nl_prev = np.zeros(shape)
-        alpha, scratch, denom = np.empty(shape), np.empty(shape), np.empty(shape[-1])
-        force = np.zeros(shape[-1])  # dt times the forcing mean
+        nl_prev, scratch = np.zeros(shape), np.empty(shape)
+    denom, c_v, c_u, c_f = (np.empty(shape[-1]) for _ in range(4))
+    work = nonlinearity_work(spec.g, basis, shape[:-1]) if explicit else None
     # step i runs from ends[i] to ends[i + 1]; what depends on the step time
     # alone is evaluated here for all steps, by the functions a step would
-    # call: eps at the half steps, and the forcing mean 0.5 (h(t) + h(t + dt)),
-    # of which only the forced mode's entry moves
+    # call: eps at the half steps, and the forced mode's entry of the forcing
+    # mean 0.5 (h(t) + h(t + dt))
     ends = origin_t + (origin_step + np.arange(n + 1)) * dt
-    h_mean = eval_h(spec.h, basis.n_modes, origin_t + origin_step * dt)
     forced = spec.h.kind != "zero"
     if forced:
         m = spec.h.mode - 1
+        col = m if len(shape) == 1 else (..., m)  # one state's entry: a scalar op
         h_ends = forcing_coefficient(spec.h, ends)
         means = 0.5 * (h_ends[:-1] + h_ends[1:])
-        if not explicit:
-            # dt times the mean; 0.0 + mean: the zero explicit term turns a
-            # mean of -0.0 into 0.0
-            means = (0.0 + means) * dt
+
+    def rows(eps_h):
+        np.add(eps_h, k, out=denom)
+        np.subtract(eps_h, k, out=c_v)
+        np.divide(c_v, denom, out=c_v)
+        np.divide(neg_dt_stiff, denom, out=c_u)
+        np.divide(dt, denom, out=c_f)
+
     varying_eps = spec.epsilon.kind != "constant"
     if varying_eps:
         eps_half, _ = eval_epsilon(spec.epsilon, ends[:-1] + half_dt)
     else:
-        eps_h, _ = eval_epsilon(spec.epsilon, origin_t)
-        np.add(eps_h, quarter_dt2_stiff, out=denom)
-        np.add(denom, half_mu, out=denom)
+        rows(eval_epsilon(spec.epsilon, origin_t)[0])
 
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
         for i in range(n):
             u_new, v_new = u_pair[i % 2], v_pair[i % 2]
+            if varying_eps:
+                rows(eps_half[i])
+            # v_new = c_v v + c_u u + c_f F
+            np.multiply(v, c_v, out=v_new)
+            np.multiply(u, c_u, out=scratch)
+            np.add(v_new, scratch, out=v_new)
             if explicit:
                 nl_cur = _explicit_term(spec, basis, u, work, scratch, S, nl_pair[i % 2])
-                # force = AB2 extrapolation of nl (Euler at the bootstrap) + mean h
+                # F = AB2 extrapolation of nl (Euler at the bootstrap) + mean h
                 if nl_prev is None:
                     np.copyto(force, nl_cur)
                 else:
@@ -236,30 +252,16 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
                     np.multiply(nl_prev, 0.5, out=scratch)
                     np.subtract(force, scratch, out=force)
                 if forced:
-                    h_mean[m] = means[i]
-                np.add(force, h_mean, out=force)
-                np.multiply(force, dt, out=force)
+                    force[col] += means[i]
+                np.multiply(force, c_f, out=force)
+                np.add(v_new, force, out=v_new)
                 nl_prev = nl_cur
             elif forced:
-                force[m] = means[i]
-            if varying_eps:
-                eps_h = eps_half[i]
-                np.add(eps_h, quarter_dt2_stiff, out=denom)
-                np.add(denom, half_mu, out=denom)
-            np.multiply(v, half_dt, out=alpha)
-            np.add(u, alpha, out=alpha)
-            # v_new = (eps_h v - half_stiff (u + alpha) - half_mu v + dt force) / denom
-            np.multiply(v, eps_h, out=v_new)
-            np.add(u, alpha, out=scratch)
-            np.multiply(scratch, half_stiff, out=scratch)
-            np.subtract(v_new, scratch, out=v_new)
-            np.multiply(v, half_mu, out=scratch)
-            np.subtract(v_new, scratch, out=v_new)
-            np.add(v_new, force, out=v_new)
-            np.divide(v_new, denom, out=v_new)
-            # u_new = alpha + (dt/2) v_new
-            np.multiply(v_new, half_dt, out=u_new)
-            np.add(alpha, u_new, out=u_new)
+                v_new[col] += c_f[m] * means[i]
+            # u_new = u + (dt/2)(v + v_new)
+            np.add(v, v_new, out=u_new)
+            np.multiply(u_new, half_dt, out=u_new)
+            np.add(u_new, u, out=u_new)
             u, v = u_new, v_new
             # a finite sum means every entry is finite: one pass and no temporary
             # (an isfinite(u) temporary made 1.8x the page faults at (64, 256))
@@ -344,8 +346,9 @@ class DecompositionPair:
     split_error: float
 
 
-def _phi_modal(spec: ModelSpec, basis: Basis, u: np.ndarray, k_eff: float) -> np.ndarray:
-    return eval_nonlinearity_modal(spec.g, basis, u) - k_eff * u
+def _phi_modal(spec: ModelSpec, basis: Basis, u: np.ndarray, k_eff: float,
+               work=None) -> np.ndarray:
+    return eval_nonlinearity_modal(spec.g, basis, u, work) - k_eff * u
 
 
 def run_decomposition(parent: Trajectory, spec: ModelSpec) -> DecompositionPair:
@@ -358,7 +361,7 @@ def run_decomposition(parent: Trajectory, spec: ModelSpec) -> DecompositionPair:
 
     The parent's terms (S, the implicit diagonal and phi(u)) are evaluated
     once for all records; each Heun stage evaluates only phi(u - a1), as a1
-    is sequential."""
+    is sequential, through one transform plan for a single row."""
     basis = parent.basis
     mu = basis.eigenvalues
     k_eff = max(spec.g.k, 1e-3)  # phi must be strictly decreasing
@@ -366,10 +369,11 @@ def run_decomposition(parent: Trajectory, spec: ModelSpec) -> DecompositionPair:
     S = grad_norm_sq(basis, us)[:, None]
     diag = (1.0 + spec.delta * S) * mu + spec.lam
     phi_u = _phi_modal(spec, basis, us, k_eff)
+    work = nonlinearity_work(spec.g, basis, ())
 
     def heun(ts, us, phi_u, diag) -> np.ndarray:
         def rhs(i: int, a1_val: np.ndarray) -> np.ndarray:
-            f = phi_u[i] - _phi_modal(spec, basis, us[i] - a1_val, k_eff)
+            f = phi_u[i] - _phi_modal(spec, basis, us[i] - a1_val, k_eff, work)
             return (f - diag[i] * a1_val) / mu
 
         a1 = np.empty_like(us)

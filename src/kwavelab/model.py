@@ -154,7 +154,7 @@ def eval_g_value(spec: NonlinearitySpec, u, out: Optional[np.ndarray] = None) ->
         out.fill(0.0)
         return out
     if spec.kind == "cubic_soft":
-        out = np.multiply(u, u, out=out)
+        out = np.square(u, out=out)
         np.multiply(out, u, out=out)
         return np.multiply(out, -spec.coeff, out=out)
     return np.multiply(np.sin(u, out=out), spec.coeff, out=out)
@@ -166,7 +166,7 @@ def eval_G(spec: NonlinearitySpec, u) -> np.ndarray:
     if spec.kind == "zero":
         return np.zeros_like(u)
     if spec.kind == "cubic_soft":
-        u2 = u * u
+        u2 = np.square(u)
         return -0.25 * spec.coeff * u2 * u2
     return spec.coeff * (1.0 - np.cos(u))
 
@@ -179,7 +179,7 @@ def eval_g(spec: NonlinearitySpec, u) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if spec.kind == "zero":
         gp = np.zeros_like(u)
     elif spec.kind == "cubic_soft":
-        gp = -3.0 * spec.coeff * (u * u)
+        gp = -3.0 * spec.coeff * np.square(u)
     else:
         gp = spec.coeff * np.cos(u)
     return g, gp, eval_G(spec, u)

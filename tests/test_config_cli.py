@@ -679,6 +679,57 @@ class TestArtifactDigests:
         assert all(cfg == path and len(sha) == 64 for cfg, _, _, sha in lines)
 
 
+class TestArtifactDiff:
+    @staticmethod
+    def diff(tmp_path, a_files, b_files):
+        """artifact_diff.py on two trees of {relative path: text}: (exit code, lines)."""
+        for run, files in (("a", a_files), ("b", b_files)):
+            for name, text in files.items():
+                (tmp_path / run / name).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / run / name).write_text(text)
+        script = os.path.join(ROOT, "scripts", "artifact_diff.py")
+        proc = subprocess.run([sys.executable, script, str(tmp_path / "a"), str(tmp_path / "b")],
+                              capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stdout.splitlines()
+
+    CSV = "t,x\n0,4\n1,nan\n"
+    JSON = '{"n": 3, "ok": true, "rows": [{"r": 2.0}, {"r": -8.0}], "tag": "a"}\n'
+
+    def test_reports_the_largest_difference_relative_to_the_column_maximum(self, tmp_path):
+        code, lines = self.diff(
+            tmp_path, {"c/simulate/t.csv": self.CSV, "c/pullback/s.json": self.JSON},
+            {"c/simulate/t.csv": "t,x\n0,4.001\n1,nan\n",
+             "c/pullback/s.json": self.JSON.replace("2.0", "2.0004")})
+        assert code == 0
+        assert lines == ["c/pullback/s.json 5e-05 .rows[].r", "c/simulate/t.csv 0.00025 x",
+                         "largest relative difference 0.00025 over 2 artifacts"]
+
+    def test_equal_trees_differ_by_zero(self, tmp_path):
+        files = {"c/simulate/t.csv": self.CSV, "c/pullback/s.json": self.JSON}
+        code, lines = self.diff(tmp_path, files, files)
+        assert code == 0 and lines[-1] == "largest relative difference 0 over 2 artifacts"
+
+    @pytest.mark.parametrize("name,other", [
+        ("t.csv", "t,x\n0,4\n1,0\n"),  # a NaN moved
+        ("t.csv", "t,y\n0,4\n1,nan\n"),  # a header field
+        ("t.csv", "t,x\n0,4\n1,nan\n2,1\n"),  # a row more
+        ("s.json", JSON.replace("true", "false")),
+        ("s.json", JSON.replace('"a"', '"b"')),
+        ("s.json", JSON.replace(', {"r": -8.0}', "")),
+        ("s.json", JSON.replace('"n"', '"m"')),
+        ("s.json", JSON.replace("3", "NaN")),
+    ])
+    def test_exits_1_when_anything_but_a_number_moves(self, tmp_path, name, other):
+        base = {"t.csv": self.CSV, "s.json": self.JSON}
+        code, lines = self.diff(tmp_path, base, dict(base, **{name: other}))
+        assert code == 1 and any(line.startswith(f"{name}: ") for line in lines)
+
+    def test_exits_1_on_a_file_in_one_tree_only(self, tmp_path):
+        code, lines = self.diff(tmp_path, {"t.csv": self.CSV},
+                                {"t.csv": self.CSV, "u.csv": self.CSV})
+        assert code == 1 and "u.csv: only in " + str(tmp_path / "b") in lines
+
+
 class TestRuntimeDependencies:
     def test_no_command_loads_scipy(self, tmp_path):
         # numpy is the only runtime dependency in pyproject.toml; scipy is a test one

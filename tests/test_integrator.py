@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 import kwavelab as kw
 from kwavelab.config import ExperimentConfig
 from kwavelab.integrator import BlowUpError, StepConfig, Trajectory, run, run_decomposition
-from oracles import accel, imex2_plain, record, run_difference, zero_state
+from oracles import accel, imex2_plain, imex2_unfolded, record, run_difference, zero_state
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -55,6 +55,16 @@ def plain_model(name):
         "kirchhoff_cubic_forced": kw.ModelSpec(delta=0.3, lam=0.1, g=CUBIC,
                                                h=FORCING),
     }[name]
+
+
+def plain_case(model, dim, n):
+    """(spec, basis, us, vs, cfg) of the plain-expression checks: three random
+    rows stepped 50 times."""
+    spec, basis = plain_model(model), kw.Basis(dim, n)
+    rng = np.random.default_rng(dim)
+    us = rng.standard_normal((3, basis.n_modes)) / basis.eigenvalues
+    vs = rng.standard_normal((3, basis.n_modes)) / np.sqrt(basis.eigenvalues)
+    return spec, basis, us, vs, StepConfig(dt=1e-2, t_start=-0.3, t_end=0.2, record_every=50)
 
 
 class TestStep:
@@ -177,11 +187,7 @@ class TestStep:
     @pytest.mark.parametrize("model", ["linear", "linear_forced", "eps_decay_cubic",
                                        "kirchhoff_cubic_forced"])
     def test_run_and_ensemble_equal_the_plain_expressions(self, model, dim, n):
-        spec, basis = plain_model(model), kw.Basis(dim, n)
-        rng = np.random.default_rng(dim)
-        us = rng.standard_normal((3, basis.n_modes)) / basis.eigenvalues
-        vs = rng.standard_normal((3, basis.n_modes)) / np.sqrt(basis.eigenvalues)
-        cfg = StepConfig(dt=1e-2, t_start=-0.3, t_end=0.2, record_every=50)
+        spec, basis, us, vs, cfg = plain_case(model, dim, n)
         u_ref, v_ref = imex2_plain(us, vs, spec, basis, cfg.t_start, cfg.dt, cfg.n_steps)
         assert np.all(np.isfinite(u_ref)) and np.any(u_ref != us)
         u_end, v_end = kw.evolve_ensemble(us, vs, spec, basis, cfg.t_start, cfg.t_end, cfg.dt)
@@ -190,6 +196,20 @@ class TestStep:
             traj = run(kw.ModalState(us[k], vs[k], cfg.t_start), spec, basis, cfg)
             assert np.array_equal(traj.us[-1], u_ref[k])
             assert np.array_equal(traj.vs[-1], v_ref[k])
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (3, 4)])
+    @pytest.mark.parametrize("model", ["linear", "linear_forced", "eps_decay_cubic",
+                                       "kirchhoff_cubic_forced"])
+    def test_folded_step_stays_at_roundoff_of_the_unfolded_one(self, model, dim, n):
+        # the folded rows reassociate the trapezoid/AB2 step, so 50 steps
+        # drift from the unfolded expressions by roundoff only
+        spec, basis, us, vs, cfg = plain_case(model, dim, n)
+        u_ref, v_ref = imex2_unfolded(us, vs, spec, basis, cfg.t_start, cfg.dt, cfg.n_steps)
+        u_end, v_end = kw.evolve_ensemble(us, vs, spec, basis, cfg.t_start, cfg.t_end, cfg.dt)
+        traj = run(kw.ModalState(us[0], vs[0], cfg.t_start), spec, basis, cfg)
+        for got, want in [(u_end, u_ref), (v_end, v_ref),
+                          (traj.us[-1], u_ref[0]), (traj.vs[-1], v_ref[0])]:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("spec,per_step", [
         (kw.ModelSpec(lam=0.1, epsilon=DECAYING_EPS, h=FORCING), 0),
