@@ -1,0 +1,127 @@
+"""Paired A/B runs of the benchmark on two checkouts.
+
+Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N
+       --seconds S --seed K
+
+PARENT and CHANGE are the roots of two source checkouts. Each pair runs
+``benchmark/run.py --workload W --seed K --seconds S --trace 0`` once in each,
+every checkout with its own ``benchmark/run.py`` and from its own root, the
+parent first in odd pairs and the change first in even ones, so a drift in the
+host's load falls on both sides alike. Nothing is written in either checkout
+beyond what the benchmark itself writes.
+
+For every end-to-end metric of the result lines it prints each side's median
+and quartiles and the pairs the change won, lost and tied, and applies the
+rule for a measured gain: the change wins at least nine tenths of the pairs
+(ties count for neither) and the medians differ, in the change's favour, by
+more than the parent's quartile spread. A metric without a gain is checked
+against its bound from CHANGE's BENCHMARK.json: worse if the change's median
+is worse than the parent's by more than the bound (relative to the parent's
+median), unresolved if either side's quartile spread exceeds the bound and the
+change did not read better in every run, otherwise within the bound. Exits 1
+if a run fails or reports failed repetitions.
+"""
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(root: str, workload: str, seconds: float, seed: int) -> dict:
+    """The result line of one benchmark run in ``root``: {"correct",
+    "failed", "metrics": {name: value}}."""
+    cmd = [sys.executable, os.path.join(root, "benchmark", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
+    res = json.loads(lines[-1])
+    return {"correct": res["correct"], "failed": res["failed"],
+            "metrics": {k: v["value"] for k, v in res["metrics"].items()}}
+
+
+def quartiles(xs: list) -> tuple:
+    """(lower quartile, median, upper quartile), as benchmark/run.py takes them."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
+def compare(parent: list, change: list, lower_is_better: bool, bound: float) -> dict:
+    """Paired comparison of one metric; parent[i] and change[i] are pair i."""
+    sign = 1.0 if lower_is_better else -1.0
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    qp, qc = quartiles(parent), quartiles(change)
+    spread = qp[2] - qp[0]
+    gain = (wins >= math.ceil(0.9 * len(parent)) and sign * (qc[1] - qp[1]) < 0
+            and abs(qc[1] - qp[1]) > spread)
+    worse = sign * (qc[1] - qp[1]) / abs(qp[1]) if qp[1] else 0.0
+    wide = max((q[2] - q[0]) / abs(q[1]) if q[1] else 0.0 for q in (qp, qc)) > bound
+    all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if gain:
+        verdict = "gain"
+    elif worse > bound:
+        verdict = f"worse by {worse:.3g} of the parent's median (bound {bound:g})"
+    elif wide and not all_better:
+        verdict = f"unresolved: a quartile spread exceeds the bound {bound:g}"
+    else:
+        verdict = f"within the bound {bound:g}"
+    return {"parent": qp, "change": qc, "wins": wins, "losses": losses,
+            "ties": len(parent) - wins - losses, "spread": spread, "verdict": verdict}
+
+
+def end_to_end(root: str) -> dict:
+    """{metric: (lower is better, bound)} from a checkout's BENCHMARK.json."""
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: (m["better"] == "lower", float(m["bound"])) for m in spec["end_to_end"]}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    args = p.parse_args(argv)
+
+    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    metrics = end_to_end(roots["change"])
+    runs = {"parent": [], "change": []}
+    failed = False
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            res = run_once(roots[side], args.workload, args.seconds, args.seed)
+            failed |= not res["correct"] or res["failed"] > 0
+            runs[side].append(res)
+        print(f"pair {i + 1} ({order[0]} first): " + "; ".join(
+            f"{name} {runs['parent'][i]['metrics'][name]:.6g} -> "
+            f"{runs['change'][i]['metrics'][name]:.6g}" for name in metrics), flush=True)
+
+    for name, (lower, bound) in metrics.items():
+        r = compare([x["metrics"][name] for x in runs["parent"]],
+                    [x["metrics"][name] for x in runs["change"]], lower, bound)
+        print(f"{args.workload} {name} ({'lower' if lower else 'higher'} is better):")
+        for side in ("parent", "change"):
+            q = r[side]
+            print(f"  {side}: median {q[1]:.6g}, quartiles {q[0]:.6g} .. {q[2]:.6g}")
+        print(f"  change better in {r['wins']} of {args.pairs} pairs "
+              f"({r['losses']} worse, {r['ties']} tied); parent quartile spread "
+              f"{r['spread']:.6g}; {r['verdict']}")
+    for side in ("parent", "change"):
+        bad = sum(x["failed"] for x in runs[side])
+        print(f"{side} failed repetitions: {bad}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -42,7 +42,9 @@ allocate no field-sized array and give the same bits. What does not depend
 on the state is formed once per call: the dt-dependent diagonals, the three
 rows when eps is constant, eps at every half step and the forced mode's
 forcing mean of every step (the closed forms on the array of step times: n
-floats each, one math.exp per entry, so the bits of a per-step call).
+floats each, one math.exp per entry, so the bits of a per-step call). When
+eps varies, the rows of a block of steps are formed at once, by the
+per-entry operations of one step broadcast over the block.
 A model with no explicit term (g = 0 and delta = 0) skips it: no grid
 transform runs, the AB2 history is one zero array, and nothing is done for
 forcing that is zero.
@@ -62,6 +64,9 @@ import numpy as np
 from .model import ModelSpec, eval_epsilon, eval_h, forcing_coefficient
 from .spectral import (Basis, ModalState, eval_nonlinearity_modal,
                        grad_norm_sq, nonlinearity_work)
+
+
+_ROW_BLOCK_VALUES = 1 << 13  # values (64 KB) per array of a block of step rows
 
 
 class BlowUpError(RuntimeError):
@@ -177,7 +182,11 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
 
     c_v = (eps_h - k) / (eps_h + k), c_u = -dt (mu + lam) / (eps_h + k) and
     c_f = dt / (eps_h + k). The rows are formed once per call when eps is
-    constant and once per step otherwise. The forcing mean has one nonzero
+    constant; otherwise every ``block``-th step forms those of the next
+    ``block`` steps, as (block, n_modes) arrays of at most _ROW_BLOCK_VALUES
+    values (64 KB, below malloc's mmap threshold, so a block reuses heap
+    pages), by the same per-entry operations, so with the same bits as a
+    step's own rows. The forcing mean has one nonzero
     entry, the forced mode's, so it is added to that mode alone (adding the
     zeros of the other modes changes at most the sign of a zero).
 
@@ -196,18 +205,23 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     u = np.ascontiguousarray(u)  # the transform plan views its input as is
     shape = u.shape
     explicit = spec.g.kind != "zero" or spec.delta != 0.0
-    # the allocation order matters: at (64, 256) this one faults the same pages
-    # in every call, and others made them swing between calls by 96-128 pages,
-    # whatever the steps
+    # the allocation order matters: at (64, 256) this one (u and v pairs, the
+    # transform plan, the rest) faults the same pages in every call, and others
+    # made them swing between calls by 64-128 pages, whatever the steps
     u_pair, v_pair = ((np.empty(shape), np.empty(shape)) for _ in range(2))
+    work = nonlinearity_work(spec.g, basis, shape[:-1]) if explicit else None
     if explicit:
         nl_pair = (np.empty(shape), np.empty(shape))
         force, scratch = np.empty(shape), np.empty(shape)
         S = np.empty(shape[:-1] + (1,))
     else:
         nl_prev, scratch = np.zeros(shape), np.empty(shape)
-    denom, c_v, c_u, c_f = (np.empty(shape[-1]) for _ in range(4))
-    work = nonlinearity_work(spec.g, basis, shape[:-1]) if explicit else None
+    # the rows of a block of steps, one step per array row (a block of one
+    # when eps is constant)
+    varying_eps = spec.epsilon.kind != "constant"
+    block = max(1, min(n, _ROW_BLOCK_VALUES // shape[-1])) if varying_eps else 1
+    c_v, c_u, c_f = (np.empty((block, shape[-1])) for _ in range(3))
+    step_rows = list(zip(c_v, c_u, c_f))
     # step i runs from ends[i] to ends[i + 1]; what depends on the step time
     # alone is evaluated here for all steps, by the functions a step would
     # call: eps at the half steps, and the forced mode's entry of the forcing
@@ -220,27 +234,34 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
         h_ends = forcing_coefficient(spec.h, ends)
         means = 0.5 * (h_ends[:-1] + h_ends[1:])
 
-    def rows(eps_h):
-        np.add(eps_h, k, out=denom)
-        np.subtract(eps_h, k, out=c_v)
-        np.divide(c_v, denom, out=c_v)
-        np.divide(neg_dt_stiff, denom, out=c_u)
-        np.divide(dt, denom, out=c_f)
-
-    varying_eps = spec.epsilon.kind != "constant"
     if varying_eps:
-        eps_half, _ = eval_epsilon(spec.epsilon, ends[:-1] + half_dt)
+        eps_half = eval_epsilon(spec.epsilon, ends[:-1] + half_dt)[0][:, None]
     else:
-        rows(eval_epsilon(spec.epsilon, origin_t)[0])
+        eps_half = np.full((1, 1), eval_epsilon(spec.epsilon, origin_t)[0])
 
+    def rows(i):
+        """The rows of steps i .. i + block - 1 (fewer at the end) into the
+        leading rows of c_v, c_u and c_f; c_f holds eps_h + k until last."""
+        eps_h = eps_half[i:i + block]
+        b = eps_h.shape[0]
+        denom = np.add(eps_h, k, out=c_f[:b])
+        np.subtract(eps_h, k, out=c_v[:b])
+        np.divide(c_v[:b], denom, out=c_v[:b])
+        np.divide(neg_dt_stiff, denom, out=c_u[:b])
+        np.divide(dt, denom, out=denom)
+
+    if not varying_eps:
+        rows(0)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
         for i in range(n):
             u_new, v_new = u_pair[i % 2], v_pair[i % 2]
-            if varying_eps:
-                rows(eps_half[i])
+            j = i % block
+            if varying_eps and j == 0:
+                rows(i)
+            cv, cu, cf = step_rows[j]
             # v_new = c_v v + c_u u + c_f F
-            np.multiply(v, c_v, out=v_new)
-            np.multiply(u, c_u, out=scratch)
+            np.multiply(v, cv, out=v_new)
+            np.multiply(u, cu, out=scratch)
             np.add(v_new, scratch, out=v_new)
             if explicit:
                 nl_cur = _explicit_term(spec, basis, u, work, scratch, S, nl_pair[i % 2])
@@ -253,11 +274,11 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
                     np.subtract(force, scratch, out=force)
                 if forced:
                     force[col] += means[i]
-                np.multiply(force, c_f, out=force)
+                np.multiply(force, cf, out=force)
                 np.add(v_new, force, out=v_new)
                 nl_prev = nl_cur
             elif forced:
-                v_new[col] += c_f[m] * means[i]
+                v_new[col] += cf[m] * means[i]
             # u_new = u + (dt/2)(v + v_new)
             np.add(v, v_new, out=u_new)
             np.multiply(u_new, half_dt, out=u_new)

@@ -143,10 +143,22 @@ class NonlinearitySpec:
         if min(self.c1, self.c2, self.c3, self.c4) < 0:
             raise ValueError("structure constants c1..c4 must be nonnegative")
 
+    @property
+    def factor(self) -> float:
+        """g's constant factor: g(u) = factor * eval_g_value(self, u,
+        unscaled=True), -coeff for cubic_soft, coeff for lipschitz_sine
+        (0 for zero)."""
+        return {"zero": 0.0, "cubic_soft": -self.coeff, "lipschitz_sine": self.coeff}[self.kind]
 
-def eval_g_value(spec: NonlinearitySpec, u, out: Optional[np.ndarray] = None) -> np.ndarray:
+
+def eval_g_value(spec: NonlinearitySpec, u, out: Optional[np.ndarray] = None,
+                 unscaled: bool = False) -> np.ndarray:
     """g(u) alone; cheaper than eval_g inside integrator loops. A given
-    ``out`` (of u's shape, not u itself) is filled in place and returned."""
+    ``out`` (of u's shape, not u itself) is filled in place and returned.
+
+    With ``unscaled``, g(u) / spec.factor (u^3 or sin u; 0 for zero): one
+    pass fewer, for a caller that multiplies the factor in elsewhere (the
+    grid transform folds it into its inverse matrix)."""
     u = np.asarray(u, dtype=float)
     if spec.kind == "zero":
         if out is None:
@@ -156,8 +168,9 @@ def eval_g_value(spec: NonlinearitySpec, u, out: Optional[np.ndarray] = None) ->
     if spec.kind == "cubic_soft":
         out = np.square(u, out=out)
         np.multiply(out, u, out=out)
-        return np.multiply(out, -spec.coeff, out=out)
-    return np.multiply(np.sin(u, out=out), spec.coeff, out=out)
+    else:
+        out = np.sin(u, out=out)
+    return out if unscaled else np.multiply(out, spec.factor, out=out)
 
 
 def eval_G(spec: NonlinearitySpec, u) -> np.ndarray:

@@ -15,15 +15,20 @@ transforms applied one field axis at a time by cached dense matrices: every
 axis but the last is a broadcast matmul from the left on a (rows, N, rest)
 reshape, the last axis one GEMM from the right on the (-1, N) reshape, so no
 axis is ever moved or copied (at d = 1, one vector-matrix product per field,
-so a field in a batch gets the bits it gets alone). At desk resolutions that
-is cheaper than an FFT. One routine, ``_Contraction``, binds the stages of a
-map to their buffers and views once, and both paths run it. A stepping loop
-holds a ``nonlinearity_work`` plan, made once per call of the loop, so a
-step runs the stage matmuls and g into the plan's buffers (``np.matmul(...,
-out=)``) and allocates nothing; without a plan, the transforms allocate, in
-row blocks of at most _BLOCK_VALUES grid values. The nonlinearity is
-collocated on the nodes j/(2N+1), which makes it the exact Galerkin
-projection for cubic g. All field operations accept a leading batch
+so a field in a batch gets the bits it gets alone). to_grid takes the last
+axis first and goes down to axis 0, from_grid goes up from axis 0 and ends
+with the last: the axes ahead of a broadcast stage are still (or already)
+at the band's N, not the grid's 2N, so its loop runs over the fewest and
+largest products. At desk resolutions that is cheaper than an FFT. One
+routine, ``_Contraction``, binds the stages of a map to their buffers and
+views once, and both paths run it. A stepping loop holds a
+``nonlinearity_work`` plan, made once per call of the loop, so a step runs
+the stage matmuls and g into the plan's buffers (``np.matmul(..., out=)``)
+and allocates nothing; without a plan, the transforms allocate, in row
+blocks of at most _BLOCK_VALUES grid values. The nonlinearity is collocated
+on the nodes j/(2N+1), which makes it the exact Galerkin projection for
+cubic g; g's constant factor rides on the inverse map's last matrix instead
+of a pass over the grid. All field operations accept a leading batch
 dimension: ensembles evolve as one array, and a trajectory's records are
 evaluated as one.
 """
@@ -142,17 +147,19 @@ def _dst_matrix(n_modes: int, grid_pts: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _dst_pair(n_modes: int, grid_pts: int) -> tuple[tuple, tuple]:
+def _dst_pair(n_modes: int, grid_pts: int, scale: float = 1.0) -> tuple[tuple, tuple]:
     """(forward, inverse) contraction matrices, each as (left, right).
 
     The forward matrix T is modes x nodes; the inverse is T / M, since
     T @ T.T = M I on the band. ``left`` acts on a field axis from the left,
-    ``right`` on the last axis from the right. All four are C-contiguous and
-    read-only, as every caller shares them.
+    ``right`` on the last axis from the right. The inverse map runs its
+    ``right`` last, so ``scale`` multiplies that matrix alone and the map
+    returns scale times the projection (bitwise so for scale = +-1). All
+    four are C-contiguous and read-only, as every caller shares them.
     """
     fwd = _dst_matrix(n_modes, grid_pts)
     inv = fwd / grid_pts
-    mats = (np.ascontiguousarray(fwd.T), fwd, inv, np.ascontiguousarray(inv.T))
+    mats = (np.ascontiguousarray(fwd.T), fwd, inv, scale * np.ascontiguousarray(inv.T))
     for m in mats:
         m.flags.writeable = False
     return mats[:2], mats[2:]
@@ -163,15 +170,21 @@ class _Contraction:
     ``batch`` fields of n_in^dim values, bound to buffers allocated here in
     stage order.
 
-    Field axis a < dim-1 is a broadcast matmul with ``left`` on the view
-    (batch * n_out^a, n_in, n_in^(dim-1-a)) of the previous stage's output;
-    the last axis is one GEMM of the (-1, n_in) view with ``right`` (at
-    dim = 1 one row at a time: BLAS rounds a lone row differently from a GEMM
-    row). Every view is a reshape of a contiguous array, taken here once, so
-    a call runs the dim matmuls and nothing is transposed or copied. A call
-    returns ``result``, the last buffer viewed in ``shape``; it holds until
-    the next call. The input is a contiguous array handed to each call, or
-    ``src``, bound here, which the caller refills between calls.
+    The map takes one field axis per stage: stage a views the previous
+    stage's output as (batch * the sizes of the axes before a, n_in, the
+    sizes of the axes after a), and for a < dim-1 runs a broadcast matmul
+    with ``left`` from the left, for the last axis one GEMM of the (-1, n_in)
+    view with ``right`` (at dim = 1 one row at a time: BLAS rounds a lone row
+    differently from a GEMM row). A broadcast matmul is one product per
+    leading row, so the order keeps the axes ahead of it at the band's size:
+    a widening map (n_out > n_in, to_grid's) starts with the GEMM on the
+    last axis and goes down to axis 0; a narrowing one (from_grid's) goes up
+    from axis 0 and ends with the GEMM. Every view is a reshape of a
+    contiguous array, taken here once, so a call runs the dim matmuls and
+    nothing is transposed or copied. A call returns ``result``, the last
+    buffer viewed in ``shape``; it holds until the next call. The input is a
+    contiguous array handed to each call, or ``src``, bound here, which the
+    caller refills between calls.
     """
 
     __slots__ = ("entry", "src", "head", "tail", "result")
@@ -179,23 +192,24 @@ class _Contraction:
     def __init__(self, mats, batch: int, dim: int, shape: tuple, src=None):
         left, right = mats
         n_out, n_in = left.shape
-        if dim == 1:
-            self.entry = (batch, 1, n_in)
-            last = np.empty((batch, 1, n_out))
-            self.head, self.tail = (None, right, last), ()
-        else:
-            self.entry = (batch, n_in, n_in ** (dim - 1))
-            out = np.empty((batch, n_out, n_in ** (dim - 1)))
-            self.head, tail = (left, None, out), []
-            for a in range(1, dim - 1):
-                x, out = (out.reshape(batch * n_out ** a, n_in, n_in ** (dim - 1 - a)),
-                          np.empty((batch * n_out ** a, n_out, n_in ** (dim - 1 - a))))
-                tail.append((left, x, out))
-            last = np.empty((batch * n_out ** (dim - 1), n_out))
-            tail.append((out.reshape(-1, n_in), right, last))
-            self.tail = tuple(tail)
+        sizes, stages, prev = [n_in] * dim, [], None
+        for a in (reversed(range(dim)) if n_out > n_in else range(dim)):
+            lead, rest = batch * math.prod(sizes[:a]), math.prod(sizes[a + 1:])
+            sizes[a] = n_out
+            if a < dim - 1:
+                view, out = (lead, n_in, rest), np.empty((lead, n_out, rest))
+            elif dim > 1:
+                view, out = (lead, n_in), np.empty((lead, n_out))
+            else:
+                view, out = (lead, 1, n_in), np.empty((lead, 1, n_out))
+            x = None if prev is None else prev.reshape(view)  # None: the input
+            stages.append((left, x, out) if a < dim - 1 else (x, right, out))
+            if prev is None:
+                self.entry = view
+            prev = out
+        self.head, self.tail = stages[0], tuple(stages[1:])
         self.src = None if src is None else src.reshape(self.entry)
-        self.result = last.reshape(shape)
+        self.result = prev.reshape(shape)
 
     def __call__(self, x=None) -> np.ndarray:
         x = self.src if x is None else x.reshape(self.entry)
@@ -216,12 +230,14 @@ def to_grid(basis: Basis, f: np.ndarray, grid_pts: int) -> np.ndarray:
                         basis.dim, lead + (grid_pts - 1,) * basis.dim)(f)
 
 
-def from_grid(basis: Basis, values: np.ndarray, grid_pts: int) -> np.ndarray:
+def from_grid(basis: Basis, values: np.ndarray, grid_pts: int,
+              scale: float = 1.0) -> np.ndarray:
     """Project nodal values back onto the retained band (inverse of to_grid
-    for band-limited fields)."""
+    for band-limited fields), times ``scale``, which multiplies the last
+    stage's matrix (see _dst_pair)."""
     values = np.ascontiguousarray(values, dtype=float)
     lead = values.shape[: values.ndim - basis.dim]
-    return _Contraction(_dst_pair(basis.modes_per_dim, grid_pts)[1], math.prod(lead),
+    return _Contraction(_dst_pair(basis.modes_per_dim, grid_pts, scale)[1], math.prod(lead),
                         basis.dim, lead + (basis.n_modes,))(values)
 
 
@@ -247,14 +263,16 @@ def _quadrature_pts(basis: Basis) -> int:
 def nonlinearity_work(spec: NonlinearitySpec, basis: Basis, lead: tuple) -> tuple:
     """Plan of eval_nonlinearity_modal for C-contiguous fields of shape
     lead + (n_modes,): (to, g, back), the to_grid map, the grid array g is
-    written into and the from_grid map bound to read it, allocated in that
-    order (for g = 0, only the result array, as ``back``). Every view of a
-    call is bound here, once. The result is back's buffer, so it holds only
-    until the next call with the same plan."""
+    written into and the from_grid map bound to read it, with g's factor
+    in its last matrix, allocated in that order (for g = 0, only the result
+    array, as ``back``). Every view of a call is bound here, once. The result
+    is back's buffer, so it holds only until the next call with the same
+    plan."""
     if spec.kind == "zero":
         return None, None, np.empty(lead + (basis.n_modes,))
     M, batch = _quadrature_pts(basis), math.prod(lead)
-    fwd, inv = _dst_pair(basis.modes_per_dim, M)
+    fwd = _dst_pair(basis.modes_per_dim, M)[0]
+    inv = _dst_pair(basis.modes_per_dim, M, spec.factor)[1]
     grid = lead + (M - 1,) * basis.dim
     to = _Contraction(fwd, batch, basis.dim, grid)
     g = np.empty(grid)
@@ -282,9 +300,13 @@ def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
     """Galerkin projection (g(u), phi_m) by collocation on the nodes j/M,
     M = 2N+1, per dimension: exact for polynomial g up to degree 3.
 
-    With ``work`` (a plan from nonlinearity_work) a call runs the plan's
-    stage matmuls and g into its buffers; without, every stage allocates, one
-    row block at a time."""
+    g's constant factor (NonlinearitySpec.factor) is not applied on the
+    grid: the nodes get the unscaled g, and the factor multiplies the
+    inverse map's last matrix, which saves a pass over the grid and gives
+    g's own bits for a factor of +-1. With ``work`` (a plan from
+    nonlinearity_work) a call runs the plan's stage matmuls and g into its
+    buffers; without, every stage allocates, one row block at a time. Both
+    give the same bits."""
     if spec.kind == "zero":  # no transform
         if work is None:
             return np.zeros_like(np.asarray(f, dtype=float))
@@ -293,9 +315,9 @@ def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
     if work is None:
         M = _quadrature_pts(basis)
         return _in_row_blocks(basis, f, M, lambda vals: from_grid(
-            basis, eval_g_value(spec, vals), M), (basis.n_modes,))
+            basis, eval_g_value(spec, vals, unscaled=True), M, spec.factor), (basis.n_modes,))
     to, g, back = work
-    eval_g_value(spec, to(f), g)
+    eval_g_value(spec, to(f), g, unscaled=True)
     return back()
 
 

@@ -1,16 +1,18 @@
 """Test oracles that no command runs: the IMEX step in plain expressions
-(folded, as the integrator runs it, and unfolded), the delta-difference run
-and its energy, the per-cell CSV writer, plus one-line constructors of the
-states the tests start from and u_tt from a state's own g(u)."""
+(folded, as the integrator runs it, and unfolded), to_grid's map in its
+first-to-last axis order, the delta-difference run and its energy, the
+per-cell CSV writer, plus one-line constructors of the states the tests start
+from and u_tt from a state's own g(u)."""
 
 import dataclasses
+import math
 
 import numpy as np
 
 from kwavelab.integrator import reconstruct_accel, run
 from kwavelab.model import eval_epsilon, eval_h
-from kwavelab.spectral import (ModalState, eval_nonlinearity_modal, grad_norm_sq, inner,
-                               norm_sq)
+from kwavelab.spectral import (ModalState, _dst_matrix, eval_nonlinearity_modal,
+                               grad_norm_sq, inner, norm_sq)
 
 
 def zero_state(basis, t=0.0):
@@ -82,6 +84,20 @@ def imex2_unfolded(u, v, spec, basis, t_start, dt, n):
         u = alpha + (dt / 2.0) * v
         nl_prev = nl
     return u, v
+
+
+def to_grid_first_to_last(basis, f, grid_pts):
+    """to_grid's map with the field axes taken from the first to the last:
+    a broadcast matmul from the left on every axis but the last, whose
+    (-1, N) view then gets one GEMM from the right. It equals to_grid up to
+    roundoff."""
+    n, m, dim = basis.modes_per_dim, grid_pts - 1, basis.dim
+    T = _dst_matrix(n, grid_pts)
+    lead = f.shape[:-1]
+    x = np.ascontiguousarray(f, dtype=float).reshape(math.prod(lead), n, n ** (dim - 1))
+    for a in range(dim - 1):
+        x = np.ascontiguousarray(T.T) @ x.reshape(-1, n, n ** (dim - 1 - a))
+    return (x.reshape(-1, n) @ T).reshape(lead + (m,) * dim)
 
 
 def run_difference(spec_a, spec_b, x_a, x_b, basis, cfg):

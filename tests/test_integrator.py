@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import kwavelab as kw
+import kwavelab.integrator as integ
 from kwavelab.config import ExperimentConfig
 from kwavelab.integrator import BlowUpError, StepConfig, Trajectory, run, run_decomposition
 from oracles import accel, imex2_plain, imex2_unfolded, record, run_difference, zero_state
@@ -211,13 +212,38 @@ class TestStep:
                           (traj.us[-1], u_ref[0]), (traj.vs[-1], v_ref[0])]:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_varying_eps_rows_per_block_equal_the_plain_expressions(self):
+        # a varying eps forms the rows of a block of steps at once: 37 steps at
+        # d = 3, N = 6, so 100 steps cross two block edges, and the split run
+        # resumes mid-block
+        spec = kw.ModelSpec(delta=0.3, lam=0.1, epsilon=DECAYING_EPS, g=CUBIC, h=FORCING)
+        basis = kw.Basis(3, 6)
+        assert integ._ROW_BLOCK_VALUES // basis.n_modes == 37
+        rng = np.random.default_rng(3)
+        us = rng.standard_normal((3, basis.n_modes)) / basis.eigenvalues
+        vs = rng.standard_normal((3, basis.n_modes)) / np.sqrt(basis.eigenvalues)
+        dt, t0 = 1e-2, -0.3
+        u_ref, v_ref = imex2_plain(us, vs, spec, basis, t0, dt, 100)
+        u_end, v_end = kw.evolve_ensemble(us, vs, spec, basis, t0, t0 + 100 * dt, dt)
+        assert np.array_equal(u_end, u_ref) and np.array_equal(v_end, v_ref)
+        x0 = kw.ModalState(us[0], vs[0], t0)
+        whole = run(x0, spec, basis, StepConfig(dt=dt, t_start=t0, t_end=t0 + 100 * dt,
+                                                record_every=100))
+        first = run(x0, spec, basis, StepConfig(dt=dt, t_start=t0, t_end=t0 + 50 * dt,
+                                                record_every=50))
+        second = run(record(first, -1), spec, basis,
+                     StepConfig(dt=dt, t_start=float(first.times[-1]), t_end=t0 + 100 * dt,
+                                record_every=50), resume=first.resume)
+        for traj in (whole, second):
+            assert np.array_equal(traj.us[-1], u_ref[0])
+            assert np.array_equal(traj.vs[-1], v_ref[0])
+
     @pytest.mark.parametrize("spec,per_step", [
         (kw.ModelSpec(lam=0.1, epsilon=DECAYING_EPS, h=FORCING), 0),
         (kw.ModelSpec(delta=0.3), 1),
         (kw.ModelSpec(g=CUBIC), 1)], ids=["linear", "kirchhoff", "cubic"])
     def test_transforms_once_per_step_and_never_without_an_explicit_term(
             self, spec, per_step, monkeypatch):
-        import kwavelab.integrator as integ
         basis = kw.Basis(1, 8)
         calls = []
         transform = integ.eval_nonlinearity_modal
@@ -412,7 +438,6 @@ class TestDecomposition:
         assert np.array_equal(pair.u1, heun_u1_oracle(linear_trajectory, spec))
 
     def test_transforms_once_per_heun_stage(self, forced_cubic_run, monkeypatch):
-        import kwavelab.integrator as integ
         spec, _, parent = forced_cubic_run
         calls = []
         transform = integ.eval_nonlinearity_modal

@@ -83,6 +83,15 @@ class TestNonlinearity:
         u = np.linspace(-3.0, 3.0, 101)
         assert np.array_equal(eval_g(spec, u)[0], eval_g_value(spec, u))
 
+    @pytest.mark.parametrize("spec", [NonlinearitySpec("zero"),
+                                      NonlinearitySpec("cubic_soft", coeff=0.7),
+                                      NonlinearitySpec("lipschitz_sine", coeff=1.3)])
+    def test_g_is_its_factor_times_the_unscaled_value(self, spec):
+        u = np.linspace(-3.0, 3.0, 101)
+        unscaled = eval_g_value(spec, u, unscaled=True)
+        assert spec.factor == {"zero": 0.0, "cubic_soft": -0.7, "lipschitz_sine": 1.3}[spec.kind]
+        assert np.array_equal(spec.factor * unscaled, eval_g_value(spec, u))
+
 
 class TestForcing:
     def test_zero(self):

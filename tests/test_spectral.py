@@ -9,11 +9,12 @@ from scipy.integrate import quad
 
 import kwavelab as kw
 from kwavelab import spectral
+from kwavelab.model import eval_g_value
 from kwavelab.spectral import (Basis, ModalState, _dst_matrix,
                                dual_norm_sq, eval_nonlinearity_modal, from_grid,
                                integral_of_G, integrate_grid, nonlinearity_work,
                                to_grid)
-from oracles import zero_state
+from oracles import to_grid_first_to_last, zero_state
 
 
 def mode_field(basis, index, amp=1.0):
@@ -174,6 +175,21 @@ class TestTransforms:
             assert back.shape == ref.shape == lead + (b.n_modes,)
             assert np.max(np.abs(back - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 6)])
+    def test_last_axis_first_order(self, dim, n):
+        # to_grid runs the last axis first; the first-to-last order it
+        # replaced is the reference
+        b, M = Basis(dim, n), 2 * n + 1
+        f = np.random.default_rng([dim, n]).standard_normal((64, b.n_modes))
+        vals = to_grid(b, f, M)
+        ref = to_grid_first_to_last(b, f, M)
+        assert vals.shape == ref.shape == (64,) + (M - 1,) * dim
+        assert np.max(np.abs(vals - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for i in (0, 17, 63):
+            assert np.array_equal(to_grid(b, f[i], M), vals[i])
+            assert np.array_equal(to_grid(b, f[i:i + 1], M)[0], vals[i])
+        assert np.max(np.abs(from_grid(b, vals, M) - f)) <= 1e-13 * np.max(np.abs(f))
+
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_parseval(self, seed):
@@ -210,6 +226,26 @@ class TestNonlinearityModal:
         for i in range(5):
             assert np.array_equal(eval_nonlinearity_modal(g, b, pair[i % 2], work), want[i % 2])
         assert all(np.array_equal(f, f0) for f, f0 in zip(pair, kept))
+
+    @pytest.mark.parametrize("g", [kw.NonlinearitySpec("cubic_soft", coeff=0.7),
+                                   kw.NonlinearitySpec("cubic_soft"),
+                                   kw.NonlinearitySpec("lipschitz_sine", coeff=1.3),
+                                   kw.NonlinearitySpec("lipschitz_sine")],
+                             ids=lambda g: f"{g.kind}-{g.coeff}")
+    @pytest.mark.parametrize("dim,n,lead", [(1, 8, ()), (2, 5, (7,)), (3, 4, (3,))])
+    def test_factor_on_the_inverse_matrix(self, g, dim, n, lead):
+        # g's factor multiplies the inverse map's last matrix, not the grid
+        # values: roundoff against the factor applied on the grid, and g's
+        # own bits where the factor is +-1
+        b, M = Basis(dim, n), 2 * n + 1
+        f = np.random.default_rng(dim).standard_normal(lead + (b.n_modes,))
+        unfolded = from_grid(b, eval_g_value(g, to_grid(b, f, M)), M)
+        got = eval_nonlinearity_modal(g, b, f)
+        assert np.array_equal(eval_nonlinearity_modal(g, b, f, nonlinearity_work(g, b, lead)),
+                              got)
+        assert np.max(np.abs(got - unfolded)) <= 1e-14 * np.max(np.abs(unfolded))
+        if abs(g.factor) == 1.0:
+            assert np.array_equal(got, unfolded)
 
     @pytest.mark.parametrize("g", [kw.NonlinearitySpec("cubic_soft"),
                                    kw.NonlinearitySpec("lipschitz_sine")], ids=lambda g: g.kind)
