@@ -1,18 +1,20 @@
 """Paired A/B runs of the benchmark on two checkouts.
 
-Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N
-       --seconds S --seed K
+Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...]
+       --pairs N --seconds S --seed K
 
-PARENT and CHANGE are the roots of two source checkouts. Each pair runs
-``benchmark/run.py --workload W --seed K --seconds S --trace 0`` once in each,
-every checkout with its own ``benchmark/run.py`` and from its own root, the
-parent first in odd pairs and the change first in even ones, so a drift in the
-host's load falls on both sides alike. Nothing is written in either checkout
-beyond what the benchmark itself writes.
+PARENT and CHANGE are the roots of two source checkouts. ``--workload`` names
+one workload and may be given more than once; ``all`` stands for every
+workload in CHANGE's BENCHMARK.json. Each pair runs, for every named workload
+in turn, ``benchmark/run.py --workload W --seed K --seconds S --trace 0`` once
+in each checkout, every checkout with its own ``benchmark/run.py`` and from its
+own root, the parent first in odd pairs and the change first in even ones, so
+a drift in the host's load falls on both sides alike. Nothing is written in
+either checkout beyond what the benchmark itself writes.
 
-For every end-to-end metric of the result lines it prints each side's median
-and quartiles and the pairs the change won, lost and tied, and applies the
-rule for a measured gain: the change wins at least nine tenths of the pairs
+It prints one block per workload: for every end-to-end metric of the result
+lines, each side's median and quartiles and the pairs the change won, lost
+and tied. It applies the rule for a measured gain: the change wins at least nine tenths of the pairs
 (ties count for neither) and the medians differ, in the change's favour, by
 more than the parent's quartile spread. A metric without a gain is checked
 against its bound from CHANGE's BENCHMARK.json: worse if the change's median
@@ -76,49 +78,56 @@ def compare(parent: list, change: list, lower_is_better: bool, bound: float) -> 
             "ties": len(parent) - wins - losses, "spread": spread, "verdict": verdict}
 
 
-def end_to_end(root: str) -> dict:
-    """{metric: (lower is better, bound)} from a checkout's BENCHMARK.json."""
+def benchmark_spec(root: str) -> tuple:
+    """({metric: (lower is better, bound)}, [workload names]) from a
+    checkout's BENCHMARK.json."""
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: (m["better"] == "lower", float(m["bound"])) for m in spec["end_to_end"]}
+    return ({m["name"]: (m["better"] == "lower", float(m["bound"])) for m in spec["end_to_end"]},
+            [w["name"] for w in spec.get("workloads", [])])
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent")
     p.add_argument("change")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", action="append", required=True,
+                   help="a workload name, once per workload, or all")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     args = p.parse_args(argv)
 
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    metrics = end_to_end(roots["change"])
-    runs = {"parent": [], "change": []}
+    metrics, declared = benchmark_spec(roots["change"])
+    names = list(dict.fromkeys(w for name in args.workload
+                               for w in (declared if name == "all" else [name])))
+    runs = {(w, side): [] for w in names for side in ("parent", "change")}
     failed = False
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            res = run_once(roots[side], args.workload, args.seconds, args.seed)
-            failed |= not res["correct"] or res["failed"] > 0
-            runs[side].append(res)
-        print(f"pair {i + 1} ({order[0]} first): " + "; ".join(
-            f"{name} {runs['parent'][i]['metrics'][name]:.6g} -> "
-            f"{runs['change'][i]['metrics'][name]:.6g}" for name in metrics), flush=True)
+        for w in names:
+            for side in order:
+                res = run_once(roots[side], w, args.seconds, args.seed)
+                failed |= not res["correct"] or res["failed"] > 0
+                runs[w, side].append(res)
+            print(f"pair {i + 1} {w} ({order[0]} first): " + "; ".join(
+                f"{name} {runs[w, 'parent'][i]['metrics'][name]:.6g} -> "
+                f"{runs[w, 'change'][i]['metrics'][name]:.6g}" for name in metrics), flush=True)
 
-    for name, (lower, bound) in metrics.items():
-        r = compare([x["metrics"][name] for x in runs["parent"]],
-                    [x["metrics"][name] for x in runs["change"]], lower, bound)
-        print(f"{args.workload} {name} ({'lower' if lower else 'higher'} is better):")
-        for side in ("parent", "change"):
-            q = r[side]
-            print(f"  {side}: median {q[1]:.6g}, quartiles {q[0]:.6g} .. {q[2]:.6g}")
-        print(f"  change better in {r['wins']} of {args.pairs} pairs "
-              f"({r['losses']} worse, {r['ties']} tied); parent quartile spread "
-              f"{r['spread']:.6g}; {r['verdict']}")
+    for w in names:
+        for name, (lower, bound) in metrics.items():
+            r = compare([x["metrics"][name] for x in runs[w, "parent"]],
+                        [x["metrics"][name] for x in runs[w, "change"]], lower, bound)
+            print(f"{w} {name} ({'lower' if lower else 'higher'} is better):")
+            for side in ("parent", "change"):
+                q = r[side]
+                print(f"  {side}: median {q[1]:.6g}, quartiles {q[0]:.6g} .. {q[2]:.6g}")
+            print(f"  change better in {r['wins']} of {args.pairs} pairs "
+                  f"({r['losses']} worse, {r['ties']} tied); parent quartile spread "
+                  f"{r['spread']:.6g}; {r['verdict']}")
     for side in ("parent", "change"):
-        bad = sum(x["failed"] for x in runs[side])
+        bad = sum(x["failed"] for w in names for x in runs[w, side])
         print(f"{side} failed repetitions: {bad}")
     return 1 if failed else 0
 

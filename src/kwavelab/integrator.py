@@ -11,11 +11,12 @@ the linear terms (mu a', mu a, lam a), two-step Adams-Bashforth on g and on
 the whole Kirchhoff product delta S mu_m a_m (one explicit Euler bootstrap
 step), eps frozen at the half step, forcing averaged over the step
 endpoints. Each step is a closed-form diagonal solve, O(N^d) work, run in a
-folded form that reassociates it: v_new = c_v v + c_u u + c_f F and
-u_new = u + (dt/2)(v + v_new), with three diagonal rows c_v, c_u, c_f and F
-the extrapolated explicit term plus the forcing mean (see ``_march``). It
-agrees with the unfolded trapezoid expressions to roundoff and needs about
-half their array passes per step.
+folded form that reassociates it: v_new = c_v v + c_u u + a nl - b nl_prev
++ c_f h_mean and u_new = u + (dt/2)(v + v_new), with five diagonal rows c_v,
+c_u, c_f and the AB2 weights a = 1.5 c_f and b = 0.5 c_f, nl the explicit
+term and h_mean the forcing mean (see ``_march``). It agrees with the
+unfolded trapezoid expressions to roundoff and needs about half their array
+passes per step.
 
 The explicit Kirchhoff product scales with mu_max like the linear part, so
 a large delta |grad u|^2 limits the stable dt, and that limit is open.
@@ -36,10 +37,10 @@ non-finite in the same step), so a blow-up is reported at its exact step.
 and the explicit term (so the AB2 history needs no copy), the step scratch,
 and the grid-transform plan of ``nonlinearity_work``, which binds every
 buffer and view of the transform stages, so a step's transform is its stage
-matmuls and g. The steps then run in place with ``out=`` ufuncs that pair
+products and g. The steps then run in place with ``out=`` ufuncs that pair
 the operands exactly as the folded plain expressions would, so they
 allocate no field-sized array and give the same bits. What does not depend
-on the state is formed once per call: the dt-dependent diagonals, the three
+on the state is formed once per call: the dt-dependent diagonals, the five
 rows when eps is constant, eps at every half step and the forced mode's
 forcing mean of every step (the closed forms on the array of step times: n
 floats each, one math.exp per entry, so the bits of a per-step call). When
@@ -146,18 +147,17 @@ def _explicit_term(spec: ModelSpec, basis: Basis, u, work, kp, S, out):
     """Explicit (AB2) part of eps*b', g_m(u) - delta * S * mu_m * a_m, written
     into ``out``; the Kirchhoff product is as stiff as the linear part (see
     module docstring). kp (u's shape) and S (u's shape with a last axis of 1)
-    are scratch; the products pair their operands as in the plain expression
-    delta * S * (mu * u), S = sum(mu * u**2)."""
+    are scratch. The operands pair as in the plain expression g - kp * S,
+    kp = u * mu and S = delta * vecdot(kp, u): four passes over u's shape
+    (kp, the row sums, kp * S, the difference), as u * mu is both a factor of
+    the sum and the product."""
     g = eval_nonlinearity_modal(spec.g, basis, u, work)
     if spec.delta == 0.0:  # no Kirchhoff product
         np.copyto(out, g)
         return out
-    mu = basis.eigenvalues
-    np.square(u, out=kp)
-    np.multiply(kp, mu, out=kp)
-    np.add.reduce(kp, axis=-1, out=S, keepdims=True)
+    np.multiply(u, basis.eigenvalues, out=kp)
+    np.vecdot(kp, u, out=S, keepdims=True)
     np.multiply(S, spec.delta, out=S)
-    np.multiply(u, mu, out=kp)
     np.multiply(kp, S, out=kp)
     return np.subtract(g, kp, out=out)
 
@@ -172,30 +172,33 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     row (row 0 is left to the caller). Returns the final (u, v) and the
     explicit term of the last step, the multistep history of a resumed run.
 
-    One step is the trapezoid/AB2 step, reassociated into three rows: with
+    One step is the trapezoid/AB2 step, reassociated into five rows: with
     eps_h = eps(t + dt/2) and k = (dt/2) mu + (dt^2/4)(mu + lam),
 
-        F = 1.5 nl(u) - 0.5 nl_prev + 0.5 (h(t) + h(t + dt))
-            (nl(u) in place of the AB2 pair at the Euler bootstrap),
-        v_new = c_v v + c_u u + c_f F,
+        v_new = c_v v + c_u u + a nl(u) - b nl_prev + c_f h_mean
+            (c_f nl(u) in place of the AB2 pair at the Euler bootstrap),
         u_new = u + (dt/2)(v + v_new),
 
-    c_v = (eps_h - k) / (eps_h + k), c_u = -dt (mu + lam) / (eps_h + k) and
-    c_f = dt / (eps_h + k). The rows are formed once per call when eps is
+    c_v = (eps_h - k) / (eps_h + k), c_u = -dt (mu + lam) / (eps_h + k),
+    c_f = dt / (eps_h + k), a = 1.5 c_f, b = 0.5 c_f and h_mean =
+    0.5 (h(t) + h(t + dt)); with the AB2 weights on the rows, the explicit
+    terms take four passes. The rows are formed once per call when eps is
     constant; otherwise every ``block``-th step forms those of the next
     ``block`` steps, as (block, n_modes) arrays of at most _ROW_BLOCK_VALUES
     values (64 KB, below malloc's mmap threshold, so a block reuses heap
     pages), by the same per-entry operations, so with the same bits as a
-    step's own rows. The forcing mean has one nonzero
-    entry, the forced mode's, so it is added to that mode alone (adding the
-    zeros of the other modes changes at most the sign of a zero).
+    step's own rows. The forcing mean has one nonzero entry, the forced
+    mode's, so c_f h_mean is added to that entry of v_new alone, last, in
+    every path (adding the zeros of the other modes changes at most the sign
+    of a zero).
 
     Every work array is allocated here, once per call. u, v and the explicit
     term live in ping-pong pairs: step i writes entry i % 2 and reads the
     other (at i = 0 the caller's arrays, which are never written), so the
-    returned arrays belong to this call and nothing writes them afterwards.
-    A model with g = 0 and delta = 0 has no explicit term: its history is one
-    zero array, and c_f F is c_f times the forcing mean, one entry per step.
+    returned arrays belong to this call and nothing writes them afterwards
+    (for n = 0, copies of the caller's). A model with g = 0 and delta = 0 has
+    no explicit term: its history is one zero array, and a step adds only
+    c_f h_mean to the state's terms.
     """
     mu = basis.eigenvalues
     stiff = mu + spec.lam
@@ -203,6 +206,8 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     k = half_dt * mu + (dt * dt / 4.0) * stiff
     neg_dt_stiff = -dt * stiff
     u = np.ascontiguousarray(u)  # the transform plan views its input as is
+    if n == 0:  # copies, so that the returned arrays still belong to this call
+        return u.copy(), v.copy(), nl_prev
     shape = u.shape
     explicit = spec.g.kind != "zero" or spec.delta != 0.0
     # the allocation order matters: at (64, 256) this one (u and v pairs, the
@@ -212,16 +217,15 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     work = nonlinearity_work(spec.g, basis, shape[:-1]) if explicit else None
     if explicit:
         nl_pair = (np.empty(shape), np.empty(shape))
-        force, scratch = np.empty(shape), np.empty(shape)
-        S = np.empty(shape[:-1] + (1,))
+        scratch, S = np.empty(shape), np.empty(shape[:-1] + (1,))
     else:
         nl_prev, scratch = np.zeros(shape), np.empty(shape)
     # the rows of a block of steps, one step per array row (a block of one
     # when eps is constant)
     varying_eps = spec.epsilon.kind != "constant"
     block = max(1, min(n, _ROW_BLOCK_VALUES // shape[-1])) if varying_eps else 1
-    c_v, c_u, c_f = (np.empty((block, shape[-1])) for _ in range(3))
-    step_rows = list(zip(c_v, c_u, c_f))
+    c_v, c_u, c_f, c_a, c_b = (np.empty((block, shape[-1])) for _ in range(5))
+    step_rows = list(zip(c_v, c_u, c_f, c_a, c_b))
     # step i runs from ends[i] to ends[i + 1]; what depends on the step time
     # alone is evaluated here for all steps, by the functions a step would
     # call: eps at the half steps, and the forced mode's entry of the forcing
@@ -241,7 +245,8 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
 
     def rows(i):
         """The rows of steps i .. i + block - 1 (fewer at the end) into the
-        leading rows of c_v, c_u and c_f; c_f holds eps_h + k until last."""
+        leading rows of c_v, c_u, c_f, c_a and c_b; c_f holds eps_h + k until
+        it is divided."""
         eps_h = eps_half[i:i + block]
         b = eps_h.shape[0]
         denom = np.add(eps_h, k, out=c_f[:b])
@@ -249,6 +254,8 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
         np.divide(c_v[:b], denom, out=c_v[:b])
         np.divide(neg_dt_stiff, denom, out=c_u[:b])
         np.divide(dt, denom, out=denom)
+        np.multiply(denom, 1.5, out=c_a[:b])
+        np.multiply(denom, 0.5, out=c_b[:b])
 
     if not varying_eps:
         rows(0)
@@ -258,26 +265,21 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
             j = i % block
             if varying_eps and j == 0:
                 rows(i)
-            cv, cu, cf = step_rows[j]
-            # v_new = c_v v + c_u u + c_f F
+            cv, cu, cf, ca, cb = step_rows[j]
+            # v_new = c_v v + c_u u + c_a nl - c_b nl_prev + c_f h_mean
+            # (c_f nl at the Euler bootstrap)
             np.multiply(v, cv, out=v_new)
             np.multiply(u, cu, out=scratch)
             np.add(v_new, scratch, out=v_new)
             if explicit:
                 nl_cur = _explicit_term(spec, basis, u, work, scratch, S, nl_pair[i % 2])
-                # F = AB2 extrapolation of nl (Euler at the bootstrap) + mean h
-                if nl_prev is None:
-                    np.copyto(force, nl_cur)
-                else:
-                    np.multiply(nl_cur, 1.5, out=force)
-                    np.multiply(nl_prev, 0.5, out=scratch)
-                    np.subtract(force, scratch, out=force)
-                if forced:
-                    force[col] += means[i]
-                np.multiply(force, cf, out=force)
-                np.add(v_new, force, out=v_new)
+                np.multiply(nl_cur, cf if nl_prev is None else ca, out=scratch)
+                np.add(v_new, scratch, out=v_new)
+                if nl_prev is not None:
+                    np.multiply(nl_prev, cb, out=scratch)
+                    np.subtract(v_new, scratch, out=v_new)
                 nl_prev = nl_cur
-            elif forced:
+            if forced:
                 v_new[col] += cf[m] * means[i]
             # u_new = u + (dt/2)(v + v_new)
             np.add(v, v_new, out=u_new)

@@ -21,10 +21,13 @@ with the last: the axes ahead of a broadcast stage are still (or already)
 at the band's N, not the grid's 2N, so its loop runs over the fewest and
 largest products. At desk resolutions that is cheaper than an FFT. One
 routine, ``_Contraction``, binds the stages of a map to their buffers and
-views once, and both paths run it. A stepping loop holds a
+views once, and both paths run it; a stage that is one small 2-D product
+(a single field's GEMM, or a broadcast stage with one leading row) is bound
+to ``np.dot``, whose dispatch costs about 0.7 us less than ``np.matmul``'s,
+which matters in a single trajectory's step. A stepping loop holds a
 ``nonlinearity_work`` plan, made once per call of the loop, so a step runs
-the stage matmuls and g into the plan's buffers (``np.matmul(..., out=)``)
-and allocates nothing; without a plan, the transforms allocate, in row
+the stage products and g into the plan's buffers (``out=``) and allocates
+nothing; without a plan, the transforms allocate, in row
 blocks of at most _BLOCK_VALUES grid values. The nonlinearity is collocated
 on the nodes j/(2N+1), which makes it the exact Galerkin projection for
 cubic g; g's constant factor rides on the inverse map's last matrix instead
@@ -165,6 +168,9 @@ def _dst_pair(n_modes: int, grid_pts: int, scale: float = 1.0) -> tuple[tuple, t
     return mats[:2], mats[2:]
 
 
+_DOT_VALUES = 1 << 12  # output values up to which a one-product stage runs np.dot
+
+
 class _Contraction:
     """One grid map, to_grid's or from_grid's (``mats`` from _dst_pair), on
     ``batch`` fields of n_in^dim values, bound to buffers allocated here in
@@ -180,11 +186,21 @@ class _Contraction:
     a widening map (n_out > n_in, to_grid's) starts with the GEMM on the
     last axis and goes down to axis 0; a narrowing one (from_grid's) goes up
     from axis 0 and ends with the GEMM. Every view is a reshape of a
-    contiguous array, taken here once, so a call runs the dim matmuls and
+    contiguous array, taken here once, so a call runs the dim products and
     nothing is transposed or copied. A call returns ``result``, the last
     buffer viewed in ``shape``; it holds until the next call. The input is a
     contiguous array handed to each call, or ``src``, bound here, which the
     caller refills between calls.
+
+    A stage that is one 2-D product, the GEMM or a broadcast with one leading
+    row, runs ``np.dot`` on 2-D views when it has at most _DOT_VALUES output
+    values and no dimension of 1. Both functions run the same BLAS GEMM there,
+    so the bits are matmul's, but np.dot dispatches about 0.7 us faster per
+    call ((36 x 6)(6 x 12): 2.2 -> 1.4 us), which is a good share of a single
+    field's step; on larger products it is 10-22 % slower (about even at 6912
+    outputs). A true broadcast, a larger product, a product with a dimension
+    of 1 (BLAS may take a vector path) and every stage at dim = 1 (the
+    lone-row rule above) keep ``np.matmul``.
     """
 
     __slots__ = ("entry", "src", "head", "tail", "result")
@@ -196,14 +212,20 @@ class _Contraction:
         for a in (reversed(range(dim)) if n_out > n_in else range(dim)):
             lead, rest = batch * math.prod(sizes[:a]), math.prod(sizes[a + 1:])
             sizes[a] = n_out
-            if a < dim - 1:
+            if a < dim - 1:  # lead products (n_out, n_in)(n_in, rest)
                 view, out = (lead, n_in, rest), np.empty((lead, n_out, rest))
-            elif dim > 1:
+                one, (m, k, n) = lead == 1, (n_out, n_in, rest)
+            elif dim > 1:  # one product (lead, n_in)(n_in, n_out)
                 view, out = (lead, n_in), np.empty((lead, n_out))
-            else:
+                one, (m, k, n) = True, (lead, n_in, n_out)
+            else:  # a lone row per field (see above)
                 view, out = (lead, 1, n_in), np.empty((lead, 1, n_out))
+                one = False
+            op, res = np.matmul, out
+            if one and min(m, k, n) > 1 and m * n <= _DOT_VALUES:
+                op, view, res = np.dot, view[-2:], out.reshape(m, n)
             x = None if prev is None else prev.reshape(view)  # None: the input
-            stages.append((left, x, out) if a < dim - 1 else (x, right, out))
+            stages.append((op, left, x, res) if a < dim - 1 else (op, x, right, res))
             if prev is None:
                 self.entry = view
             prev = out
@@ -213,10 +235,10 @@ class _Contraction:
 
     def __call__(self, x=None) -> np.ndarray:
         x = self.src if x is None else x.reshape(self.entry)
-        a, b, out = self.head
-        np.matmul(x if a is None else a, x if b is None else b, out=out)
-        for a, b, out in self.tail:
-            np.matmul(a, b, out=out)
+        op, a, b, out = self.head
+        op(x if a is None else a, x if b is None else b, out=out)
+        for op, a, b, out in self.tail:
+            op(a, b, out=out)
         return self.result
 
 
@@ -304,7 +326,7 @@ def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
     grid: the nodes get the unscaled g, and the factor multiplies the
     inverse map's last matrix, which saves a pass over the grid and gives
     g's own bits for a factor of +-1. With ``work`` (a plan from
-    nonlinearity_work) a call runs the plan's stage matmuls and g into its
+    nonlinearity_work) a call runs the plan's stage products and g into its
     buffers; without, every stage allocates, one row block at a time. Both
     give the same bits."""
     if spec.kind == "zero":  # no transform

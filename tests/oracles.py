@@ -33,8 +33,9 @@ def accel(state, spec, basis):
 def imex2_plain(u, v, spec, basis, t_start, dt, n):
     """(u, v) after n IMEX steps from t_start, in the allocating expressions
     that the integrator._march docstring names, with h and eps evaluated at
-    every step: an explicit Euler bootstrap step, then AB2. u and v are one
-    state or a batch of rows."""
+    every step: an explicit Euler bootstrap step, then AB2 on the rows
+    a = 1.5 c_f and b = 0.5 c_f, and c_f times the forcing mean added last.
+    u and v are one state or a batch of rows."""
     mu = basis.eigenvalues
     stiff = mu + spec.lam
     k = (dt / 2.0) * mu + (dt * dt / 4.0) * stiff
@@ -43,15 +44,19 @@ def imex2_plain(u, v, spec, basis, t_start, dt, n):
         t, t_next = t_start + i * dt, t_start + (i + 1) * dt
         nl = eval_nonlinearity_modal(spec.g, basis, u)
         if spec.delta != 0.0:
-            S = spec.delta * np.sum(np.square(u) * mu, axis=-1)
-            nl = nl - u * mu * S[..., None]
+            kp = u * mu
+            S = spec.delta * np.vecdot(kp, u)
+            nl = nl - kp * S[..., None]
         h_mean = 0.5 * (eval_h(spec.h, basis.n_modes, t) + eval_h(spec.h, basis.n_modes, t_next))
-        explicit = nl if nl_prev is None else 1.5 * nl - 0.5 * nl_prev
-        force = explicit + h_mean
         eps_h, _ = eval_epsilon(spec.epsilon, t + dt / 2.0)
         denom = eps_h + k
         c_v, c_u, c_f = (eps_h - k) / denom, -dt * stiff / denom, dt / denom
-        v_new = c_v * v + c_u * u + c_f * force
+        a, b = 1.5 * c_f, 0.5 * c_f
+        if nl_prev is None:
+            v_new = c_v * v + c_u * u + c_f * nl
+        else:
+            v_new = c_v * v + c_u * u + a * nl - b * nl_prev
+        v_new = v_new + c_f * h_mean
         u = u + (dt / 2.0) * (v + v_new)
         v = v_new
         nl_prev = nl
@@ -59,7 +64,7 @@ def imex2_plain(u, v, spec, basis, t_start, dt, n):
 
 
 def imex2_unfolded(u, v, spec, basis, t_start, dt, n):
-    """imex2_plain's step before its reassociation into three rows, in the
+    """imex2_plain's step before its reassociation into diagonal rows, in the
     allocating expressions of the trapezoid rule: alpha = u + (dt/2) v,
     v_new = (eps_h v - (dt/2)(mu + lam)(u + alpha) - (dt/2) mu v + dt F) / denom,
     u_new = alpha + (dt/2) v_new. It equals imex2_plain up to roundoff."""

@@ -731,37 +731,44 @@ class TestArtifactDiff:
 
 
 # benchmark/run.py of a fake checkout: logs its checkout's name, then prints
-# the result line with wall_vs_ref from the checkout's value list, one per run
+# the result line with wall_vs_ref from the checkout's value list of the
+# workload, one per run
 FAKE_RUN = """import json, os, sys
 root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(root, os.pardir, "log.txt"), "a") as fh:
     fh.write(os.path.basename(root) + "\\n")
 with open(os.path.join(root, "values.json")) as fh:
     values = json.load(fh)
+value = values[sys.argv[sys.argv.index("--workload") + 1]].pop(0)
 with open(os.path.join(root, "values.json"), "w") as fh:
-    json.dump(values[1:], fh)
+    json.dump(values, fh)
 print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
-    "wall_vs_ref": {"value": values[0], "unit": "ratio"},
+    "wall_vs_ref": {"value": value, "unit": "ratio"},
     "peak_rss_mb": {"value": 50.0, "unit": "MB"}}}))
 """
 
 
 class TestBenchPairs:
     @staticmethod
-    def pairs(tmp_path, parent, change):
+    def pairs(tmp_path, parent, change, workloads=("w",)):
         """bench_pairs.py on two fake checkouts whose runs read the given
-        wall_vs_ref values in turn: (exit code, output lines, run order)."""
+        wall_vs_ref values in turn, a list for workload w or one list per
+        workload: (exit code, output lines, run order)."""
         for name, values in (("parent", parent), ("change", change)):
             (tmp_path / name / "benchmark").mkdir(parents=True)
             (tmp_path / name / "benchmark" / "run.py").write_text(FAKE_RUN)
-            (tmp_path / name / "values.json").write_text(json.dumps(values))
+            (tmp_path / name / "values.json").write_text(
+                json.dumps(values if isinstance(values, dict) else {"w": values}))
             (tmp_path / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
                 {"name": "wall_vs_ref", "better": "lower", "bound": 0.25},
-                {"name": "peak_rss_mb", "better": "lower", "bound": 0.2}]}))
+                {"name": "peak_rss_mb", "better": "lower", "bound": 0.2}],
+                "workloads": [{"name": "w"}, {"name": "x"}]}))
         script = os.path.join(ROOT, "scripts", "bench_pairs.py")
+        n = len(parent) if isinstance(parent, list) else len(next(iter(parent.values())))
         proc = subprocess.run([sys.executable, script, str(tmp_path / "parent"),
-                               str(tmp_path / "change"), "--workload", "w", "--pairs",
-                               str(len(parent)), "--seconds", "1", "--seed", "3"],
+                               str(tmp_path / "change")]
+                              + [arg for w in workloads for arg in ("--workload", w)]
+                              + ["--pairs", str(n), "--seconds", "1", "--seed", "3"],
                               capture_output=True, text=True, timeout=120)
         order = (tmp_path / "log.txt").read_text().split()
         return proc.returncode, proc.stdout.splitlines(), order
@@ -770,13 +777,28 @@ class TestBenchPairs:
         code, lines, order = self.pairs(tmp_path, [4.5, 4.4, 4.6, 4.5], [4.0, 4.1, 3.9, 4.0])
         assert code == 0
         assert order == ["parent", "change", "change", "parent"] * 2
-        assert "pair 2 (change first): wall_vs_ref 4.4 -> 4.1; peak_rss_mb 50 -> 50" in lines
+        assert "pair 2 w (change first): wall_vs_ref 4.4 -> 4.1; peak_rss_mb 50 -> 50" in lines
         i = lines.index("w wall_vs_ref (lower is better):")
         assert lines[i + 1] == "  parent: median 4.5, quartiles 4.475 .. 4.525"
         assert lines[i + 3].startswith("  change better in 4 of 4 pairs (0 worse, 0 tied)")
         assert lines[i + 3].endswith("; gain")
         assert lines[lines.index("w peak_rss_mb (lower is better):") + 3].endswith(
             "0 worse, 4 tied); parent quartile spread 0; within the bound 0.2")
+
+    @pytest.mark.parametrize("workloads", [("w", "x"), ("all",)])
+    def test_every_pair_runs_every_workload(self, tmp_path, workloads):
+        # a gain on w and a loss on x, each reported in its own block
+        parent = {"w": [4.5, 4.4, 4.6], "x": [2.0, 2.0, 2.0]}
+        change = {"w": [4.0, 4.1, 3.9], "x": [3.0, 3.0, 3.0]}
+        code, lines, order = self.pairs(tmp_path, parent, change, workloads)
+        assert code == 0
+        assert order == ["parent", "change"] * 2 + ["change", "parent"] * 2 + [
+            "parent", "change"] * 2
+        assert "pair 2 x (change first): wall_vs_ref 2 -> 3; peak_rss_mb 50 -> 50" in lines
+        i, j = lines.index("w wall_vs_ref (lower is better):"), lines.index(
+            "x wall_vs_ref (lower is better):")
+        assert lines[i + 3].endswith("; gain")
+        assert lines[j + 3].endswith("worse by 0.5 of the parent's median (bound 0.25)")
 
     def test_nine_tenths_of_the_pairs_and_the_spread_are_both_needed(self, tmp_path):
         # 8 of 10 pairs won, though the medians differ by more than the spread

@@ -184,6 +184,17 @@ class TestStep:
             assert np.array_equal(u_end[k], traj.us[-1])
             assert np.array_equal(v_end[k], traj.vs[-1])
 
+    def test_empty_span_returns_copies(self):
+        # no step runs, yet the result belongs to the call: writing to the
+        # inputs afterwards leaves it unchanged
+        basis = kw.Basis(2, 4)
+        us, vs = np.full((3, basis.n_modes), 0.5), np.full((3, basis.n_modes), -0.25)
+        u, v = kw.evolve_ensemble(us, vs, kw.ModelSpec(g=CUBIC), basis, 1.0, 1.0, 0.1)
+        assert u is not us and v is not vs
+        us[:] = 7.0
+        vs[:] = 7.0
+        assert np.all(u == 0.5) and np.all(v == -0.25)
+
     @pytest.mark.parametrize("dim,n", [(1, 8), (3, 4)])
     @pytest.mark.parametrize("model", ["linear", "linear_forced", "eps_decay_cubic",
                                        "kirchhoff_cubic_forced"])

@@ -190,6 +190,42 @@ class TestTransforms:
             assert np.array_equal(to_grid(b, f[i:i + 1], M)[0], vals[i])
         assert np.max(np.abs(from_grid(b, vals, M) - f)) <= 1e-13 * np.max(np.abs(f))
 
+    @staticmethod
+    def stages(lead):
+        """(op, a, b, out) of every stage of a d = 3, N = 6 cubic plan for
+        fields of shape lead + (216,), to_grid's then from_grid's."""
+        to, _, back = nonlinearity_work(kw.NonlinearitySpec("cubic_soft"), Basis(3, 6), lead)
+        return [s for plan in (to, back) for s in (plan.head,) + plan.tail]
+
+    def test_one_product_stages_run_np_dot(self):
+        # one field: the two GEMMs and the two broadcast stages with one
+        # leading row are one small 2-D product each (np.dot); the stages
+        # with 6 leading rows stay broadcasts (np.matmul)
+        stages = self.stages(())
+        assert [op for op, *_ in stages] == [np.dot, np.matmul, np.dot] * 2
+        for op, _, _, out in stages:
+            assert out.shape[0] == 6 and out.ndim == 3 if op is np.matmul else out.ndim == 2
+        # 64 fields: every product is a broadcast or has more than 2^12 outputs
+        assert {op for op, *_ in self.stages((64,))} == {np.matmul}
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 6)])
+    def test_rows_keep_their_bits_across_the_dot_threshold(self, dim, n):
+        # batches 1, 2, 3 and 64 bind np.dot and np.matmul on different
+        # stages; every row gets the bits of the batch-1 plan
+        b, g = Basis(dim, n), kw.NonlinearitySpec("cubic_soft")
+        M = 2 * n + 1
+        f = np.random.default_rng([dim, n]).standard_normal((64, b.n_modes))
+        one = [eval_nonlinearity_modal(g, b, row, nonlinearity_work(g, b, ())) for row in f]
+        grid = [to_grid(b, row, M) for row in f]
+        for batch in (1, 2, 3, 64):
+            got = eval_nonlinearity_modal(g, b, f[:batch], nonlinearity_work(g, b, (batch,)))
+            vals = to_grid(b, f[:batch], M)
+            back = from_grid(b, vals, M)
+            for i in range(batch):
+                assert np.array_equal(got[i], one[i])
+                assert np.array_equal(vals[i], grid[i])
+                assert np.array_equal(back[i], from_grid(b, grid[i], M))
+
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_parseval(self, seed):
