@@ -14,11 +14,17 @@ pairs that can be a row's nearest get the exact distance, summed in scipy
 cdist's order; so the result has the bits of a brute-force pairwise comparison.
 
 Every (delta, tau) pair is one independent pullback leg. One routine, _clouds,
-builds the clouds of the absorbing check, the delta sweep and pullback_cloud,
-and hands all its legs to one scheduler, _evolve_legs, which parallelises
-across whole legs rather than within one. The entry points take their
-t*, deltas, horizons and leg step from one EnsembleSpec, the resolved
-attractor.* section of a config.
+builds the clouds of the absorbing check and the delta sweep, and hands all its
+legs to one scheduler, _evolve_legs, which parallelises across whole legs
+rather than within one. The entry points take their t*, deltas, horizons and
+leg step dt from one EnsembleSpec, the resolved attractor.* section of a config.
+
+_clouds evolves every leg twice, at dt and at 2 dt, in one batch of legs. The
+step is second order, so |x(dt) - x(2 dt)| / 3 estimates the time-step error
+of a number x read off the dt clouds (step doubling; Hairer, Norsett and
+Wanner, Solving ODEs I, II.4). Each row of the absorbing check and of the
+sweep reports that estimate as dt_gap; the 2 dt clouds are dropped once it is
+taken.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import EnergyParams, eval_B
-from .integrator import evolve_ensemble
+from .integrator import BlowUpError, evolve_ensemble
 from .model import ModelSpec, eval_epsilon
 from .spectral import Basis, ModalState, sample_xt, xt_norm_sq
 
@@ -170,57 +176,77 @@ def _sample_arrays(spec: ModelSpec, params: EnergyParams, basis: Basis,
 
 
 def _plan_pool(sizes, threads: int) -> tuple[list[int], int]:
-    """Submission order of legs of sizes[i] = (members, length), longest
-    (members x length) first, and the pool's worker count, which never
-    exceeds the number of legs."""
+    """Submission order of legs of sizes[i] = (members, steps), most
+    member-steps (members x steps) first, and the pool's worker count, which
+    never exceeds the number of legs."""
     order = sorted(range(len(sizes)), key=lambda i: sizes[i][0] * sizes[i][1], reverse=True)
     return order, min(threads, len(sizes))
 
 
-def _evolve_legs(legs, basis: Basis, dt: float, threads: int):
-    """Endpoints (us, vs) of each leg (spec, us, vs, t0, t1), in the order given.
+def _evolve_leg(spec: ModelSpec, us, vs, t0: float, t1: float, dt: float, basis: Basis):
+    """evolve_ensemble over one leg; a blow-up's message names the leg's step."""
+    try:
+        return evolve_ensemble(us, vs, spec, basis, t0, t1, dt)
+    except BlowUpError as exc:
+        exc.args = (f"{exc} in the pass at dt = {dt:g}",)
+        raise
 
-    The legs are independent pullback evolutions. With one thread, or fewer
-    than two legs, they are evolved one at a time, as the returned iterator is
-    consumed. Otherwise a pool runs whole legs, longest first, as _plan_pool
-    says. Every row is bitwise independent of the batch it is evolved in, so
-    the endpoints do not depend on ``threads``; a blow-up is raised for the
-    first failing leg in the order given, as on one thread.
+
+def _evolve_legs(legs, basis: Basis, threads: int):
+    """Endpoints (us, vs) of each leg (spec, us, vs, t0, t1, dt), in the order given.
+
+    The legs are independent pullback evolutions, each at its own step dt.
+    With one thread, or fewer than two legs, they are evolved one at a time,
+    as the returned iterator is consumed. Otherwise a pool runs whole legs,
+    most member-steps first, as _plan_pool says. Every row is bitwise
+    independent of the batch it is evolved in, so the endpoints do not depend
+    on ``threads``; a blow-up is raised for the first failing leg in the order
+    given, as on one thread, and its message names that leg's dt.
     """
     if threads == 1 or len(legs) < 2:
-        return (evolve_ensemble(us, vs, spec, basis, t0, t1, dt)
-                for spec, us, vs, t0, t1 in legs)
-    order, workers = _plan_pool([(us.shape[0], t1 - t0) for _, us, _, t0, t1 in legs],
-                                threads)
+        return (_evolve_leg(*leg, basis) for leg in legs)
+    order, workers = _plan_pool([(us.shape[0], (t1 - t0) / dt)
+                                 for _, us, _, t0, t1, dt in legs], threads)
     futures = [None] * len(legs)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for i in order:
-            spec, us, vs, t0, t1 = legs[i]
-            futures[i] = pool.submit(evolve_ensemble, us, vs, spec, basis, t0, t1, dt)
+            futures[i] = pool.submit(_evolve_leg, *legs[i], basis)
     return (fut.result() for fut in futures)
 
 
 def _clouds(spec: ModelSpec, params: EnergyParams, basis: Basis, ens: EnsembleSpec,
             deltas, taus, threads: int):
-    """Per delta of ``deltas``, in order, the list of its endpoint clouds at
-    ens.t_star over the horizons ``taus``, from one sample per tau, evolved at
-    ens.dt. Yielded lazily: on one thread a delta's legs are evolved when its
-    list is asked for."""
+    """Per delta of ``deltas``, in order, the pair (fine, coarse) of lists of
+    its endpoint clouds at ens.t_star over the horizons ``taus``, from one
+    sample per tau: fine evolved at ens.dt, coarse at 2 ens.dt. Both passes
+    are one batch of legs for _evolve_legs, a delta's fine legs before its
+    coarse ones. Yielded lazily: on one thread a delta's legs are evolved when
+    its pair is asked for."""
     t = ens.t_star
     samples = [_sample_arrays(spec, params, basis, t - tau, ens) for tau in taus]
     specs = [spec.with_delta(float(d)) for d in deltas]
-    ends = _evolve_legs([(s, us, vs, t - tau, t) for s in specs
-                         for tau, (us, vs) in zip(taus, samples)], basis, ens.dt, threads)
+    steps = (ens.dt, 2.0 * ens.dt)
+    ends = _evolve_legs([(s, us, vs, t - tau, t, dt) for s in specs for dt in steps
+                         for tau, (us, vs) in zip(taus, samples)], basis, threads)
     for s in specs:
-        yield [AttractorCloud(t, tau, s.delta, basis, *next(ends)) for tau in taus]
+        yield tuple([AttractorCloud(t, tau, s.delta, basis, *next(ends)) for tau in taus]
+                    for _ in steps)
 
 
 def pullback_cloud(spec: ModelSpec, params: EnergyParams, basis: Basis,
                    ens: EnsembleSpec, tau: float) -> AttractorCloud:
     """Evolve an absorbing-set sample from ens.t_star - tau to ens.t_star at
-    spec.delta (one leg of _clouds)."""
-    [cloud], = _clouds(spec, params, basis, ens, [spec.delta], [tau], 1)
-    return cloud
+    spec.delta and ens.dt (one fine leg of _clouds)."""
+    t = ens.t_star
+    us, vs = _sample_arrays(spec, params, basis, t - tau, ens)
+    [ends] = _evolve_legs([(spec, us, vs, t - tau, t, ens.dt)], basis, 1)
+    return AttractorCloud(t, tau, spec.delta, basis, *ends)
+
+
+def _dt_gap(fine: float, coarse: float) -> float:
+    """Step-doubling estimate of the time-step error of a number read off the
+    dt clouds, from its value on the 2 dt clouds (the step is second order)."""
+    return abs(fine - coarse) / 3.0
 
 
 def hausdorff_semidist(A: AttractorCloud, B: AttractorCloud, eps_profile) -> float:
@@ -243,6 +269,7 @@ class AbsorbingRow:
     fraction_inside: float
     worst_ratio: float  # max |endpoint|_{X_t} / B(t)
     cauchy_gap: float  # d_H(cloud at tau, cloud at the largest tau)
+    dt_gap: float  # step-doubling estimate of the larger of the two errors above
 
 
 @dataclass(frozen=True)
@@ -261,7 +288,8 @@ class AbsorbingReport:
         return {"t": self.t, "radius": self.radius,
                 "empirical_T": self.empirical_T, "passed": self.passed,
                 "rows": [{"tau": r.tau, "fraction_inside": r.fraction_inside,
-                          "worst_ratio": r.worst_ratio, "cauchy_gap": r.cauchy_gap}
+                          "worst_ratio": r.worst_ratio, "cauchy_gap": r.cauchy_gap,
+                          "dt_gap": r.dt_gap}
                          for r in self.rows]}
 
 
@@ -273,27 +301,35 @@ def verify_absorbing(spec: ModelSpec, params: EnergyParams, basis: Basis,
 
     Each row also carries the Cauchy-in-tau truncation gap: the Hausdorff
     semi-distance from its endpoint cloud to that of the largest tau (0 on
-    the last row). The endpoint clouds are returned in ``clouds``.
+    the last row); and dt_gap, the larger step-doubling estimate of the
+    errors of its worst_ratio and its cauchy_gap. The endpoint clouds at
+    ens.dt are returned in ``clouds``.
     """
     t = ens.t_star
     radius = eval_B(t, spec, params)
+
+    def numbers(cloud, last):
+        """(fraction inside, worst ratio, Cauchy gap to ``last``) of one cloud."""
+        xt = xt_norm_sq(basis, ModalState(cloud.us, cloud.vs, t), spec.epsilon)
+        ratios = np.sqrt(xt) / radius
+        gap = (0.0 if cloud is last  # d_H(A, A) = 0
+               else hausdorff_semidist(cloud, last, spec.epsilon))
+        return float(np.mean(ratios <= 1.0 + 1e-10)), float(np.max(ratios)), gap
+
     reports = []
-    for clouds in _clouds(spec, params, basis, ens, ens.deltas, ens.taus, threads):
+    for fine, coarse in _clouds(spec, params, basis, ens, ens.deltas, ens.taus, threads):
         rows = []
-        for cloud in clouds:
-            xt = xt_norm_sq(basis, ModalState(cloud.us, cloud.vs, t), spec.epsilon)
-            ratios = np.sqrt(xt) / radius
-            inside = ratios <= 1.0 + 1e-10
-            gap = (0.0 if cloud is clouds[-1]  # d_H(A, A) = 0
-                   else hausdorff_semidist(cloud, clouds[-1], spec.epsilon))
-            rows.append(AbsorbingRow(float(cloud.tau), float(np.mean(inside)),
-                                     float(np.max(ratios)), gap))
+        for cloud, rough in zip(fine, coarse):
+            inside, worst, gap = numbers(cloud, fine[-1])
+            _, worst_2dt, gap_2dt = numbers(rough, coarse[-1])
+            rows.append(AbsorbingRow(float(cloud.tau), inside, worst, gap,
+                                     max(_dt_gap(worst, worst_2dt), _dt_gap(gap, gap_2dt))))
         empirical_T = None
         for i in range(len(rows)):
             if all(r.fraction_inside == 1.0 for r in rows[i:]):
                 empirical_T = rows[i].tau
                 break
-        reports.append(AbsorbingReport(t, radius, tuple(rows), empirical_T, tuple(clouds)))
+        reports.append(AbsorbingReport(t, radius, tuple(rows), empirical_T, tuple(fine)))
     return reports
 
 
@@ -301,6 +337,7 @@ def verify_absorbing(spec: ModelSpec, params: EnergyParams, basis: Basis,
 class SweepRow:
     delta: float
     dist: float
+    dt_gap: float  # step-doubling estimate of the error of dist
 
 
 @dataclass(frozen=True)
@@ -313,7 +350,8 @@ class SweepResult:
     def to_dict(self) -> dict:
         return {"t_star": self.t_star, "tau": self.tau,
                 "fitted_order": self.fitted_order,
-                "rows": [{"delta": r.delta, "dist": r.dist} for r in self.rows]}
+                "rows": [{"delta": r.delta, "dist": r.dist, "dt_gap": r.dt_gap}
+                         for r in self.rows]}
 
 
 def semicontinuity_sweep(spec: ModelSpec, params: EnergyParams, basis: Basis,
@@ -325,15 +363,19 @@ def semicontinuity_sweep(spec: ModelSpec, params: EnergyParams, basis: Basis,
     are given in, and end with the delta = 0 reference, added when absent.
     The same seed (hence the same initial sample) is used for every delta, so
     the columns differ only through the flow. The fitted order is the log-log
-    slope of dist against delta over the positive rows.
+    slope of dist against delta over the positive rows. Each row's dt_gap is
+    the step-doubling estimate of the error of its dist (0 on the reference).
     """
     tau = ens.taus[-1]
     nonzero = [d for d in sorted(ens.deltas, reverse=True) if d != 0.0]
     clouds = _clouds(spec, params, basis, ens, [0.0] + nonzero, [tau], threads)
-    [ref_cloud] = next(clouds)
-    rows = [SweepRow(d, hausdorff_semidist(cloud, ref_cloud, spec.epsilon))
-            for d, [cloud] in zip(nonzero, clouds)]
-    rows.append(SweepRow(0.0, 0.0))  # the reference itself: d_H(A, A) = 0
+    [ref], [ref_2dt] = next(clouds)
+    rows = []
+    for d, ([cloud], [rough]) in zip(nonzero, clouds):
+        dist = hausdorff_semidist(cloud, ref, spec.epsilon)
+        rows.append(SweepRow(d, dist, _dt_gap(dist, hausdorff_semidist(rough, ref_2dt,
+                                                                        spec.epsilon))))
+    rows.append(SweepRow(0.0, 0.0, 0.0))  # the reference itself: d_H(A, A) = 0
     pos = [(r.delta, r.dist) for r in rows if r.delta > 0 and r.dist > 0]
     order = None
     if len(pos) >= 2:

@@ -223,14 +223,16 @@ class ExperimentConfig:
 
     def check_legs(self, taus) -> None:
         """ConfigError unless each pullback leg t_star - tau -> t_star is a whole
-        number of attractor.dt steps and starts where eps > 0."""
+        number of 2 attractor.dt steps, the step of the doubling pass (so also
+        of attractor.dt steps), and starts where eps > 0."""
         t_star, dt = self.ensemble.t_star, self.ensemble.dt
         for tau in taus:
             try:
-                StepConfig(dt=dt, t_start=t_star - tau, t_end=t_star)
+                StepConfig(dt=2.0 * dt, t_start=t_star - tau, t_end=t_star)
             except ValueError:
                 raise ConfigError(f"pullback horizon tau = {tau:g} is not a whole number "
-                                  f"of attractor.dt = {dt:g} steps") from None
+                                  f"of 2 attractor.dt = {2.0 * dt:g} steps, the step of "
+                                  f"the doubling pass") from None
             self._start_eps(t_star - tau, f"the start of the pullback leg tau = {tau:g}")
 
     def check_radius(self, params: EnergyParams, t_lo: float, t_hi: float) -> None:

@@ -283,8 +283,9 @@ class TestAbsorbing:
         assert all(r.fraction_inside == 1.0 for r in rep.rows)
 
     def test_tau_zero_boundary_case(self, free_setup):
+        # two steps of 1e-9, so the doubling pass takes one
         spec, basis, params = free_setup
-        ens = EnsembleSpec(n_points=8, sampling="sphere_surface", seed=2, taus=(1e-9,),
+        ens = EnsembleSpec(n_points=8, sampling="sphere_surface", seed=2, taus=(2e-9,),
                            t_star=0.0, deltas=(spec.delta,), dt=1e-9)
         rep, = verify_absorbing(spec, params, basis, ens)
         assert rep.rows[0].fraction_inside == 1.0
@@ -323,7 +324,9 @@ class TestAbsorbing:
 
         monkeypatch.setattr(att, "hausdorff_semidist", counting)
         reps = verify_absorbing(spec, params, basis, ens)
-        assert pairs == [(0.2, 1.0, 3.0), (0.2, 2.0, 3.0), (0.0, 1.0, 3.0), (0.0, 2.0, 3.0)]
+        # each gap once at dt and once at 2 dt
+        assert pairs == [(d, tau, 3.0) for d in (0.2, 0.0) for tau in (1.0, 2.0)
+                         for _ in range(2)]
         assert all(rep.rows[-1].cauchy_gap == 0.0 for rep in reps)
 
     def test_smaller_c14_needs_longer_horizon(self, forced_setup):
@@ -358,30 +361,105 @@ attractor.dt = 0.01
 """
 
 
-def test_pullback_command_evolves_each_leg_once(tmp_path, monkeypatch):
+def test_pullback_command_evolves_each_leg_once_per_step(tmp_path, monkeypatch):
     from kwavelab.cli import main
-    legs = []
+    batches = []
     evolve = att._evolve_legs
 
-    def counting(legs_in, basis, dt, threads):
-        legs.extend((spec.delta, t0, t1) for spec, _, _, t0, t1 in legs_in)
-        return evolve(legs_in, basis, dt, threads)
+    def counting(legs_in, basis, threads):
+        batches.append([(spec.delta, t0, t1, dt) for spec, _, _, t0, t1, dt in legs_in])
+        return evolve(legs_in, basis, threads)
 
     monkeypatch.setattr(att, "_evolve_legs", counting)
     path = tmp_path / "pullback.cfg"
     path.write_text(PULLBACK_CFG)
     assert main(["pullback", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert sorted(legs) == [(0.0, -8.0, 0.0), (0.0, -4.0, 0.0),
-                            (0.1, -8.0, 0.0), (0.1, -4.0, 0.0)]
+    # one batch: per delta, the fine legs, then the same legs at 2 dt
+    assert batches == [[(d, -tau, 0.0, dt) for d in (0.1, 0.0) for dt in (0.01, 0.02)
+                        for tau in (4.0, 8.0)]]
+
+
+class TestStepDoubling:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_coarse_clouds_are_a_run_at_twice_the_step(self, forced_setup, threads):
+        spec, basis, params = forced_setup
+        ens = EnsembleSpec(n_points=6, seed=4, taus=(0.4, 0.8), t_star=0.25,
+                           deltas=(0.1, 0.0), dt=1e-2)
+        doubled = dataclasses.replace(ens, dt=2 * ens.dt)
+        both = list(att._clouds(spec, params, basis, ens, ens.deltas, ens.taus, threads))
+        alone = list(att._clouds(spec, params, basis, doubled, ens.deltas, ens.taus, 1))
+        assert len(both) == len(alone) == len(ens.deltas)
+        for (_, coarse), (ref, _) in zip(both, alone):
+            for a, b in zip(coarse, ref, strict=True):
+                assert (a.t_star, a.tau, a.delta) == (b.t_star, b.tau, b.delta)
+                assert np.array_equal(a.us, b.us) and np.array_equal(a.vs, b.vs)
+
+    def test_absorbing_dt_gap_is_the_richardson_estimate(self, forced_setup):
+        spec, basis, params = forced_setup
+        ens = EnsembleSpec(n_points=6, seed=2, taus=(1.0, 2.0), t_star=0.0,
+                           deltas=(0.2, 0.0), dt=2.5e-2)
+        fine = verify_absorbing(spec, params, basis, ens)
+        coarse = verify_absorbing(spec, params, basis, dataclasses.replace(ens, dt=2 * ens.dt))
+        for a, b in zip(fine, coarse, strict=True):
+            for r, q in zip(a.rows, b.rows, strict=True):
+                assert r.dt_gap == max(abs(r.worst_ratio - q.worst_ratio),
+                                       abs(r.cauchy_gap - q.cauchy_gap)) / 3.0
+                assert 0.0 < r.dt_gap < 1e-2 * r.worst_ratio
+            assert [row["dt_gap"] for row in a.to_dict()["rows"]] == [r.dt_gap for r in a.rows]
+
+    def test_sweep_dt_gap_is_the_richardson_estimate(self, forced_setup):
+        spec, basis, params = forced_setup
+        ens = EnsembleSpec(n_points=6, seed=2, taus=(2.0,), t_star=0.0,
+                           deltas=(0.2, 0.1, 0.0), dt=2.5e-2)
+        fine = semicontinuity_sweep(spec, params, basis, ens)
+        coarse = semicontinuity_sweep(spec, params, basis,
+                                      dataclasses.replace(ens, dt=2 * ens.dt))
+        assert [r.dt_gap for r in fine.rows] == [
+            abs(r.dist - q.dist) / 3.0 for r, q in zip(fine.rows, coarse.rows, strict=True)]
+        assert all(0.0 < r.dt_gap < 1e-2 * r.dist for r in fine.rows[:-1])
+        assert fine.rows[-1].dt_gap == 0.0
+        assert [row["dt_gap"] for row in fine.to_dict()["rows"]] == [r.dt_gap for r in fine.rows]
+
+    def test_pullback_cloud_is_one_fine_leg(self, forced_setup, monkeypatch):
+        spec, basis, params = forced_setup
+        ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0,), dt=1e-2)
+        steps = []
+        evolve = att.evolve_ensemble
+
+        def counting(us, vs, spec, basis, t0, t1, dt):
+            steps.append(dt)
+            return evolve(us, vs, spec, basis, t0, t1, dt)
+
+        monkeypatch.setattr(att, "evolve_ensemble", counting)
+        pullback_cloud(spec, params, basis, ens, 1.0)
+        assert steps == [1e-2]
 
 
 class TestLegScheduler:
     @pytest.mark.parametrize("threads", [2, 3, 4, 8, 10 ** 6])
     def test_whole_legs_longest_first(self, threads):
-        sizes = [(64, 1.0), (64, 2.0), (32, 2.0), (64, 0.5)]
+        sizes = [(64, 100.0), (64, 200.0), (32, 200.0), (64, 50.0)]
         order, workers = att._plan_pool(sizes, threads)  # planning only: no thread starts
         assert order == [1, 0, 2, 3]
         assert workers == min(threads, len(sizes))
+
+    def test_dt_leg_goes_before_the_2dt_leg_of_the_same_span(self, free_setup,
+                                                             monkeypatch):
+        # the 2 dt leg has half the member-steps, though the span and the
+        # members are the same
+        spec, basis, _ = free_setup
+        submitted = []
+
+        class Recording(att.ThreadPoolExecutor):
+            def submit(self, fn, *leg):
+                submitted.append(leg[5])
+                return super().submit(fn, *leg)
+
+        us = np.zeros((4, basis.n_modes))
+        legs = [(spec, us, us, -0.4, 0.0, 0.02), (spec, us, us, -0.4, 0.0, 0.01)]
+        monkeypatch.setattr(att, "ThreadPoolExecutor", Recording)
+        list(att._evolve_legs(legs, basis, 2))
+        assert submitted == [0.01, 0.02]
 
     @pytest.mark.parametrize("n_legs, threads", [(2, 3), (3, 2), (4, 4)])
     def test_pool_runs_whole_legs_longest_first(self, free_setup, monkeypatch,
@@ -394,16 +472,17 @@ class TestLegScheduler:
                 workers.append(max_workers)
                 super().__init__(max_workers)
 
-            def submit(self, fn, us, vs, spec, basis, t0, t1, dt):
+            def submit(self, fn, spec, us, vs, t0, t1, dt, basis):
                 submitted.append((us.shape[0], t0))
-                return super().submit(fn, us, vs, spec, basis, t0, t1, dt)
+                return super().submit(fn, spec, us, vs, t0, t1, dt, basis)
 
         rng = np.random.default_rng(3)
         us, vs = 0.1 * rng.standard_normal((2, 4, basis.n_modes))
-        legs = [(spec.with_delta(0.1 * k), us, vs, -0.1 * (k + 1), 0.0) for k in range(n_legs)]
-        solo = list(att._evolve_legs(legs, basis, 1e-2, 1))
+        legs = [(spec.with_delta(0.1 * k), us, vs, -0.1 * (k + 1), 0.0, 1e-2)
+                for k in range(n_legs)]
+        solo = list(att._evolve_legs(legs, basis, 1))
         monkeypatch.setattr(att, "ThreadPoolExecutor", Recording)
-        multi = list(att._evolve_legs(legs, basis, 1e-2, threads))
+        multi = list(att._evolve_legs(legs, basis, threads))
         assert workers == [min(threads, n_legs)]
         assert submitted == [(4, -0.1 * (k + 1)) for k in reversed(range(n_legs))]
         assert len(multi) == n_legs
@@ -413,9 +492,9 @@ class TestLegScheduler:
     def test_fewer_than_two_legs_start_no_pool(self, free_setup, monkeypatch):
         spec, basis, _ = free_setup
         monkeypatch.setattr(att, "ThreadPoolExecutor", None)
-        assert list(att._evolve_legs([], basis, 1e-2, 2)) == []
+        assert list(att._evolve_legs([], basis, 2)) == []
         us = np.zeros((2, basis.n_modes))
-        (ue, ve), = att._evolve_legs([(spec, us, us, -0.1, 0.0)], basis, 1e-2, 2)
+        (ue, ve), = att._evolve_legs([(spec, us, us, -0.1, 0.0, 1e-2)], basis, 2)
         assert ue.shape == ve.shape == us.shape
 
     def test_blowup_is_that_of_the_first_failing_leg(self, free_setup):
@@ -426,13 +505,13 @@ class TestLegScheduler:
         for col in ([0.01, 0.02, 0.03, 0.04], [0.01, 3.0, 0.02, 1e3], [1e4, 0.01, 0.02, 0.03]):
             us = np.zeros((4, basis.n_modes))
             us[:, 0] = col
-            legs.append((spec, us, np.zeros_like(us), 0.0, 5.0))
+            legs.append((spec, us, np.zeros_like(us), 0.0, 5.0, 0.1))
         from kwavelab.integrator import BlowUpError
         seen = set()
         for threads in (1, 2, 3, 4):
             with pytest.raises(BlowUpError) as exc:
-                list(att._evolve_legs(legs, basis, 0.1, threads))
-            seen.add((exc.value.t, exc.value.member, exc.value.mode))
+                list(att._evolve_legs(legs, basis, threads))
+            seen.add((exc.value.t, exc.value.member, exc.value.mode, str(exc.value)))
         assert len(seen) == 1 and seen.pop()[1] == 3
 
 
@@ -458,7 +537,7 @@ class TestSemicontinuity:
 
         monkeypatch.setattr(att, "hausdorff_semidist", counting)
         sweep = semicontinuity_sweep(spec, params, basis, ens)
-        assert pairs == [(0.2, 0.0), (0.1, 0.0)]
+        assert pairs == [(0.2, 0.0), (0.2, 0.0), (0.1, 0.0), (0.1, 0.0)]  # at dt, at 2 dt
         assert sweep.rows[-1].dist == 0.0
 
     def test_distances_track_delta(self, forced_setup):

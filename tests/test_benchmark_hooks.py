@@ -13,7 +13,8 @@ BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 
 
 # every layer of a simulate and a pullback run, as small as it gets: a cubic g
 # (grid transforms), forcing, a fitted (rho, chi) (the feasibility scan) and
-# two horizons at two deltas (the Hausdorff semi-distance)
+# two horizons at two deltas (the Hausdorff semi-distance), each an even
+# number of steps, as the step-doubling pass needs
 TINY = """
 model.dim = 1
 model.lambda = 0.1
@@ -26,7 +27,7 @@ disc.t_end = 0.1
 ic.kind = sample
 energy.grid_n = 8
 attractor.n_points = 4
-attractor.taus = 0.05, 0.1
+attractor.taus = 0.06, 0.1
 attractor.deltas = 0.1, 0.0
 """
 # the wrapped names whose spans take attributes from the call arguments and

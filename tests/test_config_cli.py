@@ -59,12 +59,24 @@ def fixture_cfg(name):
     return os.path.join(CONFIG_DIR, name)
 
 
+def sets_attractor_keys(name):
+    with open(fixture_cfg(name)) as fh:
+        return any(line.startswith("attractor.") for line in fh)
+
+
 class TestConfigParsing:
     def test_load_shipped_fixture(self):
         cfg = ExperimentConfig.load(fixture_cfg("linear.cfg"))
         assert cfg.basis.dim == 1
         assert cfg.basis.modes_per_dim == 32
         assert cfg.step.dt == 1e-3
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in os.listdir(CONFIG_DIR) if n.endswith(".cfg") and sets_attractor_keys(n)))
+    def test_fixture_legs_lie_on_the_doubled_step_grid(self, name):
+        # every tau of a fixture that sets attractor.* is an even number of its steps
+        cfg = ExperimentConfig.load(fixture_cfg(name))
+        cfg.check_legs(cfg.ensemble.taus)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, SMALL_MODEL + "\nmodel.bogus = 1\n")
@@ -181,6 +193,20 @@ class TestExitCodes:
         assert "tau = 0.0625" in capsys.readouterr().err
         assert main(["semicontinuity", "--config", path, "--out", str(tmp_path / "s")]) == 0
 
+    @pytest.mark.parametrize("command,taus", [("pullback", "0.005, 8"),
+                                              ("semicontinuity", "4, 8.005")])
+    def test_tau_an_odd_number_of_steps_exit_2(self, tmp_path, capsys, command, taus):
+        # 1 and 1601 steps of 0.005: on the grid of dt but not of the doubling pass
+        path = write_cfg(tmp_path, SMALL_MODEL.replace("attractor.taus = 4, 8",
+                                                       f"attractor.taus = {taus}"))
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        tau = taus.split(", ")[0 if command == "pullback" else 1]
+        assert capsys.readouterr().err == (
+            f"configuration error: pullback horizon tau = {tau} is not a whole number of "
+            f"2 attractor.dt = 0.01 steps, the step of the doubling pass\n")
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("command,t", [("pullback", -5), ("semicontinuity", -20)])
     def test_nonpositive_epsilon_at_leg_start_exit_2(self, tmp_path, capsys, command, t):
         # eps(t) = 1 - 0.5 exp(-t) < 0 at the start of the first leg integrated
@@ -229,6 +255,7 @@ class TestExitCodes:
                 text = fh.read()
             for key, value in (("disc.t_start", "2999.9"), ("disc.t_end", "3000"),
                                ("attractor.t_star", "3000"), ("attractor.taus", "0.05, 0.1"),
+                               ("attractor.dt", "0.005"),
                                ("model.h.rate", "0.001"), ("energy.rho", "0.99"),
                                ("energy.chi", "0.245")):
                 text = re.sub(f"^{re.escape(key)} = .*$", f"{key} = {value}", text,
@@ -396,6 +423,31 @@ class TestExitCodes:
         path = write_cfg(tmp_path, text)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
         assert re.fullmatch(r"numerical failure: non-finite state at t = \S+ \(mode \d+\)\n",
+                            capsys.readouterr().err)
+
+    def test_coarse_pass_blowup_exit_3(self, tmp_path, capsys):
+        # both passes are stable at attractor.dt = 0.0125; at 0.025 the doubling
+        # pass at 0.05 blows up
+        text = """
+model.dim = 1
+model.delta = 1.0
+disc.n_modes = 8
+disc.dt = 0.01
+disc.t_end = 1.0
+energy.rho = 1.0
+energy.chi = 0.2
+energy.sigma1 = 0.1
+energy.c14 = 100
+attractor.n_points = 8
+attractor.taus = 1
+attractor.deltas = 1.0
+"""
+        out = tmp_path / "o"
+        for dt, code in (("0.0125", 0), ("0.025", 3)):
+            path = write_cfg(tmp_path, text + f"attractor.dt = {dt}\n")
+            assert main(["pullback", "--config", path, "--out", str(out)]) == code
+        assert re.fullmatch(r"numerical failure: non-finite state at t = \S+ \(ensemble member "
+                            r"\d+, mode \d+\) in the pass at dt = 0\.05\n",
                             capsys.readouterr().err)
 
 
@@ -593,6 +645,7 @@ class TestAttractorCommands:
             gaps = [row["cauchy_gap"] for row in rep["rows"]]
             assert all(math.isfinite(g) and g >= 0.0 for g in gaps)
             assert gaps[-1] == 0.0
+            assert all(0.0 < row["dt_gap"] < 1e-2 * row["worst_ratio"] for row in rep["rows"])
         lines = (out / "clouds.csv").read_text().splitlines()
         assert lines[0].startswith("t_star,delta,tau,u_1")
         assert len(lines) == 1 + 8 * 3  # n_points x len(deltas)
@@ -612,7 +665,8 @@ class TestAttractorCommands:
         report = json.loads((out / "semicontinuity.json").read_text())
         assert report["monotone_within_band"]
         rows = report["sweep"]["rows"]
-        assert rows[-1]["delta"] == 0.0 and rows[-1]["dist"] == 0.0
+        assert rows[-1]["delta"] == 0.0 and rows[-1]["dist"] == 0.0 == rows[-1]["dt_gap"]
+        assert all(0.0 < row["dt_gap"] < 1e-2 * row["dist"] for row in rows[:-1])
 
     def test_single_delta_zero_row(self, tmp_path):
         text = SMALL_MODEL.replace("attractor.deltas = 0.2, 0.1, 0.0",
@@ -643,6 +697,10 @@ class TestAttractorCommands:
             results.append((codes, files))
         assert len(results[0][1]) == 4
         assert results[1] == results[0] and results[2] == results[0]
+        files = results[0][1]
+        rows = (json.loads(files["absorbing.json"])["reports"]["0.1"]["rows"]
+                + json.loads(files["semicontinuity.json"])["sweep"]["rows"])
+        assert all("dt_gap" in row for row in rows)
 
 
 class TestDecomposeCommand:
