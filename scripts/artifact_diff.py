@@ -14,11 +14,14 @@ in either run. A CSV column is a header field; a JSON column is a leaf's key
 path with list indices dropped, so the entries of one list share a column. A
 last line gives the largest difference over all artifacts.
 
-It exits 1, after naming each one, on any difference that is not a number
-moving: a file in one tree only, NaN or inf at other positions or of other
-sign, or any non-numeric field (a CSV header or text cell, a JSON key, string,
-bool or null, the shape of a list) that differs. Files that are neither CSV
-nor JSON must be byte-identical. Otherwise it exits 0.
+The columns both artifacts have are compared whatever else differs, so an
+artifact that gains a column still has its shared values measured. It exits
+1, after naming each one, on any difference that is not a number moving: a
+file in one tree only, a column in one artifact only, shared columns in
+another order, NaN or inf at other positions or of other sign, or any
+non-numeric field (a CSV text cell, a JSON key, string, bool or null, the
+shape of a list) that differs. Files that are neither CSV nor JSON must be
+byte-identical. Otherwise it exits 0.
 """
 
 import argparse
@@ -34,8 +37,9 @@ def tree(root: str) -> set:
             for d, _, files in os.walk(root) for f in files}
 
 
-def csv_columns(path: str) -> tuple:
-    """(header, {column: cells}) of a CSV file; cells are floats where they parse."""
+def csv_columns(path: str) -> dict:
+    """{column: cells} of a CSV file, in header order; cells are floats where
+    they parse."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
@@ -48,7 +52,7 @@ def csv_columns(path: str) -> tuple:
                 cols[name].append(float(cell))
             except ValueError:
                 cols[name].append(cell)
-    return header, cols
+    return cols
 
 
 def json_columns(obj, path: str = "", cols=None) -> dict:
@@ -71,11 +75,17 @@ def json_columns(obj, path: str = "", cols=None) -> dict:
 
 
 def compare_columns(cols_a: dict, cols_b: dict) -> tuple:
-    """(largest relative difference, its column, [problems])."""
-    if list(cols_a) != list(cols_b):
-        return 0.0, "", ["columns differ"]
-    worst, where, problems = 0.0, "", []
-    for name in cols_a:
+    """(largest relative difference, its column, [problems]) over the columns
+    both sides have; a column of one side only is a problem, as are shared
+    columns in another order."""
+    shared = [name for name in cols_a if name in cols_b]
+    problems = [f"column {name} only in {side}"
+                for side, cols, other in (("RUN_A", cols_a, cols_b), ("RUN_B", cols_b, cols_a))
+                for name in cols if name not in other]
+    if shared != [name for name in cols_b if name in cols_a]:
+        problems.append("shared columns in another order")
+    worst, where = 0.0, ""
+    for name in shared:
         a, b = cols_a[name], cols_b[name]
         if len(a) != len(b):
             problems.append(f"column {name}: {len(a)} against {len(b)} entries")
@@ -99,10 +109,7 @@ def compare_columns(cols_a: dict, cols_b: dict) -> tuple:
 
 def compare(path_a: str, path_b: str) -> tuple:
     if path_a.endswith(".csv"):
-        (head_a, cols_a), (head_b, cols_b) = csv_columns(path_a), csv_columns(path_b)
-        if head_a != head_b:
-            return 0.0, "", ["headers differ"]
-        return compare_columns(cols_a, cols_b)
+        return compare_columns(csv_columns(path_a), csv_columns(path_b))
     if path_a.endswith(".json"):
         with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
             return compare_columns(json_columns(json.load(fa)), json_columns(json.load(fb)))

@@ -365,21 +365,19 @@ def semicontinuity_sweep(spec: ModelSpec, params: EnergyParams, basis: Basis,
     the columns differ only through the flow. The fitted order is the log-log
     slope of dist against delta over the positive rows. Each row's dt_gap is
     the step-doubling estimate of the error of its dist (0 on the reference).
+    With no positive delta, no distance reads a cloud, so no leg is evolved.
     """
     tau = ens.taus[-1]
     nonzero = [d for d in sorted(ens.deltas, reverse=True) if d != 0.0]
-    clouds = _clouds(spec, params, basis, ens, [0.0] + nonzero, [tau], threads)
-    [ref], [ref_2dt] = next(clouds)
     rows = []
-    for d, ([cloud], [rough]) in zip(nonzero, clouds):
-        dist = hausdorff_semidist(cloud, ref, spec.epsilon)
-        rows.append(SweepRow(d, dist, _dt_gap(dist, hausdorff_semidist(rough, ref_2dt,
-                                                                        spec.epsilon))))
+    if nonzero:
+        clouds = _clouds(spec, params, basis, ens, [0.0] + nonzero, [tau], threads)
+        [ref], [ref_2dt] = next(clouds)
+        for d, ([cloud], [rough]) in zip(nonzero, clouds):
+            dist = hausdorff_semidist(cloud, ref, spec.epsilon)
+            rows.append(SweepRow(d, dist, _dt_gap(dist, hausdorff_semidist(rough, ref_2dt,
+                                                                            spec.epsilon))))
     rows.append(SweepRow(0.0, 0.0, 0.0))  # the reference itself: d_H(A, A) = 0
-    pos = [(r.delta, r.dist) for r in rows if r.delta > 0 and r.dist > 0]
-    order = None
-    if len(pos) >= 2:
-        ld = np.log([p[0] for p in pos])
-        lv = np.log([p[1] for p in pos])
-        order = float(np.polyfit(ld, lv, 1)[0])
+    pos = np.log([(r.delta, r.dist) for r in rows if r.delta > 0 and r.dist > 0]).reshape(-1, 2)
+    order = float(np.polyfit(pos[:, 0], pos[:, 1], 1)[0]) if len(pos) >= 2 else None
     return SweepResult(ens.t_star, tau, tuple(rows), order)

@@ -21,17 +21,17 @@ with the last: the axes ahead of a broadcast stage are still (or already)
 at the band's N, not the grid's 2N, so its loop runs over the fewest and
 largest products. At desk resolutions that is cheaper than an FFT. One
 routine, ``_Contraction``, binds the stages of a map to their buffers and
-views once, and both paths run it; a stage that is one small 2-D product
-(a single field's GEMM, or a broadcast stage with one leading row) is bound
-to ``np.dot``, whose dispatch costs about 0.7 us less than ``np.matmul``'s,
-which matters in a single trajectory's step. A stepping loop holds a
-``nonlinearity_work`` plan, made once per call of the loop, so a step runs
-the stage products and g into the plan's buffers (``out=``) and allocates
-nothing; without a plan, the transforms allocate, in row
-blocks of at most _BLOCK_VALUES grid values. The nonlinearity is collocated
-on the nodes j/(2N+1), which makes it the exact Galerkin projection for
-cubic g; g's constant factor rides on the inverse map's last matrix instead
-of a pass over the grid. All field operations accept a leading batch
+views once, and every transform runs it; a stage that is one small 2-D
+product (a single field's GEMM, or a broadcast stage with one leading row) is
+bound to ``np.dot``, whose dispatch costs about 0.7 us less than
+``np.matmul``'s, which matters in a single trajectory's step. g's projection
+has one path, a ``nonlinearity_work`` plan: a stepping loop makes one per
+call, so a step runs the stage products and g into the plan's buffers and
+allocates nothing; a call without a plan (the ledger's) makes one per shape
+of its row blocks of at most _BLOCK_VALUES grid values. g is collocated on
+the nodes j/(2N+1), which makes it the exact Galerkin projection for cubic
+g; g's constant factor rides on the plan's inverse matrix instead of a pass
+over the grid. All field operations accept a leading batch
 dimension: ensembles evolve as one array, and a trajectory's records are
 evaluated as one.
 """
@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -156,9 +156,10 @@ def _dst_pair(n_modes: int, grid_pts: int, scale: float = 1.0) -> tuple[tuple, t
     The forward matrix T is modes x nodes; the inverse is T / M, since
     T @ T.T = M I on the band. ``left`` acts on a field axis from the left,
     ``right`` on the last axis from the right. The inverse map runs its
-    ``right`` last, so ``scale`` multiplies that matrix alone and the map
-    returns scale times the projection (bitwise so for scale = +-1). All
-    four are C-contiguous and read-only, as every caller shares them.
+    ``right`` last, so ``scale`` (g's factor, from nonlinearity_work alone)
+    multiplies that matrix only and the map returns scale times the
+    projection (bitwise so for scale = +-1). All four are C-contiguous and
+    read-only, as every caller shares them.
     """
     fwd = _dst_matrix(n_modes, grid_pts)
     inv = fwd / grid_pts
@@ -252,14 +253,12 @@ def to_grid(basis: Basis, f: np.ndarray, grid_pts: int) -> np.ndarray:
                         basis.dim, lead + (grid_pts - 1,) * basis.dim)(f)
 
 
-def from_grid(basis: Basis, values: np.ndarray, grid_pts: int,
-              scale: float = 1.0) -> np.ndarray:
+def from_grid(basis: Basis, values: np.ndarray, grid_pts: int) -> np.ndarray:
     """Project nodal values back onto the retained band (inverse of to_grid
-    for band-limited fields), times ``scale``, which multiplies the last
-    stage's matrix (see _dst_pair)."""
+    for band-limited fields)."""
     values = np.ascontiguousarray(values, dtype=float)
     lead = values.shape[: values.ndim - basis.dim]
-    return _Contraction(_dst_pair(basis.modes_per_dim, grid_pts, scale)[1], math.prod(lead),
+    return _Contraction(_dst_pair(basis.modes_per_dim, grid_pts)[1], math.prod(lead),
                         basis.dim, lead + (basis.n_modes,))(values)
 
 
@@ -286,12 +285,12 @@ def nonlinearity_work(spec: NonlinearitySpec, basis: Basis, lead: tuple) -> tupl
     """Plan of eval_nonlinearity_modal for C-contiguous fields of shape
     lead + (n_modes,): (to, g, back), the to_grid map, the grid array g is
     written into and the from_grid map bound to read it, with g's factor
-    in its last matrix, allocated in that order (for g = 0, only the result
-    array, as ``back``). Every view of a call is bound here, once. The result
-    is back's buffer, so it holds only until the next call with the same
-    plan."""
+    in its last matrix, allocated in that order (for g = 0, a zero array as
+    ``back``, made here once and returned as is by every call: no caller
+    writes it). Every view of a call is bound here, once. The result is
+    back's buffer, so it holds only until the next call with the same plan."""
     if spec.kind == "zero":
-        return None, None, np.empty(lead + (basis.n_modes,))
+        return None, None, np.zeros(lead + (basis.n_modes,))
     M, batch = _quadrature_pts(basis), math.prod(lead)
     fwd = _dst_pair(basis.modes_per_dim, M)[0]
     inv = _dst_pair(basis.modes_per_dim, M, spec.factor)[1]
@@ -301,20 +300,28 @@ def nonlinearity_work(spec: NonlinearitySpec, basis: Basis, lead: tuple) -> tupl
     return to, g, _Contraction(inv, batch, basis.dim, lead + (basis.n_modes,), src=g)
 
 
-_BLOCK_VALUES = 1 << 15  # grid values (256 KB) per row block of an allocating transform
+_BLOCK_VALUES = 1 << 15  # grid values (256 KB) per row block of a call without a plan
 
 
-def _in_row_blocks(basis: Basis, f: np.ndarray, M: int, on_grid, width: tuple) -> np.ndarray:
-    """on_grid(values on the M-point nodes) of the fields of f, shaped
-    f.shape[:-1] + width, taking the rows in blocks of at most _BLOCK_VALUES
-    nodal values (at least one row); every row gets the bits it gets alone."""
-    f = np.asarray(f, dtype=float)
-    rows = f.reshape(-1, basis.n_modes)
-    step = max(1, _BLOCK_VALUES // (M - 1) ** basis.dim)
-    out = np.empty((rows.shape[0],) + width)
+def _in_row_blocks(basis: Basis, f: np.ndarray, bind, width: tuple) -> np.ndarray:
+    """The fields of f, shaped f.shape[:-1] + width, mapped in blocks of at
+    most _BLOCK_VALUES nodal values on the quadrature grid (at least one row)
+    by bind(rows), the map of a (rows, n_modes) block, bound once per block
+    shape (so at most twice a call); every row gets the bits it gets alone."""
+    rows = np.ascontiguousarray(f, dtype=float).reshape(-1, basis.n_modes)
+    step = max(1, _BLOCK_VALUES // (_quadrature_pts(basis) - 1) ** basis.dim)
+    out, bind = np.empty((rows.shape[0],) + width), cache(bind)
     for i in range(0, rows.shape[0], step):
-        out[i:i + step] = on_grid(to_grid(basis, rows[i:i + step], M))
-    return out.reshape(f.shape[:-1] + width)
+        out[i:i + step] = bind(rows[i:i + step].shape[0])(rows[i:i + step])
+    return out.reshape(np.shape(f)[:-1] + width)
+
+
+def _run_work(spec: NonlinearitySpec, f: np.ndarray, work: tuple) -> np.ndarray:
+    to, g, back = work
+    if to is None:  # g = 0: no transform
+        return back
+    eval_g_value(spec, to(f), g, unscaled=True)
+    return back()
 
 
 def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
@@ -322,35 +329,31 @@ def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
     """Galerkin projection (g(u), phi_m) by collocation on the nodes j/M,
     M = 2N+1, per dimension: exact for polynomial g up to degree 3.
 
-    g's constant factor (NonlinearitySpec.factor) is not applied on the
-    grid: the nodes get the unscaled g, and the factor multiplies the
-    inverse map's last matrix, which saves a pass over the grid and gives
-    g's own bits for a factor of +-1. With ``work`` (a plan from
-    nonlinearity_work) a call runs the plan's stage products and g into its
-    buffers; without, every stage allocates, one row block at a time. Both
-    give the same bits."""
-    if spec.kind == "zero":  # no transform
-        if work is None:
-            return np.zeros_like(np.asarray(f, dtype=float))
-        work[2].fill(0.0)
-        return work[2]
+    Every call runs a nonlinearity_work plan: the caller's ``work``, into
+    whose buffers it writes (the result holds until the plan's next call),
+    or, without one, a plan per row-block shape of this call, the blocks
+    copied into a new array. The nodes get the unscaled g, and g's constant
+    factor (NonlinearitySpec.factor) multiplies the plan's inverse matrix,
+    which saves a pass over the grid and gives g's own bits for a factor of
+    +-1. With or without a caller's plan, a row gets the same bits."""
     if work is None:
-        M = _quadrature_pts(basis)
-        return _in_row_blocks(basis, f, M, lambda vals: from_grid(
-            basis, eval_g_value(spec, vals, unscaled=True), M, spec.factor), (basis.n_modes,))
-    to, g, back = work
-    eval_g_value(spec, to(f), g, unscaled=True)
-    return back()
+        return _in_row_blocks(basis, f, lambda rows: partial(
+            _run_work, spec, work=nonlinearity_work(spec, basis, (rows,))), (basis.n_modes,))
+    return _run_work(spec, f, work)
 
 
 def integral_of_G(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.ndarray | float:
     """(G(u), 1) by quadrature on the nodes j/M, M = 2N+1, per dimension:
     exact for G up to degree 4 (cubic g). One value per row of a batch,
-    evaluated in row blocks."""
+    evaluated in row blocks, with one to_grid map per block shape."""
     if spec.kind == "zero":
         out = np.zeros(np.asarray(f).shape[:-1])
     else:
-        M = _quadrature_pts(basis)
-        out = _in_row_blocks(basis, f, M, lambda vals: integrate_grid(
-            eval_G(spec, vals), M, basis.dim), ())
+        M, dim = _quadrature_pts(basis), basis.dim
+        fwd = _dst_pair(basis.modes_per_dim, M)[0]
+
+        def bind(rows):
+            to = _Contraction(fwd, rows, dim, (rows,) + (M - 1,) * dim)
+            return lambda x: integrate_grid(eval_G(spec, to(x)), M, dim)
+        out = _in_row_blocks(basis, f, bind, ())
     return float(out) if np.ndim(out) == 0 else out

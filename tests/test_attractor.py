@@ -524,6 +524,18 @@ class TestSemicontinuity:
         assert len(sweep.rows) == 1
         assert sweep.rows[0].dist == 0.0
 
+    def test_no_positive_delta_evolves_no_leg(self, free_setup, monkeypatch):
+        # no distance reads the delta = 0 clouds, so neither is evolved
+        spec, basis, params = free_setup
+        calls = []
+        monkeypatch.setattr(att, "_evolve_legs", lambda *args: calls.append(args))
+        ens = EnsembleSpec(n_points=8, seed=1, taus=(2.0,), t_star=0.0, deltas=(0.0,),
+                           dt=1e-2)
+        sweep = semicontinuity_sweep(spec, params, basis, ens, threads=2)
+        assert calls == []
+        assert sweep.rows == (att.SweepRow(0.0, 0.0, 0.0),)
+        assert sweep.fitted_order is None
+
     def test_reference_row_skips_the_self_distance(self, forced_setup, monkeypatch):
         spec, basis, params = forced_setup
         ens = EnsembleSpec(n_points=4, seed=1, taus=(1.0,), t_star=0.0,

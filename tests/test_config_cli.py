@@ -782,6 +782,13 @@ class TestArtifactDiff:
         code, lines = self.diff(tmp_path, base, dict(base, **{name: other}))
         assert code == 1 and any(line.startswith(f"{name}: ") for line in lines)
 
+    def test_an_added_column_leaves_the_shared_ones_compared(self, tmp_path):
+        gained = self.JSON.replace("2.0", "2.0008").replace('"tag"', '"dt_gap": 0.5, "tag"')
+        code, lines = self.diff(tmp_path, {"s.json": self.JSON}, {"s.json": gained})
+        assert code == 1
+        assert "s.json 0.0001 .rows[].r" in lines
+        assert "s.json: column .dt_gap only in RUN_B" in lines
+
     def test_exits_1_on_a_file_in_one_tree_only(self, tmp_path):
         code, lines = self.diff(tmp_path, {"t.csv": self.CSV},
                                 {"t.csv": self.CSV, "u.csv": self.CSV})

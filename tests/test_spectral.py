@@ -297,6 +297,36 @@ class TestNonlinearityModal:
             assert G[i, j] == integral_of_G(g, b, f[i, j])
             assert np.array_equal(N[i, j], eval_nonlinearity_modal(g, b, f[i, j]))
 
+    def test_a_call_without_a_plan_binds_one_per_block_shape(self, monkeypatch):
+        # 40 rows of Basis(3, 6) go in row blocks of 18, 18 and 4 rows
+        b, g = Basis(3, 6), kw.NonlinearitySpec("cubic_soft")
+        f = np.random.default_rng(6).standard_normal((40, b.n_modes))
+        plans, maps = [], []
+        work, contraction = spectral.nonlinearity_work, spectral._Contraction
+        monkeypatch.setattr(spectral, "nonlinearity_work",
+                            lambda *args: plans.append(args[2]) or work(*args))
+        monkeypatch.setattr(spectral, "_Contraction",
+                            lambda *args, **kws: maps.append(args[1]) or contraction(*args, **kws))
+        eval_nonlinearity_modal(g, b, f)
+        assert plans == [(18,), (4,)]
+        maps.clear()
+        integral_of_G(g, b, f)
+        assert maps == [18, 4]  # to_grid's map, once per block shape
+
+    def test_a_zero_g_plan_is_one_zero_array_that_no_step_writes(self, monkeypatch):
+        from kwavelab import integrator
+        b, zero = Basis(2, 5), kw.NonlinearitySpec("zero")
+        plans = []
+        monkeypatch.setattr(integrator, "nonlinearity_work",
+                            lambda *args: plans.append(nonlinearity_work(*args)) or plans[-1])
+        us = np.random.default_rng(3).standard_normal((4, b.n_modes)) / b.eigenvalues
+        kw.evolve_ensemble(us, np.zeros_like(us), kw.ModelSpec(delta=0.3, g=zero), b,
+                           0.0, 0.1, 1e-2)
+        [(_, _, back)] = plans
+        assert back.shape == us.shape and not back.any()
+        for f in (us, 2.0 * us):
+            assert eval_nonlinearity_modal(zero, b, f, plans[0]) is back
+
     @pytest.mark.parametrize("g", [kw.NonlinearitySpec("cubic_soft"),
                                    kw.NonlinearitySpec("lipschitz_sine")], ids=lambda g: g.kind)
     @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
