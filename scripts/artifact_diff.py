@@ -57,10 +57,10 @@ def csv_columns(path: str) -> dict:
 
 def json_columns(obj, path: str = "", cols=None) -> dict:
     """{column: leaves}, a column being a leaf's key path without list indices;
-    a list's length is recorded as a non-numeric leaf of its own."""
+    a list's length is recorded as a non-numeric leaf of its own, and an empty
+    dict is a non-numeric leaf, so a key that holds one is a column too."""
     cols = {} if cols is None else cols
-    if isinstance(obj, dict):
-        cols.setdefault(path + "{}", []).append(repr(sorted(obj)))
+    if isinstance(obj, dict) and obj:
         for key, val in obj.items():
             json_columns(val, f"{path}.{key}", cols)
     elif isinstance(obj, list):

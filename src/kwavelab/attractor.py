@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import EnergyParams, eval_B
-from .integrator import BlowUpError, evolve_ensemble
+from .integrator import evolve_ensemble
 from .model import ModelSpec, eval_epsilon
 from .spectral import Basis, ModalState, sample_xt, xt_norm_sq
 
@@ -61,6 +61,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n_points < 1:
             raise ValueError("need at least one ensemble member")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} must be nonnegative")
         if self.sampling not in SAMPLINGS:
             raise ValueError(f"unknown sampling {self.sampling!r}")
         taus = tuple(float(t) for t in self.taus)
@@ -183,15 +185,6 @@ def _plan_pool(sizes, threads: int) -> tuple[list[int], int]:
     return order, min(threads, len(sizes))
 
 
-def _evolve_leg(spec: ModelSpec, us, vs, t0: float, t1: float, dt: float, basis: Basis):
-    """evolve_ensemble over one leg; a blow-up's message names the leg's step."""
-    try:
-        return evolve_ensemble(us, vs, spec, basis, t0, t1, dt)
-    except BlowUpError as exc:
-        exc.args = (f"{exc} in the pass at dt = {dt:g}",)
-        raise
-
-
 def _evolve_legs(legs, basis: Basis, threads: int):
     """Endpoints (us, vs) of each leg (spec, us, vs, t0, t1, dt), in the order given.
 
@@ -201,16 +194,17 @@ def _evolve_legs(legs, basis: Basis, threads: int):
     most member-steps first, as _plan_pool says. Every row is bitwise
     independent of the batch it is evolved in, so the endpoints do not depend
     on ``threads``; a blow-up is raised for the first failing leg in the order
-    given, as on one thread, and its message names that leg's dt.
+    given, as on one thread, and names that leg's dt.
     """
+    calls = [(us, vs, spec, basis, t0, t1, dt) for spec, us, vs, t0, t1, dt in legs]
     if threads == 1 or len(legs) < 2:
-        return (_evolve_leg(*leg, basis) for leg in legs)
+        return (evolve_ensemble(*call) for call in calls)
     order, workers = _plan_pool([(us.shape[0], (t1 - t0) / dt)
                                  for _, us, _, t0, t1, dt in legs], threads)
     futures = [None] * len(legs)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for i in order:
-            futures[i] = pool.submit(_evolve_leg, *legs[i], basis)
+            futures[i] = pool.submit(evolve_ensemble, *calls[i])
     return (fut.result() for fut in futures)
 
 
@@ -239,8 +233,8 @@ def pullback_cloud(spec: ModelSpec, params: EnergyParams, basis: Basis,
     spec.delta and ens.dt (one fine leg of _clouds)."""
     t = ens.t_star
     us, vs = _sample_arrays(spec, params, basis, t - tau, ens)
-    [ends] = _evolve_legs([(spec, us, vs, t - tau, t, ens.dt)], basis, 1)
-    return AttractorCloud(t, tau, spec.delta, basis, *ends)
+    return AttractorCloud(t, tau, spec.delta, basis,
+                          *evolve_ensemble(us, vs, spec, basis, t - tau, t, ens.dt))
 
 
 def _dt_gap(fine: float, coarse: float) -> float:

@@ -2,7 +2,8 @@
 
 Commands: validate, simulate, feasibility, pullback, semicontinuity,
 decompose. Exit codes: 0 success, 1 property failure, 2 configuration error
-(ExperimentConfig's checks, and pullback's of its report keys), 3 numerical failure.
+(ExperimentConfig's checks, a negative seed and an uncountable step count among
+them; pullback's of its report keys; an unusable output directory), 3 numerical failure.
 All artifacts are written with 17 significant digits so CSV round-trips are
 exact, and identical config + seed produce identical bytes. Every CSV cell
 is the text of '%.17g' % x, byte for byte. _write_csv makes that text with
@@ -413,12 +414,8 @@ def main(argv=None) -> int:
     try:
         cfg = ExperimentConfig.load(args.config, out=args.out,
                                     threads=args.threads, seed=args.seed)
-    except (ConfigError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except en.InfeasibleParamsError as exc:

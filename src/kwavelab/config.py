@@ -230,7 +230,8 @@ class ExperimentConfig:
             try:
                 StepConfig(dt=2.0 * dt, t_start=t_star - tau, t_end=t_star)
             except ValueError:
-                raise ConfigError(f"pullback horizon tau = {tau:g} is not a whole number "
+                count = "whole" if math.isfinite(tau / (2.0 * dt)) else "finite"
+                raise ConfigError(f"pullback horizon tau = {tau:g} is not a {count} number "
                                   f"of 2 attractor.dt = {2.0 * dt:g} steps, the step of "
                                   f"the doubling pass") from None
             self._start_eps(t_star - tau, f"the start of the pullback leg tau = {tau:g}")

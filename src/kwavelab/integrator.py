@@ -74,17 +74,22 @@ class BlowUpError(RuntimeError):
     """Non-finite coefficients encountered.
 
     ``t`` is the end of the first step whose state is non-finite, ``member``
-    the first failing row of a batched state (None for a single state) and
-    ``mode`` the index of that row's first non-finite coefficient.
+    the first failing row of a batched state and ``dt`` the step of its pass
+    (both None for a single state), and ``mode`` that row's first non-finite
+    coefficient. They are the args, so pickle and copy round-trip the error.
     """
 
     def __init__(self, t: float, member: Optional[int] = None,
-                 mode: Optional[int] = None):
-        self.t, self.member, self.mode = t, member, mode
-        where = [f"{name} {i}" for name, i in (("ensemble member", member), ("mode", mode))
-                 if i is not None]
+                 mode: Optional[int] = None, dt: Optional[float] = None):
+        super().__init__(t, member, mode, dt)
+        self.t, self.member, self.mode, self.dt = t, member, mode, dt
+
+    def __str__(self) -> str:
+        where = [f"{name} {i}" for name, i in (("ensemble member", self.member),
+                                               ("mode", self.mode)) if i is not None]
         suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(f"non-finite state at t = {t:.6g}{suffix}")
+        pass_dt = "" if self.dt is None else f" in the pass at dt = {self.dt:g}"
+        return f"non-finite state at t = {self.t:.6g}{suffix}{pass_dt}"
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,8 @@ class StepConfig:
     @property
     def n_steps(self) -> int:
         span = self.t_end - self.t_start
+        if not math.isfinite(span / self.dt):
+            raise ValueError("the step count (t_end - t_start) / dt is not finite")
         n = int(round(span / self.dt))
         if abs(n * self.dt - span) > 1e-9 * max(1.0, abs(span)):
             raise ValueError("time span must be an integer number of steps")
@@ -290,8 +297,9 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
             # (an isfinite(u) temporary made 1.8x the page faults at (64, 256))
             if not math.isfinite(np.add.reduce(u, axis=None)) and not np.isfinite(u).all():
                 first = np.argwhere(~np.isfinite(u))[0]
-                raise BlowUpError(float(ends[i + 1]), member=int(first[0]) if u.ndim > 1 else None,
-                                  mode=int(first[-1]))
+                batched = u.ndim > 1
+                raise BlowUpError(float(ends[i + 1]), int(first[0]) if batched else None,
+                                  int(first[-1]), dt if batched else None)
             if times is not None and (i + 1) % record_every == 0:
                 rec = (i + 1) // record_every
                 times[rec], us[rec], vs[rec] = ends[i + 1], u, v

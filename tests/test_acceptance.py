@@ -84,7 +84,7 @@ def test_criterion_3_absorbing_family():
     ens = EnsembleSpec(n_points=64, sampling="sphere_surface", seed=cfg.seed,
                        taus=(10.0, 20.0), t_star=0.0, deltas=(0.0, 0.1), dt=5e-3)
     fractions = []
-    for rep in verify_absorbing(cfg.model, params, cfg.basis, ens):
+    for rep in verify_absorbing(cfg.model, params, cfg.basis, ens, threads=2):
         fractions.extend(r.fraction_inside for r in rep.rows)
     elapsed = time.time() - t0
     ok = all(f == 1.0 for f in fractions) and elapsed < 300.0
@@ -163,7 +163,7 @@ def test_criterion_7_upper_semicontinuity():
     params = cfg.energy_params()
     ens = EnsembleSpec(n_points=64, sampling="sphere_surface", seed=cfg.seed,
                        taus=(20.0,), t_star=0.0, deltas=(0.2, 0.1, 0.05, 0.01), dt=5e-3)
-    sweep = semicontinuity_sweep(cfg.model, params, cfg.basis, ens)
+    sweep = semicontinuity_sweep(cfg.model, params, cfg.basis, ens, threads=2)
     dists = [r.dist for r in sweep.rows if r.delta > 0]
     elapsed = time.time() - t0
     monotone = all(b <= a * 1.1 for a, b in zip(dists, dists[1:]))

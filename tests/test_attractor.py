@@ -451,9 +451,9 @@ class TestLegScheduler:
         submitted = []
 
         class Recording(att.ThreadPoolExecutor):
-            def submit(self, fn, *leg):
-                submitted.append(leg[5])
-                return super().submit(fn, *leg)
+            def submit(self, fn, us, vs, spec, basis, t0, t1, dt):
+                submitted.append(dt)
+                return super().submit(fn, us, vs, spec, basis, t0, t1, dt)
 
         us = np.zeros((4, basis.n_modes))
         legs = [(spec, us, us, -0.4, 0.0, 0.02), (spec, us, us, -0.4, 0.0, 0.01)]
@@ -472,9 +472,9 @@ class TestLegScheduler:
                 workers.append(max_workers)
                 super().__init__(max_workers)
 
-            def submit(self, fn, spec, us, vs, t0, t1, dt, basis):
+            def submit(self, fn, us, vs, spec, basis, t0, t1, dt):
                 submitted.append((us.shape[0], t0))
-                return super().submit(fn, spec, us, vs, t0, t1, dt, basis)
+                return super().submit(fn, us, vs, spec, basis, t0, t1, dt)
 
         rng = np.random.default_rng(3)
         us, vs = 0.1 * rng.standard_normal((2, 4, basis.n_modes))

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kwavelab.cli import _write_csv, main
+from kwavelab.cli import COMMANDS, _write_csv, main
 from kwavelab.config import ConfigError, ExperimentConfig
 from kwavelab.energy import InfeasibleParamsError
 from kwavelab.model import NONLINEARITY_KINDS
@@ -170,6 +170,23 @@ class TestExitCodes:
 
     def test_unreadable_config_exit_2(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_output_under_a_regular_file_exit_2(self, tmp_path, capsys, command):
+        # the output directory cannot be made: one line, no traceback
+        (tmp_path / "file").write_text("")
+        path = write_cfg(tmp_path, SMALL_MODEL)
+        assert main([command, "--config", path, "--out", str(tmp_path / "file" / "o")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"configuration error: .*Not a directory.*\n", err)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, command):
+        # rejected at load, also where no draw reads it (simulate's ic.kind = mode)
+        path = write_cfg(tmp_path, SMALL_MODEL)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "configuration error: seed = -1 must be nonnegative\n"
 
     def test_feasibility_empty_exit_1(self, tmp_path):
         code = main(["feasibility", "--config", fixture_cfg("infeasible.cfg"),
@@ -335,6 +352,15 @@ class TestExitCodes:
         pytest.param("feasibility", "energy.rho_max = -1", "unknown key 'energy.rho_max'",
                      id="feasibility-energy.rho_max = -1-energy.rho_max is a constant"),
         ("pullback", "attractor.dt = 0", "attractor.dt = 0 must be positive"),
+        # a negative seed, also where no draw reads it (simulate's ic.kind = mode)
+        *((command, "seed = -3", "seed = -3 must be nonnegative") for command in COMMANDS),
+        # a step count that is not finite: span / dt overflows to inf
+        *((command, "disc.dt = 1e-320", "the step count (t_end - t_start) / dt is not finite")
+          for command in ("validate", "simulate")),
+        *((command, "attractor.dt = 1e-320",
+           f"pullback horizon tau = {tau} is not a finite number of 2 attractor.dt = "
+           f"{2.0 * 1e-320:g} steps, the step of the doubling pass")
+          for command, tau in (("pullback", 4), ("semicontinuity", 8))),
         ("semicontinuity", "attractor.dt = -0.005", "attractor.dt = -0.005 must be positive"),
         *((command, line, message) for command in ("validate", "feasibility", "simulate")
           for line, message in (
@@ -788,6 +814,21 @@ class TestArtifactDiff:
         assert code == 1
         assert "s.json 0.0001 .rows[].r" in lines
         assert "s.json: column .dt_gap only in RUN_B" in lines
+
+    @pytest.mark.parametrize("old,new,column", [
+        ('"tag"', '"dt_gap": 0.5, "tag"', ".dt_gap"),
+        ('{"r": 2.0}', '{"r": 2.0, "dt_gap": 0.5}', ".rows[].dt_gap")])
+    def test_an_added_key_is_one_problem(self, tmp_path, old, new, column):
+        code, lines = self.diff(tmp_path, {"s.json": self.JSON},
+                                {"s.json": self.JSON.replace(old, new)})
+        assert code == 1
+        assert [line for line in lines if line.startswith("s.json: ")] == [
+            f"s.json: column {column} only in RUN_B"]
+
+    def test_a_key_that_empties_a_dict_is_caught(self, tmp_path):
+        code, lines = self.diff(tmp_path, {"s.json": '{"a": {}, "b": 1}\n'},
+                                {"s.json": '{"b": 1}\n'})
+        assert code == 1 and "s.json: column .a only in RUN_A" in lines
 
     def test_exits_1_on_a_file_in_one_tree_only(self, tmp_path):
         code, lines = self.diff(tmp_path, {"t.csv": self.CSV},

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -157,6 +159,20 @@ class TestStep:
         assert exc.value.t == 0.5 + 0.1
         assert (exc.value.member, exc.value.mode) == (1, 5)
         assert "(ensemble member 1, mode 5)" in str(exc.value)
+
+    def test_ensemble_blow_up_pickles_and_copies_as_plain_data(self):
+        # what a worker process would send back: the fields and the message
+        spec, basis = kw.ModelSpec(), kw.Basis(1, 8)
+        us, vs = np.full((3, 8), 0.1), np.zeros((3, 8))
+        us[2, 4] = np.inf
+        with pytest.raises(BlowUpError) as exc:
+            kw.evolve_ensemble(us, vs, spec, basis, 0.5, 1.5, 0.1)
+        assert str(exc.value) == ("non-finite state at t = 0.6 (ensemble member 2, mode 4) "
+                                  "in the pass at dt = 0.1")
+        for other in (pickle.loads(pickle.dumps(exc.value)), copy.copy(exc.value)):
+            assert type(other) is BlowUpError and other is not exc.value
+            assert (other.t, other.member, other.mode, other.dt) == (0.5 + 0.1, 2, 4, 0.1)
+            assert other.args == exc.value.args and str(other) == str(exc.value)
 
     @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
     def test_ensemble_rows_equal_single_runs_bitwise(self, dim, n):
