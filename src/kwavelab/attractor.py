@@ -6,12 +6,16 @@ a long horizon tau; the endpoint set is the cloud. Truncating the horizon
 replaces the nested-intersection construction, and a Cauchy-in-tau self-test
 quantifies the truncation error.
 
-An ensemble is one spectral.sample_xt draw, isotropic in the phase-space
-metric, on the sphere or in the ball of radius B(t* - tau). Distances between
-clouds are Hausdorff semi-distances in the metric of the common evaluation
-time. One GEMM screens the pairs with a rigorous rounding bound, and only the
-pairs that can be a row's nearest get the exact distance, summed in scipy
-cdist's order; so the result has the bits of a brute-force pairwise comparison.
+The phase-space metric is the X_t norm |grad u|^2 + eps(t)|u_t|^2, defined
+once in spectral: xt_norm_sq, and xt_scale, the coordinate scale in which it
+is Euclidean, which raises ValueError unless eps is finite and positive. An
+ensemble is one spectral.sample_xt draw, isotropic in that metric, on the
+sphere or in the ball of radius B(t* - tau). Distances between clouds are
+Hausdorff semi-distances in it at the common evaluation time, Euclidean on
+xt_scale's coordinates. One GEMM screens the pairs with a rigorous rounding
+bound, and only the pairs that can be a row's nearest get the exact distance,
+summed in scipy cdist's order; so the result has the bits of a brute-force
+pairwise comparison.
 
 Every (delta, tau) pair is one independent pullback leg. One routine, _clouds,
 builds the clouds of the absorbing check and the delta sweep, and hands all its
@@ -19,10 +23,10 @@ legs to one scheduler, _evolve_legs, which parallelises across whole legs
 rather than within one. The entry points take their t*, deltas, horizons and
 leg step dt from one EnsembleSpec, the resolved attractor.* section of a config.
 
-_clouds evolves every leg twice, at dt and at 2 dt, in one batch of legs. The
-step is second order, so |x(dt) - x(2 dt)| / 3 estimates the time-step error
-of a number x read off the dt clouds (step doubling; Hairer, Norsett and
-Wanner, Solving ODEs I, II.4). Each row of the absorbing check and of the
+_clouds evolves every leg twice, at the two EnsembleSpec.steps dt and 2 dt,
+in one batch of legs. The step is second order, so |x(dt) - x(2 dt)| / 3
+estimates the time-step error of a number x read off the dt clouds (step
+doubling; Hairer, Norsett and Wanner, Solving ODEs I, II.4). Each row of the absorbing check and of the
 sweep reports that estimate as dt_gap; the 2 dt clouds are dropped once it is
 taken.
 """
@@ -39,7 +43,7 @@ import numpy as np
 from .energy import EnergyParams, eval_B
 from .integrator import evolve_ensemble
 from .model import ModelSpec, eval_epsilon
-from .spectral import Basis, ModalState, sample_xt, xt_norm_sq
+from .spectral import Basis, ModalState, sample_xt, xt_norm_sq, xt_scale
 
 SAMPLINGS = ("sphere_surface", "ball_uniform")
 
@@ -77,6 +81,11 @@ class EnsembleSpec:
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "deltas", deltas)
 
+    @property
+    def steps(self) -> tuple[float, float]:
+        """(dt, 2 dt): the steps of a leg's fine pass and of its doubling pass."""
+        return self.dt, 2.0 * self.dt
+
 
 @dataclass(frozen=True)
 class AttractorCloud:
@@ -94,11 +103,6 @@ class AttractorCloud:
     @property
     def n_points(self) -> int:
         return int(self.us.shape[0])
-
-
-def _metric_weights(basis: Basis, eps_profile, t: float) -> np.ndarray:
-    eps, _ = eval_epsilon(eps_profile, t)
-    return np.concatenate([basis.eigenvalues, np.full(basis.n_modes, eps)])
 
 
 _BUF_FLOATS = 1 << 15  # size bound (256 KB) of the distance kernels' work arrays
@@ -219,12 +223,11 @@ def _clouds(spec: ModelSpec, params: EnergyParams, basis: Basis, ens: EnsembleSp
     t = ens.t_star
     samples = [_sample_arrays(spec, params, basis, t - tau, ens) for tau in taus]
     specs = [spec.with_delta(float(d)) for d in deltas]
-    steps = (ens.dt, 2.0 * ens.dt)
-    ends = _evolve_legs([(s, us, vs, t - tau, t, dt) for s in specs for dt in steps
+    ends = _evolve_legs([(s, us, vs, t - tau, t, dt) for s in specs for dt in ens.steps
                          for tau, (us, vs) in zip(taus, samples)], basis, threads)
     for s in specs:
         yield tuple([AttractorCloud(t, tau, s.delta, basis, *next(ends)) for tau in taus]
-                    for _ in steps)
+                    for _ in ens.steps)
 
 
 def pullback_cloud(spec: ModelSpec, params: EnergyParams, basis: Basis,
@@ -244,16 +247,17 @@ def _dt_gap(fine: float, coarse: float) -> float:
 
 
 def hausdorff_semidist(A: AttractorCloud, B: AttractorCloud, eps_profile) -> float:
-    """sup over a in A of the distance to B, in the metric at the common
-    evaluation time (asymmetric). sqrt is monotone, so the sqrt of the
-    largest least squared distance is the brute-force max-min distance."""
+    """sup over a in A of the distance to B, in the X_t metric at the common
+    evaluation time (asymmetric): Euclidean on the coordinates that
+    spectral.xt_scale gives, so ValueError unless eps is finite and positive
+    there. sqrt is monotone, so the sqrt of the largest least squared
+    distance is the brute-force max-min distance."""
     if A.n_points == 0 or B.n_points == 0:
         raise ValueError("clouds must be nonempty")
     if A.basis != B.basis or not math.isclose(A.t_star, B.t_star, abs_tol=1e-12):
         raise ValueError("clouds must share basis and evaluation time")
-    w = np.sqrt(_metric_weights(A.basis, eps_profile, A.t_star))
-    P = np.concatenate([A.us, A.vs], axis=1) * w
-    Q = np.concatenate([B.us, B.vs], axis=1) * w
+    scale_u, scale_v = xt_scale(A.basis, eval_epsilon(eps_profile, A.t_star)[0])
+    P, Q = (np.concatenate([c.us * scale_u, c.vs * scale_v], axis=1) for c in (A, B))
     return float(np.sqrt(np.max(_min_sq_dist(P, Q))))
 
 

@@ -2,8 +2,9 @@
 
 Commands: validate, simulate, feasibility, pullback, semicontinuity,
 decompose. Exit codes: 0 success, 1 property failure, 2 configuration error
-(ExperimentConfig's checks, a negative seed and an uncountable step count among
-them; pullback's of its report keys; an unusable output directory), 3 numerical failure.
+(ExperimentConfig's checks, a negative seed, an uncountable step count and, for
+simulate and decompose, record arrays over MAX_RECORD_VALUES among them;
+pullback's of its report keys; an unusable output directory), 3 numerical failure.
 All artifacts are written with 17 significant digits so CSV round-trips are
 exact, and identical config + seed produce identical bytes. Every CSV cell
 is the text of '%.17g' % x, byte for byte. _write_csv makes that text with
@@ -268,6 +269,7 @@ def _state_columns(basis) -> list[str]:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
+    cfg.check_records()
     params = cfg.energy_params(log=_stage)
     cfg.check_radius(params, cfg.step.t_start, cfg.step.t_end)
     _stage(f"integrating {cfg.step.n_steps} steps of dt = {cfg.step.dt:g}")
@@ -366,6 +368,7 @@ def cmd_semicontinuity(cfg: ExperimentConfig) -> int:
 
 def cmd_decompose(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
+    cfg.check_records()
     _stage(f"integrating parent trajectory ({cfg.step.n_steps} steps)")
     traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
     _stage("integrating decomposition")

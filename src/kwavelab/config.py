@@ -18,7 +18,7 @@ import numpy as np
 from .attractor import EnsembleSpec
 from .energy import (EnergyParams, FeasibilityReport, InfeasibleParamsError,
                      check_point_margins, eval_B, solve_feasibility)
-from .integrator import StepConfig
+from .integrator import MAX_RECORD_VALUES, StepConfig
 from .model import (EpsilonProfile, ForcingSpec, HypothesisReport, ModelSpec,
                     NonlinearitySpec, eval_epsilon, validate_hypotheses)
 from .spectral import Basis, ModalState, sample_xt
@@ -225,16 +225,27 @@ class ExperimentConfig:
         """ConfigError unless each pullback leg t_star - tau -> t_star is a whole
         number of 2 attractor.dt steps, the step of the doubling pass (so also
         of attractor.dt steps), and starts where eps > 0."""
-        t_star, dt = self.ensemble.t_star, self.ensemble.dt
+        t_star, (_, coarse) = self.ensemble.t_star, self.ensemble.steps
         for tau in taus:
             try:
-                StepConfig(dt=2.0 * dt, t_start=t_star - tau, t_end=t_star)
+                StepConfig(dt=coarse, t_start=t_star - tau, t_end=t_star)
             except ValueError:
-                count = "whole" if math.isfinite(tau / (2.0 * dt)) else "finite"
+                count = "whole" if math.isfinite(tau / coarse) else "finite"
                 raise ConfigError(f"pullback horizon tau = {tau:g} is not a {count} number "
-                                  f"of 2 attractor.dt = {2.0 * dt:g} steps, the step of "
+                                  f"of 2 attractor.dt = {coarse:g} steps, the step of "
                                   f"the doubling pass") from None
             self._start_eps(t_star - tau, f"the start of the pullback leg tau = {tau:g}")
+
+    def check_records(self) -> None:
+        """ConfigError unless a run's record arrays (times, us and vs) hold at
+        most MAX_RECORD_VALUES floats; checked before they are allocated, as
+        the allocator's answer depends on the host."""
+        n_rec, width = self.step.n_records, 2 * self.basis.n_modes + 1
+        if n_rec * width > MAX_RECORD_VALUES:
+            raise ConfigError(f"disc.dt = {self.step.dt:g} and disc.record_every = "
+                              f"{self.step.record_every} give {n_rec} records of {width} "
+                              f"values, more than the {MAX_RECORD_VALUES} values the "
+                              f"record arrays may hold")
 
     def check_radius(self, params: EnergyParams, t_lo: float, t_hi: float) -> None:
         """ConfigError unless B is finite at t_lo and t_hi, the ends of the window

@@ -45,7 +45,7 @@ from .integrator import Trajectory, reconstruct_accel
 from .model import (ModelSpec, eval_epsilon, exp_each, forcing_norm_sq,
                     weighted_tail_integral)
 from .spectral import (Basis, ModalState, dual_norm_sq, eval_nonlinearity_modal,
-                       grad_norm_sq, inner, integral_of_G, norm_sq)
+                       grad_norm_sq, inner, integral_of_G, norm_sq, xt_norm_sq)
 
 
 class InfeasibleParamsError(ValueError):
@@ -94,7 +94,8 @@ def eval_functionals(state: ModalState, spec: ModelSpec, basis: Basis,
     """E, I, K and L of a state that solves the second-order problem (L's
     w_t = u_tt is reconstructed from the equation). Each term they share is
     evaluated once here: eps, the norms of u, v and v + rho u, the modal g(u)
-    (handed to reconstruct_accel), (G(u), 1) and u_tt."""
+    (handed to reconstruct_accel), (G(u), 1) and u_tt. The X_t norm is
+    spectral.xt_norm_sq's, the metric's one definition."""
     eps, _ = eval_epsilon(spec.epsilon, state.t)
     u, v = state.u, state.v
     rho = params.rho
@@ -113,7 +114,7 @@ def eval_functionals(state: ModalState, spec: ModelSpec, basis: Basis,
     wt = reconstruct_accel(state, spec, basis, g_modal)
     L = (eps * dual_norm_sq(basis, wt) + 2.0 * rho * eps * inner(wt, v)
          + v_sq + rho * grad_v + spec.lam * dual_norm_sq(basis, v))
-    return Functionals(E, I, K, L, S + eps * v_sq, S)
+    return Functionals(E, I, K, L, xt_norm_sq(basis, state, spec.epsilon), S)
 
 
 def eval_B(t, spec: ModelSpec, params: EnergyParams):

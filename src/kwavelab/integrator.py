@@ -68,6 +68,7 @@ from .spectral import (Basis, ModalState, eval_nonlinearity_modal,
 
 
 _ROW_BLOCK_VALUES = 1 << 13  # values (64 KB) per array of a block of step rows
+MAX_RECORD_VALUES = 1 << 27  # floats (1 GiB) that run's record arrays may hold
 
 
 class BlowUpError(RuntimeError):
@@ -118,6 +119,11 @@ class StepConfig:
         if abs(n * self.dt - span) > 1e-9 * max(1.0, abs(span)):
             raise ValueError("time span must be an integer number of steps")
         return n
+
+    @property
+    def n_records(self) -> int:
+        """Records of a run: the start and every record_every-th step."""
+        return self.n_steps // self.record_every + 1
 
 
 @dataclass(frozen=True)
@@ -320,7 +326,7 @@ def run(initial: ModalState, spec: ModelSpec, basis: Basis, cfg: StepConfig,
     if resume is not None:
         origin_t, origin_step, nl_prev = resume.origin_t, resume.origin_step, resume.nl_prev
 
-    n_rec = n // cfg.record_every + 1
+    n_rec = cfg.n_records
     times = np.empty(n_rec)
     us = np.empty((n_rec, basis.n_modes))
     vs = np.empty((n_rec, basis.n_modes))

@@ -12,6 +12,7 @@ import kwavelab.attractor as att
 from kwavelab.attractor import (AttractorCloud, EnsembleSpec, hausdorff_semidist,
                                 pullback_cloud, semicontinuity_sweep, verify_absorbing)
 from kwavelab.energy import EnergyParams, eval_B
+from kwavelab.spectral import sample_xt, xt_scale
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +144,8 @@ class TestPullbackCloud:
         max_norm = []
         for tau in ens.taus:
             cloud = pullback_cloud(spec, params, basis, ens, tau)
-            P = (np.concatenate([cloud.us, cloud.vs], axis=1)
-                 * np.sqrt(att._metric_weights(basis, spec.epsilon, cloud.t_star)))
+            scale_u, scale_v = xt_scale(basis, kw.eval_epsilon(spec.epsilon, cloud.t_star)[0])
+            P = np.concatenate([cloud.us * scale_u, cloud.vs * scale_v], axis=1)
             diam.append(float(np.max(all_pair_dists(P, P))))
             norms = (np.sum(basis.eigenvalues * cloud.us ** 2, axis=1)
                      + np.sum(cloud.vs ** 2, axis=1))
@@ -261,8 +262,8 @@ class TestHausdorff:
         A = AttractorCloud(0.0, 0.0, 0.0, basis, rng.standard_normal((9, 8)),
                            rng.standard_normal((9, 8)))
         B = AttractorCloud(0.0, 0.0, 0.0, basis, A.us[::-1] + 1e-12, A.vs[::-1])
-        w = np.sqrt(att._metric_weights(basis, spec.epsilon, 0.0))
-        P, Q = (np.concatenate([c.us, c.vs], axis=1) * w for c in (A, B))
+        scale_u, scale_v = xt_scale(basis, kw.eval_epsilon(spec.epsilon, 0.0)[0])
+        P, Q = (np.concatenate([c.us * scale_u, c.vs * scale_v], axis=1) for c in (A, B))
         assert hausdorff_semidist(A, B, spec.epsilon) == float(np.max(np.min(cdist(P, Q), axis=1)))
 
     def test_empty_cloud_rejected(self, free_setup):
@@ -271,6 +272,37 @@ class TestHausdorff:
         other = AttractorCloud(0.0, 0.0, 0.0, basis, np.zeros((1, 8)), np.zeros((1, 8)))
         with pytest.raises(ValueError):
             hausdorff_semidist(empty, other, spec.epsilon)
+
+
+# eps at the cloud time that leaves X_t unnormed: zero (1 - e^0), negative
+# (eps_increasing.cfg's profile at t = -1) and not finite
+BAD_EPS = {
+    "zero": (kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=-1.0), 0.0),
+    "negative": (kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0, amplitude=-0.5), -1.0),
+    "inf": (kw.EpsilonProfile(alpha=math.inf), 0.0),
+    "minus_inf": (kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.0,
+                                    amplitude=-math.inf), 0.0),
+    "nan": (kw.EpsilonProfile(alpha=math.nan), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EPS))
+class TestXtPrecondition:
+    def test_sample_xt_rejects_eps(self, case, free_setup):
+        _, basis, _ = free_setup
+        profile, t = BAD_EPS[case]
+        eps = kw.eval_epsilon(profile, t)[0]
+        with pytest.raises(ValueError, match="X_t metric needs a finite eps > 0"):
+            sample_xt(np.random.default_rng(0), 4, basis, eps, 1.0)
+
+    def test_hausdorff_semidist_rejects_eps(self, case, free_setup):
+        _, basis, _ = free_setup
+        profile, t = BAD_EPS[case]
+        rng = np.random.default_rng(1)
+        A, B = (AttractorCloud(t, 1.0, 0.0, basis, rng.standard_normal((3, 8)),
+                               rng.standard_normal((3, 8))) for _ in range(2))
+        with pytest.raises(ValueError, match="X_t metric needs a finite eps > 0"):
+            hausdorff_semidist(A, B, profile)
 
 
 class TestAbsorbing:

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 from kwavelab.cli import COMMANDS, _write_csv, main
 from kwavelab.config import ConfigError, ExperimentConfig
 from kwavelab.energy import InfeasibleParamsError
+from kwavelab.integrator import MAX_RECORD_VALUES
 from kwavelab.model import NONLINEARITY_KINDS
 from oracles import write_csv_plain
 
@@ -223,6 +224,32 @@ class TestExitCodes:
             f"configuration error: pullback horizon tau = {tau} is not a whole number of "
             f"2 attractor.dt = 0.01 steps, the step of the doubling pass\n")
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "decompose"])
+    @pytest.mark.parametrize("dt,records", [("1e-09", 5000000001),
+                                            ("1e-18", 5000000000000000001)])
+    def test_record_arrays_over_the_bound_exit_2(self, tmp_path, capsys, command, dt, records):
+        # 37 GiB of records at 1e-9, past the largest array size at 1e-18: one line
+        # and nothing written, whatever the allocator would have said
+        text = open(fixture_cfg("linear.cfg")).read()
+        for key, value in (("disc.dt", dt), ("disc.t_end", "5"), ("disc.record_every", "1")):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        out = tmp_path / "o"
+        assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: disc.dt = {dt} and disc.record_every = 1 give {records} "
+            f"records of 65 values, more than the {MAX_RECORD_VALUES} values the record "
+            f"arrays may hold\n")
+        assert os.listdir(out) == []
+
+    def test_record_arrays_at_the_bound_are_checked_exactly(self, monkeypatch):
+        # linear.cfg holds 2001 records of 65 values; a bound one value short rejects it
+        cfg = ExperimentConfig.load(fixture_cfg("linear.cfg"))
+        monkeypatch.setattr("kwavelab.config.MAX_RECORD_VALUES", 2001 * 65)
+        cfg.check_records()
+        monkeypatch.setattr("kwavelab.config.MAX_RECORD_VALUES", 2001 * 65 - 1)
+        with pytest.raises(ConfigError, match="give 2001 records of 65 values"):
+            cfg.check_records()
 
     @pytest.mark.parametrize("command,t", [("pullback", -5), ("semicontinuity", -20)])
     def test_nonpositive_epsilon_at_leg_start_exit_2(self, tmp_path, capsys, command, t):
@@ -761,6 +788,42 @@ class TestArtifactDigests:
             ("semicontinuity", "semicontinuity.json"),
             ("decompose", "decomposition.csv"), ("decompose", "decomposition.json")}
         assert all(cfg == path and len(sha) == 64 for cfg, _, _, sha in lines)
+
+
+class TestScriptsRun:
+    """Every script that no other test runs, run once at a small scale, so that a
+    stale library call fails here."""
+
+    @staticmethod
+    def script(name, *args, cwd=None):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+                              env=env, cwd=cwd, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_convergence_study(self):
+        lines = self.script("convergence_study.py")
+        assert len(lines) == 2 + 5
+
+    def test_run_baseline(self, tmp_path):
+        # the script names its config relative to the repository root
+        lines = self.script("run_baseline.py", "--out", str(tmp_path / "b"), cwd=ROOT)
+        assert lines[-1] == f"baseline artifacts in {tmp_path / 'b'}"
+        assert {"hypotheses.json", "trajectory.csv", "decomposition.csv"} <= set(
+            os.listdir(tmp_path / "b"))
+
+    @pytest.mark.parametrize("flags", [[], ["--absorbing"]], ids=["sweep", "absorbing"])
+    def test_dt_study(self, tmp_path, flags):
+        # 3 modes, 4 members; taus whole numbers of 2 dt steps at every default dt
+        text = (SMALL_MODEL.replace("disc.n_modes = 8", "disc.n_modes = 3")
+                .replace("attractor.n_points = 8", "attractor.n_points = 4")
+                .replace("attractor.taus = 4, 8", "attractor.taus = 0.5, 1"))
+        lines = self.script("dt_study.py", write_cfg(tmp_path, text), *flags)
+        assert sum(" wall " in line for line in lines) == 4
+
+    def test_run_attractor_study_help(self):
+        assert self.script("run_attractor_study.py", "--help")[0].startswith("usage:")
 
 
 class TestArtifactDiff:

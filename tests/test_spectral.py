@@ -92,6 +92,20 @@ class TestNorms:
                 assert isinstance(single, float) and single == batched[i]
                 assert single == kw.grad_norm_sq(b, us[i]) + e * kw.norm_sq(vs[i])
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_xt_scale_makes_the_xt_norm_euclidean(self, d):
+        # (sqrt(mu), sqrt(eps)) with the bits of the square roots taken one by one
+        b = Basis(d, 5)
+        eps = kw.EpsilonProfile(kind="exp_decay_to_limit", alpha=1.5, amplitude=0.7)
+        e, _ = kw.eval_epsilon(eps, 0.3)
+        scale_u, scale_v = spectral.xt_scale(b, e)
+        assert np.array_equal(scale_u, np.sqrt(b.eigenvalues))
+        assert scale_v == np.sqrt(np.full(1, e))[0] == math.sqrt(e)
+        us, vs = np.random.default_rng(d).standard_normal((2, 9, b.n_modes))
+        coords = np.concatenate([us * scale_u, vs * scale_v], axis=1)
+        assert np.allclose(np.sum(coords ** 2, axis=1),
+                           kw.xt_norm_sq(b, ModalState(us, vs, 0.3), eps), rtol=1e-14, atol=0)
+
     def test_poincare_inequality(self):
         rng = np.random.default_rng(3)
         for d in (1, 2, 3):
