@@ -13,8 +13,9 @@ and, for the sweep, its fitted order.
 
 Usage: python scripts/dt_study.py CONFIG [--dts DT ...] [--absorbing] [--threads N]
 
-Every tau the run integrates must be a whole number of 2 dt steps, as for the
-commands themselves.
+Every tau the run integrates must be a whole number of 2 dt steps, and B must
+be finite on the window the mirrored command evaluates it on, as for the
+commands themselves (exit 2 otherwise).
 """
 
 import argparse
@@ -31,13 +32,15 @@ DEFAULT_DTS = (0.005, 0.0078125, 0.015625, 0.03125)
 def study_rows(cfg: ExperimentConfig, params, absorbing: bool):
     """(label, value, dt_gap) per printed line of one run, and a note for its
     last line (the sweep's fitted order)."""
-    ens = cfg.ensemble
+    ens, tau_max = cfg.ensemble, cfg.ensemble.taus[-1]
     if not absorbing:
-        cfg.check_legs([ens.taus[-1]])
+        cfg.check_legs([tau_max])
+        cfg.check_radius(params, ens.t_star - tau_max, ens.t_star - tau_max)
         sweep = att.semicontinuity_sweep(cfg.model, params, cfg.basis, ens, cfg.threads)
         return ([(f"delta={r.delta:g} dist", r.dist, r.dt_gap) for r in sweep.rows],
                 f", fitted order {sweep.fitted_order}")
     cfg.check_legs(ens.taus)
+    cfg.check_radius(params, ens.t_star - tau_max, ens.t_star)
     reps = att.verify_absorbing(cfg.model, params, cfg.basis, ens, cfg.threads)
     return ([(f"delta={d:g} tau={r.tau:g} {name}", value, r.dt_gap)
              for d, rep in zip(ens.deltas, reps) for r in rep.rows

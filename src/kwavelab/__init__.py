@@ -15,8 +15,7 @@ from .model import (EpsilonProfile, ForcingSpec, HypothesisReport, ModelSpec,
 from .spectral import (Basis, ModalState, eval_nonlinearity_modal, from_grid,
                        grad_norm_sq, norm_sq, to_grid, xt_norm_sq)
 from .integrator import (BlowUpError, DecompositionPair, StepConfig,
-                         Trajectory, evolve_ensemble, reconstruct_accel, run,
-                         run_decomposition)
+                         Trajectory, evolve_ensemble, run, run_decomposition)
 from .energy import (EnergyLedger, EnergyParams, FeasibilityReport,
                      build_ledger, eval_B, eval_functionals,
                      fit_norm_sandwich, solve_feasibility,

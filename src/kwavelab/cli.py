@@ -246,6 +246,7 @@ def _stage(msg: str) -> None:
 
 
 def _out_dir(cfg: ExperimentConfig) -> str:
+    """Make the output directory; each command calls it after its checks."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg.out_dir
 
@@ -268,12 +269,13 @@ def _state_columns(basis) -> list[str]:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     cfg.check_records()
     params = cfg.energy_params(log=_stage)
     cfg.check_radius(params, cfg.step.t_start, cfg.step.t_end)
     _stage(f"integrating {cfg.step.n_steps} steps of dt = {cfg.step.dt:g}")
-    traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
+    initial = cfg.initial_state()
+    out = _out_dir(cfg)
+    traj = run(initial, cfg.model, cfg.basis, cfg.step)
     _write_csv(os.path.join(out, "trajectory.csv"), ["t"] + _state_columns(cfg.basis),
                np.column_stack([traj.times, traj.us, traj.vs]))
     _stage("building energy ledger")
@@ -300,10 +302,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_feasibility(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     _stage(f"scanning {cfg.values['energy.grid_n']}^2 grid over "
            f"(0, {en.RHO_MAX:g}] x (0, {en.CHI_MAX:g}]")
     report = cfg.scan_feasibility()
+    out = _out_dir(cfg)
     _write_json(os.path.join(out, "feasibility.json"), report.to_dict())
     if report.is_empty:
         _stage(f"feasible set EMPTY; binding constraint: {report.binding_kill}")
@@ -314,7 +316,6 @@ def cmd_feasibility(cfg: ExperimentConfig) -> int:
 
 
 def cmd_pullback(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     ens = cfg.ensemble
     labels = [f"{d:g}" for d in ens.deltas]  # the keys of absorbing.json
     if len(set(labels)) < len(labels):
@@ -322,6 +323,7 @@ def cmd_pullback(cfg: ExperimentConfig) -> int:
     params = cfg.energy_params(log=_stage)
     cfg.check_legs(ens.taus)
     cfg.check_radius(params, ens.t_star - ens.taus[-1], ens.t_star)
+    out = _out_dir(cfg)
     _stage(f"absorbing check over deltas {list(ens.deltas)} and taus {list(ens.taus)}")
     reps = att.verify_absorbing(cfg.model, params, cfg.basis, ens, threads=cfg.threads)
     reports = {}
@@ -342,12 +344,12 @@ def cmd_pullback(cfg: ExperimentConfig) -> int:
 
 
 def cmd_semicontinuity(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     ens = cfg.ensemble
     tau = ens.taus[-1]
     params = cfg.energy_params(log=_stage)
     cfg.check_legs([tau])
     cfg.check_radius(params, ens.t_star - tau, ens.t_star - tau)
+    out = _out_dir(cfg)
     _stage(f"sweep over deltas {list(ens.deltas)} at tau = {tau:g}")
     sweep = att.semicontinuity_sweep(cfg.model, params, cfg.basis, ens, threads=cfg.threads)
     order = sweep.fitted_order
@@ -367,10 +369,11 @@ def cmd_semicontinuity(cfg: ExperimentConfig) -> int:
 
 
 def cmd_decompose(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     cfg.check_records()
     _stage(f"integrating parent trajectory ({cfg.step.n_steps} steps)")
-    traj = run(cfg.initial_state(), cfg.model, cfg.basis, cfg.step)
+    initial = cfg.initial_state()
+    out = _out_dir(cfg)
+    traj = run(initial, cfg.model, cfg.basis, cfg.step)
     _stage("integrating decomposition")
     pair = run_decomposition(traj, cfg.model)
     g1 = grad_norm_sq(cfg.basis, pair.u1)

@@ -193,6 +193,8 @@ class ExperimentConfig:
                 dt=step.dt if values["attractor.dt"] is None else values["attractor.dt"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except FloatingPointError as exc:  # StepConfig's clock check, on disc.dt
+            raise ConfigError(f"disc.{exc}") from exc
         return cls(model, basis, step, ensemble, values)
 
     @property
@@ -223,12 +225,15 @@ class ExperimentConfig:
 
     def check_legs(self, taus) -> None:
         """ConfigError unless each pullback leg t_star - tau -> t_star is a whole
-        number of 2 attractor.dt steps, the step of the doubling pass (so also
-        of attractor.dt steps), and starts where eps > 0."""
-        t_star, (_, coarse) = self.ensemble.t_star, self.ensemble.steps
+        number of 2 attractor.dt steps, the step of the doubling pass (so also of
+        attractor.dt steps), each moves the clock, and it starts where eps > 0."""
+        t_star, (fine, coarse) = self.ensemble.t_star, self.ensemble.steps
         for tau in taus:
             try:
-                StepConfig(dt=coarse, t_start=t_star - tau, t_end=t_star)
+                for dt in (fine, coarse):
+                    StepConfig(dt=dt, t_start=t_star - tau, t_end=t_star)
+            except FloatingPointError as exc:
+                raise ConfigError(f"attractor.{exc}, on the pullback leg tau = {tau:g}") from None
             except ValueError:
                 count = "whole" if math.isfinite(tau / coarse) else "finite"
                 raise ConfigError(f"pullback horizon tau = {tau:g} is not a {count} number "

@@ -41,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .integrator import Trajectory, reconstruct_accel
-from .model import (ModelSpec, eval_epsilon, exp_each, forcing_norm_sq,
+from .integrator import Trajectory
+from .model import (ModelSpec, eval_epsilon, eval_h, exp_each, forcing_norm_sq,
                     weighted_tail_integral)
 from .spectral import (Basis, ModalState, dual_norm_sq, eval_nonlinearity_modal,
                        grad_norm_sq, inner, integral_of_G, norm_sq, xt_norm_sq)
@@ -91,10 +91,10 @@ Functionals = namedtuple("Functionals", "E I K L xt_norm_sq grad_norm_sq")
 
 def eval_functionals(state: ModalState, spec: ModelSpec, basis: Basis,
                      params: EnergyParams) -> Functionals:
-    """E, I, K and L of a state that solves the second-order problem (L's
-    w_t = u_tt is reconstructed from the equation). Each term they share is
-    evaluated once here: eps, the norms of u, v and v + rho u, the modal g(u)
-    (handed to reconstruct_accel), (G(u), 1) and u_tt. The X_t norm is
+    """E, I, K and L of a state that solves the second-order problem. Each
+    term they share is evaluated once here: eps, the norms of u, v and
+    v + rho u, the modal g(u), (G(u), 1) and L's w_t = u_tt, the modal equation
+    solved for it from the eps, |grad u|^2 and g(u) held here. The X_t norm is
     spectral.xt_norm_sq's, the metric's one definition."""
     eps, _ = eval_epsilon(spec.epsilon, state.t)
     u, v = state.u, state.v
@@ -111,7 +111,10 @@ def eval_functionals(state: ModalState, spec: ModelSpec, basis: Basis,
     K = (0.5 * grad_v + rho * S
          - (8.0 * rho ** 2 * eps / basis.lambda1) * v_sq
          - 0.5 * rho ** 2 * basis.lambda1 * eps * u_sq)
-    wt = reconstruct_accel(state, spec, basis, g_modal)
+    mu = basis.eigenvalues
+    wt = ((g_modal + eval_h(spec.h, basis.n_modes, state.t)
+           - (1.0 + spec.delta * np.asarray(S)[..., None]) * mu * u - mu * v - spec.lam * u)
+          / np.asarray(eps)[..., None])
     L = (eps * dual_norm_sq(basis, wt) + 2.0 * rho * eps * inner(wt, v)
          + v_sq + rho * grad_v + spec.lam * dual_norm_sq(basis, v))
     return Functionals(E, I, K, L, xt_norm_sq(basis, state, spec.epsilon), S)

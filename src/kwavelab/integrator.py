@@ -39,19 +39,15 @@ and the grid-transform plan of ``nonlinearity_work``, which binds every
 buffer and view of the transform stages, so a step's transform is its stage
 products and g. The steps then run in place with ``out=`` ufuncs that pair
 the operands exactly as the folded plain expressions would, so they
-allocate no field-sized array and give the same bits. What does not depend
-on the state is formed once per call: the dt-dependent diagonals, the five
-rows when eps is constant, eps at every half step and the forced mode's
-forcing mean of every step (the closed forms on the array of step times: n
-floats each, one math.exp per entry, so the bits of a per-step call). When
-eps varies, the rows of a block of steps are formed at once, by the
-per-entry operations of one step broadcast over the block.
-A model with no explicit term (g = 0 and delta = 0) skips it: no grid
-transform runs, the AB2 history is one zero array, and nothing is done for
-forcing that is zero.
-
-``reconstruct_accel`` solves the equation for u_tt given the modal g(u),
-which its caller, the energy functionals, evaluates for its own use too.
+allocate no field-sized array and give the same bits. The dt-dependent
+diagonals, and the five rows when eps is constant, are formed once per call;
+what depends on the step time alone, once per block of at most
+_ROW_BLOCK_VALUES // n_modes steps, at its first step: the block's step ends,
+forcing means and, when eps varies, rows (closed forms on the step ends, one
+math.exp per entry, so the bits of a per-step call). So nothing a call holds
+grows with its step count. A model with no explicit term (g = 0 and
+delta = 0) skips it: no grid transform runs, the AB2 history is one zero
+array, and nothing is done for forcing that is zero.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ModelSpec, eval_epsilon, eval_h, forcing_coefficient
+from .model import ModelSpec, eval_epsilon, forcing_coefficient
 from .spectral import (Basis, ModalState, eval_nonlinearity_modal,
                        grad_norm_sq, nonlinearity_work)
 
@@ -109,6 +105,10 @@ class StepConfig:
             raise ValueError("record_every must be >= 1")
         if self.n_steps % self.record_every != 0:
             raise ValueError("record_every must divide the step count")
+        far = max(abs(self.t_start), abs(self.t_end))  # the run's largest |t|
+        if far + self.dt == far:  # not ValueError, so that a caller can name dt's key
+            raise FloatingPointError(f"dt = {self.dt:g} does not move the clock at "
+                                     f"|t| = {far:g} (t + dt == t)")
 
     @property
     def n_steps(self) -> int:
@@ -195,23 +195,23 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     c_v = (eps_h - k) / (eps_h + k), c_u = -dt (mu + lam) / (eps_h + k),
     c_f = dt / (eps_h + k), a = 1.5 c_f, b = 0.5 c_f and h_mean =
     0.5 (h(t) + h(t + dt)); with the AB2 weights on the rows, the explicit
-    terms take four passes. The rows are formed once per call when eps is
-    constant; otherwise every ``block``-th step forms those of the next
-    ``block`` steps, as (block, n_modes) arrays of at most _ROW_BLOCK_VALUES
-    values (64 KB, below malloc's mmap threshold, so a block reuses heap
-    pages), by the same per-entry operations, so with the same bits as a
-    step's own rows. The forcing mean has one nonzero entry, the forced
-    mode's, so c_f h_mean is added to that entry of v_new alone, last, in
-    every path (adding the zeros of the other modes changes at most the sign
-    of a zero).
+    terms take four passes. Every ``block``-th step forms (``refill``) the
+    step-time terms of the next ``block`` steps: their ends, forcing means
+    and, when eps varies, rows, as (block, n_modes) arrays of at most
+    _ROW_BLOCK_VALUES values (64 KB, below malloc's mmap threshold, so a
+    block reuses heap pages), by a step's own per-entry operations, so with
+    its bits; a constant eps has one set of rows. The forcing mean has one
+    nonzero entry, the forced mode's, so c_f h_mean is added to that entry
+    of v_new alone, last, in every path (adding the zeros of the other modes
+    changes at most the sign of a zero).
 
-    Every work array is allocated here, once per call. u, v and the explicit
-    term live in ping-pong pairs: step i writes entry i % 2 and reads the
-    other (at i = 0 the caller's arrays, which are never written), so the
-    returned arrays belong to this call and nothing writes them afterwards
-    (for n = 0, copies of the caller's). A model with g = 0 and delta = 0 has
-    no explicit term: its history is one zero array, and a step adds only
-    c_f h_mean to the state's terms.
+    Every field-sized work array is allocated here, once per call. u, v and
+    the explicit term live in ping-pong pairs: step i writes entry i % 2 and
+    reads the other (at i = 0 the caller's arrays, which are never written),
+    so the returned arrays belong to this call and nothing writes them
+    afterwards (for n = 0, copies of the caller's). A model with g = 0 and
+    delta = 0 has no explicit term: its history is one zero array, and a
+    step adds only c_f h_mean to the state's terms.
     """
     mu = basis.eigenvalues
     stiff = mu + spec.lam
@@ -233,34 +233,22 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
         scratch, S = np.empty(shape), np.empty(shape[:-1] + (1,))
     else:
         nl_prev, scratch = np.zeros(shape), np.empty(shape)
-    # the rows of a block of steps, one step per array row (a block of one
-    # when eps is constant)
+    # one step per array row; a constant eps has one set of rows, which every
+    # entry of step_rows names
     varying_eps = spec.epsilon.kind != "constant"
-    block = max(1, min(n, _ROW_BLOCK_VALUES // shape[-1])) if varying_eps else 1
-    c_v, c_u, c_f, c_a, c_b = (np.empty((block, shape[-1])) for _ in range(5))
-    step_rows = list(zip(c_v, c_u, c_f, c_a, c_b))
-    # step i runs from ends[i] to ends[i + 1]; what depends on the step time
-    # alone is evaluated here for all steps, by the functions a step would
-    # call: eps at the half steps, and the forced mode's entry of the forcing
-    # mean 0.5 (h(t) + h(t + dt))
-    ends = origin_t + (origin_step + np.arange(n + 1)) * dt
     forced = spec.h.kind != "zero"
+    block = max(1, min(n, _ROW_BLOCK_VALUES // shape[-1]))
+    c_v, c_u, c_f, c_a, c_b = (np.empty((block if varying_eps else 1, shape[-1]))
+                               for _ in range(5))
+    step_rows = list(zip(c_v, c_u, c_f, c_a, c_b)) * (1 if varying_eps else block)
     if forced:
         m = spec.h.mode - 1
         col = m if len(shape) == 1 else (..., m)  # one state's entry: a scalar op
-        h_ends = forcing_coefficient(spec.h, ends)
-        means = 0.5 * (h_ends[:-1] + h_ends[1:])
 
-    if varying_eps:
-        eps_half = eval_epsilon(spec.epsilon, ends[:-1] + half_dt)[0][:, None]
-    else:
-        eps_half = np.full((1, 1), eval_epsilon(spec.epsilon, origin_t)[0])
-
-    def rows(i):
-        """The rows of steps i .. i + block - 1 (fewer at the end) into the
-        leading rows of c_v, c_u, c_f, c_a and c_b; c_f holds eps_h + k until
-        it is divided."""
-        eps_h = eps_half[i:i + block]
+    def rows(eps_h):
+        """The rows at the half-step eps of a column eps_h into the leading
+        rows of c_v, c_u, c_f, c_a and c_b; c_f holds eps_h + k until it is
+        divided."""
         b = eps_h.shape[0]
         denom = np.add(eps_h, k, out=c_f[:b])
         np.subtract(eps_h, k, out=c_v[:b])
@@ -270,14 +258,28 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
         np.multiply(denom, 1.5, out=c_a[:b])
         np.multiply(denom, 0.5, out=c_b[:b])
 
+    def refill(i):
+        """The ends of steps i .. i + min(block, n - i) - 1 (step i + j runs from
+        ends[j] to ends[j + 1]) and, by the functions a step would call, the
+        forced mode's entry of each forcing mean 0.5 (h(t) + h(t + dt)) (None
+        unforced) and, when eps varies, the rows at eps(t + dt/2)."""
+        ends = origin_t + (origin_step + i + np.arange(min(block, n - i) + 1)) * dt
+        means = None
+        if forced:
+            h_ends = forcing_coefficient(spec.h, ends)
+            means = 0.5 * (h_ends[:-1] + h_ends[1:])
+        if varying_eps:
+            rows(eval_epsilon(spec.epsilon, ends[:-1] + half_dt)[0][:, None])
+        return ends, means
+
     if not varying_eps:
-        rows(0)
+        rows(np.full((1, 1), eval_epsilon(spec.epsilon, origin_t)[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
         for i in range(n):
             u_new, v_new = u_pair[i % 2], v_pair[i % 2]
             j = i % block
-            if varying_eps and j == 0:
-                rows(i)
+            if j == 0:
+                ends, means = refill(i)
             cv, cu, cf, ca, cb = step_rows[j]
             # v_new = c_v v + c_u u + c_a nl - c_b nl_prev + c_f h_mean
             # (c_f nl at the Euler bootstrap)
@@ -293,7 +295,7 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
                     np.subtract(v_new, scratch, out=v_new)
                 nl_prev = nl_cur
             if forced:
-                v_new[col] += cf[m] * means[i]
+                v_new[col] += cf[m] * means[j]
             # u_new = u + (dt/2)(v + v_new)
             np.add(v, v_new, out=u_new)
             np.multiply(u_new, half_dt, out=u_new)
@@ -304,11 +306,11 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
             if not math.isfinite(np.add.reduce(u, axis=None)) and not np.isfinite(u).all():
                 first = np.argwhere(~np.isfinite(u))[0]
                 batched = u.ndim > 1
-                raise BlowUpError(float(ends[i + 1]), int(first[0]) if batched else None,
+                raise BlowUpError(float(ends[j + 1]), int(first[0]) if batched else None,
                                   int(first[-1]), dt if batched else None)
             if times is not None and (i + 1) % record_every == 0:
                 rec = (i + 1) // record_every
-                times[rec], us[rec], vs[rec] = ends[i + 1], u, v
+                times[rec], us[rec], vs[rec] = ends[j + 1], u, v
     return u, v, nl_prev
 
 
@@ -345,19 +347,6 @@ def evolve_ensemble(us: np.ndarray, vs: np.ndarray, spec: ModelSpec, basis: Basi
     u, v, _ = _march(np.asarray(us, dtype=float), np.asarray(vs, dtype=float), spec, basis,
                      dt, t_start, 0, n, None)
     return u, v
-
-
-def reconstruct_accel(state: ModalState, spec: ModelSpec, basis: Basis,
-                      g_modal: np.ndarray) -> np.ndarray:
-    """u_tt of a state that solves the second-order problem (one row per time
-    of a batched state), solved pointwise from the modal equation, given the
-    state's modal g(u) (eval_nonlinearity_modal)."""
-    u, v, t = state.u, state.v, state.t
-    mu = basis.eigenvalues
-    S = np.asarray(grad_norm_sq(basis, u))[..., None]
-    eps, _ = eval_epsilon(spec.epsilon, t)
-    return ((g_modal + eval_h(spec.h, basis.n_modes, t) - (1.0 + spec.delta * S) * mu * u
-             - mu * v - spec.lam * u) / np.asarray(eps)[..., None])
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
 """Test oracles that no command runs: the IMEX step in plain expressions
 (folded, as the integrator runs it, and unfolded), to_grid's map in its
-first-to-last axis order, the delta-difference run and its energy, the
+first-to-last axis order, the cubic's Galerkin projection by a midpoint rule,
+u_tt from the modal equation, the delta-difference run and its energy, the
 per-cell CSV writer, plus one-line constructors of the states the tests start
-from and u_tt from a state's own g(u)."""
+from."""
 
 import dataclasses
 import math
 
 import numpy as np
 
-from kwavelab.integrator import reconstruct_accel, run
+from kwavelab.integrator import run
 from kwavelab.model import eval_epsilon, eval_h
 from kwavelab.spectral import (ModalState, _dst_matrix, eval_nonlinearity_modal,
                                grad_norm_sq, inner, norm_sq)
@@ -24,10 +25,43 @@ def record(traj, i):
     return ModalState(traj.us[i], traj.vs[i], float(traj.times[i]))
 
 
+def midpoint_projection(basis, f, cells):
+    """Galerkin projection of the soft cubic g(u) = -u^3 and (G(u), 1) by the
+    midpoint rule on `cells` cells per dimension, for one field or a batch of
+    rows. Each integrand is a cosine polynomial of wavenumber <= 4N per
+    dimension, which the rule integrates exactly once cells > 2N."""
+    x = (np.arange(cells) + 0.5) / cells
+    k = np.arange(1, basis.modes_per_dim + 1)
+    S = math.sqrt(2.0) * np.sin(np.pi * np.outer(k, x))  # modes x nodes
+    phi = S
+    for _ in range(basis.dim - 1):
+        phi = np.einsum("ai,bj->abij", phi, S).reshape(phi.shape[0] * S.shape[0], -1)
+    u = f @ phi
+    weight = 1.0 / cells ** basis.dim
+    return weight * ((-u ** 3) @ phi.T), weight * np.sum(-0.25 * u ** 4, axis=-1)
+
+
 def accel(state, spec, basis):
-    """reconstruct_accel with the state's own modal g(u)."""
-    return reconstruct_accel(state, spec, basis,
-                             eval_nonlinearity_modal(spec.g, basis, state.u))
+    """u_tt of a state that solves the second-order problem (one row per time
+    of a batched state): the modal equation
+        eps u_tt = g_m + h_m - (1 + delta |grad u|^2) mu_m u_m - mu_m v_m - lam u_m
+    solved for it in plain expressions, every term its own: eps and h in
+    closed form by np.exp, |grad u|^2 = sum_m mu_m u_m^2, and g_m of a cubic
+    by midpoint_projection."""
+    u, v = state.u, state.v
+    t = np.asarray(state.t, dtype=float)[..., None]
+    mu = basis.eigenvalues
+    eps = spec.epsilon.alpha + (0.0 if spec.epsilon.kind == "constant"
+                                else spec.epsilon.amplitude * np.exp(-t))
+    h = np.zeros(u.shape)
+    if spec.h.kind == "separable":
+        h[..., spec.h.mode - 1] = spec.h.amplitude * np.exp(-spec.h.rate * np.abs(t[..., 0]))
+    if spec.g.kind not in ("zero", "cubic_soft"):
+        raise ValueError(f"no plain projection of g kind {spec.g.kind!r}")
+    g = (0.0 if spec.g.kind == "zero" else
+         spec.g.coeff * midpoint_projection(basis, u, 4 * basis.modes_per_dim)[0])
+    S = np.sum(mu * u * u, axis=-1, keepdims=True)
+    return (g + h - (1.0 + spec.delta * S) * mu * u - mu * v - spec.lam * u) / eps
 
 
 def imex2_plain(u, v, spec, basis, t_start, dt, n):

@@ -223,14 +223,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"configuration error: pullback horizon tau = {tau} is not a whole number of "
             f"2 attractor.dt = 0.01 steps, the step of the doubling pass\n")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "decompose"])
     @pytest.mark.parametrize("dt,records", [("1e-09", 5000000001),
-                                            ("1e-18", 5000000000000000001)])
+                                            ("1e-15", 5000000000000001)])
     def test_record_arrays_over_the_bound_exit_2(self, tmp_path, capsys, command, dt, records):
-        # 37 GiB of records at 1e-9, past the largest array size at 1e-18: one line
-        # and nothing written, whatever the allocator would have said
+        # 37 GiB of record times at 1e-9, 36 PiB at 1e-15 (1e-18 no longer moves the
+        # clock at t = 5): one line and no output directory, whatever the allocator
+        # would have said
         text = open(fixture_cfg("linear.cfg")).read()
         for key, value in (("disc.dt", dt), ("disc.t_end", "5"), ("disc.record_every", "1")):
             text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
@@ -240,7 +241,7 @@ class TestExitCodes:
             f"configuration error: disc.dt = {dt} and disc.record_every = 1 give {records} "
             f"records of 65 values, more than the {MAX_RECORD_VALUES} values the record "
             f"arrays may hold\n")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_record_arrays_at_the_bound_are_checked_exactly(self, monkeypatch):
         # linear.cfg holds 2001 records of 65 values; a bound one value short rejects it
@@ -324,6 +325,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
 
+    @pytest.mark.parametrize("command,case,code", [
+        ("decompose", "eps_start", 2), ("feasibility", "probe", 2),
+        ("pullback", "infeasible", 1), ("semicontinuity", "radius", 2)])
+    def test_failed_check_leaves_no_output_directory(self, tmp_path, capsys, command, case,
+                                                     code):
+        # eps(-1) < 0 at the run's start; c4 <= c0 in the scan's probe; an empty
+        # scan behind fit; B overflowing at t_star - tau (the record bound, the set
+        # multipliers, the legs and the delta keys are checked where they are tested)
+        edits = {"eps_start": ("eps_increasing.cfg", {"disc.t_start": "-1.0"}),
+                 "probe": ("linear.cfg", {"energy.c4": "0.0"}),
+                 "infeasible": ("infeasible.cfg", {}),
+                 "radius": ("linear.cfg", {"attractor.t_star": "-8000",
+                                           "attractor.deltas": "0.1, 0.0"})}
+        name, values = edits[case]
+        text = open(fixture_cfg(name)).read()
+        for key, value in values.items():
+            text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        out = tmp_path / "o"
+        assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(
+            "property failure: " if code == 1 else "configuration error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,code", [
         ("validate", 0), ("feasibility", 0), ("decompose", 0),
         ("simulate", 1), ("pullback", 1), ("semicontinuity", 1)])
@@ -341,7 +365,7 @@ class TestExitCodes:
         if code == 1:
             assert capsys.readouterr().err.startswith(
                 "property failure: (rho, chi) violates binding constraint")
-            assert os.listdir(out) == []
+            assert not out.exists()
 
     def test_colliding_delta_labels_exit_2(self, tmp_path, capsys, monkeypatch):
         # 0.1 and 0.1000001 both print as '0.1', the key of their absorbing.json reports
@@ -354,7 +378,7 @@ class TestExitCodes:
         assert main(["pullback", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: attractor.deltas [0.1, 0.1000001, 0.0]")
-        assert legs == [] and os.listdir(out) == []
+        assert legs == [] and not out.exists()
 
     def test_forcing_tail_long_horizon_exit_0(self, tmp_path):
         # sigma = 2 beta on cubic3d, so the tail grows linearly: 800.5 at t = 800
@@ -389,6 +413,14 @@ class TestExitCodes:
            f"{2.0 * 1e-320:g} steps, the step of the doubling pass")
           for command, tau in (("pullback", 4), ("semicontinuity", 8))),
         ("semicontinuity", "attractor.dt = -0.005", "attractor.dt = -0.005 must be positive"),
+        # a step that does not move the clock at the largest |t| of the run or leg
+        *((command, "disc.dt = 1e-18",
+           "disc.dt = 1e-18 does not move the clock at |t| = 5 (t + dt == t)")
+          for command in ("validate", "simulate")),
+        *((command, "attractor.dt = 1e-18",
+           f"attractor.dt = 1e-18 does not move the clock at |t| = {tau} (t + dt == t), "
+           f"on the pullback leg tau = {tau}")
+          for command, tau in (("pullback", 4), ("semicontinuity", 8))),
         *((command, line, message) for command in ("validate", "feasibility", "simulate")
           for line, message in (
               ("attractor.sampling = bogus", "unknown sampling 'bogus'"),
@@ -821,6 +853,21 @@ class TestScriptsRun:
                 .replace("attractor.taus = 4, 8", "attractor.taus = 0.5, 1"))
         lines = self.script("dt_study.py", write_cfg(tmp_path, text), *flags)
         assert sum(" wall " in line for line in lines) == 4
+
+    @pytest.mark.parametrize("flags", [[], ["--absorbing"]], ids=["sweep", "absorbing"])
+    def test_dt_study_checks_the_radius(self, tmp_path, flags):
+        # e^(-sigma1 t) of B overflows at t_star - tau_max = -8020, as the commands say
+        text = open(fixture_cfg("linear.cfg")).read()
+        for key, value in (("attractor.t_star", "-8000"), ("attractor.deltas", "0.1, 0.0")):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        window = "[-8020, -8020]" if not flags else "[-8020, -8000]"
+        proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "dt_study.py"),
+                               write_cfg(tmp_path, text), *flags],
+                              env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr == ("configuration error: the absorbing radius B overflows at "
+                               f"t = -8020, an end of the window {window} it is evaluated on\n")
 
     def test_run_attractor_study_help(self):
         assert self.script("run_attractor_study.py", "--help")[0].startswith("usage:")

@@ -130,6 +130,29 @@ class TestPointFunctionals:
         build_ledger(traj, spec, basis, EnergyParams(rho=0.5, chi=0.1, c0=0.0, c4=1.0))
         assert len(calls) == 1 and np.array_equal(calls[0], traj.times)
 
+    def test_ledger_evaluates_eps_and_grad_norm_twice(self, forced_cubic_run, monkeypatch):
+        # once each for the functionals and once in spectral.xt_norm_sq, the X_t
+        # metric's one definition; u_tt is formed from the functionals' own
+        import kwavelab.energy as en
+        import kwavelab.integrator as integ
+        import kwavelab.spectral as sp
+        spec, basis, traj = forced_cubic_run
+        calls = {"eps": 0, "grad": 0}
+
+        def counting(name, fn, data):
+            def wrapped(first, x, *args):
+                calls[name] += np.shape(x) == data.shape and np.array_equal(x, data)
+                return fn(first, x, *args)
+            return wrapped
+
+        for module in (en, integ, sp):
+            monkeypatch.setattr(module, "eval_epsilon",
+                                counting("eps", module.eval_epsilon, traj.times))
+            monkeypatch.setattr(module, "grad_norm_sq",
+                                counting("grad", module.grad_norm_sq, traj.us))
+        build_ledger(traj, spec, basis, EnergyParams(rho=0.5, chi=0.1, c0=0.0, c4=1.0))
+        assert calls == {"eps": 2, "grad": 2}
+
 
 class TestBatchedLedger:
     def test_ledger_equals_per_state_calls_bitwise(self, forced_cubic_run):
@@ -147,6 +170,19 @@ class TestBatchedLedger:
             series["grad_norm_sq"][i] = kw.grad_norm_sq(basis, st.u)
         for name, want in series.items():
             assert np.array_equal(getattr(ledger, name), want), name
+
+    def test_ledger_L_matches_the_plain_modal_equation(self, forced_cubic_run):
+        # L's u_tt against oracles.accel, which shares no code with the ledger,
+        # with every term of the model on
+        spec, basis, traj = forced_cubic_run
+        rho, mu, w = 0.5, basis.eigenvalues, traj.vs
+        ledger = build_ledger(traj, spec, basis, EnergyParams(rho=rho, chi=0.1, c0=0.0, c4=1.0))
+        wt = accel(ModalState(traj.us, w, traj.times), spec, basis)
+        eps = 1.0 + 0.5 * np.exp(-traj.times)
+        want = (eps * np.sum(wt ** 2 / mu, axis=1) + 2.0 * rho * eps * np.sum(wt * w, axis=1)
+                + np.sum(w ** 2, axis=1) + rho * np.sum(mu * w ** 2, axis=1)
+                + spec.lam * np.sum(w ** 2 / mu, axis=1))
+        assert np.allclose(ledger.L, want, rtol=1e-10, atol=0.0)
 
     def test_decay_check_leaves_the_ledger_as_it_was(self, forced_cubic_run):
         spec, basis, traj = forced_cubic_run

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,11 +240,13 @@ class TestStep:
                           (traj.us[-1], u_ref[0]), (traj.vs[-1], v_ref[0])]:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_varying_eps_rows_per_block_equal_the_plain_expressions(self):
-        # a varying eps forms the rows of a block of steps at once: 37 steps at
-        # d = 3, N = 6, so 100 steps cross two block edges, and the split run
-        # resumes mid-block
-        spec = kw.ModelSpec(delta=0.3, lam=0.1, epsilon=DECAYING_EPS, g=CUBIC, h=FORCING)
+    @pytest.mark.parametrize("eps", [DECAYING_EPS, kw.EpsilonProfile()],
+                             ids=["eps_decay", "eps_constant"])
+    def test_step_time_blocks_equal_the_plain_expressions(self, eps):
+        # the step ends, forcing means and (a varying eps) rows of a block of
+        # steps are formed at once: 37 steps at d = 3, N = 6, so 100 steps cross
+        # two block edges, and the split run resumes mid-block
+        spec = kw.ModelSpec(delta=0.3, lam=0.1, epsilon=eps, g=CUBIC, h=FORCING)
         basis = kw.Basis(3, 6)
         assert integ._ROW_BLOCK_VALUES // basis.n_modes == 37
         rng = np.random.default_rng(3)
@@ -307,6 +310,26 @@ class TestStep:
         faults(10)  # warm-up: caches, BLAS buffers
         short, long = faults(10), faults(200)
         assert long - short < 100, (short, long)
+
+    def test_traced_memory_does_not_grow_with_steps(self):
+        # the step-time terms are formed per block of steps, so a call holds
+        # nothing whose size grows with its step count (before, the step ends,
+        # the half-step eps and the forcing means of every step: 8 floats a step)
+        spec = kw.ModelSpec(delta=0.1, lam=0.1, epsilon=DECAYING_EPS, g=CUBIC, h=FORCING)
+        basis = kw.Basis(1, 4)
+        us, vs = np.full((2, basis.n_modes), 0.1), np.zeros((2, basis.n_modes))
+        dt = 1e-3
+
+        def peak(n_steps):
+            tracemalloc.start()
+            try:
+                kw.evolve_ensemble(us, vs, spec, basis, 0.0, n_steps * dt, dt)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(2000), peak(20000)
+        assert long <= short + (1 << 16), (short, long)
 
 
 class TestRun:

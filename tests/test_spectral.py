@@ -14,7 +14,7 @@ from kwavelab.spectral import (Basis, ModalState, _dst_matrix,
                                dual_norm_sq, eval_nonlinearity_modal, from_grid,
                                integral_of_G, integrate_grid, nonlinearity_work,
                                to_grid)
-from oracles import to_grid_first_to_last, zero_state
+from oracles import midpoint_projection, to_grid_first_to_last, zero_state
 
 
 def mode_field(basis, index, amp=1.0):
@@ -389,22 +389,6 @@ class TestNonlinearityModal:
         oracle, _ = quad(lambda x: -0.25 * (1.3 * math.sqrt(2) * np.sin(np.pi * x)) ** 4, 0, 1)
         assert integral_of_G(kw.NonlinearitySpec("cubic_soft"), b,
                              f) == pytest.approx(oracle, rel=1e-10)
-
-
-def midpoint_projection(basis, f, cells):
-    """Galerkin projection of the soft cubic g(u) = -u^3 and (G(u), 1) by the
-    midpoint rule on `cells` cells per dimension. Each integrand is a cosine
-    polynomial of wavenumber <= 4N per dimension, which the rule integrates
-    exactly once cells > 2N."""
-    x = (np.arange(cells) + 0.5) / cells
-    k = np.arange(1, basis.modes_per_dim + 1)
-    S = math.sqrt(2.0) * np.sin(np.pi * np.outer(k, x))  # modes x nodes
-    phi = S
-    for _ in range(basis.dim - 1):
-        phi = np.einsum("ai,bj->abij", phi, S).reshape(phi.shape[0] * S.shape[0], -1)
-    u = f @ phi
-    weight = 1.0 / cells ** basis.dim
-    return weight * (phi @ -u ** 3), weight * np.sum(-0.25 * u ** 4)
 
 
 class TestGalerkinExactness:
