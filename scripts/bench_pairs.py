@@ -13,15 +13,19 @@ a drift in the host's load falls on both sides alike. Nothing is written in
 either checkout beyond what the benchmark itself writes.
 
 It prints one block per workload: for every end-to-end metric of the result
-lines, each side's median and quartiles and the pairs the change won, lost
-and tied. It applies the rule for a measured gain: the change wins at least nine tenths of the pairs
-(ties count for neither) and the medians differ, in the change's favour, by
-more than the parent's quartile spread. A metric without a gain is checked
-against its bound from CHANGE's BENCHMARK.json: worse if the change's median
-is worse than the parent's by more than the bound (relative to the parent's
-median), unresolved if either side's quartile spread exceeds the bound and the
-change did not read better in every run, otherwise within the bound. Exits 1
-if a run fails or reports failed repetitions.
+lines, each side's median and quartiles, the pairs the change won, lost and
+tied, and the median of the per-pair ratios change / parent (a pair's two
+runs share the host's load of their time, so a small gain reads more clearly
+there than in the ratio of the medians; pairs with a parent value of 0 are
+left out). It applies the rule for a measured gain: the change wins at least
+nine tenths of the pairs (ties count for neither) and the medians differ, in
+the change's favour, by more than the parent's quartile spread. A metric
+without a gain is checked against its bound from CHANGE's BENCHMARK.json:
+worse if the change's median is worse than the parent's by more than the
+bound (relative to the parent's median), unresolved if either side's quartile
+spread exceeds the bound and the change did not read better in every run,
+otherwise within the bound. Exits 1 if a run fails or reports failed
+repetitions.
 """
 
 import argparse
@@ -66,6 +70,7 @@ def compare(parent: list, change: list, lower_is_better: bool, bound: float) -> 
     worse = sign * (qc[1] - qp[1]) / abs(qp[1]) if qp[1] else 0.0
     wide = max((q[2] - q[0]) / abs(q[1]) if q[1] else 0.0 for q in (qp, qc)) > bound
     all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    ratios = [c / p for p, c in zip(parent, change) if p]
     if gain:
         verdict = "gain"
     elif worse > bound:
@@ -74,7 +79,8 @@ def compare(parent: list, change: list, lower_is_better: bool, bound: float) -> 
         verdict = f"unresolved: a quartile spread exceeds the bound {bound:g}"
     else:
         verdict = f"within the bound {bound:g}"
-    return {"parent": qp, "change": qc, "wins": wins, "losses": losses,
+    return {"parent": qp, "change": qc, "ratio": statistics.median(ratios) if ratios else None,
+            "wins": wins, "losses": losses,
             "ties": len(parent) - wins - losses, "spread": spread, "verdict": verdict}
 
 
@@ -126,6 +132,8 @@ def main(argv=None) -> int:
             print(f"  change better in {r['wins']} of {args.pairs} pairs "
                   f"({r['losses']} worse, {r['ties']} tied); parent quartile spread "
                   f"{r['spread']:.6g}; {r['verdict']}")
+            ratio = "n/a" if r["ratio"] is None else f"{r['ratio']:.4g}"
+            print(f"  median per-pair ratio change / parent: {ratio}")
     for side in ("parent", "change"):
         bad = sum(x["failed"] for w in names for x in runs[w, side])
         print(f"{side} failed repetitions: {bad}")

@@ -33,26 +33,31 @@ a resumed run reuses the parent origin, so split runs are bitwise identical
 to unsplit ones. u is checked after every step (a non-finite v makes u
 non-finite in the same step), so a blow-up is reported at its exact step.
 
-``_march`` allocates its work arrays once per call: ping-pong pairs for u, v
-and the explicit term (so the AB2 history needs no copy), the step scratch,
-and the grid-transform plan of ``nonlinearity_work``, which binds every
-buffer and view of the transform stages, so a step's transform is its stage
-products and g. The steps then run in place with ``out=`` ufuncs that pair
-the operands exactly as the folded plain expressions would, so they
-allocate no field-sized array and give the same bits. The dt-dependent
-diagonals, and the five rows when eps is constant, are formed once per call;
-what depends on the step time alone, once per block of at most
-_ROW_BLOCK_VALUES // n_modes steps, at its first step: the block's step ends,
-forcing means and, when eps varies, rows (closed forms on the step ends, one
-math.exp per entry, so the bits of a per-step call). So nothing a call holds
-grows with its step count. A model with no explicit term (g = 0 and
-delta = 0) skips it: no grid transform runs, the AB2 history is one zero
-array, and nothing is done for forcing that is zero.
+``_march`` allocates ping-pong pairs for u and v once per call and takes
+its other work arrays from the calling thread's step workspace, allocated
+once per thread and (g, basis, batch shape): a ping-pong pair for the
+explicit term (so the AB2 history needs no copy), the step scratch, and the
+grid-transform plan of ``nonlinearity_work``, which binds every buffer and
+view of the transform stages, so a step's transform is its stage products
+and g. These buffers are above malloc's mmap threshold, so allocating them
+per call would map fresh zeroed pages for every pullback leg (see README).
+The steps then run in place with ``out=`` ufuncs that pair the operands
+exactly as the folded plain expressions would, so they allocate no
+field-sized array and give the same bits. The dt-dependent diagonals, and
+the five rows when eps is constant, are formed once per call; what depends
+on the step time alone, once per block of at most _ROW_BLOCK_VALUES //
+n_modes steps, at its first step: the block's step ends, forcing means and,
+when eps varies, rows (closed forms on the step ends, one math.exp per
+entry, so the bits of a per-step call). So nothing a call holds grows with
+its step count. A model with no explicit term (g = 0 and delta = 0) skips
+it: no grid transform runs, the AB2 history is one zero array, and nothing
+is done for forcing that is zero.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,6 +70,7 @@ from .spectral import (Basis, ModalState, eval_nonlinearity_modal,
 
 _ROW_BLOCK_VALUES = 1 << 13  # values (64 KB) per array of a block of step rows
 MAX_RECORD_VALUES = 1 << 27  # floats (1 GiB) that run's record arrays may hold
+_workspace = threading.local()  # each thread's step workspace: see _step_work
 
 
 class BlowUpError(RuntimeError):
@@ -175,6 +181,24 @@ def _explicit_term(spec: ModelSpec, basis: Basis, u, work, kp, S, out):
     return np.subtract(g, kp, out=out)
 
 
+def _step_work(spec: ModelSpec, basis: Basis, shape: tuple) -> tuple:
+    """The calling thread's step workspace for a batch of ``shape``: the
+    ``nonlinearity_work`` plan, the explicit-term pair, the scratch and S of
+    _explicit_term. The thread holds one; a call with another (spec.g,
+    basis, shape) replaces it (g's factor is in the plan's inverse matrix),
+    dropping the old buffers before the new are made. Every array is written
+    before it is read in a step, so what a call left behind, a blow-up's
+    non-finite values too, never reaches the next."""
+    key = (spec.g, basis, shape)
+    if getattr(_workspace, "key", None) != key:
+        _workspace.key = _workspace.work = None
+        _workspace.work = (nonlinearity_work(spec.g, basis, shape[:-1]),
+                           (np.empty(shape), np.empty(shape)),
+                           np.empty(shape), np.empty(shape[:-1] + (1,)))
+        _workspace.key = key
+    return _workspace.work
+
+
 def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
            origin_t: float, origin_step: int, n: int, nl_prev,
            record_every: int = 1, times=None, us=None, vs=None):
@@ -183,7 +207,9 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     Step i runs from origin_t + (origin_step + i) * dt. When record arrays
     are given, the state after every record_every-th step goes to the next
     row (row 0 is left to the caller). Returns the final (u, v) and the
-    explicit term of the last step, the multistep history of a resumed run.
+    explicit term of the last step, the multistep history of a resumed run
+    (the workspace's array: the thread's next call may write it, so a caller
+    that keeps it copies it).
 
     One step is the trapezoid/AB2 step, reassociated into five rows: with
     eps_h = eps(t + dt/2) and k = (dt/2) mu + (dt^2/4)(mu + lam),
@@ -205,10 +231,12 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     of v_new alone, last, in every path (adding the zeros of the other modes
     changes at most the sign of a zero).
 
-    Every field-sized work array is allocated here, once per call. u, v and
-    the explicit term live in ping-pong pairs: step i writes entry i % 2 and
+    The u and v pairs are allocated here, once per call; the other
+    field-sized work arrays are the thread's step workspace (``_step_work``),
+    allocated once per thread and (g, basis, batch shape). u, v and the
+    explicit term live in ping-pong pairs: step i writes entry i % 2 and
     reads the other (at i = 0 the caller's arrays, which are never written),
-    so the returned arrays belong to this call and nothing writes them
+    so the returned u and v belong to this call and nothing writes them
     afterwards (for n = 0, copies of the caller's). A model with g = 0 and
     delta = 0 has no explicit term: its history is one zero array, and a
     step adds only c_f h_mean to the state's terms.
@@ -223,14 +251,9 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
         return u.copy(), v.copy(), nl_prev
     shape = u.shape
     explicit = spec.g.kind != "zero" or spec.delta != 0.0
-    # the allocation order matters: at (64, 256) this one (u and v pairs, the
-    # transform plan, the rest) faults the same pages in every call, and others
-    # made them swing between calls by 64-128 pages, whatever the steps
     u_pair, v_pair = ((np.empty(shape), np.empty(shape)) for _ in range(2))
-    work = nonlinearity_work(spec.g, basis, shape[:-1]) if explicit else None
     if explicit:
-        nl_pair = (np.empty(shape), np.empty(shape))
-        scratch, S = np.empty(shape), np.empty(shape[:-1] + (1,))
+        work, nl_pair, scratch, S = _step_work(spec, basis, shape)
     else:
         nl_prev, scratch = np.zeros(shape), np.empty(shape)
     # one step per array row; a constant eps has one set of rows, which every
@@ -336,6 +359,8 @@ def run(initial: ModalState, spec: ModelSpec, basis: Basis, cfg: StepConfig,
     _, _, nl_prev = _march(initial.u, initial.v, spec, basis, cfg.dt,
                            origin_t, origin_step, n, nl_prev,
                            cfg.record_every, times, us, vs)
+    if nl_prev is not None:  # the thread's step workspace, which its next call writes
+        nl_prev = nl_prev.copy()
     return Trajectory(basis, times, us, vs,
                       resume=ResumePoint(nl_prev, origin_t, origin_step + n))
 

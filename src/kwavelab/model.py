@@ -69,7 +69,7 @@ def exp_each(x):
     """math.exp of a float, or of each entry of an array. np.exp rounds some
     inputs differently, and every closed form in t keeps math.exp's bits."""
     if getattr(x, "ndim", 0):
-        return np.array([math.exp(s) for s in x.ravel()]).reshape(x.shape)
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return math.exp(x)
 
 

@@ -34,10 +34,11 @@ views once, and every transform runs it; a stage that is one small 2-D
 product (a single field's GEMM, or a broadcast stage with one leading row) is
 bound to ``np.dot``, whose dispatch costs about 0.7 us less than
 ``np.matmul``'s, which matters in a single trajectory's step. g's projection
-has one path, a ``nonlinearity_work`` plan: a stepping loop makes one per
-call, so a step runs the stage products and g into the plan's buffers and
-allocates nothing; a call without a plan (the ledger's) makes one per shape
-of its row blocks of at most _BLOCK_VALUES grid values. g is collocated on
+has one path, a ``nonlinearity_work`` plan: a stepping loop binds one per
+thread and (g, basis, batch shape), so a step runs the stage products and g
+into the plan's buffers and allocates nothing; a call without a plan (the
+ledger's) makes one per shape of its row blocks of at most _BLOCK_VALUES
+grid values. g is collocated on
 the nodes j/(2N+1), which makes it the exact Galerkin projection for cubic
 g; g's constant factor rides on the plan's inverse matrix instead of a pass
 over the grid. All field operations accept a leading batch

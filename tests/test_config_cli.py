@@ -527,13 +527,22 @@ attractor.n_points = 8
 attractor.taus = 1
 attractor.deltas = 1.0
 """
-        out = tmp_path / "o"
-        for dt, code in (("0.0125", 0), ("0.025", 3)):
-            path = write_cfg(tmp_path, text + f"attractor.dt = {dt}\n")
-            assert main(["pullback", "--config", path, "--out", str(out)]) == code
-        assert re.fullmatch(r"numerical failure: non-finite state at t = \S+ \(ensemble member "
-                            r"\d+, mode \d+\) in the pass at dt = 0\.05\n",
-                            capsys.readouterr().err)
+        # on one thread and on two workers; a blow-up leaves the step workspace
+        # of the thread that ran it, and the stable run after it writes its bytes
+        stable = write_cfg(tmp_path, text + "attractor.dt = 0.0125\n", "stable.cfg")
+        unstable = write_cfg(tmp_path, text + "attractor.dt = 0.025\n", "unstable.cfg")
+        for threads in ("1", "2"):
+            written = []
+            for k, (path, code) in enumerate(((stable, 0), (unstable, 3), (stable, 0))):
+                out = tmp_path / f"o{threads}{k}"
+                assert main(["pullback", "--config", path, "--out", str(out),
+                             "--threads", threads]) == code
+                if code == 0:
+                    written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+            assert written[0] == written[1] and written[0]
+            assert re.fullmatch(r"numerical failure: non-finite state at t = \S+ \(ensemble "
+                                r"member \d+, mode \d+\) in the pass at dt = 0\.05\n",
+                                capsys.readouterr().err)
 
 
 class TestCsvWriter:
@@ -998,8 +1007,12 @@ class TestBenchPairs:
         assert lines[i + 1] == "  parent: median 4.5, quartiles 4.475 .. 4.525"
         assert lines[i + 3].startswith("  change better in 4 of 4 pairs (0 worse, 0 tied)")
         assert lines[i + 3].endswith("; gain")
-        assert lines[lines.index("w peak_rss_mb (lower is better):") + 3].endswith(
+        # 4.0/4.5, 4.1/4.4, 3.9/4.6, 4.0/4.5
+        assert lines[i + 4] == "  median per-pair ratio change / parent: 0.8889"
+        j = lines.index("w peak_rss_mb (lower is better):")
+        assert lines[j + 3].endswith(
             "0 worse, 4 tied); parent quartile spread 0; within the bound 0.2")
+        assert lines[j + 4] == "  median per-pair ratio change / parent: 1"
 
     @pytest.mark.parametrize("workloads", [("w", "x"), ("all",)])
     def test_every_pair_runs_every_workload(self, tmp_path, workloads):

@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 import math
 import os
 import pickle
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import kwavelab as kw
+import kwavelab.attractor as att
 import kwavelab.integrator as integ
 from kwavelab.config import ExperimentConfig
 from kwavelab.integrator import BlowUpError, StepConfig, Trajectory, run, run_decomposition
@@ -293,7 +296,8 @@ class TestStep:
     @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
                         reason="needs getrusage minor page-fault counts (Linux)")
     def test_ensemble_page_faults_do_not_grow_with_steps(self):
-        # the stepping loop allocates its work arrays once per call, so a long
+        # the stepping loop allocates its work arrays once per thread and
+        # (g, basis, batch shape), its u and v pairs once per call, so a long
         # run faults no more pages than a short one (before, about 128 per step)
         spec = kw.ModelSpec(delta=0.1, g=kw.NonlinearitySpec("cubic_soft"))
         basis = kw.Basis(2, 16)
@@ -330,6 +334,90 @@ class TestStep:
 
         short, long = peak(2000), peak(20000)
         assert long <= short + (1 << 16), (short, long)
+
+
+class TestStepWorkspace:
+    """_march's plan, explicit-term pair and scratch: one set per thread and
+    (g, basis, batch shape)."""
+
+    SPEC = kw.ModelSpec(delta=0.3, lam=0.1, epsilon=DECAYING_EPS, g=CUBIC, h=FORCING)
+    BASIS = kw.Basis(2, 5)
+
+    @pytest.fixture
+    def binds(self, monkeypatch):
+        """The thread of every plan bound, from an empty workspace in every thread."""
+        monkeypatch.setattr(integ, "_workspace", type(integ._workspace)())
+        threads, work = [], integ.nonlinearity_work
+        monkeypatch.setattr(integ, "nonlinearity_work",
+                            lambda *args: threads.append(threading.get_ident()) or work(*args))
+        return threads
+
+    def states(self, rows, seed=0):
+        rng = np.random.default_rng(seed)
+        mu = self.BASIS.eigenvalues
+        return (rng.standard_normal((rows, mu.size)) / mu,
+                rng.standard_normal((rows, mu.size)) / np.sqrt(mu))
+
+    def evolve(self, us, vs, spec=SPEC):
+        return kw.evolve_ensemble(us, vs, spec, self.BASIS, 0.0, 0.2, 1e-2)
+
+    def test_bound_once_per_thread_and_key(self, binds):
+        us, vs = self.states(4)
+        self.evolve(us, vs)
+        self.evolve(2.0 * us, vs, self.SPEC.with_delta(0.1))  # delta is not in the key
+        assert len(binds) == 1
+        self.evolve(us[:3], vs[:3])  # a new row count
+        assert len(binds) == 2
+        self.evolve(us[:3], vs[:3], dataclasses.replace(
+            self.SPEC, g=kw.NonlinearitySpec("cubic_soft", coeff=0.5)))  # g's factor
+        assert len(binds) == 3
+        self.evolve(us[:3], vs[:3])  # one entry per thread: the old key binds again
+        assert len(binds) == 4
+
+    def test_legs_on_two_threads_bind_once_per_thread(self, binds, monkeypatch):
+        # the barrier makes each of the 2 workers take 2 of the 4 legs
+        us, vs = self.states(4)
+        barrier, ran, evolve = threading.Barrier(2, timeout=60), [], att.evolve_ensemble
+
+        def leg(*args):
+            ran.append(threading.get_ident())
+            barrier.wait()
+            return evolve(*args)
+
+        monkeypatch.setattr(att, "evolve_ensemble", leg)
+        legs = [(self.SPEC, us, vs, -0.1 * (k + 1), 0.0, 1e-2) for k in range(4)]
+        ends = list(att._evolve_legs(legs, self.BASIS, 2))
+        assert len(ran) == 4 and len(set(ran)) == 2 and threading.get_ident() not in ran
+        assert sorted(binds) == sorted(set(ran))
+        for (u, v), (_, us0, vs0, t0, t1, dt) in zip(ends, legs):
+            u1, v1 = evolve(us0, vs0, self.SPEC, self.BASIS, t0, t1, dt)
+            assert np.array_equal(u, u1) and np.array_equal(v, v1)
+
+    def test_reused_workspace_gives_the_bits_of_a_fresh_one(self, binds):
+        us, vs = self.states(4)
+        fresh = self.evolve(us, vs)
+        self.evolve(*self.states(4, seed=1))
+        bad = us.copy()
+        bad[2, 7] = np.nan  # leaves non-finite values in the workspace
+        with pytest.raises(BlowUpError):
+            self.evolve(bad, vs)
+        reused = self.evolve(us, vs)
+        assert len(binds) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, reused))
+
+    def test_nothing_returned_aliases_the_workspace(self, binds):
+        # each second call reuses the workspace of the first
+        us, vs = self.states(4)
+        u, v = self.evolve(us, vs)
+        kept = u.copy(), v.copy()
+        self.evolve(*self.states(4, seed=1))
+        assert np.array_equal(u, kept[0]) and np.array_equal(v, kept[1])
+        cfg = StepConfig(dt=1e-2, t_start=0.0, t_end=0.2)
+        traj = run(kw.ModalState(us[0], vs[0], 0.0), self.SPEC, self.BASIS, cfg)
+        nl_prev = traj.resume.nl_prev.copy()
+        run(kw.ModalState(us[1], vs[1], 0.0), self.SPEC, self.BASIS, cfg)
+        assert np.array_equal(traj.resume.nl_prev, nl_prev)
+        assert len(binds) == 2
 
 
 class TestRun:

@@ -331,6 +331,7 @@ class TestNonlinearityModal:
         from kwavelab import integrator
         b, zero = Basis(2, 5), kw.NonlinearitySpec("zero")
         plans = []
+        monkeypatch.setattr(integrator, "_workspace", type(integrator._workspace)())  # empty
         monkeypatch.setattr(integrator, "nonlinearity_work",
                             lambda *args: plans.append(nonlinearity_work(*args)) or plans[-1])
         us = np.random.default_rng(3).standard_normal((4, b.n_modes)) / b.eigenvalues
