@@ -9,8 +9,15 @@ workload in CHANGE's BENCHMARK.json. Each pair runs, for every named workload
 in turn, ``benchmark/run.py --workload W --seed K --seconds S --trace 0`` once
 in each checkout, every checkout with its own ``benchmark/run.py`` and from its
 own root, the parent first in odd pairs and the change first in even ones, so
-a drift in the host's load falls on both sides alike. Nothing is written in
-either checkout beyond what the benchmark itself writes.
+a drift in the host's load falls on both sides alike. Each checkout is reached
+through a symlink, ``parent`` or ``change``, in one new temporary directory,
+so both sides run from paths of the same length: on ``pullback-d3``,
+``peak_rss_mb`` takes one of two levels about 2 MB apart, and which one
+moves with the path a run starts from (one tree read 50.8-51.1 MB in 3 of 3
+runs from paths of 20, 32 and 55 characters and 52.9-53.1 MB in 3 of 3 from
+paths of 35 and 47; one of 39 gave both, so a single path can read either).
+The links are removed at exit. Nothing is written in either checkout beyond
+what the benchmark itself writes.
 
 It prints one block per workload: for every end-to-end metric of the result
 lines, each side's median and quartiles, the pairs the change won, lost and
@@ -35,6 +42,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
 def run_once(root: str, workload: str, seconds: float, seed: int) -> dict:
@@ -93,18 +101,9 @@ def benchmark_spec(root: str) -> tuple:
             [w["name"] for w in spec.get("workloads", [])])
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("parent")
-    p.add_argument("change")
-    p.add_argument("--workload", action="append", required=True,
-                   help="a workload name, once per workload, or all")
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seconds", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    args = p.parse_args(argv)
-
-    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+def run_pairs(roots: dict, args) -> int:
+    """Run and report the pairs that ``args`` asks for, each side from its
+    path in ``roots``; 1 if a run failed or reported failed repetitions."""
     metrics, declared = benchmark_spec(roots["change"])
     names = list(dict.fromkeys(w for name in args.workload
                                for w in (declared if name == "all" else [name])))
@@ -138,6 +137,25 @@ def main(argv=None) -> int:
         bad = sum(x["failed"] for w in names for x in runs[w, side])
         print(f"{side} failed repetitions: {bad}")
     return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", action="append", required=True,
+                   help="a workload name, once per workload, or all")
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    args = p.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as links:
+        roots = {}
+        for side in ("parent", "change"):  # link names of one length
+            roots[side] = os.path.join(links, side)
+            os.symlink(os.path.abspath(getattr(args, side)), roots[side])
+        return run_pairs(roots, args)
 
 
 if __name__ == "__main__":

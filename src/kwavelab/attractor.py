@@ -43,7 +43,7 @@ import numpy as np
 from .energy import EnergyParams, eval_B
 from .integrator import evolve_ensemble
 from .model import ModelSpec, eval_epsilon
-from .spectral import Basis, ModalState, sample_xt, xt_norm_sq, xt_scale
+from .spectral import Basis, ModalState, empty_aligned, sample_xt, xt_norm_sq, xt_scale
 
 SAMPLINGS = ("sphere_surface", "ball_uniform")
 
@@ -105,7 +105,8 @@ class AttractorCloud:
         return int(self.us.shape[0])
 
 
-_BUF_FLOATS = 1 << 15  # size bound (256 KB) of the distance kernels' work arrays
+_BUF_FLOATS = 1 << 15  # size bound (256 KB) of _min_sq_dist's screening blocks
+_GATHER_FLOATS = 1 << 13  # size bound (64 KB) of _sq_dist's gathered differences
 
 
 def _sq_dist(P: np.ndarray, Q: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
@@ -116,10 +117,12 @@ def _sq_dist(P: np.ndarray, Q: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np
     cdist uses, so the square root equals cdist's distance bit for bit. Not
     calling cdist keeps scipy.spatial, whose import costs ~30 MB of resident
     memory, out of the attractor commands. The pairs go in blocks of at most
-    _BUF_FLOATS differences.
+    _GATHER_FLOATS differences, whose two gathered arrays stay below malloc's
+    128 KiB mmap threshold and so reuse heap pages (blocks of 256 KB mapped
+    fresh ones on every call: 864 minor faults per `sweep-d2` repetition).
     """
     out = np.empty(ia.size)
-    step = max(1, _BUF_FLOATS // P.shape[1])
+    step = max(1, _GATHER_FLOATS // P.shape[1])
     for j in range(0, ia.size, step):
         D = P[ia[j:j + step]]
         np.subtract(D, Q[ib[j:j + step]], out=D)
@@ -257,7 +260,11 @@ def hausdorff_semidist(A: AttractorCloud, B: AttractorCloud, eps_profile) -> flo
     if A.basis != B.basis or not math.isclose(A.t_star, B.t_star, abs_tol=1e-12):
         raise ValueError("clouds must share basis and evaluation time")
     scale_u, scale_v = xt_scale(A.basis, eval_epsilon(eps_profile, A.t_star)[0])
-    P, Q = (np.concatenate([c.us * scale_u, c.vs * scale_v], axis=1) for c in (A, B))
+    m = A.basis.n_modes
+    P, Q = (empty_aligned((c.n_points, 2 * m)) for c in (A, B))
+    for c, out in ((A, P), (B, Q)):  # (us * scale_u, vs * scale_v) side by side
+        np.multiply(c.us, scale_u, out=out[:, :m])
+        np.multiply(c.vs, scale_v, out=out[:, m:])
     return float(np.sqrt(np.max(_min_sq_dist(P, Q))))
 
 

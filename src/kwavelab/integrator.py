@@ -41,6 +41,12 @@ grid-transform plan of ``nonlinearity_work``, which binds every buffer and
 view of the transform stages, so a step's transform is its stage products
 and g. These buffers are above malloc's mmap threshold, so allocating them
 per call would map fresh zeroed pages for every pullback leg (see README).
+Every field-sized buffer of a step, the u, v and explicit-term pairs, the
+scratch and the plan's, starts on a 64-byte boundary (spectral.empty_aligned):
+np.empty aligns only to 16 bytes, so each buffer's place in its cache line
+was the heap's, and any allocation change moved it; a misaligned pass
+splits its vector loads across two cache lines, which cost a 16-step
+(64, 256) leg at d = 2 about a fifth of its time (see spectral).
 The steps then run in place with ``out=`` ufuncs that pair the operands
 exactly as the folded plain expressions would, so they allocate no
 field-sized array and give the same bits. The dt-dependent diagonals, and
@@ -64,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ModelSpec, eval_epsilon, forcing_coefficient
-from .spectral import (Basis, ModalState, eval_nonlinearity_modal,
+from .spectral import (Basis, ModalState, empty_aligned, eval_nonlinearity_modal,
                        grad_norm_sq, nonlinearity_work)
 
 
@@ -184,17 +190,18 @@ def _explicit_term(spec: ModelSpec, basis: Basis, u, work, kp, S, out):
 def _step_work(spec: ModelSpec, basis: Basis, shape: tuple) -> tuple:
     """The calling thread's step workspace for a batch of ``shape``: the
     ``nonlinearity_work`` plan, the explicit-term pair, the scratch and S of
-    _explicit_term. The thread holds one; a call with another (spec.g,
-    basis, shape) replaces it (g's factor is in the plan's inverse matrix),
-    dropping the old buffers before the new are made. Every array is written
-    before it is read in a step, so what a call left behind, a blow-up's
-    non-finite values too, never reaches the next."""
+    _explicit_term, the pair and the scratch 64-byte aligned by empty_aligned,
+    as every pass over them is elementwise. The thread holds one; a call
+    with another (spec.g, basis, shape) replaces it (g's factor is in the
+    plan's inverse matrix), dropping the old buffers before the new are
+    made. Every array is written before it is read in a step, so what a call
+    left behind, a blow-up's non-finite values too, never reaches the next."""
     key = (spec.g, basis, shape)
     if getattr(_workspace, "key", None) != key:
         _workspace.key = _workspace.work = None
         _workspace.work = (nonlinearity_work(spec.g, basis, shape[:-1]),
-                           (np.empty(shape), np.empty(shape)),
-                           np.empty(shape), np.empty(shape[:-1] + (1,)))
+                           (empty_aligned(shape), empty_aligned(shape)),
+                           empty_aligned(shape), np.empty(shape[:-1] + (1,)))
         _workspace.key = key
     return _workspace.work
 
@@ -231,15 +238,17 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     of v_new alone, last, in every path (adding the zeros of the other modes
     changes at most the sign of a zero).
 
-    The u and v pairs are allocated here, once per call; the other
-    field-sized work arrays are the thread's step workspace (``_step_work``),
-    allocated once per thread and (g, basis, batch shape). u, v and the
-    explicit term live in ping-pong pairs: step i writes entry i % 2 and
-    reads the other (at i = 0 the caller's arrays, which are never written),
-    so the returned u and v belong to this call and nothing writes them
-    afterwards (for n = 0, copies of the caller's). A model with g = 0 and
-    delta = 0 has no explicit term: its history is one zero array, and a
-    step adds only c_f h_mean to the state's terms.
+    The u and v pairs are allocated here, once per call, by empty_aligned
+    (see the module docstring); the other field-sized work arrays are the
+    thread's step workspace (``_step_work``), allocated once per thread and
+    (g, basis, batch shape), and aligned the same way. u, v and the explicit
+    term live in ping-pong pairs: step i writes entry i % 2 and reads the
+    other (at i = 0 the caller's arrays, which are never written), so the
+    returned u and v belong to this call, start on a 64-byte boundary and
+    are written by nothing afterwards (for n = 0, plain copies of the
+    caller's). A model with g = 0 and delta = 0 has no explicit term: its
+    history is one zero array, and a step adds only c_f h_mean to the
+    state's terms.
     """
     mu = basis.eigenvalues
     stiff = mu + spec.lam
@@ -251,11 +260,11 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
         return u.copy(), v.copy(), nl_prev
     shape = u.shape
     explicit = spec.g.kind != "zero" or spec.delta != 0.0
-    u_pair, v_pair = ((np.empty(shape), np.empty(shape)) for _ in range(2))
+    u_pair, v_pair = ((empty_aligned(shape), empty_aligned(shape)) for _ in range(2))
     if explicit:
         work, nl_pair, scratch, S = _step_work(spec, basis, shape)
     else:
-        nl_prev, scratch = np.zeros(shape), np.empty(shape)
+        nl_prev, scratch = np.zeros(shape), empty_aligned(shape)
     # one step per array row; a constant eps has one set of rows, which every
     # entry of step_rows names
     varying_eps = spec.epsilon.kind != "constant"

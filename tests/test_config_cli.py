@@ -955,13 +955,13 @@ class TestArtifactDiff:
         assert code == 1 and "u.csv: only in " + str(tmp_path / "b") in lines
 
 
-# benchmark/run.py of a fake checkout: logs its checkout's name, then prints
-# the result line with wall_vs_ref from the checkout's value list of the
-# workload, one per run
+# benchmark/run.py of a fake checkout: logs the name and the path of the root
+# it was started from, then prints the result line with wall_vs_ref from the
+# checkout's value list of the workload, one per run
 FAKE_RUN = """import json, os, sys
 root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-with open(os.path.join(root, os.pardir, "log.txt"), "a") as fh:
-    fh.write(os.path.basename(root) + "\\n")
+with open(os.path.join(os.path.dirname(os.path.realpath(root)), "log.txt"), "a") as fh:
+    fh.write(os.path.basename(root) + "\\t" + root + "\\n")
 with open(os.path.join(root, "values.json")) as fh:
     values = json.load(fh)
 value = values[sys.argv[sys.argv.index("--workload") + 1]].pop(0)
@@ -976,10 +976,13 @@ print(json.dumps({"correct": True, "attempted": 5, "failed": 0, "metrics": {
 class TestBenchPairs:
     @staticmethod
     def pairs(tmp_path, parent, change, workloads=("w",)):
-        """bench_pairs.py on two fake checkouts whose runs read the given
-        wall_vs_ref values in turn, a list for workload w or one list per
-        workload: (exit code, output lines, run order)."""
-        for name, values in (("parent", parent), ("change", change)):
+        """bench_pairs.py on two fake checkouts, at paths of unequal length,
+        whose runs read the given wall_vs_ref values in turn, a list for
+        workload w or one list per workload: (exit code, output lines, run
+        order). Every run starts from the path of a link of one length."""
+        dirs = {"parent": "parent", "change": "the-change-checkout"}
+        for side, values in (("parent", parent), ("change", change)):
+            name = dirs[side]
             (tmp_path / name / "benchmark").mkdir(parents=True)
             (tmp_path / name / "benchmark" / "run.py").write_text(FAKE_RUN)
             (tmp_path / name / "values.json").write_text(
@@ -990,13 +993,16 @@ class TestBenchPairs:
                 "workloads": [{"name": "w"}, {"name": "x"}]}))
         script = os.path.join(ROOT, "scripts", "bench_pairs.py")
         n = len(parent) if isinstance(parent, list) else len(next(iter(parent.values())))
-        proc = subprocess.run([sys.executable, script, str(tmp_path / "parent"),
-                               str(tmp_path / "change")]
+        proc = subprocess.run([sys.executable, script, str(tmp_path / dirs["parent"]),
+                               str(tmp_path / dirs["change"])]
                               + [arg for w in workloads for arg in ("--workload", w)]
                               + ["--pairs", str(n), "--seconds", "1", "--seed", "3"],
                               capture_output=True, text=True, timeout=120)
-        order = (tmp_path / "log.txt").read_text().split()
-        return proc.returncode, proc.stdout.splitlines(), order
+        log = [line.split("\t") for line in (tmp_path / "log.txt").read_text().splitlines()]
+        roots = {root for _, root in log}
+        assert len(roots) == 2 and len({len(root) for root in roots}) == 1, roots
+        assert not any(os.path.lexists(root) for root in roots)  # the links are gone
+        return proc.returncode, proc.stdout.splitlines(), [side for side, _ in log]
 
     def test_alternates_the_order_and_finds_a_gain(self, tmp_path):
         code, lines, order = self.pairs(tmp_path, [4.5, 4.4, 4.6, 4.5], [4.0, 4.1, 3.9, 4.0])

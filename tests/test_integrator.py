@@ -420,6 +420,87 @@ class TestStepWorkspace:
         assert len(binds) == 2
 
 
+def placed(a, offset):
+    """A copy of the float array a whose data start ``offset`` bytes past a
+    64-byte boundary."""
+    raw = np.empty(a.size + 16)
+    skip = (offset - raw.ctypes.data) % 64 // 8
+    out = raw[skip:skip + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+class TestAlignment:
+    """Every field-sized step and transform buffer starts on a 64-byte
+    boundary, and no bit depends on where any array starts."""
+
+    SPEC = TestStepWorkspace.SPEC  # cubic g, delta > 0, decaying eps, forcing
+    OFFSETS = range(0, 64, 8)
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_step_buffers_start_on_a_cache_line(self, monkeypatch, dim, n, batch):
+        monkeypatch.setattr(integ, "_workspace", type(integ._workspace)())
+        basis = kw.Basis(dim, n)
+        us = np.full((batch, basis.n_modes), 0.01)
+        buffers = []
+        for steps in (1, 2):  # the returned u and v: each entry of the pairs
+            buffers += kw.evolve_ensemble(us, us, self.SPEC, basis, 0.0, steps * 1e-2, 1e-2)
+        (to, g, back), nl_pair, scratch, _ = integ._step_work(self.SPEC, basis, us.shape)
+        buffers += [*nl_pair, scratch, g] + [stage[-1] for plan in (to, back)
+                                             for stage in (plan.head,) + plan.tail]
+        assert len(buffers) == 4 + 4 + 2 * dim
+        assert [b.ctypes.data % 64 for b in buffers] == [0] * len(buffers)
+
+    @pytest.fixture
+    def misplace(self, monkeypatch):
+        """misplace(offset): every buffer that empty_aligned makes starts
+        ``offset`` bytes past a 64-byte boundary, from an empty workspace."""
+        def at(offset):
+            monkeypatch.setattr(integ, "_workspace", type(integ._workspace)())
+            helper = lambda shape: placed(np.empty(shape), offset)  # noqa: E731
+            for module in (integ, kw.spectral, att):
+                monkeypatch.setattr(module, "empty_aligned", helper)
+        return at
+
+    def test_steps_do_not_depend_on_alignment(self, misplace):
+        basis = kw.Basis(2, 5)
+        rng = np.random.default_rng(8)
+        us = 0.3 * rng.standard_normal((64, basis.n_modes)) / basis.eigenvalues
+        vs = 0.3 * rng.standard_normal((64, basis.n_modes)) / np.sqrt(basis.eigenvalues)
+        cfg = StepConfig(dt=1e-2, t_start=0.0, t_end=0.2, record_every=5)
+
+        def both(us, vs):
+            ends = kw.evolve_ensemble(us, vs, self.SPEC, basis, 0.0, 0.2, 1e-2)
+            traj = run(kw.ModalState(us[3], vs[3], 0.0), self.SPEC, basis, cfg)
+            return (*ends, traj.us, traj.vs, traj.resume.nl_prev)
+
+        want = both(us, vs)
+        for offset in self.OFFSETS:  # the inputs, then every buffer, off by offset
+            got = both(placed(us, offset), placed(vs, offset))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), offset
+        for offset in self.OFFSETS:
+            misplace(offset)
+            got = both(us, vs)
+            assert integ._workspace.work[2].ctypes.data % 64 == offset  # run's scratch
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), offset
+
+    def test_hausdorff_semidist_does_not_depend_on_alignment(self, misplace):
+        basis = kw.Basis(2, 5)
+        rng = np.random.default_rng(9)
+        A = att.AttractorCloud(0.0, 1.0, 0.1, basis, rng.standard_normal((40, 25)),
+                               rng.standard_normal((40, 25)))
+        B = att.AttractorCloud(0.0, 1.0, 0.0, basis, A.us[::-1] + 1e-3, A.vs[::-1])
+        want = att.hausdorff_semidist(A, B, DECAYING_EPS)
+        for offset in self.OFFSETS:
+            A_off, B_off = (dataclasses.replace(c, us=placed(c.us, offset),
+                                                vs=placed(c.vs, offset)) for c in (A, B))
+            assert att.hausdorff_semidist(A_off, B_off, DECAYING_EPS) == want, offset
+        for offset in self.OFFSETS:
+            misplace(offset)
+            assert att.hausdorff_semidist(A, B, DECAYING_EPS) == want, offset
+
+
 class TestRun:
     def test_identity_process(self, linear_setup):
         spec, basis = linear_setup
