@@ -30,8 +30,14 @@ is too coarse.
 ``run`` and ``evolve_ensemble`` drive one loop, ``_march``, which
 takes a leading batch axis. Step i runs from origin + (origin_step + i)*dt;
 a resumed run reuses the parent origin, so split runs are bitwise identical
-to unsplit ones. u is checked after every step (a non-finite v makes u
-non-finite in the same step), so a blow-up is reported at its exact step.
+to unsplit ones. u is checked once per block of steps, at the block's last
+step: u_new = u + (dt/2)(v + v_new) keeps a non-finite entry non-finite
+(inf + finite = inf, inf - inf = NaN, and NaN absorbs everything), and a
+non-finite v makes u non-finite in the same step, so a blow-up anywhere in
+a block leaves the block's end state non-finite. A call whose check fails
+is replayed from its own inputs, which it never writes, with a check after
+every step; the replay is deterministic, so a blow-up is still reported at
+its exact step, and only a failing call pays for it.
 
 ``_march`` allocates ping-pong pairs for u and v once per call and takes
 its other work arrays from the calling thread's step workspace, allocated
@@ -51,13 +57,13 @@ The steps then run in place with ``out=`` ufuncs that pair the operands
 exactly as the folded plain expressions would, so they allocate no
 field-sized array and give the same bits. The dt-dependent diagonals, and
 the five rows when eps is constant, are formed once per call; what depends
-on the step time alone, once per block of at most _ROW_BLOCK_VALUES //
-n_modes steps, at its first step: the block's step ends, forcing means and,
-when eps varies, rows (closed forms on the step ends, one math.exp per
-entry, so the bits of a per-step call). So nothing a call holds grows with
-its step count. A model with no explicit term (g = 0 and delta = 0) skips
-it: no grid transform runs, the AB2 history is one zero array, and nothing
-is done for forcing that is zero.
+on the step time alone, once per block of at most min(_BLOCK_STEPS,
+_ROW_BLOCK_VALUES // n_modes) steps, at its first step: the block's step
+ends, forcing means and, when eps varies, rows (closed forms on the step
+ends, one math.exp per entry, so the bits of a per-step call). So nothing
+a call holds grows with its step count. A model with no explicit term
+(g = 0 and delta = 0) skips it: no grid transform runs, the AB2 history is
+one zero array, and nothing is done for forcing that is zero.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ from .spectral import (Basis, ModalState, empty_aligned, eval_nonlinearity_modal
 
 
 _ROW_BLOCK_VALUES = 1 << 13  # values (64 KB) per array of a block of step rows
+_BLOCK_STEPS = 1 << 8  # steps of a block at most, however few modes
 MAX_RECORD_VALUES = 1 << 27  # floats (1 GiB) that run's record arrays may hold
 _workspace = threading.local()  # each thread's step workspace: see _step_work
 
@@ -208,7 +215,8 @@ def _step_work(spec: ModelSpec, basis: Basis, shape: tuple) -> tuple:
 
 def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
            origin_t: float, origin_step: int, n: int, nl_prev,
-           record_every: int = 1, times=None, us=None, vs=None):
+           record_every: int = 1, times=None, us=None, vs=None,
+           max_block: int = _BLOCK_STEPS):
     """Advance the batch (u, v) by n steps of dt; the one stepping loop.
 
     Step i runs from origin_t + (origin_step + i) * dt. When record arrays
@@ -216,7 +224,8 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     row (row 0 is left to the caller). Returns the final (u, v) and the
     explicit term of the last step, the multistep history of a resumed run
     (the workspace's array: the thread's next call may write it, so a caller
-    that keeps it copies it).
+    that keeps it copies it). BlowUpError at the end of the first step whose
+    u is non-finite.
 
     One step is the trapezoid/AB2 step, reassociated into five rows: with
     eps_h = eps(t + dt/2) and k = (dt/2) mu + (dt^2/4)(mu + lam),
@@ -229,14 +238,18 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     c_f = dt / (eps_h + k), a = 1.5 c_f, b = 0.5 c_f and h_mean =
     0.5 (h(t) + h(t + dt)); with the AB2 weights on the rows, the explicit
     terms take four passes. Every ``block``-th step forms (``refill``) the
-    step-time terms of the next ``block`` steps: their ends, forcing means
-    and, when eps varies, rows, as (block, n_modes) arrays of at most
-    _ROW_BLOCK_VALUES values (64 KB, below malloc's mmap threshold, so a
-    block reuses heap pages), by a step's own per-entry operations, so with
-    its bits; a constant eps has one set of rows. The forcing mean has one
-    nonzero entry, the forced mode's, so c_f h_mean is added to that entry
-    of v_new alone, last, in every path (adding the zeros of the other modes
-    changes at most the sign of a zero).
+    step-time terms of the next ``block`` steps, at most max_block: their
+    ends, forcing means and, when eps varies, rows, as (block, n_modes)
+    arrays of at most _ROW_BLOCK_VALUES values (64 KB, below malloc's mmap
+    threshold, so a block reuses heap pages), by a step's own per-entry
+    operations, so with its bits whatever the block; a constant eps has one
+    set of rows. u is checked at each block's last step, the call's last
+    step included (see the module docstring); when the check fails, the
+    call is rerun from its inputs with max_block = 1, so with a check after
+    every step, and that rerun raises BlowUpError at the exact step. The
+    forcing mean has one nonzero entry, the forced mode's, so c_f h_mean is
+    added to that entry of v_new alone, last, in every path (adding the zeros
+    of the other modes changes at most the sign of a zero).
 
     The u and v pairs are allocated here, once per call, by empty_aligned
     (see the module docstring); the other field-sized work arrays are the
@@ -256,6 +269,7 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     k = half_dt * mu + (dt * dt / 4.0) * stiff
     neg_dt_stiff = -dt * stiff
     u = np.ascontiguousarray(u)  # the transform plan views its input as is
+    u_in, v_in, nl_in = u, v, nl_prev  # never written, so a failing call can be replayed
     if n == 0:  # copies, so that the returned arrays still belong to this call
         return u.copy(), v.copy(), nl_prev
     shape = u.shape
@@ -269,7 +283,7 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
     # entry of step_rows names
     varying_eps = spec.epsilon.kind != "constant"
     forced = spec.h.kind != "zero"
-    block = max(1, min(n, _ROW_BLOCK_VALUES // shape[-1]))
+    block = max(1, min(n, max_block, _ROW_BLOCK_VALUES // shape[-1]))
     c_v, c_u, c_f, c_a, c_b = (np.empty((block if varying_eps else 1, shape[-1]))
                                for _ in range(5))
     step_rows = list(zip(c_v, c_u, c_f, c_a, c_b)) * (1 if varying_eps else block)
@@ -312,6 +326,7 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
             j = i % block
             if j == 0:
                 ends, means = refill(i)
+                last = ends.size - 2  # the block's last step
             cv, cu, cf, ca, cb = step_rows[j]
             # v_new = c_v v + c_u u + c_a nl - c_b nl_prev + c_f h_mean
             # (c_f nl at the Euler bootstrap)
@@ -333,9 +348,14 @@ def _march(u, v, spec: ModelSpec, basis: Basis, dt: float,
             np.multiply(u_new, half_dt, out=u_new)
             np.add(u_new, u, out=u_new)
             u, v = u_new, v_new
-            # a finite sum means every entry is finite: one pass and no temporary
+            # checked at the block's last step: a non-finite entry stays non-finite.
+            # A finite sum means every entry is finite: one pass and no temporary
             # (an isfinite(u) temporary made 1.8x the page faults at (64, 256))
-            if not math.isfinite(np.add.reduce(u, axis=None)) and not np.isfinite(u).all():
+            if (j == last and not math.isfinite(np.add.reduce(u, axis=None))
+                    and not np.isfinite(u).all()):
+                if block > 1:  # replay in blocks of one step, to name the first failing one
+                    return _march(u_in, v_in, spec, basis, dt, origin_t, origin_step, n,
+                                  nl_in, record_every, times, us, vs, max_block=1)
                 first = np.argwhere(~np.isfinite(u))[0]
                 batched = u.ndim > 1
                 raise BlowUpError(float(ends[j + 1]), int(first[0]) if batched else None,

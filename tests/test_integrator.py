@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import math
@@ -334,6 +335,139 @@ class TestStep:
 
         short, long = peak(2000), peak(20000)
         assert long <= short + (1 << 16), (short, long)
+
+
+def frozen(a):
+    """A read-only copy of a: numpy raises on any write to it."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def stepwise_blow_up(state, spec, basis, dt, n, resume=None):
+    """(k, BlowUpError) of the first of n steps from state whose state is
+    non-finite, or None: one step per run call, resumed through ResumePoint
+    (split runs are bitwise equal to unsplit ones), u and v checked after
+    every step."""
+    for k in range(n):
+        try:
+            traj = run(state, spec, basis, StepConfig(dt=dt, t_start=state.t,
+                                                      t_end=state.t + dt), resume=resume)
+        except BlowUpError as exc:
+            return k, exc
+        assert np.isfinite(traj.us[-1]).all() and np.isfinite(traj.vs[-1]).all()
+        state, resume = record(traj, -1), traj.resume
+    return None
+
+
+class TestBlockCheck:
+    """_march checks u at each block's last step and replays a failing call
+    with a check after every step, so a blow-up in a later block is still
+    reported at its exact step. g = +u^3 blows up in finite time; at d = 1,
+    N = 8 a block is 2^8 steps (the step cap binds), and data of amplitude 8
+    in mode 2 blows up at step 789 at dt = 2^-11, beyond a call of two whole
+    blocks and a partial one."""
+
+    SPEC = kw.ModelSpec(g=kw.NonlinearitySpec("cubic_soft", coeff=-1.0))
+    BASIS = kw.Basis(1, 8)
+    DT = 2.0 ** -11  # every step end is exact
+    BLOCK = 1 << 8
+    CALL = 2 * BLOCK + 64
+    # a block's first step, its last, mid-block, the call's final partial
+    # block and its last step
+    AT = [BLOCK, 2 * BLOCK - 1, BLOCK + 101, 2 * BLOCK + 31, CALL - 1]
+    # member 0 decays; member 2 blows up first and member 1 about 20 steps later,
+    # so a check at the block's end alone would name member 1 or a later t
+    AMPLITUDES = (4.0, 7.9, 8.0)
+
+    def data(self, amplitude):
+        u = np.zeros(self.BASIS.n_modes)
+        u[1] = amplitude
+        return kw.ModalState(u, np.zeros_like(u), 0.0)
+
+    def advance(self, state, q):
+        """The state q >= 1 steps after state, and its resume point."""
+        traj = run(state, self.SPEC, self.BASIS, StepConfig(
+            dt=self.DT, t_start=state.t, t_end=state.t + q * self.DT, record_every=q))
+        return record(traj, -1), traj.resume
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """(k, BlowUpError) of the largest data, stepwise."""
+        first = stepwise_blow_up(self.data(self.AMPLITUDES[-1]), self.SPEC, self.BASIS,
+                                 self.DT, 4 * self.BLOCK)
+        assert first is not None and first[0] >= self.CALL
+        return first
+
+    def test_block_is_capped(self):
+        assert min(integ._BLOCK_STEPS, integ._ROW_BLOCK_VALUES // self.BASIS.n_modes) \
+            == self.BLOCK
+
+    @pytest.mark.parametrize("at", AT)
+    def test_run_names_the_exact_step(self, reference, at):
+        # the call starts `at` steps before the reference's blow-up
+        k, want = reference
+        start, resume = self.advance(self.data(self.AMPLITUDES[-1]), k - at)
+        cfg = StepConfig(dt=self.DT, t_start=start.t, t_end=start.t + self.CALL * self.DT,
+                         record_every=2)
+        with pytest.raises(BlowUpError) as exc:
+            run(start, self.SPEC, self.BASIS, cfg, resume=resume)
+        assert exc.value.args == want.args
+
+    @pytest.mark.parametrize("at", AT)
+    def test_ensemble_names_the_exact_step_member_and_mode(self, reference, at):
+        # the members' states q steps in, q chosen so that their stepwise
+        # reference, which like evolve_ensemble bootstraps at its first step,
+        # first fails at step `at`
+        q = reference[0] - at
+        for _ in range(4):
+            starts = [self.advance(self.data(a), q)[0] for a in self.AMPLITUDES]
+            firsts = [stepwise_blow_up(x, self.SPEC, self.BASIS, self.DT, self.CALL)
+                      for x in starts]
+            k, member = min((f[0], m) for m, f in enumerate(firsts) if f is not None)
+            if k == at:
+                break
+            q += k - at
+        assert k == at and member == 2 and firsts[0] is None
+        t0 = starts[0].t
+        with pytest.raises(BlowUpError) as exc:
+            kw.evolve_ensemble(np.array([x.u for x in starts]), np.array([x.v for x in starts]),
+                               self.SPEC, self.BASIS, t0, t0 + self.CALL * self.DT, self.DT)
+        want = firsts[member][1]
+        assert exc.value.args == (want.t, member, want.mode, self.DT)
+
+    @pytest.mark.parametrize("dim,n,steps", [(1, 8, 1), (1, 8, 256), (1, 8, 257),
+                                             (1, 8, 700), (3, 6, 100)])
+    def test_finite_call_checks_once_per_block(self, monkeypatch, dim, n, steps):
+        spec = kw.ModelSpec(delta=0.1, lam=0.1, epsilon=DECAYING_EPS, g=CUBIC, h=FORCING)
+        basis = kw.Basis(dim, n)
+        calls, isfinite = [], integ.math.isfinite
+        monkeypatch.setattr(integ.math, "isfinite", lambda x: calls.append(x) or isfinite(x))
+        us, vs = np.full((2, basis.n_modes), 0.1), np.zeros((2, basis.n_modes))
+        integ._march(us, vs, spec, basis, 1e-3, 0.0, 0, steps, None)
+        block = min(steps, integ._BLOCK_STEPS, integ._ROW_BLOCK_VALUES // basis.n_modes)
+        assert len(calls) == math.ceil(steps / block)
+
+    @pytest.mark.parametrize("amplitude,fails", [(4.0, False), (8.0, True)],
+                             ids=["finite", "blow_up"])
+    def test_inputs_are_never_written(self, amplitude, fails):
+        # the replay reruns the call from its own inputs; read-only inputs
+        # make numpy raise on any write to them
+        x0 = self.data(amplitude)
+        first = run(x0, self.SPEC, self.BASIS,
+                    StepConfig(dt=self.DT, t_start=0.0, t_end=100 * self.DT, record_every=100))
+        x = record(first, -1)
+        resume = dataclasses.replace(first.resume, nl_prev=frozen(first.resume.nl_prev))
+        cfg = StepConfig(dt=self.DT, t_start=x.t, t_end=x.t + 4 * self.BLOCK * self.DT,
+                         record_every=2)
+        us, vs = frozen(np.tile(x0.u, (3, 1))), frozen(np.zeros((3, self.BASIS.n_modes)))
+        calls = [lambda: run(kw.ModalState(frozen(x.u), frozen(x.v), x.t), self.SPEC,
+                             self.BASIS, cfg, resume=resume),
+                 lambda: kw.evolve_ensemble(us, vs, self.SPEC, self.BASIS, 0.0,
+                                            4 * self.BLOCK * self.DT, self.DT)]
+        for call in calls:
+            with pytest.raises(BlowUpError) if fails else contextlib.nullcontext():
+                call()
 
 
 class TestStepWorkspace:
