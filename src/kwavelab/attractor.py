@@ -20,8 +20,10 @@ pairwise comparison.
 Every (delta, tau) pair is one independent pullback leg. One routine, _clouds,
 builds the clouds of the absorbing check and the delta sweep, and hands all its
 legs to one scheduler, _evolve_legs, which parallelises across whole legs
-rather than within one. The entry points take their t*, deltas, horizons and
-leg step dt from one EnsembleSpec, the resolved attractor.* section of a config.
+rather than within one, on a thread pool that lives as long as the process
+(_leg_pool), so its workers keep their step workspaces. The entry points
+take their t*, deltas, horizons and leg step dt from one EnsembleSpec, the
+resolved attractor.* section of a config.
 
 _clouds evolves every leg twice, at the two EnsembleSpec.steps dt and 2 dt,
 in one batch of legs. The step is second order, so |x(dt) - x(2 dt)| / 3
@@ -34,8 +36,11 @@ taken.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -107,6 +112,7 @@ class AttractorCloud:
 
 _BUF_FLOATS = 1 << 15  # size bound (256 KB) of _min_sq_dist's screening blocks
 _GATHER_FLOATS = 1 << 13  # size bound (64 KB) of _sq_dist's gathered differences
+_coordinates = threading.local()  # each thread's P and Q: see _coordinate_pair
 
 
 def _sq_dist(P: np.ndarray, Q: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
@@ -192,26 +198,44 @@ def _plan_pool(sizes, threads: int) -> tuple[list[int], int]:
     return order, min(threads, len(sizes))
 
 
+@cache
+def _leg_pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` leg threads, made at its first use and
+    kept until the process ends, so that each of its threads keeps its step
+    workspace (integrator._step_work) from one call of _evolve_legs, and one
+    command, to the next. A forked child drops the cache (the at-fork hook
+    below): it inherits the pool but not its threads, so what it submitted
+    there would never run."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+os.register_at_fork(after_in_child=_leg_pool.cache_clear)
+
+
 def _evolve_legs(legs, basis: Basis, threads: int):
     """Endpoints (us, vs) of each leg (spec, us, vs, t0, t1, dt), in the order given.
 
     The legs are independent pullback evolutions, each at its own step dt.
     With one thread, or fewer than two legs, they are evolved one at a time,
-    as the returned iterator is consumed. Otherwise a pool runs whole legs,
-    most member-steps first, as _plan_pool says. Every row is bitwise
-    independent of the batch it is evolved in, so the endpoints do not depend
-    on ``threads``; a blow-up is raised for the first failing leg in the order
-    given, as on one thread, and names that leg's dt.
+    as the returned iterator is consumed. Otherwise the process's pool of
+    min(threads, legs) workers (_leg_pool) runs whole legs, most member-steps
+    first, as _plan_pool says, and the call returns once every leg has ended.
+    The pool outlives the call, so its threads keep their step workspaces:
+    an idle worker holds one, 3.4 MiB at (64, 216), d = 3. Every row is
+    bitwise independent of the batch it is evolved in, so the endpoints do
+    not depend on ``threads``; a blow-up is raised for the first failing leg
+    in the order given, as on one thread, and names that leg's dt.
     """
     calls = [(us, vs, spec, basis, t0, t1, dt) for spec, us, vs, t0, t1, dt in legs]
     if threads == 1 or len(legs) < 2:
         return (evolve_ensemble(*call) for call in calls)
     order, workers = _plan_pool([(us.shape[0], (t1 - t0) / dt)
                                  for _, us, _, t0, t1, dt in legs], threads)
+    pool = _leg_pool(workers)
     futures = [None] * len(legs)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i in order:
-            futures[i] = pool.submit(evolve_ensemble, *calls[i])
+    for i in order:
+        futures[i] = pool.submit(evolve_ensemble, *calls[i])
+    wait(futures)
     return (fut.result() for fut in futures)
 
 
@@ -249,6 +273,22 @@ def _dt_gap(fine: float, coarse: float) -> float:
     return abs(fine - coarse) / 3.0
 
 
+def _coordinate_pair(shape_a: tuple, shape_b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The calling thread's buffers of hausdorff_semidist's coordinates P and
+    Q, aligned by empty_aligned, bound once per thread and pair of shapes: a
+    call with other shapes replaces them, dropping the old before the new are
+    made. At a sweep's (64, 512) each is 256 KB, above malloc's mmap
+    threshold, so a pair allocated per call mapped fresh zeroed pages (288 of
+    the 546 minor faults of a `sweep-d2` repetition). Every entry is written
+    before it is read, and nothing a call returns is theirs."""
+    key = (shape_a, shape_b)
+    if getattr(_coordinates, "key", None) != key:
+        _coordinates.key = _coordinates.pair = None
+        _coordinates.pair = (empty_aligned(shape_a), empty_aligned(shape_b))
+        _coordinates.key = key
+    return _coordinates.pair
+
+
 def hausdorff_semidist(A: AttractorCloud, B: AttractorCloud, eps_profile) -> float:
     """sup over a in A of the distance to B, in the X_t metric at the common
     evaluation time (asymmetric): Euclidean on the coordinates that
@@ -261,7 +301,7 @@ def hausdorff_semidist(A: AttractorCloud, B: AttractorCloud, eps_profile) -> flo
         raise ValueError("clouds must share basis and evaluation time")
     scale_u, scale_v = xt_scale(A.basis, eval_epsilon(eps_profile, A.t_star)[0])
     m = A.basis.n_modes
-    P, Q = (empty_aligned((c.n_points, 2 * m)) for c in (A, B))
+    P, Q = _coordinate_pair((A.n_points, 2 * m), (B.n_points, 2 * m))
     for c, out in ((A, P), (B, Q)):  # (us * scale_u, vs * scale_v) side by side
         np.multiply(c.us, scale_u, out=out[:, :m])
         np.multiply(c.vs, scale_v, out=out[:, m:])

@@ -47,6 +47,9 @@ grid-transform plan of ``nonlinearity_work``, which binds every buffer and
 view of the transform stages, so a step's transform is its stage products
 and g. These buffers are above malloc's mmap threshold, so allocating them
 per call would map fresh zeroed pages for every pullback leg (see README).
+A workspace lasts as long as its thread: the attractor commands run their
+legs on the process's long-lived leg pool (attractor._leg_pool), so a
+worker binds its workspace once and keeps it from command to command.
 Every field-sized buffer of a step, the u, v and explicit-term pairs, the
 scratch and the plan's, starts on a 64-byte boundary (spectral.empty_aligned):
 np.empty aligns only to 16 bytes, so each buffer's place in its cache line
@@ -201,8 +204,12 @@ def _step_work(spec: ModelSpec, basis: Basis, shape: tuple) -> tuple:
     as every pass over them is elementwise. The thread holds one; a call
     with another (spec.g, basis, shape) replaces it (g's factor is in the
     plan's inverse matrix), dropping the old buffers before the new are
-    made. Every array is written before it is read in a step, so what a call
-    left behind, a blow-up's non-finite values too, never reaches the next."""
+    made. It lasts as long as the thread, and the workers of the leg pool
+    (attractor._leg_pool) live as long as the process, so an idle worker
+    keeps its workspace: 3.4 MiB at (64, 216), d = 3, and 2.0 MiB at
+    (64, 256), d = 2. Every array is written before it is read in a step,
+    so what a call left behind, a blow-up's non-finite values too, never
+    reaches the next."""
     key = (spec.g, basis, shape)
     if getattr(_workspace, "key", None) != key:
         _workspace.key = _workspace.work = None

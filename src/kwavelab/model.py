@@ -173,15 +173,29 @@ def eval_g_value(spec: NonlinearitySpec, u, out: Optional[np.ndarray] = None,
     return out if unscaled else np.multiply(out, spec.factor, out=out)
 
 
-def eval_G(spec: NonlinearitySpec, u) -> np.ndarray:
-    """G(u) alone, elementwise: the exact antiderivative of g with G(0) = 0."""
+def eval_G(spec: NonlinearitySpec, u, out: Optional[np.ndarray] = None,
+           scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """G(u) alone, elementwise: the exact antiderivative of g with G(0) = 0.
+
+    Written into ``out`` and, for cubic g, ``scratch`` (both of u's shape,
+    neither u itself), made here when not given, so a caller that holds them
+    allocates nothing. The operands pair as in the plain expressions
+    (c u^2) u^2, c = -0.25 coeff, and coeff (1 - cos u)."""
     u = np.asarray(u, dtype=float)
     if spec.kind == "zero":
-        return np.zeros_like(u)
+        if out is None:
+            return np.zeros_like(u)
+        out.fill(0.0)
+        return out
+    if out is None:
+        out = np.empty_like(u)
     if spec.kind == "cubic_soft":
-        u2 = np.square(u)
-        return -0.25 * spec.coeff * u2 * u2
-    return spec.coeff * (1.0 - np.cos(u))
+        u2 = np.square(u, out=np.empty_like(u) if scratch is None else scratch)
+        np.multiply(u2, -0.25 * spec.coeff, out=out)
+        return np.multiply(out, u2, out=out)
+    np.cos(u, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.multiply(out, spec.coeff, out=out)
 
 
 def eval_g(spec: NonlinearitySpec, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -396,7 +396,9 @@ def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
 def integral_of_G(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.ndarray | float:
     """(G(u), 1) by quadrature on the nodes j/M, M = 2N+1, per dimension:
     exact for G up to degree 4 (cubic g). One value per row of a batch,
-    evaluated in row blocks, with one to_grid map per block shape."""
+    evaluated in row blocks, with one to_grid map and one pair of grid
+    buffers for eval_G's G and scratch per block shape, so a block allocates
+    no grid-sized array."""
     if spec.kind == "zero":
         out = np.zeros(np.asarray(f).shape[:-1])
     else:
@@ -404,7 +406,9 @@ def integral_of_G(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.nda
         fwd = _dst_pair(basis.modes_per_dim, M)[0]
 
         def bind(rows):
-            to = _Contraction(fwd, rows, dim, (rows,) + (M - 1,) * dim)
-            return lambda x: integrate_grid(eval_G(spec, to(x)), M, dim)
+            grid = (rows,) + (M - 1,) * dim
+            to = _Contraction(fwd, rows, dim, grid)
+            G, scratch = empty_aligned(grid), empty_aligned(grid)
+            return lambda x: integrate_grid(eval_G(spec, to(x), G, scratch), M, dim)
         out = _in_row_blocks(basis, f, bind, ())
     return float(out) if np.ndim(out) == 0 else out

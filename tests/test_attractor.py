@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import multiprocessing
 import re
+import time
 
 import numpy as np
 import pytest
@@ -475,55 +477,57 @@ class TestLegScheduler:
         assert order == [1, 0, 2, 3]
         assert workers == min(threads, len(sizes))
 
+    @staticmethod
+    def record_pool(monkeypatch):
+        """Put a recorder in place of _leg_pool: it notes the worker count of
+        every pool asked for and the leg (rows, t0, dt) of every submission,
+        and hands each leg to the process's pool of that worker count."""
+        workers, submitted, leg_pool = [], [], att._leg_pool
+
+        class Recording:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                self.pool = leg_pool(max_workers)
+
+            def submit(self, fn, us, vs, spec, basis, t0, t1, dt):
+                submitted.append((us.shape[0], t0, dt))
+                return self.pool.submit(fn, us, vs, spec, basis, t0, t1, dt)
+
+        monkeypatch.setattr(att, "_leg_pool", Recording)
+        return workers, submitted
+
     def test_dt_leg_goes_before_the_2dt_leg_of_the_same_span(self, free_setup,
                                                              monkeypatch):
         # the 2 dt leg has half the member-steps, though the span and the
         # members are the same
         spec, basis, _ = free_setup
-        submitted = []
-
-        class Recording(att.ThreadPoolExecutor):
-            def submit(self, fn, us, vs, spec, basis, t0, t1, dt):
-                submitted.append(dt)
-                return super().submit(fn, us, vs, spec, basis, t0, t1, dt)
-
         us = np.zeros((4, basis.n_modes))
         legs = [(spec, us, us, -0.4, 0.0, 0.02), (spec, us, us, -0.4, 0.0, 0.01)]
-        monkeypatch.setattr(att, "ThreadPoolExecutor", Recording)
+        _, submitted = self.record_pool(monkeypatch)
         list(att._evolve_legs(legs, basis, 2))
-        assert submitted == [0.01, 0.02]
+        assert [dt for _, _, dt in submitted] == [0.01, 0.02]
 
     @pytest.mark.parametrize("n_legs, threads", [(2, 3), (3, 2), (4, 4)])
     def test_pool_runs_whole_legs_longest_first(self, free_setup, monkeypatch,
                                                 n_legs, threads):
         spec, basis, _ = free_setup
-        workers, submitted = [], []
-
-        class Recording(att.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers)
-
-            def submit(self, fn, us, vs, spec, basis, t0, t1, dt):
-                submitted.append((us.shape[0], t0))
-                return super().submit(fn, us, vs, spec, basis, t0, t1, dt)
-
         rng = np.random.default_rng(3)
         us, vs = 0.1 * rng.standard_normal((2, 4, basis.n_modes))
         legs = [(spec.with_delta(0.1 * k), us, vs, -0.1 * (k + 1), 0.0, 1e-2)
                 for k in range(n_legs)]
         solo = list(att._evolve_legs(legs, basis, 1))
-        monkeypatch.setattr(att, "ThreadPoolExecutor", Recording)
+        workers, submitted = self.record_pool(monkeypatch)
         multi = list(att._evolve_legs(legs, basis, threads))
         assert workers == [min(threads, n_legs)]
-        assert submitted == [(4, -0.1 * (k + 1)) for k in reversed(range(n_legs))]
+        assert [(rows, t0) for rows, t0, _ in submitted] == [
+            (4, -0.1 * (k + 1)) for k in reversed(range(n_legs))]
         assert len(multi) == n_legs
         for (ua, va), (ub, vb) in zip(solo, multi):
             assert np.array_equal(ua, ub) and np.array_equal(va, vb)
 
     def test_fewer_than_two_legs_start_no_pool(self, free_setup, monkeypatch):
         spec, basis, _ = free_setup
-        monkeypatch.setattr(att, "ThreadPoolExecutor", None)
+        monkeypatch.setattr(att, "_leg_pool", None)
         assert list(att._evolve_legs([], basis, 2)) == []
         us = np.zeros((2, basis.n_modes))
         (ue, ve), = att._evolve_legs([(spec, us, us, -0.1, 0.0, 1e-2)], basis, 2)
@@ -545,6 +549,63 @@ class TestLegScheduler:
                 list(att._evolve_legs(legs, basis, threads))
             seen.add((exc.value.t, exc.value.member, exc.value.mode, str(exc.value)))
         assert len(seen) == 1 and seen.pop()[1] == 3
+
+    def test_blowup_is_raised_after_every_leg_has_ended(self, free_setup, monkeypatch):
+        # leg 0 fails at once; the stable legs take longer, and must all have
+        # ended when the blow-up reaches the caller
+        _, basis, _ = free_setup
+        spec = kw.ModelSpec(delta=1.0)
+        legs = []
+        for amp in (1e4, 0.01, 0.02):
+            us = np.zeros((4, basis.n_modes))
+            us[:, 0] = amp
+            legs.append((spec, us, np.zeros_like(us), 0.0, 1.0, 0.1))
+        ended, evolve = [], att.evolve_ensemble
+
+        def leg(us, *args):
+            try:
+                if us[0, 0] < 1.0:  # a stable leg
+                    time.sleep(0.2)
+                return evolve(us, *args)
+            finally:
+                ended.append(float(us[0, 0]))
+
+        monkeypatch.setattr(att, "evolve_ensemble", leg)
+        from kwavelab.integrator import BlowUpError
+        with pytest.raises(BlowUpError):
+            list(att._evolve_legs(legs, basis, 2))
+        assert sorted(ended) == [0.01, 0.02, 1e4]
+
+    def test_a_forked_child_runs_legs_on_a_pool_of_its_own(self, free_setup):
+        # the child inherits the parent's pool object but not its threads, so
+        # a pool it took over would never run what the child submits
+        spec, basis, _ = free_setup
+        rng = np.random.default_rng(8)
+        us, vs = 0.1 * rng.standard_normal((2, 4, basis.n_modes))
+        legs = [(spec.with_delta(0.1 * k), us, vs, -0.1 * (k + 1), 0.0, 1e-2) for k in range(3)]
+        serial = list(att._evolve_legs(legs, basis, 1))
+        list(att._evolve_legs(legs, basis, 2))  # the parent's pool of 2 now has threads
+
+        def child(conn):
+            conn.send(list(att._evolve_legs(legs, basis, 2)))
+            conn.close()
+
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=child, args=(send,))
+        proc.start()
+        send.close()
+        try:
+            assert recv.poll(60), "the forked child's legs did not end"
+            ends = recv.recv()
+        finally:
+            proc.join(10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        assert len(ends) == len(serial)
+        for (ua, va), (ub, vb) in zip(serial, ends):
+            assert np.array_equal(ua, ub) and np.array_equal(va, vb)
 
 
 class TestSemicontinuity:

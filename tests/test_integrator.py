@@ -527,6 +527,33 @@ class TestStepWorkspace:
             u1, v1 = evolve(us0, vs0, self.SPEC, self.BASIS, t0, t1, dt)
             assert np.array_equal(u, u1) and np.array_equal(v, v1)
 
+    def test_successive_leg_batches_keep_the_pool_threads_and_their_workspaces(
+            self, binds, monkeypatch):
+        # the legs of the second call run on the threads of the first, whose
+        # workspaces, bound by the first call, serve the second
+        us, vs = self.states(4)
+        barrier, ran, evolve = threading.Barrier(2, timeout=60), [], att.evolve_ensemble
+
+        def leg(*args):
+            ran[-1].append(threading.get_ident())
+            barrier.wait()
+            return evolve(*args)
+
+        monkeypatch.setattr(att, "evolve_ensemble", leg)
+        legs = [(self.SPEC, us, vs, -0.1 * (k + 1), 0.0, 1e-2) for k in range(4)]
+        calls = []
+        for _ in range(2):
+            ran.append([])
+            calls.append(list(att._evolve_legs(legs, self.BASIS, 2)))
+        first, second = ran
+        assert len(set(first)) == 2 and set(second) == set(first)
+        assert threading.get_ident() not in first
+        assert sorted(binds) == sorted(set(first))
+        for ends in calls:
+            for (u, v), (_, us0, vs0, t0, t1, dt) in zip(ends, legs):
+                u1, v1 = evolve(us0, vs0, self.SPEC, self.BASIS, t0, t1, dt)
+                assert np.array_equal(u, u1) and np.array_equal(v, v1)
+
     def test_reused_workspace_gives_the_bits_of_a_fresh_one(self, binds):
         us, vs = self.states(4)
         fresh = self.evolve(us, vs)
