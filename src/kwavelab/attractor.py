@@ -20,8 +20,8 @@ pairwise comparison.
 Every (delta, tau) pair is one independent pullback leg. One routine, _clouds,
 builds the clouds of the absorbing check and the delta sweep, and hands all its
 legs to one scheduler, _evolve_legs, which parallelises across whole legs
-rather than within one, on a thread pool that lives as long as the process
-(_leg_pool), so its workers keep their step workspaces. The entry points
+rather than within one, on a thread pool that outlives the call (_leg_pool,
+one at a time), so its workers keep their step workspaces. The entry points
 take their t*, deltas, horizons and leg step dt from one EnsembleSpec, the
 resolved attractor.* section of a config.
 
@@ -40,7 +40,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -198,18 +197,33 @@ def _plan_pool(sizes, threads: int) -> tuple[list[int], int]:
     return order, min(threads, len(sizes))
 
 
-@cache
+_pool_lock = threading.Lock()  # held while a call takes the pool and submits its legs
+_pool: Optional[tuple[int, ThreadPoolExecutor]] = None  # (workers, pool) of the one pool
+
+
 def _leg_pool(workers: int) -> ThreadPoolExecutor:
-    """The process's pool of ``workers`` leg threads, made at its first use and
-    kept until the process ends, so that each of its threads keeps its step
-    workspace (integrator._step_work) from one call of _evolve_legs, and one
-    command, to the next. A forked child drops the cache (the at-fork hook
-    below): it inherits the pool but not its threads, so what it submitted
-    there would never run."""
-    return ThreadPoolExecutor(max_workers=workers)
+    """The process's pool of ``workers`` leg threads, for a caller holding
+    _pool_lock. It is made at its first use and kept until the process ends
+    or a call asks for another worker count; the old pool is then shut down
+    first, once the legs it runs have ended, so the process holds at most one
+    pool. Its threads keep their step workspaces (integrator._step_work) from
+    one call of _evolve_legs, and one command, to the next. A forked child
+    forgets the pool and the lock (the at-fork hook below): it inherits them
+    but not the pool's threads, so what it submitted there would never run."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = workers, ThreadPoolExecutor(workers, thread_name_prefix=f"kwavelab-legs-{workers}")
+    return _pool[1]
 
 
-os.register_at_fork(after_in_child=_leg_pool.cache_clear)
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _evolve_legs(legs, basis: Basis, threads: int):
@@ -221,7 +235,8 @@ def _evolve_legs(legs, basis: Basis, threads: int):
     min(threads, legs) workers (_leg_pool) runs whole legs, most member-steps
     first, as _plan_pool says, and the call returns once every leg has ended.
     The pool outlives the call, so its threads keep their step workspaces:
-    an idle worker holds one, 3.4 MiB at (64, 216), d = 3. Every row is
+    an idle worker holds one, 3.4 MiB at (64, 216), d = 3; a call with
+    another worker count replaces it. Every row is
     bitwise independent of the batch it is evolved in, so the endpoints do
     not depend on ``threads``; a blow-up is raised for the first failing leg
     in the order given, as on one thread, and names that leg's dt.
@@ -231,10 +246,11 @@ def _evolve_legs(legs, basis: Basis, threads: int):
         return (evolve_ensemble(*call) for call in calls)
     order, workers = _plan_pool([(us.shape[0], (t1 - t0) / dt)
                                  for _, us, _, t0, t1, dt in legs], threads)
-    pool = _leg_pool(workers)
     futures = [None] * len(legs)
-    for i in order:
-        futures[i] = pool.submit(evolve_ensemble, *calls[i])
+    with _pool_lock:  # no other call shuts the pool down before these legs are in
+        pool = _leg_pool(workers)
+        for i in order:
+            futures[i] = pool.submit(evolve_ensemble, *calls[i])
     wait(futures)
     return (fut.result() for fut in futures)
 

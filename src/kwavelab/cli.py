@@ -8,8 +8,10 @@ pullback's of its report keys; an unusable output directory), 3 numerical failur
 All artifacts are written with 17 significant digits so CSV round-trips are
 exact, and identical config + seed produce identical bytes. Every CSV cell
 is the text of '%.17g' % x, byte for byte. _write_csv makes that text with
-numpy, one block of at most 2^11 cells at a time, and leaves to '%.17g'
-itself only the few cells its screen cannot decide (see _decimal).
+numpy, in near-equal blocks of at most _CSV_BLOCK (4095) cells, each cell
+four NUL-padded int64 words whose digits come from a table of 4-digit
+groups, and leaves to '%.17g' itself only the few cells its screen cannot
+decide (see _decimal).
 """
 
 from __future__ import annotations
@@ -31,181 +33,190 @@ from .spectral import grad_norm_sq
 
 MONOTONE_NOISE_BAND = 0.10  # tolerated relative increase between sweep rows
 
-# Cells per numpy pass. Each array of a pass stays below the 128 KiB at which
-# glibc's malloc turns to mmap, so a pass maps no fresh pages and does not move
-# that threshold for the rest of the run.
-_CSV_BLOCK = 1 << 11
+# Cells per block: the most for which the text (4 int64 words a cell) and each
+# per-block array stay below the 128 KiB at which glibc's malloc turns to mmap,
+# with 32 bytes spare for the bytearray's closing NUL and malloc's chunk header.
+_CELL_WORDS = 4
+_CSV_BLOCK = (128 * 1024 - 32) // (8 * _CELL_WORDS)
 _FAST_MIN, _FAST_MAX = 1e-200, 1e200  # |x| whose digits numpy makes: splits and tails stay normal
 _TIE_SCREEN = 1e-6  # a scaled cell this close to a rounding tie goes to '%.17g'
 _VELTKAMP = 134217729.0  # 2^27 + 1: splits a double into two halves with exact products
-_X_MIN, _X_MAX = -202, 202  # decimal exponents of fast cells, retry and carry included
-_CELL_WORDS = 7  # int64 words of one cell's NUL-padded text
-_COMMA, _NEWLINE = ord(",") << 40, ord("\n") << 40  # separators, in byte 5 of word 6
+_X_MIN, _X_MAX = -201, 200  # decimal exponents of fast cells, log10's slips included
+_COMMA, _NEWLINE = ord(",") << 48, ord("\n") << 48  # separators, in byte 6 of word 3
 
 
 @functools.cache
 def _csv_tables():
-    """Lookup tables of the CSV writer, built on first use. Column X - _X_MIN
-    of the first four belongs to the decimal exponent X:
-
-    - scale (3, n): 10^(16-X) as a double head = bh + bl (Veltkamp's split)
-      and the tail lo = 10^(16-X) - head, both correctly rounded from the
-      exact integers;
-    - split (2, n): how many of the 17 digits stand before the '.' (17 for
-      '0.000ddd', which carries its own '.'), and how many are kept even
-      when zero (the integer digits of the fixed form);
-    - prefix (n,): '0.', '0.0', ... of the form '0.000ddd' (X = -1..-4), in
-      bytes 1-5 of word 0;
-    - suffix (n,): 'e+XX' / 'e-XXX' of the exponent form (X < -4 or
-      X >= 17), in bytes 0-4 of word 6.
-
-    keep (2, 18): column c masks the two words of digits 1-8 and 9-16 to
-    the digits i < c."""
+    """Lookup tables of the CSV writer, built at the first write. Column
+    X - _X_MIN of scale holds head = 10^(16-X) correctly rounded, its
+    Veltkamp split head = bh + bl and the tail lo = 10^(16-X) - head; of
+    per_x the '0.', '0.0', ... of '0.000ddd' (X = -1..-4) in bytes 1-5 of
+    word 0, the 'e+XX' / 'e-XXX' of the exponent form (X < -4, X >= 17) in
+    bytes 1-5 of word 3, and 18 f for the form f of X (X if fixed, 17 for
+    '0.000ddd', 18 for the exponent form). groups: the 4 ASCII digits of
+    each g < 10^4, the first in the lowest byte; lanes: 1 << (z-1) for the
+    z digits of g left once trailing zeros are dropped. n_sig maps the
+    exponent field of the float of the lanes of digits 1-4, ..., 13-16 (top
+    bit 16 k + z - 1 for the last nonzero group k) to the digits kept,
+    1 + 4 k + z (1 if none). Row 18 f + n_sig of layout masks words 1-2 to
+    the digits before the '.' and those kept after it, and holds the '.' in
+    the byte that shifting the latter up frees. lead: digit 0, in byte 7."""
     xs = range(_X_MIN, _X_MAX + 1)
-    scale = np.empty((3, len(xs)))
-    split = np.empty((2, len(xs)), np.int64)
-    prefix = np.zeros(len(xs), np.int64)
-    suffix = np.zeros(len(xs), np.int64)
+    scale, per_x = np.empty((4, len(xs))), np.zeros((3, len(xs)), np.int64)
     for i, X in enumerate(xs):
         num, den = (10 ** (16 - X), 1) if X <= 16 else (1, 10 ** (X - 16))
         head = num / den
         p, q = head.as_integer_ratio()
         c = _VELTKAMP * head
         bh = c - (c - head)
-        scale[:, i] = bh, head - bh, (num * q - p * den) / (den * q)
-        if -4 <= X < 0:
-            split[:, i] = 17, 1
-            prefix[i] = int.from_bytes(b"\0" + b"0." + b"0" * (-X - 1), "little")
-        elif 0 <= X < 17:
-            split[:, i] = X + 1, X + 1
-        else:
-            split[:, i] = 1, 1
-            suffix[i] = int.from_bytes(b"e%+03d" % X, "little")
-
-    def low_bytes(k):
-        return (1 << 8 * min(max(k, 0), 8)) - 1
-
-    keep = np.array([[low_bytes(c - 1), low_bytes(c - 9)] for c in range(18)],
-                    np.uint64).view(np.int64).T.copy()
-    tables = scale, split, prefix, suffix, keep
+        scale[:, i] = head, bh, head - bh, (num * q - p * den) / (den * q)
+        form = 17 if -4 <= X < 0 else X if 0 <= X < 17 else 18
+        per_x[:, i] = (int.from_bytes(b"\0" + b"0." + b"0" * (-X - 1), "little") * (form == 17),
+                       int.from_bytes(b"\0" + b"e%+03d" % X, "little") * (form == 18), 18 * form)
+    g = np.arange(10 ** 4)
+    groups, zeros = np.full(g.size, 0x30303030), np.zeros(g.size, np.int64)
+    for k in range(4):  # digit k of each g, the most significant first, and its trailing zeros
+        q = 10 ** (3 - k)
+        groups += (g // q - g // (10 * q) * 10) << 8 * k
+        zeros += g // (10 ** (k + 1)) * 10 ** (k + 1) == g
+    n_sig = np.ones(1023 + 52, np.int64)  # exponent field 1023 + h: top bit h = 16 k + z - 1
+    n_sig[1023:] = [2 + 4 * (h >> 4) + (h & 15) for h in range(52)]
+    layout = [[bytes(16)] * (18 * 19) for _ in range(3)]
+    for f in range(19):
+        before, least = (f + 1, f + 1) if f < 17 else (17, 1) if f == 17 else (1, 1)
+        for n in range(1, 18):
+            keep = max(n, least)  # the digits kept, digit 0 included, and of them
+            cut = min(keep, before)  # those before the '.'; bytes lo..hi-1 set to byte:
+            for row, (lo, hi, byte) in zip(layout, ((0, cut - 1, 255), (cut - 1, keep - 1, 255),
+                                                    (cut - 1, min(cut, keep - 1), ord(".")))):
+                row[18 * f + n] = bytes(lo) + bytes([byte]) * (hi - lo) + bytes(16 - hi)
+    tables = (scale, per_x, groups.astype(np.uint32), (8 >> zeros).astype(np.uint16), n_sig,
+              np.frombuffer(b"".join(map(b"".join, layout)), np.int64).reshape(3, -1, 2),
+              (np.arange(10) + ord("0")) << 56)
     for t in tables:
         t.flags.writeable = False
     return tables
 
 
-def _scaled(a, scale):
-    """floor(s) (int64) and s - floor(s) of s = a * 10^(16-X), scale the
-    table columns of each cell's X. a * head is an exact Dekker product and
-    a * lo adds the tail, so s is off by far less than _TIE_SCREEN."""
-    bh, bl, lo = scale
-    p = a * (bh + bl)
-    ah = _VELTKAMP * a
-    ah -= ah - a
-    al = a - ah
-    err = ah * bh  # err = a * head - p, exactly
+def _csv_work(n):
+    """The buffers one _write_csv call lends each of its blocks of n cells:
+    eight int64 rows, in arrays of 2, 2 and 4 rows so that a pair or the
+    four make one (n, 2) or (n, 4) array, and three rows of flags."""
+    return [np.empty((k, n), np.int64) for k in (2, 2, 4)] + [np.empty((3, n), bool)]
+
+
+def _decimal(x, work):
+    """(col, D, slow) for the cells x: |x| rounds to the 17 digits
+    D * 10^(X-16), col = X - _X_MIN is the table column of X, and slow lists
+    the cells left to '%.17g'. For a finite nonzero |x| in [_FAST_MIN,
+    _FAST_MAX], D is the rounding of s = |x| * 10^(16-X), X = floor(log10|x|),
+    to an integer in [10^16, 10^17); a zero has D = 0 at X = 0. slow holds
+    the cells this cannot decide: s within _TIE_SCREEN of a tie (a true tie
+    rounds half to even), floor(s) outside that range (log10 rounded across
+    a power of ten), D = 10^17 (a carry), NaN, +-inf and |x| outside the
+    range. col and D are rows 6 and 7 of work; rows 0-5 are left free."""
+    (r0, r1), (r2, r3), (r4, r5, col, D), (other, zero, flag) = work
+    a, ah, al, err, b, p = (r.view(np.float64) for r in (r0, r1, r2, r3, r4, r5))
+    np.abs(x, out=a)
+    np.greater_equal(a, _FAST_MIN, out=other)
+    np.less_equal(a, _FAST_MAX, out=flag)
+    other &= flag
+    np.invert(other, out=other)  # outside the range, or NaN
+    a[other] = 1.0
+    np.log10(a, out=p)
+    p -= _X_MIN  # > 0, so the cast to int64 takes the floor
+    np.copyto(col, p, casting="unsafe")
+    head, bh, bl, lo = _csv_tables()[0]
+    # s = p + err: p = a * head is an integer wherever s >= 2^53, Dekker's product gives
+    # its error exactly and a * lo adds the tail, so s is off by far less than _TIE_SCREEN
+    head.take(col, out=b, mode="wrap")
+    np.multiply(a, b, out=p)
+    np.multiply(a, _VELTKAMP, out=ah)
+    np.subtract(ah, a, out=al)
+    ah -= al
+    np.subtract(a, ah, out=al)
+    bh.take(col, out=b, mode="wrap")
+    np.multiply(ah, b, out=err)  # err = a * head - p, exactly
     err -= p
-    err += ah * bl
-    err += al * bh
-    err += al * bl
-    whole = np.floor(p)
-    p -= whole
-    p += err
-    p += a * lo
-    p_whole = np.floor(p)
-    p -= p_whole
-    return whole.astype(np.int64) + p_whole.astype(np.int64), p
-
-
-def _decimal(x):
-    """(col, D, slow) for the cells of x: |x| rounds to the 17 digits
-    D * 10^(X-16), col = X - _X_MIN is the table column of X, and slow marks
-    the cells left to '%.17g'.
-
-    For a finite nonzero |x| in [_FAST_MIN, _FAST_MAX], D is the rounding of
-    s = |x| * 10^(16-X), X = floor(log10|x|), to an integer in
-    [10^16, 10^17). log10 may round across a power of ten, so X is retried
-    once with X - 1 or X + 1 when floor(s) falls outside that range, and
-    D = 10^17 carries to 10^16 at X + 1. A zero has D = 0 at X = 0. slow
-    holds the cells this cannot decide: s within _TIE_SCREEN of a tie (a
-    true tie rounds half to even), NaN, +-inf and |x| outside the range."""
-    scale_t = _csv_tables()[0]
-    a = np.abs(x)
-    zero = a == 0.0
-    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
-    a[~fast] = 1.0
-    col = np.floor(np.log10(a)).astype(np.int64) - _X_MIN
-    D, frac = _scaled(a, scale_t.take(col, axis=1))
-    off = np.flatnonzero((D < 10 ** 16) | (D >= 10 ** 17))
-    if off.size:
-        col[off] += np.where(D[off] < 10 ** 16, -1, 1)
-        D[off], frac[off] = _scaled(a[off], scale_t.take(col[off], axis=1))
-    D += frac > 0.5
-    carry = D == 10 ** 17
-    D[carry] = 10 ** 16
-    col += carry
+    np.copyto(D, p, casting="unsafe")
+    bl.take(col, out=p, mode="wrap")
+    for u, v in ((ah, p), (b, al), (al, p)):  # err += ah bl, al bh, al bl, in place of a factor
+        u *= v
+        err += u
+    lo.take(col, out=p, mode="wrap")
+    p *= a
+    err += p
+    np.floor(err, out=p)
+    err -= p  # s - floor(s)
+    np.copyto(r0, p, casting="unsafe")
+    D += r0  # floor(s)
+    other |= np.less(D, 10 ** 16, out=zero)
+    D += np.greater(err, 0.5, out=zero)
+    other |= np.greater_equal(D, 10 ** 17, out=zero)
+    np.equal(x, 0.0, out=zero)
     D[zero] = 0
-    return col, D, ~(fast | zero) | (np.abs(frac - 0.5) <= _TIE_SCREEN)
+    other[zero] = False
+    np.abs(np.subtract(err, 0.5, out=err), out=err)
+    other |= np.less_equal(err, _TIE_SCREEN, out=flag)
+    return col, D, np.flatnonzero(other)
 
 
-def _digit_bytes(v):
-    """The 8 decimal digits of each v < 10^8 (int64) as byte values 0-9,
-    the most significant in the lowest byte: v splits into two 4-digit
-    lanes, each into two 2-digit lanes, each into two digits, every split
-    a multiply-shift division that no lane carries out of."""
-    hi = v // 10000
-    w = hi | ((v - hi * 10000) << 32)
-    q = ((w * 5243) >> 19) & 0x0000007F0000007F  # lane // 100 for lanes < 10^4
-    w = q | ((w - q * 100) << 16)
-    q = ((w * 103) >> 10) & 0x000F000F000F000F  # lane // 10 for lanes < 100
-    return q | ((w - q * 10) << 8)
-
-
-def _digit_words(D):
-    """(digits, n_sig) for each D in [0, 10^17): its 17 digits as ASCII in
-    three int64 words (digit 0 in byte 7 of word 0, digits 1-8 and 9-16 in
-    words 1 and 2, the most significant first), and how many digits are
-    left once trailing zeros are dropped (1 for D = 0)."""
-    digits = np.empty((3, D.size), np.int64)
-    digits[0] = D // 10 ** 16
-    u = D - digits[0] * 10 ** 16
-    digits[1] = u // 10 ** 8
-    digits[2] = u - digits[1] * 10 ** 8
-    digits[1:] = _digit_bytes(digits[1:])
-    # the highest nonzero byte of each word, from the exponent of its float value
-    top = ((digits[1:].astype(np.float64).view(np.int64) >> 52) - 1023) >> 3
-    n_sig = np.where(digits[2] != 0, 10 + top[1], np.where(digits[1] != 0, 2 + top[0], 1))
-    digits[0] = (digits[0] + ord("0")) << 56
-    digits[1:] |= 0x3030303030303030
-    return digits, n_sig
-
-
-def _format_cells(x, seps, words) -> None:
-    """Lay out '%.17g' % x[i] and its separator word seps[i] (_COMMA or
-    _NEWLINE), NUL-padded, in row i of words ((x.size, _CELL_WORDS) int64),
-    for the at most _CSV_BLOCK cells of x (float64). Dropping the NULs leaves
-    the text. Word 0 holds the sign (byte 0), the '0.000' of -4 <= X < 0
-    (bytes 1-5) and digit 0 (byte 7); words 1-2 the digits before the '.',
-    word 3 the '.', words 4-5 the digits after it, word 6 the exponent
-    (bytes 0-4) and the separator (byte 5). The cells _decimal cannot decide
-    are formatted by '%.17g' itself and spliced in."""
-    _, split_t, prefix_t, suffix_t, keep_t = _csv_tables()
-    col, D, slow = _decimal(x)
-    digits, n_sig = _digit_words(D)
-    split = split_t.take(col, axis=1)
-    n_keep = np.maximum(n_sig, split[1])
-    n_before = np.minimum(n_keep, split[0])
-    words[:, 0] = digits[0] | prefix_t.take(col) | np.signbit(x) * ord("-")
-    for j in (1, 2):
-        before = keep_t[j - 1].take(n_before)
-        words[:, j] = digits[j] & before
-        words[:, j + 3] = digits[j] & (keep_t[j - 1].take(n_keep) ^ before)
-    words[:, 3] = (n_keep > n_before) * ord(".")
-    words[:, 6] = suffix_t.take(col) | seps
-    for i in np.flatnonzero(slow):
+def _format_cells(x, work, seps, words) -> None:
+    """Lay out '%.17g' % x[i] and the separator seps[i] (_COMMA or
+    _NEWLINE), NUL-padded, in row i of words ((x.size, _CELL_WORDS) int64);
+    dropping the NULs leaves the text. Word 0 holds the sign (byte 0), the
+    '0.000' of -4 <= X < 0 (bytes 1-5) and digit 0 (byte 7); words 1-2
+    digits 1-16, those after the '.' shifted up one byte to make room for
+    it, the last into byte 0 of word 3; word 3 the exponent (bytes 1-5) and
+    the separator (byte 6). '%.17g' formats the cells _decimal cannot."""
+    _, per_x, groups_t, lanes_t, n_sig_t, layout_t, lead_t = _csv_tables()
+    col, D, slow = _decimal(x, work)
+    pair, (r2, r3), quad, _ = work
+    (r0, r1), digits, groups = pair, pair.reshape(-1, 2), quad.reshape(-1, 4)
+    # D = d0 10^16 + hi 10^8 + lo: r3 = d0, pair = hi, lo
+    np.floor_divide(D, 10 ** 8, out=r2)
+    np.multiply(r2, 10 ** 8, out=r1)
+    np.subtract(D, r1, out=r1)
+    np.floor_divide(r2, 10 ** 8, out=r3)
+    np.multiply(r3, 10 ** 8, out=r0)
+    np.subtract(r2, r0, out=r0)
+    lead_t.take(r3, out=r2, mode="wrap")
+    per_x[0].take(col, out=D, mode="wrap")
+    r2 |= D
+    np.right_shift(x.view(np.int64), 63, out=D)
+    D &= ord("-")
+    np.bitwise_or(r2, D, out=words[:, 0])
+    per_x[1].take(col, out=r2, mode="wrap")
+    np.bitwise_or(r2, seps, out=words[:, 3])
+    per_x[2].take(col, out=r3, mode="wrap")
+    for k, part in enumerate(pair):  # groups holds hi and lo, 4 digits a group
+        np.floor_divide(part, 10 ** 4, out=r2)
+        np.copyto(groups[:, 2 * k], r2)
+        r2 *= 10 ** 4
+        np.subtract(part, r2, out=groups[:, 2 * k + 1])
+    groups_t.take(groups, out=digits.view(np.uint32), mode="wrap")
+    lanes_t.take(groups, out=r2.view(np.uint16).reshape(-1, 4), mode="wrap")
+    np.copyto(quad[0].view(np.float64), r2)
+    np.right_shift(quad[0], 52, out=r2)
+    n_sig_t.take(r2, out=quad[1], mode="wrap")
+    r3 += quad[1]
+    before, after, dot = quad[:2].reshape(-1, 2), quad[2:].reshape(-1, 2), digits
+    layout_t[0].take(r3, axis=0, out=before, mode="wrap")
+    layout_t[1].take(r3, axis=0, out=after, mode="wrap")
+    before &= digits
+    after &= digits
+    layout_t[2].take(r3, axis=0, out=dot, mode="wrap")
+    before |= dot
+    np.right_shift(after, 56, out=dot)  # the byte each word carries out
+    after <<= 8
+    for j in (0, 1):  # one column at a time: numpy runs 2-D strided outputs far slower
+        np.bitwise_or(before[:, j], after[:, j], out=words[:, j + 1])
+    words[:, 2] |= dot[:, 0]
+    words[:, 3] |= dot[:, 1]
+    for i in slow:
         text = ("%.17g" % x[i]).encode("ascii")
-        words[i] = 0
+        words[i] = 0, 0, 0, seps[i]
         words[i].view(np.uint8)[:len(text)] = np.frombuffer(text, np.uint8)
-        words[i, 6] = seps[i]
 
 
 def _write_csv(path: str, header: list[str], table) -> None:
@@ -218,21 +229,22 @@ def _write_csv(path: str, header: list[str], table) -> None:
         raise TypeError(f"rows must have {len(header)} cells: {exc}") from exc
     if table.ndim != 2 or table.shape[1] != len(header):
         raise TypeError(f"rows must have {len(header)} cells, got shape {table.shape}")
-    cells = table.ravel()
-    # near-equal blocks share one text buffer: the one spare row of a shorter
-    # block is zeroed and drops out with the padding
-    blocks = np.array_split(cells, max(1, -(-cells.size // _CSV_BLOCK)))
-    text = bytearray(8 * _CELL_WORDS * blocks[0].size)
-    words = np.frombuffer(text, np.int64).reshape(-1, _CELL_WORDS)
-    start = 0
+    cells, width = table.ravel(), len(header)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for block in blocks:
-            ends_row = np.arange(start, start + block.size) % len(header) == len(header) - 1
-            words[block.size:] = 0
-            _format_cells(block, np.where(ends_row, _NEWLINE, _COMMA), words[:block.size])
+        if not cells.size:
+            return
+        n = -(-cells.size // -(-cells.size // _CSV_BLOCK))  # near-equal blocks
+        work, text = _csv_work(n), bytearray(8 * _CELL_WORDS * n)
+        words = np.frombuffer(text, np.int64).reshape(-1, _CELL_WORDS)
+        seps = np.full(width - 1 + n, _COMMA)  # from a row's first cell on
+        seps[width - 1::width] = _NEWLINE
+        for end in range(n, cells.size + n, n):
+            # the last block ends at the last cell; it drops rows written before
+            start = min(end, cells.size) - n
+            _format_cells(cells[start:start + n], work, seps[start % width:][:n], words)
+            words[:end - n - start] = 0
             fh.write(text.translate(None, b"\0"))
-            start += block.size
 
 
 def _write_json(path: str, obj: dict) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import re
+import threading
 import time
 
 import numpy as np
@@ -575,6 +576,62 @@ class TestLegScheduler:
         with pytest.raises(BlowUpError):
             list(att._evolve_legs(legs, basis, 2))
         assert sorted(ended) == [0.01, 0.02, 1e4]
+
+    def test_calls_of_several_worker_counts_leave_one_pool(self, free_setup, monkeypatch):
+        # each count's pool names its threads kwavelab-legs-<count>_<i>; a call
+        # of another count shuts the idle pool down, and joins its threads,
+        # before it makes its own. The pools made here are kept referenced, so
+        # only a shutdown ends their threads.
+        spec, basis, _ = free_setup
+        us = np.zeros((2, basis.n_modes))
+        legs = [(spec.with_delta(0.1 * k), us, us, -0.1 * (k + 1), 0.0, 1e-2) for k in range(4)]
+        serial = list(att._evolve_legs(legs, basis, 1))
+        made = []
+
+        class Kept(att.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(att, "ThreadPoolExecutor", Kept)
+        for threads in (2, 3, 4):
+            ends = list(att._evolve_legs(legs, basis, threads))
+            assert all(np.array_equal(a, b) for pa, pb in zip(serial, ends)
+                       for a, b in zip(pa, pb))
+        names = [t.name for t in threading.enumerate() if t.name.startswith("kwavelab-legs-")]
+        assert names and len(names) <= 4
+        assert {name.split("_")[0] for name in names} == {"kwavelab-legs-4"}
+        assert len(made) >= 2  # the pools of 3 and of 4 at least
+        for pool in made[:-1]:
+            with pytest.raises(RuntimeError):
+                pool.submit(int)
+
+    def test_concurrent_calls_of_two_worker_counts(self, free_setup):
+        # each call takes the pool and submits its legs under the pool lock,
+        # so the other call's switch of worker count cannot shut that pool
+        # down between the two
+        spec, basis, _ = free_setup
+        us = 0.1 * np.random.default_rng(9).standard_normal((2, basis.n_modes))
+        legs = [(spec.with_delta(0.1 * k), us, us, -0.05 * (k + 1), 0.0, 1e-2) for k in range(4)]
+        serial = list(att._evolve_legs(legs, basis, 1))
+        results, errors = [], []
+
+        def caller(threads):
+            try:
+                for _ in range(6):
+                    results.append(list(att._evolve_legs(legs, basis, threads)))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        callers = [threading.Thread(target=caller, args=(n,)) for n in (2, 3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+        assert not errors and len(results) == 12
+        for ends in results:
+            assert all(np.array_equal(a, b) for pa, pb in zip(serial, ends)
+                       for a, b in zip(pa, pb))
 
     def test_a_forked_child_runs_legs_on_a_pool_of_its_own(self, free_setup):
         # the child inherits the parent's pool object but not its threads, so

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kwavelab import cli
 from kwavelab.cli import COMMANDS, _write_csv, main
 from kwavelab.config import ConfigError, ExperimentConfig
 from kwavelab.energy import InfeasibleParamsError
@@ -623,6 +624,51 @@ class TestCsvWriter:
         assert check(rows)
         write_csv_plain(str(tmp_path / "plain.csv"), header.split(","), rows)
         assert (out / name).read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_17_digit_negative_cell_of_every_table_exponent(self, tmp_path):
+        # one cell per decimal exponent the tables hold: the fixed form
+        # (-4 <= X < 17, '0.000ddd' among them) and the exponent form, each
+        # with a '-', 17 significant digits and the longest exponent of its X
+        cells = []
+        for X in range(cli._X_MIN, cli._X_MAX + 1):
+            x = -float(f"1.2345678901234567e{X}")
+            while not re.fullmatch(r"-[0-9.]*[1-9](e[-+][0-9]+)?", "%.17g" % x):
+                x = np.nextafter(x, -math.inf)  # a trailing zero: take the next double
+            cells.append(x)
+        texts = ["%.17g" % x for x in cells]
+        assert any("e" in t for t in texts) and any("e" not in t for t in texts)
+        assert any(t.startswith("-0.000") for t in texts)
+        self.assert_plain_bytes(tmp_path, np.array(cells).reshape(-1, 1))
+        self.assert_plain_bytes(tmp_path, np.resize(cells, (67, 6)))
+
+    @pytest.mark.parametrize("cell", [-2.2250738585072014e-308, -4.9406564584124654e-324,
+                                      -1.7976931348623157e+308])
+    def test_longest_slow_text_ends_a_row_and_a_block(self, tmp_path, cell):
+        # 24 bytes of '%.17g' fill words 0-2 of a cell, and its separator the
+        # fourth; two blocks of 6-cell rows, so a block's last cell is mid-row
+        width, n = 6, cli._CSV_BLOCK
+        assert len("%.17g" % cell) == 24 and (2 * n) % width == 0 and n % width
+        table = np.random.default_rng(7).standard_normal(2 * n)
+        table[[width - 1, n - 1, 2 * n - 1]] = cell  # ends a row, block 0, the table
+        self.assert_plain_bytes(tmp_path, table.reshape(-1, width))
+
+    @pytest.mark.parametrize("width, cells", [
+        (1, cli._CSV_BLOCK - 1), (1, cli._CSV_BLOCK), (1, cli._CSV_BLOCK + 1),
+        (1, 3 * cli._CSV_BLOCK + 2), (433, 433 * 9), (433, 433 * 10), (433, 433 * 29)])
+    def test_random_bits_over_several_blocks_match_plain_writer(self, tmp_path, width, cells):
+        bits = np.random.default_rng(cells).integers(0, 2 ** 64, cells, np.uint64, endpoint=False)
+        self.assert_plain_bytes(tmp_path, bits.view(np.float64).reshape(-1, width))
+
+    def test_block_arrays_stay_under_the_mmap_threshold(self):
+        # glibc's malloc serves a request from mmap once its chunk (the request
+        # and an 8-byte header, rounded up to 16 bytes) reaches 128 KiB
+        def chunk(nbytes):
+            return (nbytes + 8 + 15) // 16 * 16
+
+        limit, n = 128 * 1024, cli._CSV_BLOCK
+        text = 8 * cli._CELL_WORDS * n + 1  # the bytearray keeps a closing NUL
+        assert max(chunk(a.nbytes) for a in cli._csv_work(n)) <= chunk(text) < limit
+        assert chunk(8 * cli._CELL_WORDS * (n + 1) + 1) >= limit  # the most cells that fit
 
 
 class TestSimulate:
