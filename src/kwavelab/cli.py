@@ -75,10 +75,9 @@ def _csv_tables():
                        int.from_bytes(b"\0" + b"e%+03d" % X, "little") * (form == 18), 18 * form)
     g = np.arange(10 ** 4)
     groups, zeros = np.full(g.size, 0x30303030), np.zeros(g.size, np.int64)
-    for k in range(4):  # digit k of each g, the most significant first, and its trailing zeros
-        q = 10 ** (3 - k)
-        groups += (g // q - g // (10 * q) * 10) << 8 * k
-        zeros += g // (10 ** (k + 1)) * 10 ** (k + 1) == g
+    for j in range(4):  # the digit of 10^j of each g, in byte 3 - j, and its trailing zeros
+        groups += (g // 10 ** j - g // 10 ** (j + 1) * 10) << 24 - 8 * j
+        zeros += g // 10 ** (j + 1) * 10 ** (j + 1) == g
     n_sig = np.ones(1023 + 52, np.int64)  # exponent field 1023 + h: top bit h = 16 k + z - 1
     n_sig[1023:] = [2 + 4 * (h >> 4) + (h & 15) for h in range(52)]
     layout = [[bytes(16)] * (18 * 19) for _ in range(3)]
@@ -99,9 +98,8 @@ def _csv_tables():
 
 
 def _csv_work(n):
-    """The buffers one _write_csv call lends each of its blocks of n cells:
-    eight int64 rows, in arrays of 2, 2 and 4 rows so that a pair or the
-    four make one (n, 2) or (n, 4) array, and three rows of flags."""
+    """What a _write_csv call lends each block of n cells: eight int64 rows,
+    as arrays of 2, 2 and 4 rows (an (n, 2) or (n, 4) array), and 3 of flags."""
     return [np.empty((k, n), np.int64) for k in (2, 2, 4)] + [np.empty((3, n), bool)]
 
 
@@ -162,24 +160,20 @@ def _decimal(x, work):
 
 
 def _format_cells(x, work, seps, words) -> None:
-    """Lay out '%.17g' % x[i] and the separator seps[i] (_COMMA or
-    _NEWLINE), NUL-padded, in row i of words ((x.size, _CELL_WORDS) int64);
-    dropping the NULs leaves the text. Word 0 holds the sign (byte 0), the
-    '0.000' of -4 <= X < 0 (bytes 1-5) and digit 0 (byte 7); words 1-2
-    digits 1-16, those after the '.' shifted up one byte to make room for
-    it, the last into byte 0 of word 3; word 3 the exponent (bytes 1-5) and
-    the separator (byte 6). '%.17g' formats the cells _decimal cannot."""
+    """Lay out '%.17g' % x[i] and the separator seps[i] (_COMMA or _NEWLINE),
+    NUL-padded, in row i of words ((x.size, _CELL_WORDS) int64): word 0 the
+    sign, a '0.000' (-4 <= X < 0) and digit 0 (bytes 0, 1-5, 7); words 1-2
+    digits 1-16, those after the '.' shifted up a byte to make room for it,
+    the last into byte 0 of word 3; word 3 the exponent (bytes 1-5) and the
+    separator (byte 6). '%.17g' formats the cells _decimal cannot."""
     _, per_x, groups_t, lanes_t, n_sig_t, layout_t, lead_t = _csv_tables()
     col, D, slow = _decimal(x, work)
     pair, (r2, r3), quad, _ = work
-    (r0, r1), digits, groups = pair, pair.reshape(-1, 2), quad.reshape(-1, 4)
-    # D = d0 10^16 + hi 10^8 + lo: r3 = d0, pair = hi, lo
-    np.floor_divide(D, 10 ** 8, out=r2)
-    np.multiply(r2, 10 ** 8, out=r1)
-    np.subtract(D, r1, out=r1)
-    np.floor_divide(r2, 10 ** 8, out=r3)
-    np.multiply(r3, 10 ** 8, out=r0)
-    np.subtract(r2, r0, out=r0)
+    digits, groups = pair.reshape(-1, 2), quad.reshape(-1, 4)
+    for num, q, rest in ((D, r2, pair[1]), (r2, r3, pair[0])):  # D = r3 10^16 + hi 10^8 + lo
+        np.floor_divide(num, 10 ** 8, out=q)
+        np.multiply(q, 10 ** 8, out=rest)
+        np.subtract(num, rest, out=rest)
     lead_t.take(r3, out=r2, mode="wrap")
     per_x[0].take(col, out=D, mode="wrap")
     r2 |= D
@@ -200,19 +194,16 @@ def _format_cells(x, work, seps, words) -> None:
     np.right_shift(quad[0], 52, out=r2)
     n_sig_t.take(r2, out=quad[1], mode="wrap")
     r3 += quad[1]
-    before, after, dot = quad[:2].reshape(-1, 2), quad[2:].reshape(-1, 2), digits
-    layout_t[0].take(r3, axis=0, out=before, mode="wrap")
-    layout_t[1].take(r3, axis=0, out=after, mode="wrap")
-    before &= digits
-    after &= digits
-    layout_t[2].take(r3, axis=0, out=dot, mode="wrap")
-    before |= dot
-    np.right_shift(after, 56, out=dot)  # the byte each word carries out
+    before, after = masks = quad.reshape(2, -1, 2)
+    layout_t[:2].take(r3, axis=1, out=masks, mode="wrap")
+    masks &= digits
+    layout_t[2].take(r3, axis=0, out=digits, mode="wrap")  # the '.'
+    before |= digits
+    np.right_shift(after, 56, out=digits)  # the byte each word carries out
     after <<= 8
-    for j in (0, 1):  # one column at a time: numpy runs 2-D strided outputs far slower
+    for j in (1, 0):  # one column at a time: numpy runs 2-D strided outputs far slower
         np.bitwise_or(before[:, j], after[:, j], out=words[:, j + 1])
-    words[:, 2] |= dot[:, 0]
-    words[:, 3] |= dot[:, 1]
+        words[:, j + 2] |= digits[:, j]
     for i in slow:
         text = ("%.17g" % x[i]).encode("ascii")
         words[i] = 0, 0, 0, seps[i]
@@ -240,10 +231,9 @@ def _write_csv(path: str, header: list[str], table) -> None:
         seps = np.full(width - 1 + n, _COMMA)  # from a row's first cell on
         seps[width - 1::width] = _NEWLINE
         for end in range(n, cells.size + n, n):
-            # the last block ends at the last cell; it drops rows written before
-            start = min(end, cells.size) - n
+            start = min(end, cells.size) - n  # the last block ends at the last cell
             _format_cells(cells[start:start + n], work, seps[start % width:][:n], words)
-            words[:end - n - start] = 0
+            words[:end - n - start] = 0  # and drops the cells written before
             fh.write(text.translate(None, b"\0"))
 
 
