@@ -235,8 +235,9 @@ def _evolve_legs(legs, basis: Basis, threads: int):
     min(threads, legs) workers (_leg_pool) runs whole legs, most member-steps
     first, as _plan_pool says, and the call returns once every leg has ended.
     The pool outlives the call, so its threads keep their step workspaces:
-    an idle worker holds one, 3.4 MiB at (64, 216), d = 3; a call with
-    another worker count replaces it. Every row is
+    an idle worker holds one, 2.0 MiB at (64, 216), d = 3, of which the
+    transform plan's two grid-sized arenas are 1.7; a call with another
+    worker count replaces it. Every row is
     bitwise independent of the batch it is evolved in, so the endpoints do
     not depend on ``threads``; a blow-up is raised for the first failing leg
     in the order given, as on one thread, and names that leg's dt.

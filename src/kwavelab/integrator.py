@@ -45,14 +45,15 @@ once per thread and (g, basis, batch shape): a ping-pong pair for the
 explicit term (so the AB2 history needs no copy), the step scratch, and the
 grid-transform plan of ``nonlinearity_work``, which binds every buffer and
 view of the transform stages, so a step's transform is its stage products
-and g. These buffers are above malloc's mmap threshold, so allocating them
-per call would map fresh zeroed pages for every pullback leg (see README).
+and g; its stages and g's grid share two grid-sized arenas. These buffers
+are above malloc's mmap threshold, so allocating them per call would map
+fresh zeroed pages for every pullback leg (see README).
 A workspace lasts as long as its thread: the attractor commands run their
 legs on the process's long-lived leg pool (attractor._leg_pool), so a
 worker binds its workspace once and keeps it from command to command while
 the commands ask for the same worker count.
 Every field-sized buffer of a step, the u, v and explicit-term pairs, the
-scratch and the plan's, starts on a 64-byte boundary (spectral.empty_aligned):
+scratch and the plan's arenas, starts on a 64-byte boundary (spectral.empty_aligned):
 np.empty aligns only to 16 bytes, so each buffer's place in its cache line
 was the heap's, and any allocation change moved it; a misaligned pass
 splits its vector loads across two cache lines, which cost a 16-step
@@ -200,15 +201,16 @@ def _explicit_term(spec: ModelSpec, basis: Basis, u, work, kp, S, out):
 
 def _step_work(spec: ModelSpec, basis: Basis, shape: tuple) -> tuple:
     """The calling thread's step workspace for a batch of ``shape``: the
-    ``nonlinearity_work`` plan, the explicit-term pair, the scratch and S of
-    _explicit_term, the pair and the scratch 64-byte aligned by empty_aligned,
-    as every pass over them is elementwise. The thread holds one; a call
+    ``nonlinearity_work`` plan (two grid-sized arenas), the explicit-term
+    pair, the scratch and S of _explicit_term, the pair and the scratch
+    64-byte aligned by empty_aligned, as every pass over them is
+    elementwise. The thread holds one; a call
     with another (spec.g, basis, shape) replaces it (g's factor is in the
     plan's inverse matrix), dropping the old buffers before the new are
     made. It lasts as long as the thread, and the workers of the leg pool
     (attractor._leg_pool) live until a call asks for another worker count,
-    so an idle worker keeps its workspace: 3.4 MiB at (64, 216), d = 3, and
-    2.0 MiB at (64, 256), d = 2. Every array is written before it is read in a step,
+    so an idle worker keeps its workspace: 2.0 MiB at (64, 216), d = 3, and
+    1.4 MiB at (64, 256), d = 2. Every array is written before it is read in a step,
     so what a call left behind, a blow-up's non-finite values too, never
     reaches the next."""
     key = (spec.g, basis, shape)

@@ -177,10 +177,12 @@ def eval_G(spec: NonlinearitySpec, u, out: Optional[np.ndarray] = None,
            scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """G(u) alone, elementwise: the exact antiderivative of g with G(0) = 0.
 
-    Written into ``out`` and, for cubic g, ``scratch`` (both of u's shape,
-    neither u itself), made here when not given, so a caller that holds them
-    allocates nothing. The operands pair as in the plain expressions
-    (c u^2) u^2, c = -0.25 coeff, and coeff (1 - cos u)."""
+    Written into ``out`` and, for cubic g, ``scratch`` (both of u's shape),
+    made here when not given, so a caller that holds them allocates nothing.
+    ``out`` may be u itself (G then overwrites u, with the bits of a call on
+    a copy: u^2 is in scratch before out is first written, and every other
+    pass is elementwise); ``scratch`` may not. The operands pair as in the
+    plain expressions (c u^2) u^2, c = -0.25 coeff, and coeff (1 - cos u)."""
     u = np.asarray(u, dtype=float)
     if spec.kind == "zero":
         if out is None:

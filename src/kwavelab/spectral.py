@@ -39,8 +39,14 @@ thread and (g, basis, batch shape), so a step runs the stage products and g
 into the plan's buffers and allocates nothing; a call without a plan (the
 ledger's) makes one per shape of its row blocks of at most _BLOCK_VALUES
 grid values. A plan's buffers, the stage outputs of ``_Contraction`` and g's
-grid, come from ``empty_aligned`` and start on a 64-byte boundary, as do the
-stepping loop's (see integrator): np.empty aligns only to 16 bytes, and a
+grid, are views of two grid-sized arenas (``_Arenas``): no stage reads more
+than one buffer or writes more than one, so each stage, and g, writes the
+start of the arena its input is not in, and a plan holds 2 grids where a
+buffer per stage held 3.6 (d = 3) or 3.25 (d = 2); a d = 3 leg worker's
+step workspace fell from 3.4 to 2.0 MiB at (64, 216). The operations and
+their order are a buffer per stage's, so are their bits. The arenas come
+from ``empty_aligned`` and start on a 64-byte boundary, as do the
+stepping loop's buffers (see integrator): np.empty aligns only to 16 bytes, and a
 misaligned elementwise pass splits every 64-byte vector load across two
 cache lines (an add at (64, 256): 10-12 us against 4.6 us aligned; a
 16-step ensemble leg at (64, 256), d = 2, with every buffer 16 bytes off:
@@ -96,7 +102,7 @@ class Basis:
         return float(self.dim * np.pi ** 2)
 
     def mode_labels(self) -> list[str]:
-        return ["-".join(str(k) for k in m) for m in self.multi_indices]
+        return ["-".join(map(str, m)) for m in self.multi_indices.tolist()]
 
 
 @dataclass(frozen=True)
@@ -220,11 +226,31 @@ def empty_aligned(shape) -> np.ndarray:
 _DOT_VALUES = 1 << 12  # output values up to which a one-product stage runs np.dot
 
 
+class _Arenas:
+    """Two buffers ("arenas") of ``size`` floats each, by empty_aligned, handed
+    out in turn: a call returns the start of the arena the previous call did
+    not, viewed in ``shape`` (at most ``size`` values). A chain of buffers
+    allocated in the order it is written, each read by the next, so has
+    every writer write the arena its input is not in, from a 64-byte
+    boundary."""
+
+    __slots__ = ("bases", "turn")
+
+    def __init__(self, size: int):
+        self.bases, self.turn = (empty_aligned((size,)), empty_aligned((size,))), 0
+
+    def __call__(self, shape) -> np.ndarray:
+        base, self.turn = self.bases[self.turn], 1 - self.turn
+        return base[:math.prod(shape)].reshape(shape)
+
+
 class _Contraction:
     """One grid map, to_grid's or from_grid's (``mats`` from _dst_pair), on
-    ``batch`` fields of n_in^dim values, bound to buffers allocated here in
-    stage order, each by empty_aligned, so every stage writes from a 64-byte
-    boundary (see the module docstring).
+    ``batch`` fields of n_in^dim values, bound to buffers that ``alloc``
+    (shape -> array) makes here in stage order: by default each its own, by
+    empty_aligned; in a plan, the turns of an _Arenas, so each stage writes
+    the arena its input is not in. Either way every stage writes from a
+    64-byte boundary (see the module docstring).
 
     The map takes one field axis per stage: stage a views the previous
     stage's output as (batch * the sizes of the axes before a, n_in, the
@@ -238,9 +264,11 @@ class _Contraction:
     from axis 0 and ends with the GEMM. Every view is a reshape of a
     contiguous array, taken here once, so a call runs the dim products and
     nothing is transposed or copied. A call returns ``result``, the last
-    buffer viewed in ``shape``; it holds until the next call. The input is a
-    contiguous array handed to each call, or ``src``, bound here, which the
-    caller refills between calls.
+    buffer viewed in ``shape``; it holds until the next call (in a plan,
+    until the arena's next write). The input is a contiguous array handed to
+    each call, or ``src``, bound here, which the caller refills between
+    calls; an input that overlaps the first stage's buffer (a plan's own
+    last result) is copied by numpy first, so it gives the bits of a copy.
 
     A stage that is one 2-D product, the GEMM or a broadcast with one leading
     row, runs ``np.dot`` on 2-D views when it has at most _DOT_VALUES output
@@ -255,7 +283,8 @@ class _Contraction:
 
     __slots__ = ("entry", "src", "head", "tail", "result")
 
-    def __init__(self, mats, batch: int, dim: int, shape: tuple, src=None):
+    def __init__(self, mats, batch: int, dim: int, shape: tuple, src=None, alloc=None):
+        alloc = alloc or empty_aligned
         left, right = mats
         n_out, n_in = left.shape
         sizes, stages, prev = [n_in] * dim, [], None
@@ -263,13 +292,13 @@ class _Contraction:
             lead, rest = batch * math.prod(sizes[:a]), math.prod(sizes[a + 1:])
             sizes[a] = n_out
             if a < dim - 1:  # lead products (n_out, n_in)(n_in, rest)
-                view, out = (lead, n_in, rest), empty_aligned((lead, n_out, rest))
+                view, out = (lead, n_in, rest), alloc((lead, n_out, rest))
                 one, (m, k, n) = lead == 1, (n_out, n_in, rest)
             elif dim > 1:  # one product (lead, n_in)(n_in, n_out)
-                view, out = (lead, n_in), empty_aligned((lead, n_out))
+                view, out = (lead, n_in), alloc((lead, n_out))
                 one, (m, k, n) = True, (lead, n_in, n_out)
             else:  # a lone row per field (see above)
-                view, out = (lead, 1, n_in), empty_aligned((lead, 1, n_out))
+                view, out = (lead, 1, n_in), alloc((lead, 1, n_out))
                 one = False
             op, res = np.matmul, out
             if one and min(m, k, n) > 1 and m * n <= _DOT_VALUES:
@@ -334,21 +363,28 @@ def nonlinearity_work(spec: NonlinearitySpec, basis: Basis, lead: tuple) -> tupl
     """Plan of eval_nonlinearity_modal for C-contiguous fields of shape
     lead + (n_modes,): (to, g, back), the to_grid map, the grid array g is
     written into and the from_grid map bound to read it, with g's factor
-    in its last matrix, allocated in that order (for g = 0, a zero array as
-    ``back``, made here once and returned as is by every call: no caller
-    writes it). The grid array and every stage buffer start on a 64-byte
-    boundary (empty_aligned), as g's pass over the grid is elementwise.
-    Every view of a call is bound here, once. The result is back's buffer,
-    so it holds only until the next call with the same plan."""
+    in its last matrix (for g = 0, a zero array as ``back``, made here once
+    and returned as is by every call: no caller writes it). Every stage
+    buffer and the grid array are the turns of one _Arenas of two grid-sized
+    buffers, taken in the order a call writes them, so each stage, and g,
+    writes the start of the arena its input is not in: no stage reads more
+    than one buffer or writes more than one, and none is larger than the
+    grid. A plan so holds 2 grids, not the 3.6 (d = 3) or 3.25 (d = 2) that
+    a buffer per stage took; every buffer starts on a 64-byte boundary, as
+    g's pass over the grid is elementwise. Every view of a call is bound
+    here, once. The result lives in an arena, back's last buffer, so it
+    holds only until the next call with the same plan."""
     if spec.kind == "zero":
         return None, None, np.zeros(lead + (basis.n_modes,))
     M, batch = _quadrature_pts(basis), math.prod(lead)
     fwd = _dst_pair(basis.modes_per_dim, M)[0]
     inv = _dst_pair(basis.modes_per_dim, M, spec.factor)[1]
     grid = lead + (M - 1,) * basis.dim
-    to = _Contraction(fwd, batch, basis.dim, grid)
-    g = empty_aligned(grid)
-    return to, g, _Contraction(inv, batch, basis.dim, lead + (basis.n_modes,), src=g)
+    arenas = _Arenas(math.prod(grid))
+    to = _Contraction(fwd, batch, basis.dim, grid, alloc=arenas)
+    g = arenas(grid)
+    return to, g, _Contraction(inv, batch, basis.dim, lead + (basis.n_modes,), src=g,
+                               alloc=arenas)
 
 
 _BLOCK_VALUES = 1 << 15  # grid values (256 KB) per row block of a call without a plan
@@ -396,9 +432,10 @@ def eval_nonlinearity_modal(spec: NonlinearitySpec, basis: Basis, f: np.ndarray,
 def integral_of_G(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.ndarray | float:
     """(G(u), 1) by quadrature on the nodes j/M, M = 2N+1, per dimension:
     exact for G up to degree 4 (cubic g). One value per row of a batch,
-    evaluated in row blocks, with one to_grid map and one pair of grid
-    buffers for eval_G's G and scratch per block shape, so a block allocates
-    no grid-sized array."""
+    evaluated in row blocks, with one to_grid map per block shape on the two
+    grid-sized buffers of an _Arenas (as a nonlinearity_work plan's): G is
+    written in place over the grid and eval_G's scratch is the other arena,
+    so a block allocates no grid-sized array and a block shape two."""
     if spec.kind == "zero":
         out = np.zeros(np.asarray(f).shape[:-1])
     else:
@@ -407,8 +444,9 @@ def integral_of_G(spec: NonlinearitySpec, basis: Basis, f: np.ndarray) -> np.nda
 
         def bind(rows):
             grid = (rows,) + (M - 1,) * dim
-            to = _Contraction(fwd, rows, dim, grid)
-            G, scratch = empty_aligned(grid), empty_aligned(grid)
+            arenas = _Arenas(math.prod(grid))
+            to = _Contraction(fwd, rows, dim, grid, alloc=arenas)
+            G, scratch = to.result, arenas(grid)
             return lambda x: integrate_grid(eval_G(spec, to(x), G, scratch), M, dim)
         out = _in_row_blocks(basis, f, bind, ())
     return float(out) if np.ndim(out) == 0 else out

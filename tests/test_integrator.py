@@ -580,6 +580,22 @@ class TestStepWorkspace:
         assert np.array_equal(traj.resume.nl_prev, nl_prev)
         assert len(binds) == 2
 
+    @pytest.mark.parametrize("dim,n,bound_mib", [(3, 6, 2.1), (2, 16, 1.5)])
+    def test_a_bound_workspace_holds_two_grids_of_plan(self, monkeypatch, dim, n, bound_mib):
+        # the plan's stages and g's grid share two grid-sized arenas: at
+        # (64, 216), d = 3, and (64, 256), d = 2, a workspace is 2 grids of
+        # plan (0.84 and 0.5 MiB each) and 3 batches of step arrays; a buffer
+        # per stage made it 3.39 and 2.04 MiB
+        monkeypatch.setattr(integ, "_workspace", type(integ._workspace)())  # empty
+        spec, basis = kw.ModelSpec(delta=0.1, g=CUBIC), kw.Basis(dim, n)
+        tracemalloc.start()
+        try:
+            integ._step_work(spec, basis, (64, basis.n_modes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20, peak / 2 ** 20
+
 
 def placed(a, offset):
     """A copy of the float array a whose data start ``offset`` bytes past a

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import kwavelab as kw
 from kwavelab.model import (NONLINEARITY_KINDS, EpsilonProfile, ForcingSpec,
-                            NonlinearitySpec, eval_epsilon, eval_g, eval_g_value,
+                            NonlinearitySpec, eval_epsilon, eval_g, eval_G, eval_g_value,
                             eval_h, forcing_norm_sq, validate_hypotheses,
                             weighted_tail_integral)
 
@@ -91,6 +91,21 @@ class TestNonlinearity:
         unscaled = eval_g_value(spec, u, unscaled=True)
         assert spec.factor == {"zero": 0.0, "cubic_soft": -0.7, "lipschitz_sine": 1.3}[spec.kind]
         assert np.array_equal(spec.factor * unscaled, eval_g_value(spec, u))
+
+    @pytest.mark.parametrize("spec", [NonlinearitySpec("zero"),
+                                      NonlinearitySpec("cubic_soft", coeff=0.7),
+                                      NonlinearitySpec("lipschitz_sine", coeff=1.3)],
+                             ids=lambda g: g.kind)
+    @pytest.mark.parametrize("shape", [(40,), (5, 40)], ids=["row", "batch"])
+    def test_G_in_place_gives_the_bits_of_a_copy(self, spec, shape):
+        u = np.random.default_rng(7).uniform(-3.0, 3.0, size=shape)
+        want = eval_G(spec, u.copy())
+        got = eval_G(spec, u, out=u, scratch=np.empty_like(u))
+        assert got is u and np.array_equal(u, want)
+
+    def test_G_of_a_scalar(self):
+        assert eval_G(NonlinearitySpec("cubic_soft", coeff=1.0), 2.0) == -4.0
+        assert eval_G(NonlinearitySpec("lipschitz_sine", coeff=1.0), 0.0) == 0.0
 
 
 class TestForcing:

@@ -11,7 +11,7 @@ import kwavelab as kw
 from kwavelab import spectral
 from kwavelab.model import eval_g_value
 from kwavelab.spectral import (Basis, ModalState, _dst_matrix,
-                               dual_norm_sq, eval_nonlinearity_modal, from_grid,
+                               dual_norm_sq, empty_aligned, eval_nonlinearity_modal, from_grid,
                                integral_of_G, integrate_grid, nonlinearity_work,
                                to_grid)
 from oracles import midpoint_projection, to_grid_first_to_last, zero_state
@@ -37,6 +37,12 @@ class TestBasis:
     def test_enumeration_fixed(self):
         b = Basis(2, 2)
         assert [tuple(m) for m in b.multi_indices] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    def test_mode_labels(self):
+        assert Basis(1, 3).mode_labels() == ["1", "2", "3"]
+        labels = Basis(2, 11).mode_labels()
+        assert labels[:2] == ["1-1", "1-2"] and labels[10] == "1-11" and labels[-1] == "11-11"
+        assert Basis(3, 2).mode_labels()[-2:] == ["2-2-1", "2-2-2"]
 
 
 class TestNorms:
@@ -390,6 +396,70 @@ class TestNonlinearityModal:
         oracle, _ = quad(lambda x: -0.25 * (1.3 * math.sqrt(2) * np.sin(np.pi * x)) ** 4, 0, 1)
         assert integral_of_G(kw.NonlinearitySpec("cubic_soft"), b,
                              f) == pytest.approx(oracle, rel=1e-10)
+
+
+KINDS = [kw.NonlinearitySpec("cubic_soft"), kw.NonlinearitySpec("lipschitz_sine")]
+
+
+class TestArenas:
+    """A plan's stage buffers and g's grid are the turns of two grid-sized
+    arenas: each writes the start of the one its input is not in."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every array that empty_aligned makes from here on."""
+        made = []
+        monkeypatch.setattr(spectral, "empty_aligned",
+                            lambda shape: made.append(empty_aligned(shape)) or made[-1])
+        return made
+
+    @staticmethod
+    def stages(plan):
+        """(input, output) of every stage of a _Contraction: the head reads
+        src (None: the caller's array), a later stage its writable operand."""
+        io = [(plan.src, plan.head[-1])]
+        for _, a, b, out in plan.tail:
+            io.append((a if a.flags.writeable else b, out))
+        return io
+
+    @pytest.mark.parametrize("g", KINDS, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (64,)])
+    def test_each_stage_writes_the_arena_its_input_is_not_in(self, made, g, dim, n, lead):
+        b = Basis(dim, n)
+        size = math.prod(lead) * (2 * n) ** dim
+        to, grid, back = nonlinearity_work(g, b, lead)
+        assert [m.shape for m in made] == [(size,)] * 2
+        io = self.stages(to) + [(to.result, grid)] + self.stages(back)
+        assert io[0][0] is None and len(io) == 2 * dim + 1
+        for x, out in io:
+            assert x is None or not np.shares_memory(x, out)
+            [base] = [m for m in made if np.shares_memory(out, m)]
+            assert out.ctypes.data == base.ctypes.data  # the arena's start
+        assert not np.shares_memory(grid, to.result)
+        assert np.shares_memory(back.result, io[-1][1])
+
+    @pytest.mark.parametrize("g", KINDS, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("dim,n", [(1, 8), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (64,)])
+    def test_a_plan_fed_its_own_result_gives_the_bits_of_a_copy(self, g, dim, n, lead):
+        # the result sits where the next call's first stage writes, so numpy
+        # reads the input through a copy
+        b = Basis(dim, n)
+        f = np.random.default_rng(dim).standard_normal(lead + (b.n_modes,))
+        work = nonlinearity_work(g, b, lead)
+        want = eval_nonlinearity_modal(g, b, eval_nonlinearity_modal(g, b, f, work).copy(),
+                                       work).copy()
+        res = eval_nonlinearity_modal(g, b, f, work)
+        assert np.shares_memory(res, work[0].head[-1])
+        assert np.array_equal(eval_nonlinearity_modal(g, b, res, work), want)
+
+    def test_integral_of_G_binds_two_grids_per_block_shape(self, made):
+        # 40 rows of Basis(3, 6) go in row blocks of 18, 18 and 4 rows
+        b, g = Basis(3, 6), kw.NonlinearitySpec("cubic_soft")
+        f = np.random.default_rng(6).standard_normal((40, b.n_modes))
+        integral_of_G(g, b, f)
+        assert [m.shape for m in made] == [(18 * 12 ** 3,)] * 2 + [(4 * 12 ** 3,)] * 2
 
 
 class TestGalerkinExactness:
